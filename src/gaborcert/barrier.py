@@ -19,8 +19,6 @@ terms themselves underflow.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +32,7 @@ from .criterion import (
     one_sided_gauss_tail_log,
 )
 from .errors import PreconditionError
+from .tables import CsvTable
 from .window import Parity, Window, classify_parity
 
 _GHAT_ZERO_TOL = 1e-20
@@ -60,8 +59,11 @@ def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierRepor
     For a window classified odd, checks that |ghat(0)|^2 is numerically
     zero; a visible value means the window is not actually odd.  strict
     is True when the certified upper end of the numerator still sits
-    below the computed denominator, which pins delta0 < 1/2 whenever
-    the termwise domination applies (ghat0_sq ~ 0).
+    below the certified lower end of the denominator, which pins
+    delta0 < 1/2 whenever the termwise domination applies (ghat0_sq ~ 0).
+    Past a gap of about the rounding budget (1e-14 relative; hermite:1
+    dilated by b = 1.5 has 5e-18) float sums cannot show it, and strict
+    is False; h1_barrier_scan certifies such gaps in log scale.
     """
     parity = classify_parity(w)
     ghat0_sq = abs(complex(w.freq_eval(np.asarray([0.0]))[0])) ** 2
@@ -70,7 +72,7 @@ def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierRepor
             f"window {w.label!r} classifies as odd but |ghat(0)|^2 = {ghat0_sq!r}"
         )
     enc = delta_g(w, 0.0, tail_tol=tail_tol)
-    strict = ghat0_sq <= _GHAT_ZERO_TOL and enc.num.upper < enc.den.value
+    strict = ghat0_sq <= _GHAT_ZERO_TOL and enc.num.upper < enc.den.lower
     return BarrierReport(
         label=w.label,
         parity=parity,
@@ -129,8 +131,10 @@ SCAN_CSV_HEADER = ("b", "delta0_low", "delta0", "delta0_high")
 
 
 @dataclass(frozen=True)
-class BarrierScan:
+class BarrierScan(CsvTable):
     rows: tuple[BarrierScanRow, ...]
+
+    CSV_HEADER = SCAN_CSV_HEADER
 
     @property
     def all_strict(self) -> bool:
@@ -140,22 +144,8 @@ class BarrierScan:
     def max_delta0_high(self) -> float:
         return max(row.delta0_high for row in self.rows)
 
-    def _write_rows(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(SCAN_CSV_HEADER)
-        for row in self.rows:
-            writer.writerow(
-                [repr(row.b), repr(row.delta0_low), repr(row.delta0), repr(row.delta0_high)]
-            )
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            self._write_rows(fh)
-
-    def csv_text(self) -> str:
-        buffer = io.StringIO(newline="")
-        self._write_rows(buffer)
-        return buffer.getvalue()
+    def csv_rows(self):
+        return ((row.b, row.delta0_low, row.delta0, row.delta0_high) for row in self.rows)
 
 
 def _scaled_sums(c: float, tail_tol: float) -> tuple[float, float, float, float, float]:

@@ -23,7 +23,6 @@ check so the constant 4/pi^2 can be exercised on explicit samples.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,7 +37,8 @@ from .errors import (
     TruncationRiskWarning,
     ZeroSumError,
 )
-from .window import Window, dilate
+from .tables import CsvTable
+from .window import Parity, Window, dilate
 
 # Lattice sums whose value is exactly zero are still given a stopping rule:
 # the tail must fall below tail_tol * FLOOR_GUARD before we conclude.
@@ -56,6 +56,26 @@ _LOG_TINY = math.log(_TINY)
 _HEURISTIC_QUIET_TERMS = 5
 _HEURISTIC_WARN_K = 2048
 _HEURISTIC_ZERO_SCAN_K = 10_000
+
+# The enveloped cutoff K grows through 2, 4, 6, 9, 13, ... and gives up past
+# this; an envelope that weak never engaged.
+_MAX_CUTOFF = 100_000
+
+# Rounding model of the summed terms (see _rounding_budget): unit roundoff,
+# ulps per term for the polynomial and constant factors, ulps per unit of
+# exponent for the exp factor.
+_U = 2.0**-53
+_TERM_ULPS = 32
+_EXP_ULPS = 8
+
+# The sweep engine evaluates omegas in chunks of this many rows, and the new
+# k columns of each cutoff step in blocks of at most _MAX_BLOCK values, so its
+# working arrays stay small however many omegas or terms there are.
+_CHUNK_ROWS = 128
+_MAX_BLOCK = 1 << 12
+# Outward factor on delta enclosures: the ratio and the square root each
+# round once.
+_RATIO_PAD = 4.0 * _U
 
 
 def geometric_power_sum(r: float, s: int) -> float:
@@ -121,23 +141,90 @@ def _from_log(log_bound: float) -> float:
     return math.exp(log_bound) * (1.0 + 4e-16)
 
 
+def _envelope_tail_rows(amplitude: float, rate: float, p: int, m: int, omegas: np.ndarray) -> np.ndarray:
+    """envelope_tail_log followed by _from_log, for a whole array of omegas.
+
+    The same closed form as one_sided_gauss_tail_log on both tail starts
+    m + omega and m - omega, evaluated in numpy; an overflowing bound comes
+    out as inf, which simply fails the stopping rule.
+    """
+    c = 2.0 * rate
+
+    def side(a: np.ndarray) -> np.ndarray:
+        r = np.exp(-2.0 * c * a)
+        one = 1.0 - r
+        if p == 0:
+            poly = 1.0 / one
+        else:  # p == 1: a^2 G_0(r) + 2a G_1(r) + G_2(r)
+            poly = a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3
+        return -c * a * a + np.log(poly)
+
+    log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side(m + omegas), side(m - omegas))
+    with np.errstate(over="ignore"):
+        return np.where(log_bound < _LOG_TINY, _TINY, np.exp(log_bound) * (1.0 + 4e-16))
+
+
+def _cutoffs():
+    """The cutoff schedule K = 2, 4, 6, 9, 13, 19, ... up to _MAX_CUTOFF."""
+    k_cut = 2
+    while k_cut <= _MAX_CUTOFF:
+        yield k_cut
+        k_cut += max(2, k_cut // 2)
+
+
+def _converged(tail, value, tail_tol: float):
+    """The stopping rule: tail <= tail_tol * max(value, FLOOR_GUARD); elementwise on arrays."""
+    return tail <= tail_tol * np.maximum(value, FLOOR_GUARD)
+
+
+def _exponent_weight(xi: np.ndarray, rate: float) -> np.ndarray:
+    """E(xi) = 4*rate*|xi|*max(|xi|, 1) for the rounding model (see _rounding_budget)."""
+    axi = np.abs(xi)
+    return 4.0 * rate * axi * np.maximum(axi, 1.0)
+
+
+def _rounding_budget(value, weighted, n_terms: int):
+    """Bound on the float error of a sum of n_terms computed nonnegative terms.
+
+    Error model for the closed-form windows (a polynomial times exp(-x)):
+    each computed term t_k = (k+omega)^(2p) |ghat(k+omega)|^2 carries a
+    relative error of at most (_TERM_ULPS + _EXP_ULPS * E(xi_k)) * u, where
+    E = 4*rate*|xi|*max(|xi|, 1) bounds the exponent of |ghat|^2 (at most
+    4*rate*xi^2 for every enveloped window the package builds) and its
+    response to an argument error of a few ulps of max(|xi|, 1); _TERM_ULPS
+    covers the polynomial and constant factors away from their zeros.
+    weighted is sum_k E(xi_k) * t_k.  Summing the terms in any order adds
+    at most gamma_n * value.
+    """
+    gamma = n_terms * _U / (1.0 - n_terms * _U)
+    return (gamma + _TERM_ULPS * _U) * value + _EXP_ULPS * _U * weighted
+
+
 @dataclass(frozen=True)
 class LatticeSumResult:
-    """A truncated lattice sum with a bound on the discarded tail.
+    """A truncated lattice sum with bounds on the discarded tail and on rounding.
 
+    The true sum lies in [lower, upper] = [value - rounding, value +
+    tail_bound + rounding].  tail_bound is the truncation tail alone;
+    rounding bounds the float error of the summed terms (_rounding_budget).
     rigorous is True when the tail bound came from a declared decay
-    envelope; heuristic truncations (windows without an envelope) report a
-    tail estimate instead and must be treated as unverified.
+    envelope; heuristic truncations (windows without an envelope) report
+    estimates instead and must be treated as unverified.
     """
 
     value: float
     tail_bound: float
     terms_used: int
     rigorous: bool
+    rounding: float = 0.0
+
+    @property
+    def lower(self) -> float:
+        return self.value - self.rounding
 
     @property
     def upper(self) -> float:
-        return self.value + self.tail_bound
+        return self.value + self.tail_bound + self.rounding
 
 
 def _check_omega(omega: float) -> float:
@@ -154,6 +241,11 @@ def _check_tail_tol(tail_tol: float) -> float:
     return tail_tol
 
 
+def _check_p(p: int) -> None:
+    if p not in (0, 1, 2):
+        raise PreconditionError(f"weight exponent p must be 0, 1 or 2, got {p!r}")
+
+
 def _terms(w: Window, omega: float, p: int, k_lo: int, k_hi: int) -> np.ndarray:
     """Nonnegative summands (k+omega)^(2p) |ghat(k+omega)|^2 for k in [k_lo, k_hi]."""
     k = np.arange(k_lo, k_hi + 1, dtype=float)
@@ -167,8 +259,7 @@ def _terms(w: Window, omega: float, p: int, k_lo: int, k_hi: int) -> np.ndarray:
 def lattice_partial_sum(w: Window, omega: float, p: int, k_max: int) -> float:
     """Exact-rounded partial sum over |k| <= k_max (no tail accounting)."""
     omega = _check_omega(omega)
-    if p not in (0, 1, 2):
-        raise PreconditionError(f"weight exponent p must be 0, 1 or 2, got {p!r}")
+    _check_p(p)
     return math.fsum(_terms(w, omega, p, -k_max, k_max).tolist())
 
 
@@ -177,38 +268,64 @@ def lattice_sum(
 ) -> LatticeSumResult:
     """Sum (k+omega)^(2p) |ghat(k+omega)|^2 over k in Z with tail control.
 
-    With an envelope the cutoff K grows until the closed-form tail bound
-    drops below tail_tol * max(value, FLOOR_GUARD); the result is then a
-    certified enclosure [value, value + tail_bound].  Without an envelope
-    the sum stops once several consecutive terms are negligible and the
-    reported tail is an estimate only.
+    With an envelope the cutoff K runs through _cutoffs() until the
+    closed-form tail bound drops below tail_tol * max(value, FLOOR_GUARD);
+    the result is then a certified enclosure [value - rounding, value +
+    tail_bound + rounding].  Without an envelope the sum stops once several
+    consecutive terms are negligible and the reported tail is an estimate
+    only.
 
     Raises ZeroSumError when every term vanishes identically.
     """
     omega = _check_omega(omega)
     tail_tol = _check_tail_tol(tail_tol)
-    if p not in (0, 1, 2):
-        raise PreconditionError(f"weight exponent p must be 0, 1 or 2, got {p!r}")
+    _check_p(p)
 
-    if w.envelope is not None:
-        amp, rate = w.envelope.amplitude, w.envelope.rate
-        k_cut = 2
-        while True:
-            value = lattice_partial_sum(w, omega, p, k_cut)
+    if w.envelope is None:
+        return _lattice_sum_heuristic(w, omega, p, tail_tol)
+    (res,) = _enveloped_sums(w, omega, (p,), tail_tol)
+    if res.value == 0.0:
+        raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
+    return res
+
+
+def _enveloped_sums(
+    w: Window, omega: float, ps: tuple[int, ...], tail_tol: float
+) -> list[LatticeSumResult]:
+    """S_p(omega) for each weight in ps from one K loop: the one-omega engine.
+
+    ghat is evaluated once per cutoff step, at the new k only, and shared by
+    every weight; each sum stops at the first cutoff where its own tail
+    passes _converged.  Values are math.fsum of the terms, so exactly
+    rounded.  A vanishing sum comes back with value 0; callers raise.
+    """
+    amp, rate = w.envelope.amplitude, w.envelope.rate
+    terms: dict[int, list[float]] = {p: [] for p in ps}
+    weighted = dict.fromkeys(ps, 0.0)
+    results: dict[int, LatticeSumResult] = {}
+    k_done = -1  # terms for |k| <= k_done are in hand
+    for k_cut in _cutoffs():
+        xi = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1] + omega
+        k_done = k_cut
+        mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+        e = _exponent_weight(xi, rate)
+        for p in ps:
+            if p in results:
+                continue
+            t = mag2 if p == 0 else xi ** (2 * p) * mag2
+            terms[p].extend(t.tolist())
+            weighted[p] += float(np.dot(e, t))
+            value = math.fsum(terms[p])
             tail = _from_log(envelope_tail_log(amp, rate, p, k_cut + 1, omega))
-            if tail <= tail_tol * max(value, FLOOR_GUARD):
-                if value == 0.0:
-                    raise ZeroSumError(
-                        f"all lattice-sum terms vanish for {w.label!r} at omega={omega}"
-                    )
-                return LatticeSumResult(value, tail, k_cut, rigorous=True)
-            k_cut += max(2, k_cut // 2)
-            if k_cut > 100_000:  # envelope so weak the bound never engaged
-                raise DivergentSeriesError(
-                    f"tail bound for {w.label!r} did not reach tolerance by K={k_cut}"
-                )
-
-    return _lattice_sum_heuristic(w, omega, p, tail_tol)
+            if _converged(tail, value, tail_tol):
+                n_terms = 2 * k_cut + 1
+                rounding = _rounding_budget(value, weighted[p], n_terms)
+                results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
+        if len(results) == len(ps):
+            return [results[p] for p in ps]
+    raise DivergentSeriesError(
+        f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
+    )
 
 
 def _lattice_sum_heuristic(
@@ -256,7 +373,10 @@ def _lattice_sum_heuristic(
             f"(scanned |k| <= {k_cut})"
         )
     tail_estimate = 10.0 * float(np.max(pair_peaks)) * _HEURISTIC_QUIET_TERMS
-    return LatticeSumResult(value, tail_estimate, k_cut, rigorous=False)
+    # no envelope, so no exponent bound: the rounding estimate covers the
+    # summation and the per-term constant only
+    rounding = _rounding_budget(value, 0.0, len(collected))
+    return LatticeSumResult(value, tail_estimate, k_cut, rigorous=False, rounding=rounding)
 
 
 @dataclass(frozen=True)
@@ -271,25 +391,43 @@ class DeltaEnclosure:
     rigorous: bool
 
 
+def _enclose(num_value, num_lower, num_upper, den_value, den_lower, den_upper, sqrt):
+    """delta = (1/2) sqrt(S_0/S_1) and its enclosure from the sums' bounds.
+
+    Works on floats (sqrt=math.sqrt) and arrays (sqrt=np.sqrt); the outward
+    _RATIO_PAD covers the rounding of the ratio and the square root.
+    """
+    value = 0.5 * sqrt(num_value / den_value)
+    low = 0.5 * sqrt(num_lower / den_upper) * (1.0 - _RATIO_PAD)
+    high = 0.5 * sqrt(num_upper / den_lower) * (1.0 + _RATIO_PAD)
+    return value, low, high
+
+
 def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DeltaEnclosure:
     """Criterion value (1/2)*sqrt(S_0/S_1) at a single omega with enclosure.
 
     The numerator uses weight p=0, the denominator p=1.  The enclosure
-    brackets the exact ratio: the true sums lie in [value, value + tail].
+    brackets the exact ratio: the true sums lie in [lower, upper], which
+    accounts for the truncation tail and the rounding of the summed terms.
     Raises DegenerateError when the denominator vanishes identically.
     """
-    num = lattice_sum(w, omega, 0, tail_tol)
-    try:
-        den = lattice_sum(w, omega, 1, tail_tol)
-    except ZeroSumError as exc:
-        raise DegenerateError(
-            f"denominator sum vanishes for {w.label!r} at omega={omega}"
-        ) from exc
+    if w.envelope is None:
+        num = lattice_sum(w, omega, 0, tail_tol)
+        try:
+            den = lattice_sum(w, omega, 1, tail_tol)
+        except ZeroSumError as exc:
+            raise DegenerateError(
+                f"denominator sum vanishes for {w.label!r} at omega={omega}"
+            ) from exc
+    else:
+        num, den = _enveloped_sums(w, _check_omega(omega), (0, 1), _check_tail_tol(tail_tol))
+        if num.value == 0.0:
+            raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
         raise DegenerateError(f"denominator sum is zero for {w.label!r} at omega={omega}")
-    value = 0.5 * math.sqrt(num.value / den.value)
-    low = 0.5 * math.sqrt(num.value / (den.value + den.tail_bound))
-    high = 0.5 * math.sqrt((num.value + num.tail_bound) / den.value)
+    value, low, high = _enclose(
+        num.value, num.lower, num.upper, den.value, den.lower, den.upper, math.sqrt
+    )
     return DeltaEnclosure(
         value=value,
         low=low,
@@ -298,6 +436,115 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
         den=den,
         rigorous=num.rigorous and den.rigorous,
     )
+
+
+def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
+    """Enveloped S_0 and S_1 at every omega, summed as (omega x k) arrays.
+
+    Each (omega, p) sum follows lattice_sum's cutoff schedule and stopping
+    rule, but ghat is evaluated once per cutoff step for both weights, only
+    at the new k, and over all omegas still summing.  Returns sums of shape
+    (2, 3, len(omegas)): sums[p] = (value, tail_bound, rounding) of S_p.
+    Omegas where either sum vanishes (lattice_sum's ZeroSumError) hold NaN.
+
+    mirror=True needs |ghat| even and a grid whose points pair up as
+    omegas[i] + omegas[-1 - i] = 1: ghat is then evaluated for the first
+    half only, since |ghat(k + omega')| = |ghat(-k - 1 + omega)| for
+    omega' = 1 - omega.  The partner rows still keep their own cutoffs,
+    tails and stopping decisions.
+    """
+    if not math.exp(-8.0 * w.envelope.rate) < 1.0:  # geometric_power_sum's check at a >= 2
+        raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
+    sums = np.full((2, 3, omegas.size), math.nan)
+    n_eval = (omegas.size + 1) // 2 if mirror else omegas.size
+    for start in range(0, n_eval, _CHUNK_ROWS):
+        own = np.arange(start, min(start + _CHUNK_ROWS, n_eval))
+        partners = omegas.size - 1 - own if mirror else own[:0]
+        chunk = _sweep_chunk(w, omegas[np.concatenate([own, partners])], own.size, tail_tol)
+        sums[:, :, partners] = chunk[:, :, own.size :]
+        sums[:, :, own] = chunk[:, :, : own.size]  # the middle row is its own partner
+    return sums
+
+
+def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> np.ndarray:
+    """_sweep on one chunk: ghat is evaluated for omegas[:n_own]; the rows
+    after them, if any, are their mirror partners, in the same order."""
+    amp, rate = w.envelope.amplitude, w.envelope.rate
+    mirror = omegas.size > n_own
+    at = omegas[:n_own]
+    out = np.full((2, 3, omegas.size), math.nan)
+    total = np.zeros((2, omegas.size))  # partial sums of the terms
+    weighted = np.zeros((2, omegas.size))  # partial sums of E(xi) * term
+    summing = np.ones((2, omegas.size), dtype=bool)
+    lost = np.zeros(omegas.size, dtype=bool)
+    k_done = -1  # terms for |k| <= k_done are summed
+    for k_cut in _cutoffs():
+        # columns k holding new terms of an own row (k_done < |k| <= k_cut)
+        # or, reflected to -k - 1, of its partner
+        ks = np.arange(-k_cut - 1, k_cut + 1)
+        own = (np.abs(ks) > k_done) & (np.abs(ks) <= k_cut)
+        partner = (np.abs(ks + 1) > k_done) & (np.abs(ks + 1) <= k_cut) & mirror
+        keep = own | partner
+        ks, own, partner = ks[keep].astype(float), own[keep], partner[keep]
+        needed = summing.any(axis=0)
+        live = np.flatnonzero(needed[:n_own] | needed[n_own:] if mirror else needed)
+        block = max(1, _MAX_BLOCK // live.size)
+        for c in range(0, ks.size, block):
+            cols = slice(c, c + block)
+            xi = ks[None, cols] + at[live, None]
+            ghat = np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
+            t0 = np.abs(ghat) ** 2
+            t1 = xi**2 * t0
+            e = _exponent_weight(xi, rate)
+            for mask, rows in ((own[cols], live), (partner[cols], live + n_own)):
+                if mask.any():
+                    total[0, rows] += t0[:, mask].sum(axis=1)
+                    total[1, rows] += t1[:, mask].sum(axis=1)
+                    weighted[0, rows] += (e[:, mask] * t0[:, mask]).sum(axis=1)
+                    weighted[1, rows] += (e[:, mask] * t1[:, mask]).sum(axis=1)
+        k_done = k_cut
+        for p in (0, 1):
+            rows = np.flatnonzero(summing[p])
+            if rows.size == 0:
+                continue
+            tail = _envelope_tail_rows(amp, rate, p, k_cut + 1, omegas[rows])
+            stop = _converged(tail, total[p, rows], tail_tol)
+            done = rows[stop]
+            value = total[p, done]
+            out[p, 0, done] = value
+            out[p, 1, done] = tail[stop]
+            out[p, 2, done] = _rounding_budget(value, weighted[p, done], 2 * k_cut + 1)
+            summing[p, done] = False
+            zero = done[value == 0.0]
+            lost[zero] = True
+            summing[:, zero] = False  # a vanishing S_0 already loses the row
+        if not summing.any():
+            break
+    else:
+        raise DivergentSeriesError(
+            f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
+        )
+    out[:, :, lost] = math.nan
+    return out
+
+
+def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
+    """Profile rows (value, low, high, num tail, den tail) from one _sweep."""
+    (nv, nt, nr), (dv, dt, dr) = _sweep(w, omegas, tail_tol, mirror)
+    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr, np.sqrt)
+    return np.array([value, low, high, nt, dt])
+
+
+def _pointwise_rows(w: Window, omegas: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Profile rows from one delta_g call per omega (windows without an envelope)."""
+    rows = np.full((5, omegas.size), math.nan)
+    for i, om in enumerate(omegas):
+        try:
+            e = delta_g(w, om, tail_tol)
+        except (DegenerateError, ZeroSumError):
+            continue
+        rows[:, i] = (e.value, e.low, e.high, e.num.tail_bound, e.den.tail_bound)
+    return rows
 
 
 PROFILE_CSV_HEADER = (
@@ -311,7 +558,7 @@ PROFILE_CSV_HEADER = (
 
 
 @dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(CsvTable):
     """delta_g evaluated over an omega grid, plus local refinement points.
 
     min_value is the minimum of the certified lower enclosures over every
@@ -335,26 +582,14 @@ class DensityProfile:
     non_certifying: bool
     global_minimum_known: bool
 
+    CSV_HEADER = PROFILE_CSV_HEADER
+
     @property
     def argmin_omega(self) -> float:
         return float(self.omegas[self.argmin])
 
-    def _write_rows(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_HEADER)
-        for row in zip(
-            self.omegas, self.lows, self.deltas, self.highs, self.num_tails, self.den_tails
-        ):
-            writer.writerow([repr(float(x)) for x in row])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self._write_rows(fh)
-
-    def csv_text(self) -> str:
-        buffer = io.StringIO(newline="")
-        self._write_rows(buffer)
-        return buffer.getvalue()
+    def csv_rows(self):
+        return zip(self.omegas, self.lows, self.deltas, self.highs, self.num_tails, self.den_tails)
 
     @staticmethod
     def read_csv(path) -> "DensityProfile":
@@ -400,45 +635,51 @@ def min_delta(
     coarse argmin is sharpened by three bisection passes on its bracketing
     interval; refined points are merged into the profile, so re-reading an
     exported profile reproduces min_value.
+
+    Enveloped windows go through the sweep engine (_sweep), in one call for
+    the grid and one per bisection pass.  For a window classified even or
+    odd, |ghat| is even, so ghat is evaluated for the grid points in
+    [0, 1/2] only and each partner point 1 - omega reuses those values
+    with the columns reflected, keeping its own cutoff, tail and stopping
+    decision (the two points of a pair add up to 1 within 1.5 ulp, an
+    argument error the rounding budget covers).  Windows without an
+    envelope take one delta_g per point.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
         raise PreconditionError(f"grid_points must be odd and >= 3, got {grid_points}")
     tail_tol = _check_tail_tol(tail_tol)
 
-    omegas = list(np.linspace(0.0, 1.0, grid_points))
-    encl: dict[float, DeltaEnclosure | None] = {}
-    degenerate = False
-    for om in omegas:
-        try:
-            encl[om] = delta_g(w, om, tail_tol)
-        except (DegenerateError, ZeroSumError):
-            encl[om] = None
-            degenerate = True
-
-    finite = [(om, e) for om, e in encl.items() if e is not None]
-    if not finite:
+    omegas = np.linspace(0.0, 1.0, grid_points)
+    if w.envelope is None:
+        evaluate = _pointwise_rows
+        rows = evaluate(w, omegas, tail_tol)
+    else:
+        evaluate = _sweep_rows
+        rows = evaluate(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+    if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
     # local refinement: three bisection passes around the coarse argmin
-    best_om = min(finite, key=lambda item: item[1].value)[0]
-    idx = omegas.index(best_om)
-    lo = omegas[max(idx - 1, 0)]
-    hi = omegas[min(idx + 1, grid_points - 1)]
-    mid = best_om
+    value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
+    refined: list[float] = []
+    refined_rows: list[np.ndarray] = []
+    idx = int(np.nanargmin(rows[0]))
+    lo = float(omegas[max(idx - 1, 0)])
+    hi = float(omegas[min(idx + 1, grid_points - 1)])
+    mid = float(omegas[idx])
     for _ in range(3):
         candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
-        for om in candidates:
-            if om not in encl:
-                try:
-                    encl[om] = delta_g(w, om, tail_tol)
-                except (DegenerateError, ZeroSumError):
-                    encl[om] = None
-                    degenerate = True
-        triple = [(om, encl[om]) for om in (candidates[0], mid, candidates[1]) if encl[om]]
+        new = [om for om in dict.fromkeys(candidates) if om not in value_at]
+        if new:
+            extra = evaluate(w, np.array(new), tail_tol)
+            value_at.update(zip(new, extra[0].tolist()))
+            refined.extend(new)
+            refined_rows.append(extra)
+        triple = [om for om in (candidates[0], mid, candidates[1]) if math.isfinite(value_at[om])]
         if not triple:
             break
-        pick = min(triple, key=lambda item: item[1].value)[0]
+        pick = min(triple, key=value_at.__getitem__)
         if pick == candidates[0]:
             lo, mid, hi = lo, pick, mid
         elif pick == candidates[1]:
@@ -446,14 +687,12 @@ def min_delta(
         else:
             lo, mid, hi = candidates[0], mid, candidates[1]
 
-    points = sorted(encl.items())
-    omg = np.array([om for om, _ in points])
-    deltas = np.array([e.value if e else math.nan for _, e in points])
-    lows = np.array([e.low if e else math.nan for _, e in points])
-    highs = np.array([e.high if e else math.nan for _, e in points])
-    num_tails = np.array([e.num.tail_bound if e else math.nan for _, e in points])
-    den_tails = np.array([e.den.tail_bound if e else math.nan for _, e in points])
+    omg = np.concatenate([omegas, refined])
+    order = np.argsort(omg, kind="stable")
+    omg = omg[order]
+    deltas, lows, highs, num_tails, den_tails = np.concatenate([rows, *refined_rows], axis=1)[:, order]
     finite_mask = np.isfinite(deltas)
+    degenerate = not bool(np.all(finite_mask))
 
     return DensityProfile(
         omegas=omg,
@@ -466,7 +705,7 @@ def min_delta(
         argmin=int(np.nanargmin(deltas)),
         grid_points=grid_points,
         tail_tol=tail_tol,
-        rigorous=all(e.rigorous for _, e in points if e is not None) and not degenerate,
+        rigorous=w.envelope is not None and not degenerate,
         non_certifying=degenerate,
         global_minimum_known=w.known_minimizer is not None,
     )

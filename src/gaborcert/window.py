@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 
 from .errors import PreconditionError
+from .tables import write_csv
 
 # Standard sampling grid used for quadrature-backed transforms and for
 # turning closed-form windows into sample vectors.
@@ -403,11 +404,7 @@ CSV_HEADER = ("t", "re", "im")
 def write_sampled_csv(path, t: np.ndarray, values: np.ndarray) -> None:
     """Write samples in the interchange format: header t,re,im."""
     values = np.asarray(values, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for ti, vi in zip(np.asarray(t, dtype=float), values):
-            writer.writerow([repr(float(ti)), repr(float(vi.real)), repr(float(vi.imag))])
+    write_csv(path, CSV_HEADER, zip(np.asarray(t, dtype=float), values.real, values.imag))
 
 
 def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,270 @@
+"""The sweep engine behind min_delta, and the rounding budget of lattice sums.
+
+The engine sums whole omega grids as (omega x k) arrays; these tests hold
+it to the one-omega path (delta_g) row by row, and hold both to 50-digit
+mpmath sums of the closed-form |ghat|^2, so enclosures are checked against
+numbers that reuse no package code.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from gaborcert import (
+    DegenerateError,
+    DivergentSeriesError,
+    Envelope,
+    Parity,
+    Window,
+    ZeroSumError,
+    certify,
+    combine,
+    delta_g,
+    dilate,
+    gaussian,
+    hermite,
+    lattice_sum,
+    min_delta,
+)
+from gaborcert import criterion
+from gaborcert.criterion import _envelope_tail_rows, _from_log, envelope_tail_log
+
+# the combined windows of the benchmark corpus: {hermite order: coefficient}
+COMBOS = {
+    "combo:h0+0.3h2": {0: 1.0, 2: 0.3},
+    "combo:h1+0.5h3": {1: 1.0, 3: 0.5},
+    "combo:h0+0.4h1": {0: 1.0, 1: 0.4},
+}
+DILATIONS = (0.05, 0.3, 1.0, 2.35355, 13.0367, 20.0)
+ENGINE_REL = 5e-13
+
+
+def corpus_window(spec):
+    if spec == "gaussian":
+        return gaussian()
+    if spec.startswith("hermite:"):
+        return hermite(int(spec.partition(":")[2]))
+    return combine([(c, hermite(n)) for n, c in sorted(COMBOS[spec].items())])
+
+
+def sin_comb():
+    """Envelope-bounded window whose transform vanishes at every integer."""
+
+    def freq(xi):
+        xi = np.asarray(xi, dtype=float)
+        s = np.sin(np.pi * xi)
+        s = np.where(np.abs(s) < 1e-12, 0.0, s)
+        return (s * np.exp(-np.pi * xi * xi)).astype(complex)
+
+    return Window(
+        label="sin-comb",
+        kind="synthetic",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=freq,
+        parity=Parity.UNKNOWN,
+        envelope=Envelope(amplitude=1.0, rate=math.pi),
+    )
+
+
+def narrow_band():
+    """ghat = 1 on |xi| < 1/4: S_1 vanishes at omega = 0, both sums on [1/4, 3/4]."""
+
+    def freq(xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.where(np.abs(xi) < 0.25, 1.0, 0.0).astype(complex)
+
+    return Window(
+        label="narrow-band",
+        kind="synthetic",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=freq,
+        parity=Parity.EVEN,
+        envelope=Envelope(amplitude=2.0, rate=math.pi),
+    )
+
+
+def pointwise(w, omegas):
+    """delta_g at each omega, None where it raises the degenerate errors."""
+    out = []
+    for om in omegas:
+        try:
+            out.append(delta_g(w, float(om)))
+        except (DegenerateError, ZeroSumError):
+            out.append(None)
+    return out
+
+
+def assert_rows_match_pointwise(w, profile):
+    encl = pointwise(w, profile.omegas)
+    for i, (om, e) in enumerate(zip(profile.omegas, encl)):
+        row = (profile.deltas[i], profile.lows[i], profile.highs[i])
+        if e is None:
+            assert all(math.isnan(x) for x in row), (w.label, om)
+            continue
+        for got, want in zip(row, (e.value, e.low, e.high)):
+            assert abs(got - want) <= ENGINE_REL * want, (w.label, om, got, want)
+        assert profile.num_tails[i] == pytest.approx(e.num.tail_bound, rel=1e-12)
+        assert profile.den_tails[i] == pytest.approx(e.den.tail_bound, rel=1e-12)
+    return encl
+
+
+@pytest.mark.parametrize("spec", ["gaussian"] + [f"hermite:{n}" for n in range(7)] + sorted(COMBOS))
+def test_engine_matches_pointwise_delta_g(spec):
+    base = corpus_window(spec)
+    for b in DILATIONS:
+        w = dilate(base, b)
+        profile = min_delta(w, grid_points=101)
+        encl = assert_rows_match_pointwise(w, profile)
+        # the verdict the one-omega path would give on the same points
+        lows = [e.low for e in encl if e is not None]
+        degenerate = len(lows) < len(encl)
+        assert profile.non_certifying == degenerate
+        assert profile.min_value == pytest.approx(min(lows), rel=ENGINE_REL)
+        for target in (0.5 * min(lows), min(lows) * (1 - 1e-9), min(lows) * (1 + 1e-9)):
+            expected = "Certified" if target < min(lows) and not degenerate else "Inconclusive"
+            assert certify(w, target, grid_points=101).status == expected, (spec, b, target)
+
+
+@pytest.mark.parametrize("spec, b", [("hermite:2", 13.0367), ("hermite:3", 20.0)])
+def test_underflowing_rows_are_lost_at_the_same_omegas(spec, b):
+    # every term of S_1 (and, for odd windows, S_0) at omega = 0 underflows
+    profile = min_delta(dilate(corpus_window(spec), b), grid_points=101)
+    lost = profile.omegas[np.isnan(profile.deltas)]
+    assert lost.tolist() == [0.0, 1.0]
+    assert profile.non_certifying and not profile.rigorous
+
+
+@pytest.mark.parametrize("make", [sin_comb, narrow_band])
+def test_engine_loses_vanishing_rows_like_delta_g(make):
+    w = make()
+    profile = min_delta(w, grid_points=41)
+    assert_rows_match_pointwise(w, profile)
+    assert profile.non_certifying
+
+
+def test_halving_only_for_even_and_odd_windows(monkeypatch):
+    calls = []
+    sweep = criterion._sweep
+
+    def spy(w, omegas, tail_tol, mirror=False):
+        calls.append((omegas.size, mirror))
+        return sweep(w, omegas, tail_tol, mirror)
+
+    monkeypatch.setattr(criterion, "_sweep", spy)
+    for spec, mirrored in (("hermite:1", True), ("gaussian", True), ("combo:h0+0.4h1", False)):
+        w = corpus_window(spec)
+        assert (w.parity in (Parity.EVEN, Parity.ODD)) == mirrored
+        calls.clear()
+        min_delta(w)
+        assert calls[0] == (1001, mirrored)
+        # the bisection passes: at most two new omegas each, never mirrored
+        assert all(size <= 2 and not mirror for size, mirror in calls[1:])
+
+
+def test_mirror_follows_each_rows_own_cutoff():
+    # with the halving, mirrored rows must still sum their own window |k| <= K
+    # (gaussian rows near omega = 0 stop at K = 2 and their partners near 1 at
+    # K = 4; copying a partner's sums, a window shifted by one, moves some
+    # rows by 1e-11)
+    grid = np.linspace(0.0, 1.0, 101)
+    for w in (gaussian(), dilate(hermite(1), 0.3)):
+        mirrored = criterion._sweep(w, grid, 1e-12, mirror=True)
+        direct = criterion._sweep(w, grid, 1e-12)
+        np.testing.assert_allclose(mirrored, direct, rtol=1e-14, atol=0.0)
+
+
+def test_vanishing_envelope_rate_is_divergent():
+    w = Window(
+        label="flat",
+        kind="synthetic",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=lambda xi: np.ones_like(np.asarray(xi, dtype=float), dtype=complex),
+        parity=Parity.EVEN,
+        envelope=Envelope(amplitude=1.0, rate=1e-18),
+    )
+    with pytest.raises(DivergentSeriesError):
+        min_delta(w, grid_points=5)
+
+
+@pytest.mark.parametrize("rate", [0.004, 0.5, math.pi, 600.0])
+@pytest.mark.parametrize("p", [0, 1])
+def test_tail_rows_match_scalar_bound(rate, p):
+    omegas = np.linspace(0.0, 1.0, 9)
+    for m in (3, 5, 10, 64):
+        rows = _envelope_tail_rows(1.7, rate, p, m, omegas)
+        for om, row in zip(omegas, rows):
+            scalar = _from_log(envelope_tail_log(1.7, rate, p, m, float(om)))
+            assert row == pytest.approx(scalar, rel=1e-13, abs=0.0)
+
+
+# --- rounding budget against 50-digit sums ------------------------------------
+
+HERMITE_NORM = 1 / (2 * mpmath.sqrt(2 * mpmath.pi))
+
+
+def mp_mag2(n, b):
+    """|ghat(xi)|^2 for hermite(n) dilated by b, in closed form."""
+    b = mpmath.mpf(b)
+
+    def mag2(xi):
+        x = b * xi
+        if n == 0:
+            return b * mpmath.exp(-2 * mpmath.pi * x * x)
+        poly = HERMITE_NORM * mpmath.hermite(n, mpmath.sqrt(2 * mpmath.pi) * x)
+        return b * poly**2 * mpmath.exp(-2 * mpmath.pi * x * x)
+
+    return mag2
+
+
+def mp_sum(mag2, omega, p, b):
+    with mpmath.workdps(50):
+        k_max = int(12 / b) + 12  # every dropped term below exp(-2*pi*144)
+        om = mpmath.mpf(float(omega))
+        return mpmath.fsum(
+            (k + om) ** (2 * p) * mag2(k + om) for k in range(-k_max, k_max + 1)
+        )
+
+
+ROUNDING_CASES = [
+    ("gaussian", 0, 1.0),
+    ("hermite:1", 1, 1.0),
+    ("hermite:3", 3, 0.05),  # K = 94, the longest sums of the corpus
+    ("hermite:6", 6, 2.35355),
+    ("hermite:2", 2, 13.0367),
+]
+
+
+@pytest.mark.parametrize("spec, n, b", ROUNDING_CASES)
+def test_enclosures_contain_50_digit_sums(spec, n, b):
+    w = dilate(corpus_window(spec), b)
+    mag2 = mp_mag2(n, b)
+    rng = np.random.default_rng(20260518 + n)
+    omegas = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 6), [0.5]]))
+    sums = criterion._sweep(w, omegas, 1e-12)
+    rows = criterion._sweep_rows(w, omegas, 1e-12)
+    for i, om in enumerate(omegas):
+        truth = [mp_sum(mag2, om, p, b) for p in (0, 1)]
+        for p in (0, 1):
+            res = lattice_sum(w, float(om), p)
+            assert res.rounding > 0.0
+            assert res.lower <= truth[p] <= res.upper, (spec, om, p)
+            value, tail, rounding = sums[p, :, i]
+            assert value - rounding <= truth[p] <= value + tail + rounding, (spec, om, p)
+        with mpmath.workdps(50):
+            delta = float(mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1]))
+        enc = delta_g(w, float(om))
+        assert enc.low <= delta <= enc.high, (spec, om)
+        assert rows[1, i] <= delta <= rows[2, i], (spec, om)
+        # the budget is a few ulps per term, not a loose pad
+        assert enc.high - enc.low <= 1e-11 * delta
+
+
+def test_rounding_budget_grows_with_the_exponent():
+    # the exp factor of a term carries about (its exponent) ulps
+    tight = delta_g(hermite(1), 0.5)
+    steep = delta_g(dilate(hermite(1), 13.0367), 0.5)
+    rel = lambda s: s.rounding / s.value  # noqa: E731
+    assert rel(tight.num) < 1e-14
+    assert rel(steep.num) > 10 * rel(tight.num)
