@@ -8,11 +8,19 @@ frame operator of that system collapses to
     S[m, m'] = (n/q) * [m = m' mod n/q] * sum_k g(m - p k) conj(g(m' - p k)),
 
 because the modulation sum is a full set of roots of unity; its extreme
-eigenvalues are the frame bounds.  The model represents the continuous
-system over a*Z x b*Z when a = p*h and b = q/(n*h); given targets (a, b)
-the builder picks divisors p, q of n and the spacing h that spreads the
-snap error evenly over both axes, so both are scaled by the same factor
-rho = sqrt(p*q/(n*a*b)).
+eigenvalues are the frame bounds.  S couples m only with m' = m mod n/q,
+so it splits into n/q independent q x q blocks (the Walnut / Zak-domain
+structure of Zibulski and Zeevi), one per residue r:
+
+    B_r = (n/q) * G_r^T conj(G_r),    G_r[k, j] = g(r + (n/q) j - p k).
+
+Building the blocks takes n^2 q/p complex multiply-adds, against n^3/p
+for the dense S, and their eigenvalues cost about n q^2 against n^3.
+
+The model represents the continuous system over a*Z x b*Z when a = p*h
+and b = q/(n*h); given targets (a, b), `snap_lattice` picks divisors p, q
+of n and the spacing h that spreads the snap error evenly over both
+axes, so both are scaled by the same factor rho = sqrt(p*q/(n*a*b)).
 
 The model is evidence, not proof: bounds carry the snapped lattice (and
 n) and never override the criterion.  Snapping deliberately refuses to
@@ -157,17 +165,30 @@ def build_model(
     )
 
 
-def frame_operator(model: FiniteGaborModel) -> np.ndarray:
-    """Dense frame operator via the modulation collapse."""
+def _frame_blocks(model: FiniteGaborModel) -> np.ndarray:
+    """The n/q diagonal blocks of the frame operator, shape (n/q, q, q).
+
+    Block r acts on the indices m = r + (n/q)*j, j = 0..q-1, which the
+    collapsed operator couples only among themselves:
+    B_r[j, j'] = (n/q) * sum_k g(r + (n/q) j - p k) conj(g(r + (n/q) j' - p k)).
+    """
     n, p, q = model.n, model.p, model.q
-    g = model.window
-    corr = np.zeros((n, n), dtype=complex)
-    for k in range(n // p):
-        v = np.roll(g, p * k)
-        corr += np.outer(v, v.conj())
-    idx = np.arange(n)
-    mask = (idx[:, None] - idx[None, :]) % (n // q) == 0
-    return (n / q) * np.where(mask, corr, 0.0)
+    N = n // q
+    r = np.arange(N)[:, None, None]
+    k = np.arange(n // p)[None, :, None]
+    j = np.arange(q)[None, None, :]
+    G = model.window[(r + N * j - p * k) % n]
+    return (n / q) * np.matmul(G.transpose(0, 2, 1), G.conj())
+
+
+def frame_operator(model: FiniteGaborModel) -> np.ndarray:
+    """Dense frame operator: the diagonal blocks scattered back to (m, m')."""
+    n, q = model.n, model.q
+    N = n // q
+    rows = np.arange(N)[:, None] + N * np.arange(q)[None, :]
+    S = np.zeros((n, n), dtype=complex)
+    S[rows[:, :, None], rows[:, None, :]] = _frame_blocks(model)
+    return S
 
 
 def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:
@@ -184,19 +205,27 @@ def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:
 
 
 def finite_frame_bounds(model: FiniteGaborModel) -> FrameBounds:
-    """Smallest and largest eigenvalues of the (symmetrized) frame operator."""
-    S = frame_operator(model)
-    upper_scale = float(np.max(np.abs(S)))
-    asym = float(np.max(np.abs(S - S.conj().T)))
+    """Smallest and largest eigenvalues of the (symmetrized) frame operator.
+
+    The eigenvalues are those of the n/q diagonal blocks, solved in one
+    batched call.  Zero floor: with `low` the smallest eigenvalue and B
+    the largest, `low < -1e-10*B` raises `DegenerateError`, `low <=
+    n*eps*B` reports A = 0 (an exactly singular operator comes out as
+    rounding noise of either sign at that scale), and otherwise A = low.
+    """
+    blocks = _frame_blocks(model)
+    upper_scale = float(np.max(np.abs(blocks)))
+    adjoint = blocks.conj().transpose(0, 2, 1)
+    asym = float(np.max(np.abs(blocks - adjoint)))
     if asym > 1e-10 * max(upper_scale, 1.0):
         raise DegenerateError(f"frame operator asymmetry {asym!r} exceeds tolerance")
-    eigenvalues = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    eigenvalues = np.linalg.eigvalsh(0.5 * (blocks + adjoint))
+    low, high = float(np.min(eigenvalues[:, 0])), float(np.max(eigenvalues[:, -1]))
     if high <= 0.0:
         raise DegenerateError("frame operator has no positive spectrum")
-    if low < 0.0:
-        if low < -1e-10 * high:
-            raise DegenerateError(f"frame operator eigenvalue {low!r} is negative beyond rounding")
+    if low < -1e-10 * high:
+        raise DegenerateError(f"frame operator eigenvalue {low!r} is negative beyond rounding")
+    if low <= model.n * np.finfo(float).eps * high:
         low = 0.0
     return FrameBounds(A=low, B=high)
 
@@ -223,16 +252,18 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
     interval (relative defect <= 1e-8) and, for subcritical targets,
     stay strictly below the critical product p*q = n.  Preference order:
     smallest |log rho|, then circumference nearest 16, then smallest p.
+    The defect test runs in that order and stops at the first candidate
+    that passes, the same choice as testing every candidate.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"lattice sides must be positive, got {a!r}, {b!r}")
     if n <= 0 or n > MAX_DENSE_DIM:
         raise PreconditionError(f"dimension must be in 1..{MAX_DENSE_DIM}, got {n!r}")
     subcritical = a * b < 1.0 - 1e-12
-    best: SnapChoice | None = None
-    best_score: tuple[float, float, int] | None = None
-    for p in _divisors(n):
-        for q in _divisors(n):
+    divisors = _divisors(n)
+    candidates = []
+    for p in divisors:
+        for q in divisors:
             if p * q > n:
                 continue
             if subcritical and p * q == n:
@@ -241,20 +272,18 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
             rho = math.sqrt(p * q / (n * a * b))
             if abs(math.log(rho)) > _LENIENT_LOG_RHO:
                 continue
-            _, defect = _periodized_samples(w, n, spacing)
-            if defect > _WRAP_TOL:
-                continue
             coverage = n * spacing
             score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p)
-            if best_score is None or score < best_score:
-                best_score = score
-                best = SnapChoice(p=p, q=q, spacing=spacing, rho=rho, coverage=coverage)
-    if best is None:
-        raise ParameterNotRepresentable(
-            f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "
-            f"within {math.exp(_LENIENT_LOG_RHO):.3g}x while covering the window"
-        )
-    return best
+            candidates.append((score, SnapChoice(p=p, q=q, spacing=spacing, rho=rho, coverage=coverage)))
+    candidates.sort(key=lambda item: item[0])
+    for _, choice in candidates:
+        _, defect = _periodized_samples(w, n, choice.spacing)
+        if defect <= _WRAP_TOL:
+            return choice
+    raise ParameterNotRepresentable(
+        f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "
+        f"within {math.exp(_LENIENT_LOG_RHO):.3g}x while covering the window"
+    )
 
 
 def model_for(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> FiniteGaborModel:

@@ -1,11 +1,14 @@
 """Finite Gabor models: collapse identity, snapping policy, frame bounds."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaborcert import (
+    DegenerateError,
     ParameterNotRepresentable,
     PreconditionError,
     build_model,
@@ -15,7 +18,11 @@ from gaborcert import (
     model_for,
     snap_lattice,
 )
-from gaborcert.oracle import brute_frame_operator
+from gaborcert import oracle
+from gaborcert.oracle import SnapChoice, brute_frame_operator
+from gaborcert.window import chirp_window, dilate, gaussian, hermite
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_full_lattice_resolves_identity(gauss):
@@ -125,3 +132,179 @@ def test_model_metadata(gauss):
     assert abs(model.snapped_b - 1.0) <= 1e-12
     assert abs(model.covolume - 0.5) <= 1e-12
     assert abs(float(np.linalg.norm(model.window)) - 1.0) <= 1e-9
+
+
+# --- the block (Walnut) form against the literal atom sum ---------------------
+
+BLOCK_WINDOWS = {
+    "gaussian": gaussian(),
+    # complex samples: a dropped conj in the block product shows here only
+    "chirp(hermite:1)": chirp_window(hermite(1), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_WINDOWS))
+@pytest.mark.parametrize(
+    "n,p,q", [(36, 1, 1), (36, 1, 6), (36, 6, 1), (36, 2, 3), (36, 4, 9), (36, 6, 6), (48, 3, 8)]
+)
+def test_block_operator_matches_brute_force(name, n, p, q):
+    model = build_model(BLOCK_WINDOWS[name], n, p, q, 0.3)
+    slow = brute_frame_operator(model)
+    scale = float(np.max(np.abs(slow)))
+    if name.startswith("chirp") and 2 * p * q >= n:
+        # highly redundant (small p*q) systems come out real even for complex
+        # windows; the others must not, or this case could not catch a lost conj
+        assert float(np.max(np.abs(slow.imag))) > 1e-3 * scale
+    assert float(np.max(np.abs(frame_operator(model) - slow))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ["gaussian", "hermite:1"])
+@pytest.mark.parametrize("n", [240, 360, 480, 512])
+def test_block_bounds_match_dense_eigensolve(name, n):
+    w = gaussian() if name == "gaussian" else hermite(1)
+    model = model_for(w, 0.5, 1.0, n)
+    eigenvalues = np.linalg.eigvalsh(brute_frame_operator(model))
+    bounds = finite_frame_bounds(model)
+    B = float(eigenvalues[-1])
+    assert abs(bounds.B - B) <= 1e-12 * B
+    assert abs(bounds.A - max(float(eigenvalues[0]), 0.0)) <= 1e-12 * B
+
+
+@pytest.mark.parametrize(
+    "low,A",
+    [(-1e-11, 0.0), (0.0, 0.0), (5e-15, 0.0), (1e-14, 1e-14), (0.25, 0.25)],
+)
+def test_zero_floor_rule(monkeypatch, gauss, low, A):
+    # n = 36: eigenvalues up to 36 * eps * B = 8.0e-15 * B read as A = 0
+    model = build_model(gauss, 36, 2, 3, 0.3)
+    monkeypatch.setattr(oracle, "_frame_blocks", lambda m: np.array([np.diag([low, 1.0])], dtype=complex))
+    bounds = finite_frame_bounds(model)
+    assert (bounds.A, bounds.B) == (A, 1.0)
+
+
+def test_zero_floor_rejects_negative_spectrum(monkeypatch, gauss):
+    model = build_model(gauss, 36, 2, 3, 0.3)
+    monkeypatch.setattr(oracle, "_frame_blocks", lambda m: np.array([np.diag([-1e-9, 1.0])], dtype=complex))
+    with pytest.raises(DegenerateError):
+        finite_frame_bounds(model)
+
+
+@pytest.mark.parametrize("n,p,q", [(48, 2, 12), (60, 3, 10)])
+def test_singular_models_report_zero(h1, n, p, q):
+    # p*q/n = 1/2 for the first Hermite window: the operator is exactly
+    # singular and its smallest eigenvalue comes out as rounding noise
+    bounds = finite_frame_bounds(build_model(h1, n, p, q, math.sqrt(q / (n * p))))
+    assert bounds.A == 0.0
+    assert bounds.B > 1.0
+
+
+# --- the score-ordered snap search against the exhaustive rule ----------------
+
+
+def _exhaustive_snap(w, a, b, n):
+    """Every candidate's wrap defect, best score kept; returns (choice, scores)."""
+    subcritical = a * b < 1.0 - 1e-12
+    best, best_score, scores = None, None, []
+    for p in oracle._divisors(n):
+        for q in oracle._divisors(n):
+            if p * q > n:
+                continue
+            if subcritical and p * q == n:
+                continue
+            spacing = math.sqrt(a * q / (b * p * n))
+            rho = math.sqrt(p * q / (n * a * b))
+            if abs(math.log(rho)) > oracle._LENIENT_LOG_RHO:
+                continue
+            coverage = n * spacing
+            score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p)
+            scores.append(score)
+            _, defect = oracle._periodized_samples(w, n, spacing)
+            if defect > oracle._WRAP_TOL:
+                continue
+            if best_score is None or score < best_score:
+                best_score = score
+                best = SnapChoice(p=p, q=q, spacing=spacing, rho=rho, coverage=coverage)
+    return best, sorted(scores)
+
+
+SNAP_WINDOWS = {
+    "gaussian": gaussian(),
+    "hermite:1": hermite(1),
+    "dilate(gaussian,4)": dilate(gaussian(), 4.0),
+    "chirp(hermite:1)": chirp_window(hermite(1), 0.7),
+}
+SNAP_GRID = [
+    (name, a, b, n)
+    for name in SNAP_WINDOWS
+    for n in (36, 48, 240)
+    for a, b in [(0.5, 1.0), (1.0, 0.5), (2.0, 0.25), (0.3, 1.0), (0.75, 0.75), (0.9985, 1.0), (0.001, 0.001)]
+]
+
+
+def _spy_defects(monkeypatch):
+    calls = []
+    real = oracle._periodized_samples
+
+    def spy(w, n, spacing):
+        calls.append(spacing)
+        return real(w, n, spacing)
+
+    monkeypatch.setattr(oracle, "_periodized_samples", spy)
+    return calls
+
+
+def _ordered_snap(monkeypatch, w, a, b, n):
+    """The library search, with its number of defect evaluations."""
+    calls = _spy_defects(monkeypatch)
+    try:
+        return snap_lattice(w, a, b, n), len(calls)
+    except ParameterNotRepresentable:
+        return None, len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_ordered_snap_matches_exhaustive_rule(monkeypatch):
+    fallthrough = ties = refused_after_wrap = refused_outright = 0
+    for name, a, b, n in SNAP_GRID:
+        w = SNAP_WINDOWS[name]
+        expected, scores = _exhaustive_snap(w, a, b, n)
+        got, evaluations = _ordered_snap(monkeypatch, w, a, b, n)
+        assert got == expected, (name, a, b, n)
+        if got is not None:
+            fallthrough += evaluations > 1
+        elif scores:
+            assert evaluations == len(scores)
+            refused_after_wrap += 1
+        else:
+            assert evaluations == 0
+            refused_outright += 1
+        ties += any(s[:2] == t[:2] for s, t in zip(scores, scores[1:]))
+    # the grid exercises every branch of the rule
+    assert fallthrough >= 3
+    assert ties >= 3
+    assert refused_after_wrap >= 1
+    assert refused_outright >= 1
+
+
+def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss):
+    calls = _spy_defects(monkeypatch)
+    choice = snap_lattice(gauss, 0.5, 1.0, 240)
+    assert len(calls) == 1
+    assert calls == [choice.spacing]
+
+
+# --- scripts/oracle_sweep.py ---------------------------------------------------
+
+
+def test_oracle_sweep_script_smoke(capsys):
+    spec = importlib.util.spec_from_file_location("oracle_sweep", REPO / "scripts" / "oracle_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--steps", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[2:]
+    assert [float(row.split()[0]) for row in rows] == pytest.approx([0.3, 0.7, 1.1])
+    for row in rows:
+        ratio = row.split()[-1]
+        assert ratio == "unrepresentable" or math.isfinite(float(ratio))
