@@ -38,7 +38,7 @@ from .errors import (
     ZeroSumError,
 )
 from .tables import CsvTable
-from .window import Parity, Window, dilate
+from .window import Parity, Window, dilate, ghat_lattice
 
 # Lattice sums whose value is exactly zero are still given a stopping rule:
 # the tail must fall below tail_tol * FLOOR_GUARD before we conclude.
@@ -282,8 +282,9 @@ def lattice_sum(
     _check_p(p)
 
     if w.envelope is None:
-        return _lattice_sum_heuristic(w, omega, p, tail_tol)
-    (res,) = _enveloped_sums(w, omega, (p,), tail_tol)
+        (res,) = _heuristic_sums(w, omega, (p,), tail_tol)
+    else:
+        (res,) = _enveloped_sums(w, omega, (p,), tail_tol)
     if res.value == 0.0:
         raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     return res
@@ -328,55 +329,112 @@ def _enveloped_sums(
     )
 
 
-def _lattice_sum_heuristic(
-    w: Window, omega: float, p: int, tail_tol: float
-) -> LatticeSumResult:
-    collected: list[float] = []
-    value = 0.0
-    quiet = 0
-    k_cut = 0
-    block = 8
-    warned = False
-    while True:
-        new = _terms(w, omega, p, k_cut + 1, k_cut + block)
-        mirrored = _terms(w, omega, p, -(k_cut + block), -(k_cut + 1))
-        if k_cut == 0:
-            collected.extend(_terms(w, omega, p, 0, 0).tolist())
-        collected.extend(new.tolist())
-        collected.extend(mirrored.tolist())
-        k_cut += block
-        value = math.fsum(collected)
-        threshold = 0.1 * tail_tol * max(value, FLOOR_GUARD)
-        pair_peaks = np.maximum(new, mirrored[::-1])
-        for peak in pair_peaks:
-            quiet = quiet + 1 if peak <= threshold else 0
-        if quiet >= _HEURISTIC_QUIET_TERMS:
-            if value == 0.0 and k_cut < _HEURISTIC_ZERO_SCAN_K:
-                # scan far enough to justify declaring the sum empty
-                quiet = 0
-                continue
-            break
-        if value > 0.0 and k_cut >= _HEURISTIC_WARN_K and not warned:
-            warnings.warn(
-                f"lattice sum for {w.label!r} still active at K={k_cut}; "
-                "truncating without decay evidence",
-                TruncationRiskWarning,
-                stacklevel=3,
-            )
-            warned = True
-            break
-        if value == 0.0 and k_cut >= _HEURISTIC_ZERO_SCAN_K:
-            break
-    if value == 0.0:
+def _heuristic_sums(
+    w: Window, omega: float, ps: tuple[int, ...], tail_tol: float
+) -> list[LatticeSumResult]:
+    """S_p(omega) for each weight in ps without an envelope: the one-row _heuristic_sweep.
+
+    Raises ZeroSumError when the first weight's terms vanish everywhere
+    scanned; a later weight that vanishes comes back with value 0.
+    """
+    sums = _heuristic_sweep(w, np.array([omega]), ps, tail_tol)[:, :, 0]
+    if not sums[0, 0] > 0.0:
         raise ZeroSumError(
             f"all lattice-sum terms vanish for {w.label!r} at omega={omega} "
-            f"(scanned |k| <= {k_cut})"
+            f"(scanned |k| <= {int(sums[0, 3])})"
         )
-    tail_estimate = 10.0 * float(np.max(pair_peaks)) * _HEURISTIC_QUIET_TERMS
-    # no envelope, so no exponent bound: the rounding estimate covers the
-    # summation and the per-term constant only
-    rounding = _rounding_budget(value, 0.0, len(collected))
-    return LatticeSumResult(value, tail_estimate, k_cut, rigorous=False, rounding=rounding)
+    return [
+        LatticeSumResult(float(v), float(t), int(k), rigorous=False, rounding=float(r))
+        for v, t, r, k in sums
+    ]
+
+
+def _heuristic_sweep(w: Window, omegas: np.ndarray, ps: tuple[int, ...], tail_tol: float) -> np.ndarray:
+    """S_p at every omega for each weight in ps, for windows without an envelope.
+
+    Each (omega, p) sum runs its own copy of the heuristic rule.  K grows in
+    blocks of 8; after each block the sum is the math.fsum of every term
+    with |k| <= K and a term pair (k, -k) counts as quiet when its larger
+    term is at most 0.1 * tail_tol * max(value, FLOOR_GUARD).  The sum stops
+    after 5 consecutive quiet pairs; a sum still 0 keeps scanning to
+    K = 10,000 first, and one still active at K = 2,048 stops there with a
+    TruncationRiskWarning.  The tail estimate is 50 times the largest pair
+    of the last block, the rounding estimate covers the summation and the
+    per-term constant only.  ghat is evaluated once per block for every
+    weight and every omega still summing, through ghat_lattice, in chunks
+    of _CHUNK_ROWS omegas.
+
+    Returns sums of shape (len(ps), 4, len(omegas)): sums[i] = (value,
+    tail estimate, rounding, K) of S_ps[i].  A sum that vanishes has value
+    0; once the first weight's sum vanishes the others of that omega stop
+    and hold NaN.
+    """
+    sums = np.full((len(ps), 4, omegas.size), math.nan)
+    warned = False
+    for start in range(0, omegas.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        sums[:, :, rows], truncated = _heuristic_chunk(w, omegas[rows], ps, tail_tol)
+        warned |= truncated
+    if warned:
+        warnings.warn(
+            f"lattice sum for {w.label!r} still active at K={_HEURISTIC_WARN_K}; "
+            "truncating without decay evidence",
+            TruncationRiskWarning,
+            stacklevel=4,
+        )
+    return sums
+
+
+def _heuristic_chunk(w: Window, omegas: np.ndarray, ps: tuple[int, ...], tail_tol: float):
+    """_heuristic_sweep on one chunk; also says whether any sum was truncated at K = 2,048."""
+    block = 8
+    at = ghat_lattice(w, omegas)
+    out = np.full((len(ps), 4, omegas.size), math.nan)
+    terms = [[[] for _ in range(omegas.size)] for _ in ps]
+    quiet = np.zeros((len(ps), omegas.size), dtype=int)
+    summing = np.ones((len(ps), omegas.size), dtype=bool)
+    truncated = False
+    k_cut = 0
+    while summing.any():
+        # k_cut + 1 .. k_cut + 8, then -(k_cut + 8) .. -(k_cut + 1), then 0 on the first block
+        new = np.arange(k_cut + 1, k_cut + block + 1)
+        ks = np.concatenate([new, -new[::-1], [0] if k_cut == 0 else []]).astype(float)
+        k_cut += block
+        live = np.flatnonzero(summing.any(axis=0))
+        xi = ks[None, :] + omegas[live, None]
+        mag2 = np.abs(at(live, ks)) ** 2
+        for i, p in enumerate(ps):
+            rows = np.flatnonzero(summing[i])
+            if rows.size == 0:
+                continue
+            t = mag2 if p == 0 else xi ** (2 * p) * mag2
+            t = t[np.searchsorted(live, rows)]
+            for r, row_terms in zip(rows, t.tolist()):
+                terms[i][r].extend(row_terms)
+            value = np.array([math.fsum(terms[i][r]) for r in rows])
+            empty = value == 0.0
+            for r in rows[empty]:
+                terms[i][r].clear()  # all zero: the sum so far needs none of them
+            threshold = 0.1 * tail_tol * np.maximum(value, FLOOR_GUARD)
+            pair_peaks = np.maximum(t[:, :block], t[:, block : 2 * block][:, ::-1])
+            loud = ~(pair_peaks <= threshold[:, None])
+            # the quiet run: the pairs after the last loud one, or all 8 added to it
+            q = np.where(loud.any(axis=1), np.argmax(loud[:, ::-1], axis=1), quiet[i, rows] + block)
+            scan_on = (q >= _HEURISTIC_QUIET_TERMS) & empty & (k_cut < _HEURISTIC_ZERO_SCAN_K)
+            quiet[i, rows] = np.where(scan_on, 0, q)
+            cut = (q < _HEURISTIC_QUIET_TERMS) & ~empty & (k_cut >= _HEURISTIC_WARN_K)
+            stop = (q >= _HEURISTIC_QUIET_TERMS) & ~scan_on
+            stop |= cut | (empty & (k_cut >= _HEURISTIC_ZERO_SCAN_K))
+            truncated |= bool(cut.any())
+            done = rows[stop]
+            out[i, 0, done] = value[stop]
+            out[i, 1, done] = 10.0 * np.max(pair_peaks[stop], axis=1) * _HEURISTIC_QUIET_TERMS
+            out[i, 2, done] = _rounding_budget(value[stop], 0.0, 2 * k_cut + 1)
+            out[i, 3, done] = k_cut
+            summing[i, done] = False
+            if i == 0:
+                summing[1:, done[value[stop] == 0.0]] = False
+    return out, truncated
 
 
 @dataclass(frozen=True)
@@ -412,13 +470,7 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
     Raises DegenerateError when the denominator vanishes identically.
     """
     if w.envelope is None:
-        num = lattice_sum(w, omega, 0, tail_tol)
-        try:
-            den = lattice_sum(w, omega, 1, tail_tol)
-        except ZeroSumError as exc:
-            raise DegenerateError(
-                f"denominator sum vanishes for {w.label!r} at omega={omega}"
-            ) from exc
+        num, den = _heuristic_sums(w, _check_omega(omega), (0, 1), _check_tail_tol(tail_tol))
     else:
         num, den = _enveloped_sums(w, _check_omega(omega), (0, 1), _check_tail_tol(tail_tol))
         if num.value == 0.0:
@@ -472,6 +524,7 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> 
     amp, rate = w.envelope.amplitude, w.envelope.rate
     mirror = omegas.size > n_own
     at = omegas[:n_own]
+    ghat_at = ghat_lattice(w, at)
     out = np.full((2, 3, omegas.size), math.nan)
     total = np.zeros((2, omegas.size))  # partial sums of the terms
     weighted = np.zeros((2, omegas.size))  # partial sums of E(xi) * term
@@ -492,8 +545,7 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> 
         for c in range(0, ks.size, block):
             cols = slice(c, c + block)
             xi = ks[None, cols] + at[live, None]
-            ghat = np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
-            t0 = np.abs(ghat) ** 2
+            t0 = np.abs(ghat_at(live, ks[cols])) ** 2
             t1 = xi**2 * t0
             e = _exponent_weight(xi, rate)
             for mask, rows in ((own[cols], live), (partner[cols], live + n_own)):
@@ -535,16 +587,17 @@ def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = F
     return np.array([value, low, high, nt, dt])
 
 
-def _pointwise_rows(w: Window, omegas: np.ndarray, tail_tol: float) -> np.ndarray:
-    """Profile rows from one delta_g call per omega (windows without an envelope)."""
-    rows = np.full((5, omegas.size), math.nan)
-    for i, om in enumerate(omegas):
-        try:
-            e = delta_g(w, om, tail_tol)
-        except (DegenerateError, ZeroSumError):
-            continue
-        rows[:, i] = (e.value, e.low, e.high, e.num.tail_bound, e.den.tail_bound)
-    return rows
+def _heuristic_rows(w: Window, omegas: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Profile rows from one _heuristic_sweep (windows without an envelope).
+
+    An omega where either sum vanishes (delta_g's ZeroSumError or
+    DegenerateError) holds NaN.
+    """
+    sums = _heuristic_sweep(w, omegas, (0, 1), tail_tol)
+    sums[:, :, ~(sums[0, 0] > 0.0) | ~(sums[1, 0] > 0.0)] = math.nan
+    (nv, nt, nr, _), (dv, dt, dr, _) = sums
+    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr, np.sqrt)
+    return np.array([value, low, high, nt, dt])
 
 
 PROFILE_CSV_HEADER = (
@@ -643,7 +696,8 @@ def min_delta(
     with the columns reflected, keeping its own cutoff, tail and stopping
     decision (the two points of a pair add up to 1 within 1.5 ulp, an
     argument error the rounding budget covers).  Windows without an
-    envelope take one delta_g per point.
+    envelope go through the heuristic sweep (_heuristic_sweep), which
+    applies lattice_sum's heuristic rule row by row.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -652,7 +706,7 @@ def min_delta(
 
     omegas = np.linspace(0.0, 1.0, grid_points)
     if w.envelope is None:
-        evaluate = _pointwise_rows
+        evaluate = _heuristic_rows
         rows = evaluate(w, omegas, tail_tol)
     else:
         evaluate = _sweep_rows

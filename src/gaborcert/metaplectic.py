@@ -17,6 +17,18 @@ the transform is evaluated by trapezoid quadrature, which converges
 spectrally for smooth rapidly decaying data as long as the chirped
 integrand stays below the grid's Nyquist rate.  Angles too close to a
 multiple of pi make csc blow up and are rejected rather than mis-sampled.
+
+The quadrature sum is a chirp-z transform (Bluestein's factoring).  On the
+ideal nodes t = h*u and s = h*v, with u and v centred indices (half-integers
+on an even-size grid, so u - v is always an integer),
+
+    2*s*t = h^2 * (u^2 + v^2 - (u - v)^2),
+
+so the kernel splits into a chirp in s, a chirp in t and a function of
+u - v alone: one FFT convolution of length about 2n between two chirp
+multiplications, O(n log n) time and O(n) memory for an n-point grid.
+Centring keeps the phases small; their rounding stays at the level of the
+direct O(n^2) sum (about 1e-14 on the standard 3201-point grid).
 """
 
 from __future__ import annotations
@@ -27,49 +39,46 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateAngleError, PreconditionError, TruncationRiskWarning
-from .window import GRID_HALF_WIDTH, GRID_SPACING, Window, sample_grid, sampled_window
+from .window import (
+    GRID_HALF_WIDTH,
+    GRID_SPACING,
+    Window,
+    check_samples,
+    sample_grid,
+    sampled_window,
+    trapezoid_weights,
+)
 
 TWO_PI = 2.0 * math.pi
 SNAP_TOL = 1e-12
 DEGENERATE_TOL = 1e-6
-MAX_SPACING = 0.01
 MIN_HALF_WIDTH = 8.0
 _END_DECAY = 1e-10
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex samples on a uniform grid over a symmetric interval.
 
-    The grid must be symmetric about 0 with half-width at least 8 and
-    spacing at most 0.01, dense and wide enough for the quadrature
-    rules used throughout.
+    The grid passes window.check_samples (nodes within 1e-9 of t_0 + j*h,
+    symmetric about 0, spacing at most 0.01) and has half-width at least 8,
+    dense and wide enough for the quadrature rules used throughout.  The
+    chirp-z kernel of frac_fourier computes on the ideal nodes h*u, u the
+    centred index, so a node's recorded offset from its ideal place (at most
+    about 1.5e-9) is not seen there.
     """
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if grid.ndim != 1 or values.shape != grid.shape or grid.size < 2:
-            raise PreconditionError("grid and values must be matching 1-d arrays")
-        steps = np.diff(grid)
-        h = float(steps[0])
-        if h <= 0 or not np.allclose(steps, h, rtol=0.0, atol=1e-9):
-            raise PreconditionError("grid must be uniform and increasing")
-        if h > MAX_SPACING + 1e-12:
-            raise PreconditionError(f"grid spacing {h!r} exceeds {MAX_SPACING}")
-        if abs(grid[0] + grid[-1]) > 1e-9:
-            raise PreconditionError("grid must be symmetric about 0")
+        grid, values = check_samples(self.grid, self.values)
         if grid[-1] < MIN_HALF_WIDTH - 1e-9:
             raise PreconditionError(f"grid half-width {grid[-1]!r} is below {MIN_HALF_WIDTH}")
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
-            raise PreconditionError("values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -109,13 +118,6 @@ def to_window(f: SampledFunction, label: str) -> Window:
     return sampled_window(f.grid, f.values, label=label)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    wgt = np.full(n, h)
-    wgt[0] *= 0.5
-    wgt[-1] *= 0.5
-    return wgt
-
-
 def _warn_end_decay(f: SampledFunction) -> None:
     edge = max(abs(f.values[0]), abs(f.values[-1]))
     if edge > _END_DECAY:
@@ -129,20 +131,24 @@ def _warn_end_decay(f: SampledFunction) -> None:
 def _chirped_kernel_apply(
     f: SampledFunction, cot: float, csc: float, amplitude: complex
 ) -> SampledFunction:
-    """out(s) = amplitude * sum_t wgt(t) f(t) exp(i pi (cot s^2 - 2 csc s t + cot t^2))."""
-    grid = f.grid
-    weighted = f.values * _trapezoid_weights(f.size, f.spacing)
-    if cot != 0.0:
-        weighted = weighted * np.exp(1j * math.pi * cot * grid**2)
-    out = np.empty(f.size, dtype=complex)
-    for start in range(0, f.size, _BLOCK):
-        s = grid[start : start + _BLOCK]
-        phase = np.exp(-1j * TWO_PI * csc * np.outer(s, grid))
-        block = phase @ weighted
-        if cot != 0.0:
-            block = block * np.exp(1j * math.pi * cot * s**2)
-        out[start : start + _BLOCK] = block
-    return f.with_values(amplitude * out)
+    """out(s) = amplitude * sum_t wgt(t) f(t) exp(i pi (cot s^2 - 2 csc s t + cot t^2)).
+
+    A chirp-z transform on the ideal nodes (see the module docstring):
+    out(v) = amplitude * c(v) * sum_u wgt f c (u) * exp(i pi csc h^2 (u - v)^2)
+    with the chirp c(u) = exp(i pi (cot - csc) h^2 u^2).
+    """
+    n = f.size
+    # the ideal spacing: a difference of two neighbours carries the rounding
+    # of the nodes, about 2e-14 relative on the standard grid
+    h = (f.grid[-1] - f.grid[0]) / (n - 1)
+    u = np.arange(n) - 0.5 * (n - 1)
+    c = np.exp(1j * math.pi * (cot - csc) * h * h * u * u)
+    d = np.arange(1 - n, n, dtype=float)  # u - v, in the order the convolution reads it
+    kernel = np.exp(1j * math.pi * csc * h * h * d * d)
+    size = fft.next_fast_len(2 * n - 1)
+    weighted = f.values * trapezoid_weights(n, h) * c
+    conv = fft.ifft(fft.fft(weighted, size) * fft.fft(kernel, size))[n - 1 : 2 * n - 1]
+    return f.with_values(amplitude * c * conv)
 
 
 def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:

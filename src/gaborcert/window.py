@@ -37,6 +37,15 @@ from .tables import write_csv
 GRID_HALF_WIDTH = 8.0
 GRID_SPACING = 0.005
 
+# Sampled windows: coarsest grid spacing accepted, and the tolerance to which
+# nodes must sit on their uniform grid t_0 + j*h and the grid be symmetric.
+MAX_SPACING = 0.01
+_GRID_TOL = 1e-9
+
+# ghat_lattice forms a quadrature window's column factors exp(-2*pi*i*k*t_m)
+# for at most this many (node, k) pairs at once.
+_FACTOR_VALUES = 1 << 18
+
 # Relative symmetry residual below which a window counts as even or odd.
 PARITY_TOL = 1e-10
 _PARITY_PROBES = np.linspace(-5.0, 5.0, 201)
@@ -75,12 +84,46 @@ class Envelope:
         return self.amplitude * np.exp(-self.rate * xi * xi)
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid-rule weights for n uniform nodes of spacing h: h, with halved ends."""
+    wgt = np.full(n, h)
+    wgt[0] *= 0.5
+    wgt[-1] *= 0.5
+    return wgt
+
+
+@dataclass(frozen=True, eq=False)
+class Quadrature:
+    """Trapezoid rule for the transform of a sampled window.
+
+    ghat(xi) = sum_m weighted[m] * exp(-2*pi*i*xi*nodes[m]), with weighted the
+    samples times trapezoid_weights on the spacing of the first step.
+    """
+
+    nodes: np.ndarray
+    weighted: np.ndarray
+
+    @staticmethod
+    def of(t: np.ndarray, values: np.ndarray) -> "Quadrature":
+        return Quadrature(t, values * trapezoid_weights(t.size, float(t[1] - t[0])))
+
+    def freq_eval(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        scalar = xi.ndim == 0
+        pts = np.atleast_1d(xi)
+        kernel = np.exp(-2j * math.pi * np.outer(pts, self.nodes))
+        out = kernel @ self.weighted
+        return out[0] if scalar else out
+
+
 @dataclass(frozen=True)
 class Window:
     """A window function with paired time and frequency evaluators.
 
     Both evaluators are vectorised: they accept a float or an ndarray and
-    return complex values of matching shape.
+    return complex values of matching shape.  A quadrature-backed window
+    also carries its Quadrature, which freq_eval evaluates; ghat_lattice
+    uses it to factor lattice evaluations.
     """
 
     label: str
@@ -90,6 +133,7 @@ class Window:
     parity: Parity = Parity.UNKNOWN
     envelope: Envelope | None = None
     known_minimizer: float | None = None
+    quadrature: Quadrature | None = None
 
     def __repr__(self) -> str:  # callables are noise in reprs
         return (
@@ -212,24 +256,6 @@ def dilate(w: Window, b: float) -> Window:
     )
 
 
-def _quadrature_freq_eval(t_grid: np.ndarray, values: np.ndarray) -> Callable:
-    """Trapezoid quadrature of the transform integral over the sample grid."""
-    weights = np.full(t_grid.shape, t_grid[1] - t_grid[0], dtype=float)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    weighted = values * weights
-
-    def freq_eval(xi):
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        pts = np.atleast_1d(xi)
-        kernel = np.exp(-2j * math.pi * np.outer(pts, t_grid))
-        out = kernel @ weighted
-        return out[0] if scalar else out
-
-    return freq_eval
-
-
 def chirp_window(w: Window, q: float) -> Window:
     """Multiply a window by the unit chirp exp(i*pi*q*t^2).
 
@@ -248,15 +274,16 @@ def chirp_window(w: Window, q: float) -> Window:
 
     n = int(round(2 * GRID_HALF_WIDTH / GRID_SPACING)) + 1
     t_grid = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, n)
-    freq_eval = _quadrature_freq_eval(t_grid, np.asarray(time_eval(t_grid), dtype=complex))
+    quad = Quadrature.of(t_grid, np.asarray(time_eval(t_grid), dtype=complex))
 
     return Window(
         label=f"chirp({w.label},q={q!r})",
         kind="chirped",
         time_eval=time_eval,
-        freq_eval=freq_eval,
+        freq_eval=quad.freq_eval,
         parity=w.parity,
         envelope=None,
+        quadrature=quad,
     )
 
 
@@ -344,41 +371,30 @@ def sampled_window(
     label: str = "sampled",
     envelope: Envelope | None = None,
 ) -> Window:
-    """Window backed by samples on a uniform symmetric grid.
+    """Window backed by samples on a uniform symmetric grid (check_samples).
 
-    The grid spacing must be at most 0.01 and the grid symmetric about 0.
     Evaluation interpolates linearly inside the grid and is 0 outside; the
-    transform is a trapezoid quadrature over the samples.  A declared
-    envelope is checked on a probe grid before being accepted.
+    transform is a trapezoid quadrature over the samples at their recorded
+    nodes (a node may sit up to 1e-9 off its ideal place t_0 + j*h; the
+    metaplectic chirp-z kernel uses the ideal nodes).  A declared envelope
+    is checked on a probe grid before being accepted.
     """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if t.ndim != 1 or t.shape != values.shape or t.size < 2:
-        raise PreconditionError("samples must be two matching 1-d arrays with at least 2 points")
-    steps = np.diff(t)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=0, atol=1e-9 * max(1.0, abs(h))):
-        raise PreconditionError("sample grid must be strictly increasing and uniform")
-    if h > 0.01 + 1e-12:
-        raise PreconditionError(f"sample grid spacing {h} exceeds the 0.01 limit")
-    if abs(t[0] + t[-1]) > 1e-9:
-        raise PreconditionError("sample grid must be symmetric about 0")
-    if not np.all(np.isfinite(values.view(float))):
-        raise PreconditionError("sample values must be finite")
+    t, values = check_samples(t, values)
 
     def time_eval(x):
         x = np.asarray(x, dtype=float)
         return np.interp(x, t, values, left=0.0 + 0.0j, right=0.0 + 0.0j)
 
-    freq_eval = _quadrature_freq_eval(t, values)
+    quad = Quadrature.of(t, values)
 
     out = Window(
         label=label,
         kind="sampled",
         time_eval=time_eval,
-        freq_eval=freq_eval,
+        freq_eval=quad.freq_eval,
         parity=Parity.UNKNOWN,
         envelope=envelope,
+        quadrature=quad,
     )
     out = replace(out, parity=classify_parity(out))
     if envelope is not None:
@@ -387,6 +403,83 @@ def sampled_window(
             raise PreconditionError(
                 f"declared envelope violated by {violation:.3e} on the probe grid"
             )
+    return out
+
+
+def check_samples(t, values) -> tuple[np.ndarray, np.ndarray]:
+    """Validate samples on a uniform grid symmetric about 0; return them as arrays.
+
+    Requires matching 1-d arrays of at least 2 points; a positive first
+    step h with every step within 1e-9 of it; every node within 1e-9 of
+    its ideal place t_0 + j*(t_last - t_0)/(n - 1); h at most 0.01;
+    |t_0 + t_last| at most 1e-9; finite values.  Raises PreconditionError
+    otherwise.
+    """
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    if t.ndim != 1 or t.shape != values.shape or t.size < 2:
+        raise PreconditionError("samples must be two matching 1-d arrays with at least 2 points")
+    h = float(t[1] - t[0])
+    ideal = t[0] + (t[-1] - t[0]) / (t.size - 1) * np.arange(t.size)
+    if not (
+        h > 0
+        and np.allclose(np.diff(t), h, rtol=0.0, atol=_GRID_TOL)
+        and np.allclose(t, ideal, rtol=0.0, atol=_GRID_TOL)
+    ):
+        raise PreconditionError("sample grid must be strictly increasing and uniform")
+    if h > MAX_SPACING + 1e-12:
+        raise PreconditionError(f"sample grid spacing {h!r} exceeds {MAX_SPACING}")
+    if abs(t[0] + t[-1]) > _GRID_TOL:
+        raise PreconditionError("sample grid must be symmetric about 0")
+    if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
+        raise PreconditionError("sample values must be finite")
+    return t, values
+
+
+def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """ghat on an (omega x k) lattice: returns at(rows, ks), the array
+    ghat(ks[None, :] + omegas[rows, None]) for row indices rows and integer ks.
+
+    Closed-form windows evaluate freq_eval on the flattened lattice.  A
+    quadrature-backed window factors each node's phase,
+
+        ghat(k + omega) = sum_m (c_m exp(-2 pi i omega t_m)) exp(-2 pi i k t_m),
+
+    so the row factors (computed here, once) and the column factors of each
+    call (in blocks of at most _FACTOR_VALUES node values) meet in one matrix
+    product: (rows + columns) x n exponentials instead of rows x columns x n.
+    The row table holds omegas.size x n values, so callers pass bounded chunks.
+    """
+    quad = w.quadrature
+    if quad is None:
+
+        def at(rows, ks):
+            xi = ks[None, :] + omegas[rows, None]
+            return np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
+
+        return at
+
+    nodes = quad.nodes
+    row_factor = _unit_phase(np.outer(omegas, nodes))
+    row_factor *= quad.weighted
+    block = max(1, _FACTOR_VALUES // nodes.size)
+
+    def at(rows, ks):
+        lhs = row_factor[rows]
+        out = np.empty((lhs.shape[0], ks.size), dtype=complex)
+        for c in range(0, ks.size, block):
+            out[:, c : c + block] = lhs @ _unit_phase(np.outer(nodes, ks[c : c + block]))
+        return out
+
+    return at
+
+
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """exp(-2*pi*i*x) for a real array, from one cos and one sin pass."""
+    phase = x * (-2.0 * math.pi)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     return out
 
 

@@ -6,7 +6,9 @@ mpmath sums of the closed-form |ghat|^2, so enclosures are checked against
 numbers that reuse no package code.
 """
 
+import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,10 +18,13 @@ from gaborcert import (
     DegenerateError,
     DivergentSeriesError,
     Envelope,
+    Lattice2D,
     Parity,
+    TruncationRiskWarning,
     Window,
     ZeroSumError,
     certify,
+    chirp_window,
     combine,
     delta_g,
     dilate,
@@ -27,9 +32,13 @@ from gaborcert import (
     hermite,
     lattice_sum,
     min_delta,
+    reduce_general,
+    sample_grid,
+    sampled_window,
 )
 from gaborcert import criterion
-from gaborcert.criterion import _envelope_tail_rows, _from_log, envelope_tail_log
+from gaborcert.criterion import FLOOR_GUARD, _envelope_tail_rows, _from_log, envelope_tail_log
+from gaborcert.window import ghat_lattice
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
 COMBOS = {
@@ -268,3 +277,188 @@ def test_rounding_budget_grows_with_the_exponent():
     rel = lambda s: s.rounding / s.value  # noqa: E731
     assert rel(tight.num) < 1e-14
     assert rel(steep.num) > 10 * rel(tight.num)
+
+
+# --- the heuristic sweep (windows without an envelope) -------------------------
+
+
+def pointwise_heuristic_sum(w, omega, p, tail_tol=1e-12):
+    """One heuristic lattice sum as the package summed it one omega and one
+    weight at a time: (value, tail estimate, K); value 0 where it raised
+    ZeroSumError after scanning |k| <= K."""
+
+    def terms(k_lo, k_hi):
+        xi = np.arange(k_lo, k_hi + 1, dtype=float) + omega
+        mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+        return mag2 if p == 0 else xi ** (2 * p) * mag2
+
+    collected = []
+    quiet = 0
+    k_cut = 0
+    while True:
+        new = terms(k_cut + 1, k_cut + 8)
+        mirrored = terms(-(k_cut + 8), -(k_cut + 1))
+        if k_cut == 0:
+            collected.extend(terms(0, 0).tolist())
+        collected.extend(new.tolist())
+        collected.extend(mirrored.tolist())
+        k_cut += 8
+        value = math.fsum(collected)
+        threshold = 0.1 * tail_tol * max(value, FLOOR_GUARD)
+        pair_peaks = np.maximum(new, mirrored[::-1])
+        for peak in pair_peaks:
+            quiet = quiet + 1 if peak <= threshold else 0
+        if quiet >= 5:
+            if value == 0.0 and k_cut < 10_000:
+                quiet = 0
+                continue
+            break
+        if value > 0.0 and k_cut >= 2048:
+            warnings.warn("still active at K=2048", TruncationRiskWarning)
+            break
+        if value == 0.0 and k_cut >= 10_000:
+            break
+    return value, 10.0 * float(np.max(pair_peaks)) * 5, k_cut
+
+
+def pointwise_heuristic_delta(w, omega):
+    """The error delta_g raised (None if none) and the sums it computed,
+    as pointwise_heuristic_sum triples."""
+    num = pointwise_heuristic_sum(w, omega, 0)
+    if num[0] == 0.0:
+        return ZeroSumError, [num]
+    den = pointwise_heuristic_sum(w, omega, 1)
+    return (DegenerateError if den[0] == 0.0 else None), [num, den]
+
+
+def reduced(spec, basis):
+    return reduce_general(corpus_window(spec), Lattice2D(np.array(basis))).window
+
+
+def slow_decay():
+    """ghat = 1/(1 + xi^2) without an envelope: S_1 never quiets before K = 2048."""
+    return Window(
+        label="cauchy",
+        kind="synthetic",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=lambda xi: (1.0 / (1.0 + np.asarray(xi, dtype=float) ** 2)).astype(complex),
+        parity=Parity.EVEN,
+    )
+
+
+BASES = ([[0.6, 0.3], [-0.2, 0.9]], [[0.810874, 0.4956], [-0.058915, 0.860777]])
+HEURISTIC_WINDOWS = {
+    **{
+        f"reduced({spec}, basis {i})": (lambda spec=spec, basis=basis: reduced(spec, basis))
+        for spec in ("gaussian", "hermite:1", "hermite:2")
+        for i, basis in enumerate(BASES)
+    },
+    "gaussian without envelope": lambda: dataclasses.replace(gaussian(), envelope=None),
+    "sin-comb without envelope": lambda: dataclasses.replace(sin_comb(), envelope=None),
+    "narrow-band without envelope": lambda: dataclasses.replace(narrow_band(), envelope=None),
+    "1/(1 + xi^2)": slow_decay,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEURISTIC_WINDOWS))
+def test_heuristic_sweep_matches_pointwise_sums(name):
+    w = HEURISTIC_WINDOWS[name]()
+    assert w.envelope is None
+    # the synthetic windows zero-scan to K = 10,000 or run to K = 2,048, slowly
+    # in the pointwise loop, so they get coarser grids
+    synthetic = name.startswith(("sin-comb", "narrow-band", "1/"))
+    omegas = np.linspace(0.0, 1.0, 9 if synthetic else 41)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = [pointwise_heuristic_delta(w, float(om)) for om in omegas]
+    truncated = any(issubclass(c.category, TruncationRiskWarning) for c in caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sums = criterion._heuristic_sweep(w, omegas, (0, 1), 1e-12)
+        rows = criterion._heuristic_rows(w, omegas, 1e-12)
+    assert truncated == any(issubclass(c.category, TruncationRiskWarning) for c in caught)
+    for i, (om, (error, expected)) in enumerate(zip(omegas, want)):
+        for p, (value, tail, k_cut) in enumerate(expected):
+            got_value, got_tail, _, got_k = sums[p, :, i]
+            assert got_k == k_cut, (name, om, p)
+            assert abs(got_value - value) <= 1e-12 * value, (name, om, p)
+            if value > 0.0:
+                assert abs(got_tail - tail) <= 1e-12 * tail, (name, om, p)
+        if error is ZeroSumError:
+            assert np.isnan(sums[1, 0, i]), (name, om)
+        assert np.isnan(rows[0, i]) == (error is not None), (name, om)
+        # the one-omega path is the sweep's one-row call
+        if error is not None:
+            with pytest.raises(error):
+                delta_g(w, float(om))
+        else:
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                enc = delta_g(w, float(om))
+            assert (enc.num.terms_used, enc.den.terms_used) == (expected[0][2], expected[1][2])
+            assert enc.value == pytest.approx(rows[0, i], rel=1e-12)
+    if name.startswith("reduced"):
+        assert not np.isnan(rows).any()
+    if name == "1/(1 + xi^2)":
+        assert truncated and (sums[1, 3] == 2048).all()
+
+
+def test_heuristic_lattice_sum_is_the_one_row_sweep():
+    w = dataclasses.replace(sin_comb(), envelope=None)
+    for om in (0.0, 0.3):
+        for p in (0, 1, 2):
+            value, tail, k_cut = pointwise_heuristic_sum(w, om, p)
+            if value == 0.0:
+                with pytest.raises(ZeroSumError, match=rf"scanned \|k\| <= {k_cut}\)"):
+                    lattice_sum(w, om, p)
+                continue
+            res = lattice_sum(w, om, p)
+            assert not res.rigorous
+            assert res.value == pytest.approx(value, rel=1e-12)
+            assert res.tail_bound == pytest.approx(tail, rel=1e-12)
+            assert res.terms_used == k_cut
+    with pytest.warns(TruncationRiskWarning):
+        lattice_sum(slow_decay(), 0.25, 1)
+
+
+def test_heuristic_profile_chunks_long_grids():
+    # 301 omegas make three chunks of the sweep; rows cannot depend on the chunking
+    w = dataclasses.replace(gaussian(), envelope=None)
+    omegas = np.linspace(0.0, 1.0, 301)
+    whole = criterion._heuristic_rows(w, omegas, 1e-12)
+    for i in (0, 128, 150, 300):
+        one = criterion._heuristic_rows(w, omegas[i : i + 1], 1e-12)
+        np.testing.assert_allclose(one[:, 0], whole[:, i], rtol=1e-15, atol=0.0)
+
+
+QUADRATURE_WINDOWS = {
+    "sampled": lambda: sampled_window(
+        sample_grid(), hermite(1).time_eval(sample_grid()) * np.exp(0.7j * sample_grid())
+    ),
+    "chirp": lambda: chirp_window(hermite(2), 0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_WINDOWS))
+def test_factorized_lattice_matches_freq_eval(name):
+    w = QUADRATURE_WINDOWS[name]()
+    assert w.quadrature is not None
+    omegas = np.linspace(0.0, 1.0, 13)
+    ks = np.arange(-24, 25, dtype=float)
+    at = ghat_lattice(w, omegas)
+    rows = np.array([0, 3, 6, 12])
+    got = at(rows, ks)
+    want = w.freq_eval((ks[None, :] + omegas[rows, None]).ravel()).reshape(got.shape)
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+    # a single column or row goes through the same product
+    assert np.allclose(at(rows[:1], ks[5:6]), want[:1, 5:6], rtol=0.0, atol=1e-13 * scale)
+
+
+def test_enveloped_sampled_window_sweep_matches_delta_g():
+    # a quadrature window with a declared envelope takes the enveloped sweep,
+    # whose factorized lattice must agree with delta_g's pointwise freq_eval
+    grid = sample_grid()
+    w = sampled_window(grid, np.exp(-np.pi * grid**2), envelope=Envelope(amplitude=1.0 + 1e-9, rate=np.pi))
+    profile = min_delta(w, grid_points=41)
+    assert_rows_match_pointwise(w, profile)

@@ -1,6 +1,7 @@
 """Fractional Fourier machinery: exactness, group law, parity, intertwining."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gaborcert import (
     sample_window,
     time_frequency_shift,
 )
+from gaborcert import metaplectic
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +179,96 @@ def test_shift_matches_closed_form(g_s):
 def test_gaussian_l2_norm(g_s):
     # integral of exp(-2 pi t^2) is (1/2)^(1/2), so the norm is 2^(-1/4)
     assert abs(g_s.l2_norm() - 2.0**-0.25) <= 1e-10
+
+
+def direct_kernel(f, cot, csc, amplitude, columns=None):
+    """The O(n^2) quadrature sum on the recorded nodes, 256 output rows at a time.
+
+    out(s) = amplitude * sum_t wgt(t) v(t) exp(i pi (cot s^2 - 2 csc s t + cot t^2))
+    for v = f.values, or for each column of `columns` (values on f's grid).
+    """
+    grid = f.grid
+    values = f.values[:, None] if columns is None else columns
+    wgt = np.full(f.size, f.spacing)
+    wgt[0] *= 0.5
+    wgt[-1] *= 0.5
+    weighted = values * wgt[:, None]
+    if cot != 0.0:
+        weighted = weighted * np.exp(1j * math.pi * cot * grid**2)[:, None]
+    out = np.empty(weighted.shape, dtype=complex)
+    for start in range(0, f.size, 256):
+        s = grid[start : start + 256]
+        block = np.exp(-2j * math.pi * csc * np.outer(s, grid)) @ weighted
+        if cot != 0.0:
+            block = block * np.exp(1j * math.pi * cot * s**2)[:, None]
+        out[start : start + 256] = block
+    out *= amplitude
+    return f.with_values(out[:, 0]) if columns is None else out
+
+
+def with_kernel(monkeypatch, kernel, f, r):
+    """frac_fourier(f, r) with kernel in place of the chirp-z one."""
+    monkeypatch.setattr(metaplectic, "_chirped_kernel_apply", kernel)
+    try:
+        return frac_fourier(f, r)
+    finally:
+        monkeypatch.undo()
+
+
+def with_direct_kernel(monkeypatch, f, r):
+    return with_kernel(monkeypatch, direct_kernel, f, r)
+
+
+def kernel_args(monkeypatch, f, r):
+    """The (cot, csc, amplitude) that frac_fourier(f, r) hands its kernel."""
+    seen = []
+    with_kernel(monkeypatch, lambda g, *args: seen.append(args) or g, f, r)
+    return seen[0]
+
+
+KERNEL_ANGLES = (0.5 * math.pi, -0.5 * math.pi, 0.3, -0.31, 2.5, -2.47, 1.1)
+
+
+@pytest.mark.parametrize("r", KERNEL_ANGLES)
+def test_chirp_z_kernel_matches_direct_sum(monkeypatch, r):
+    windows = [gaussian()] + [hermite(n) for n in (1, 2, 3)]
+    samples = [sample_window(w) for w in windows]
+    stack = np.stack([f.values for f in samples], axis=1)
+    # one direct pass for all four windows: the kernel depends on the angle only
+    direct = direct_kernel(samples[0], *kernel_args(monkeypatch, samples[0], r), columns=stack)
+    for j, (w, f) in enumerate(zip(windows, samples)):
+        fast = frac_fourier(f, r)
+        assert max_err(fast, direct[:, j]) <= 1e-12, (w.label, r)
+        # h_n is an eigenvector with eigenvalue exp(-i n r); the chirp-z sum on
+        # the ideal nodes stays within 1.1e-14 of that on this grid
+        assert max_err(fast, np.exp(-1j * j * r) * f.values) <= 5e-14, (w.label, r)
+
+
+def test_chirp_z_kernel_on_even_size_grid(monkeypatch):
+    # 3200 nodes: the centred indices are half-integers, their differences integers
+    grid = np.linspace(-8.0, 8.0, 3200)
+    for n in (0, 1):
+        f = SampledFunction(grid=grid, values=hermite(n).time_eval(grid))
+        for r in (0.7, -0.5 * math.pi):
+            fast = frac_fourier(f, r)
+            assert max_err(fast, with_direct_kernel(monkeypatch, f, r).values) <= 1e-12
+            # Hermite functions stay eigenvectors on this grid too
+            assert max_err(fast, np.exp(-1j * n * r) * f.values) <= 1e-10
+
+
+def test_chirp_z_kernel_forms_no_square_array(monkeypatch, h1_s):
+    # an n x n phase array, or even a 256 x n block of it, is far above this
+    n = h1_s.size
+    limit = 64 * n * 16
+    tracemalloc.start()
+    try:
+        frac_fourier(h1_s, 0.7)
+        _, fast_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with_direct_kernel(monkeypatch, h1_s, 0.7)
+        _, direct_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fast_peak < limit, fast_peak
+    # the spy sees the blocks of the direct sum
+    assert direct_peak > limit

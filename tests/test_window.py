@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaborcert.errors import PreconditionError
+from gaborcert.metaplectic import SampledFunction
 from gaborcert.window import (
     Envelope,
     Parity,
@@ -21,6 +22,7 @@ from gaborcert.window import (
     read_sampled_csv,
     sample_grid,
     sampled_window,
+    trapezoid_weights,
     window_from_csv,
     write_sampled_csv,
 )
@@ -190,3 +192,30 @@ def test_sampled_window_accepts_true_envelope():
     w = sampled_window(grid, values, label="ok", envelope=Envelope(amplitude=1.0, rate=np.pi))
     assert w.envelope is not None
     assert envelope_violation(w) <= 1e-12
+
+
+def bent_grid():
+    """3201 nodes whose steps grow by 0.9e-9 halfway: every step within 1e-9 of
+    the first, symmetric, yet the middle node sits 7e-7 off its uniform place."""
+    steps = np.r_[np.full(1600, 0.005), np.full(1600, 0.005 + 0.9e-9)]
+    t = np.r_[0.0, np.cumsum(steps)]
+    return t - 0.5 * t[-1]
+
+
+def test_sample_nodes_checked_against_their_uniform_places():
+    t = bent_grid()
+    assert np.all(np.abs(np.diff(t) - (t[1] - t[0])) <= 1e-9)
+    assert abs(t[0] + t[-1]) <= 1e-9
+    values = np.exp(-np.pi * t**2)
+    with pytest.raises(PreconditionError):
+        sampled_window(t, values, label="bent")
+    with pytest.raises(PreconditionError):
+        SampledFunction(grid=t, values=values)
+    # the same check passes nodes that are uniform up to rounding
+    straight = np.linspace(t[0], t[-1], t.size)
+    sampled_window(straight, values, label="straight")
+    SampledFunction(grid=straight, values=values)
+
+
+def test_trapezoid_weights():
+    assert trapezoid_weights(4, 0.5).tolist() == [0.25, 0.5, 0.5, 0.25]
