@@ -1,19 +1,26 @@
 """Odd-window obstruction at omega = 0 and the closed-form dilation scan."""
 
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from gaborcert import (
     Parity,
     PreconditionError,
+    barrier,
     delta_at_zero,
     gaussian,
     h1_barrier_scan,
     odd_barrier_suite,
     termwise_gap,
 )
+from gaborcert.barrier import BarrierScan, BarrierScanRow
+from gaborcert.cli import main
+from gaborcert.criterion import _check_tail_tol, one_sided_gauss_tail_log
+from gaborcert.errors import DivergentSeriesError
 
 
 def mp_delta0(b):
@@ -139,3 +146,174 @@ def test_termwise_gap_h1_closed_form(h1):
 def test_termwise_gap_validates(h1):
     with pytest.raises(PreconditionError):
         termwise_gap(h1, k_max=1)
+
+
+# --- the (b x k) sweep against the row-by-row loop ------------------------------
+
+
+def _loop_scaled_sums(c, tail_tol):
+    """Reference: the row-by-row loop the sweep replaced, one c at a time."""
+    sigma2 = 1.0
+    sigma4 = 1.0
+    e_partial = 0.0
+    k = 2
+    while True:
+        w = math.exp(-c * (k * k - 1))
+        k2 = float(k * k)
+        sigma2 += k2 * w
+        sigma4 += k2 * k2 * w
+        e_partial += k2 * (k2 - 1.0) * w
+        log_t2 = c + one_sided_gauss_tail_log(c, 1, float(k + 1))
+        log_t4 = c + one_sided_gauss_tail_log(c, 2, float(k + 1))
+        if math.exp(log_t4) <= tail_tol * sigma4 and math.exp(log_t2) <= tail_tol * sigma2:
+            break
+        if k > 10_000:
+            raise PreconditionError("scan sums did not settle; c is too small")
+        k += 1
+    pad = 1e-13 + 1e-12 * c
+    if e_partial > 0.0:
+        log_e_lb = math.log(e_partial) - pad
+    else:
+        log_e_lb = math.log(12.0) - 3.0 * c - pad
+    return sigma2, sigma4, log_t2, log_t4, log_e_lb
+
+
+def loop_scan(b_min, b_max, steps, tail_tol=1e-12):
+    """Reference: h1_barrier_scan as one _loop_scaled_sums call per row."""
+    if not (0.0 < b_min < b_max) or not math.isfinite(b_max):
+        raise PreconditionError(f"need 0 < b_min < b_max, got {b_min!r}, {b_max!r}")
+    if not isinstance(steps, int) or steps < 2:
+        raise PreconditionError(f"steps must be an integer >= 2, got {steps!r}")
+    _check_tail_tol(tail_tol)
+    rows = []
+    for b in np.geomspace(b_min, b_max, steps):
+        b = float(b)
+        c = 2.0 * math.pi * b * b
+        sigma2, sigma4, log_t2, log_t4, log_e_lb = _loop_scaled_sums(c, tail_tol)
+        t2 = math.exp(log_t2)
+        t4 = math.exp(log_t4)
+        strict = log_t2 < log_e_lb
+        if not strict:
+            raise PreconditionError(f"tail bound swamped the strictness margin at b = {b!r}")
+        rows.append(
+            BarrierScanRow(
+                b=b,
+                delta0_low=0.5 * math.sqrt(sigma2 / (sigma4 + t4)),
+                delta0=0.5 * math.sqrt(sigma2 / sigma4),
+                delta0_high=min(0.5 * math.sqrt((sigma2 + t2) / sigma4), 0.5),
+                strict=strict,
+                log_gap_lb=log_e_lb - math.log(4.0 * (sigma4 + t4)),
+            )
+        )
+    return BarrierScan(rows=tuple(rows))
+
+
+# The seven barrier-scan shapes of the benchmark's barrier-pointwise workload.
+BENCH_SCANS = [
+    (0.01, 20.0, 1672),
+    (0.01, 30.0, 1761),
+    (0.01, 40.0, 1825),
+    (0.01, 50.0, 1874),
+    (0.01, 60.0, 1914),
+    (0.01, 80.0, 1977),
+    (0.01, 100.0, 2026),
+]
+
+
+SCAN_SHAPES = [(1e-3, 100.0, 250), (0.01, 100.0, 2026), (1e-3, 2e-3, 7), (0.3, 3.0, 50), (40.0, 100.0, 2)]
+
+
+@pytest.mark.parametrize(
+    "b_min, b_max, steps, tail_tol",
+    [(*shape, tol) for shape in SCAN_SHAPES for tol in (1e-2, 1e-8, 1e-12, 1e-14)],
+)
+def test_scan_rows_bit_identical_to_loop(b_min, b_max, steps, tail_tol):
+    # dataclass == compares every float with ==, so this is bitwise up to
+    # the sign of zero, which no row field can carry
+    assert h1_barrier_scan(b_min, b_max, steps, tail_tol=tail_tol) == loop_scan(
+        b_min, b_max, steps, tail_tol
+    )
+
+
+def test_scan_stops_where_loop_stops_at_subnormal_threshold():
+    # at tail_tol = 5e-324 the loop's test exp(log_tail) <= tail_tol * sigma
+    # rounds in the subnormal range: for this b it stops at k = 4 with
+    # log_tail4 0.4 above log(tail_tol * sigma4), where a log-scale filter
+    # alone would go on to k = 5.  The rows cannot show that (every later
+    # term underflows), the log tails at the stopping k can.
+    b = 2.2308654327163584
+    c = 2.0 * math.pi * b * b
+    sums, fail_at, _ = barrier._scaled_sums(np.array([c]), 5e-324)
+    assert fail_at == 1
+    sigma2, sigma4, _, log_t2, log_t4 = (float(col[0]) for col in sums)
+    assert (sigma2, sigma4, log_t2, log_t4) == _loop_scaled_sums(c, 5e-324)[:4]
+
+
+@pytest.mark.parametrize("b_min, b_max, steps", BENCH_SCANS)
+def test_scan_cli_csv_identical_to_loop(capsys, b_min, b_max, steps):
+    argv = ["barrier-scan", "--b-min", repr(b_min), "--b-max", repr(b_max), "--steps", str(steps)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == loop_scan(b_min, b_max, steps).csv_text()
+
+
+@pytest.mark.parametrize(
+    "b_min, b_max, error, match",
+    [
+        # row 0 needs k of about 25,000, past the k = 10,000 stop
+        (1e-4, 1.0, PreconditionError, "did not settle"),
+        # row 0 never settles before the last row's c overflows to inf
+        (1e-4, 1e160, PreconditionError, "did not settle"),
+        (1e-170, 1.0, DivergentSeriesError, "decay rate"),  # row 0's c underflows to 0
+        (1e-9, 1.0, DivergentSeriesError, "geometric ratio"),  # row 0's tail ratio rounds to 1
+    ],
+)
+def test_scan_failing_rows_raise_like_loop(b_min, b_max, error, match):
+    with pytest.raises(error, match=match) as loop_err:
+        loop_scan(b_min, b_max, 3)
+    with pytest.raises(error, match=match) as sweep_err:
+        h1_barrier_scan(b_min, b_max, 3)
+    assert type(sweep_err.value) is type(loop_err.value)
+    assert str(sweep_err.value) == str(loop_err.value)
+
+
+def test_scan_calls_exact_tail_about_once_per_row(monkeypatch):
+    calls = []
+    exact = barrier.one_sided_gauss_tail_log
+
+    def spy(c, p, a):
+        calls.append(p)
+        return exact(c, p, a)
+
+    monkeypatch.setattr(barrier, "one_sided_gauss_tail_log", spy)
+    steps = 2026
+    h1_barrier_scan(0.01, 100.0, steps)
+    # the row-by-row loop made 99,134 calls here (two per k per row)
+    assert 2 * steps <= len(calls) <= 3 * steps
+
+
+def test_scan_memory_is_linear_in_rows():
+    steps = 2026
+    h1_barrier_scan(0.01, 100.0, steps)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        h1_barrier_scan(0.01, 100.0, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result rows alone take a few hundred bytes each; one dense
+    # (rows x K) float array at this scan's K ~ 185 takes 1,480 bytes per row
+    assert peak < 1_000 * steps
+
+
+def test_odd_suite_classifies_each_window_once(monkeypatch, odd_corpus):
+    expected = tuple(delta_at_zero(w) for w in odd_corpus)
+    seen = []
+    classify = barrier.classify_parity
+
+    def spy(w):
+        seen.append(w.label)
+        return classify(w)
+
+    monkeypatch.setattr(barrier, "classify_parity", spy)
+    assert odd_barrier_suite(odd_corpus) == expected
+    assert seen == [w.label for w in odd_corpus]
