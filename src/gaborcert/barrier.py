@@ -163,8 +163,9 @@ class BarrierScan(CsvTable):
     def max_delta0_high(self) -> float:
         return max(row.delta0_high for row in self.rows)
 
-    def csv_rows(self):
-        return ((row.b, row.delta0_low, row.delta0, row.delta0_high) for row in self.rows)
+    def csv_columns(self):
+        table = np.array([(row.b, row.delta0_low, row.delta0, row.delta0_high) for row in self.rows])
+        return table.reshape(-1, len(self.CSV_HEADER)).T
 
 
 def _approx_tail_logs(c: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

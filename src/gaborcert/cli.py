@@ -12,6 +12,7 @@ numerically unresolvable inputs, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -312,9 +313,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser run() uses, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.func
     try:
         return handler(args)

@@ -68,9 +68,11 @@ _U = 2.0**-53
 _TERM_ULPS = 32
 _EXP_ULPS = 8
 
-# The sweep engine evaluates omegas in chunks of this many rows, and the new
-# k columns of each cutoff step in blocks of at most _MAX_BLOCK values, so its
-# working arrays stay small however many omegas or terms there are.
+# The sweep engine evaluates each cutoff step's new terms for blocks of rows
+# of at most _MAX_BLOCK (omega, k) values, so its working arrays stay small
+# however many omegas or terms there are.  A quadrature window also goes
+# through in chunks of _CHUNK_ROWS omegas, which bound its row-factor table
+# (see ghat_lattice).
 _CHUNK_ROWS = 128
 _MAX_BLOCK = 1 << 12
 # Outward factor on delta enclosures: the ratio and the square root each
@@ -141,27 +143,32 @@ def _from_log(log_bound: float) -> float:
     return math.exp(log_bound) * (1.0 + 4e-16)
 
 
-def _envelope_tail_rows(amplitude: float, rate: float, p: int, m: int, omegas: np.ndarray) -> np.ndarray:
-    """envelope_tail_log followed by _from_log, for a whole array of omegas.
+def _envelope_tails(amplitude: float, rate: float, m: int, omegas: np.ndarray) -> np.ndarray:
+    """envelope_tail_log followed by _from_log for p = 0 and p = 1, over an array of omegas.
 
     The same closed form as one_sided_gauss_tail_log on both tail starts
-    m + omega and m - omega, evaluated in numpy; an overflowing bound comes
-    out as inf, which simply fails the stopping rule.
+    m + omega and m - omega, evaluated in numpy, one exp and one log pass
+    for both weights; an overflowing bound comes out as inf, which simply
+    fails the stopping rule.  Returns shape (2, len(omegas)), row p the
+    tails of S_p.
     """
     c = 2.0 * rate
-
-    def side(a: np.ndarray) -> np.ndarray:
-        r = np.exp(-2.0 * c * a)
-        one = 1.0 - r
-        if p == 0:
-            poly = 1.0 / one
-        else:  # p == 1: a^2 G_0(r) + 2a G_1(r) + G_2(r)
-            poly = a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3
-        return -c * a * a + np.log(poly)
-
-    log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side(m + omegas), side(m - omegas))
+    a = np.stack([m + omegas, m - omegas])
+    r = np.exp(-2.0 * c * a)
+    one = 1.0 - r
+    poly = np.stack([
+        1.0 / one,  # p = 0: G_0(r)
+        a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3,  # p = 1: a^2 G_0 + 2a G_1 + G_2
+    ])
+    side = -c * a * a + np.log(poly)
+    log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side[:, 0], side[:, 1])
     with np.errstate(over="ignore"):
         return np.where(log_bound < _LOG_TINY, _TINY, np.exp(log_bound) * (1.0 + 4e-16))
+
+
+def _envelope_tail_rows(amplitude: float, rate: float, p: int, m: int, omegas: np.ndarray) -> np.ndarray:
+    """The tails of S_p alone from _envelope_tails."""
+    return _envelope_tails(amplitude, rate, m, omegas)[p]
 
 
 def _cutoffs():
@@ -499,18 +506,24 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     (2, 3, len(omegas)): sums[p] = (value, tail_bound, rounding) of S_p.
     Omegas where either sum vanishes (lattice_sum's ZeroSumError) hold NaN.
 
+    A row adds each step's new terms as one group, whatever other rows the
+    call holds, so with a closed-form ghat (freq_eval elementwise) its sums
+    depend on its own omega only: any subset of a grid gives the grid's
+    rows bit for bit.
+
     mirror=True needs |ghat| even and a grid whose points pair up as
     omegas[i] + omegas[-1 - i] = 1: ghat is then evaluated for the first
     half only, since |ghat(k + omega')| = |ghat(-k - 1 + omega)| for
     omega' = 1 - omega.  The partner rows still keep their own cutoffs,
-    tails and stopping decisions.
+    tails and stopping decisions; the first-half rows equal unmirrored ones.
     """
     if not math.exp(-8.0 * w.envelope.rate) < 1.0:  # geometric_power_sum's check at a >= 2
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
     sums = np.full((2, 3, omegas.size), math.nan)
     n_eval = (omegas.size + 1) // 2 if mirror else omegas.size
-    for start in range(0, n_eval, _CHUNK_ROWS):
-        own = np.arange(start, min(start + _CHUNK_ROWS, n_eval))
+    chunk_rows = _CHUNK_ROWS if w.quadrature is not None else max(n_eval, 1)
+    for start in range(0, n_eval, chunk_rows):
+        own = np.arange(start, min(start + chunk_rows, n_eval))
         partners = omegas.size - 1 - own if mirror else own[:0]
         chunk = _sweep_chunk(w, omegas[np.concatenate([own, partners])], own.size, tail_tol)
         sums[:, :, partners] = chunk[:, :, own.size :]
@@ -526,8 +539,8 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> 
     at = omegas[:n_own]
     ghat_at = ghat_lattice(w, at)
     out = np.full((2, 3, omegas.size), math.nan)
-    total = np.zeros((2, omegas.size))  # partial sums of the terms
-    weighted = np.zeros((2, omegas.size))  # partial sums of E(xi) * term
+    # partial sums of the terms of S_0 and S_1, then of E(xi) * term for each
+    acc = np.zeros((4, omegas.size))
     summing = np.ones((2, omegas.size), dtype=bool)
     lost = np.zeros(omegas.size, dtype=bool)
     k_done = -1  # terms for |k| <= k_done are summed
@@ -539,33 +552,36 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> 
         partner = (np.abs(ks + 1) > k_done) & (np.abs(ks + 1) <= k_cut) & mirror
         keep = own | partner
         ks, own, partner = ks[keep].astype(float), own[keep], partner[keep]
+        groups = [(np.flatnonzero(own), 0), (np.flatnonzero(partner), n_own)] if mirror else [(None, 0)]
         needed = summing.any(axis=0)
         live = np.flatnonzero(needed[:n_own] | needed[n_own:] if mirror else needed)
-        block = max(1, _MAX_BLOCK // live.size)
-        for c in range(0, ks.size, block):
-            cols = slice(c, c + block)
-            xi = ks[None, cols] + at[live, None]
-            t0 = np.abs(ghat_at(live, ks[cols])) ** 2
+        block = max(1, _MAX_BLOCK // ks.size)
+        for b in range(0, live.size, block):
+            rows = live[b : b + block]
+            # (k x omega) arrays, stacked as (k, summand, omega)
+            xi = ks[:, None] + at[None, rows]
+            t0 = np.abs(ghat_at(rows, ks).T) ** 2
             t1 = xi**2 * t0
             e = _exponent_weight(xi, rate)
-            for mask, rows in ((own[cols], live), (partner[cols], live + n_own)):
-                if mask.any():
-                    total[0, rows] += t0[:, mask].sum(axis=1)
-                    total[1, rows] += t1[:, mask].sum(axis=1)
-                    weighted[0, rows] += (e[:, mask] * t0[:, mask]).sum(axis=1)
-                    weighted[1, rows] += (e[:, mask] * t1[:, mask]).sum(axis=1)
+            terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
+            for cols, offset in groups:
+                # each row's new terms as one group, added k by k in column
+                # order: numpy sums pairwise along the fastest axis only, and
+                # the k axis is never that, whatever the number of rows
+                group = terms if cols is None else terms[cols]
+                acc[:, rows + offset] += np.add.reduce(group, axis=0)
         k_done = k_cut
+        rows = np.flatnonzero(summing.any(axis=0))
+        tails = _envelope_tails(amp, rate, k_cut + 1, omegas[rows])
         for p in (0, 1):
-            rows = np.flatnonzero(summing[p])
-            if rows.size == 0:
-                continue
-            tail = _envelope_tail_rows(amp, rate, p, k_cut + 1, omegas[rows])
-            stop = _converged(tail, total[p, rows], tail_tol)
-            done = rows[stop]
-            value = total[p, done]
+            sel = summing[p, rows]
+            done, tail = rows[sel], tails[p, sel]
+            stop = _converged(tail, acc[p, done], tail_tol)
+            done, tail = done[stop], tail[stop]
+            value = acc[p, done]
             out[p, 0, done] = value
-            out[p, 1, done] = tail[stop]
-            out[p, 2, done] = _rounding_budget(value, weighted[p, done], 2 * k_cut + 1)
+            out[p, 1, done] = tail
+            out[p, 2, done] = _rounding_budget(value, acc[2 + p, done], 2 * k_cut + 1)
             summing[p, done] = False
             zero = done[value == 0.0]
             lost[zero] = True
@@ -641,8 +657,8 @@ class DensityProfile(CsvTable):
     def argmin_omega(self) -> float:
         return float(self.omegas[self.argmin])
 
-    def csv_rows(self):
-        return zip(self.omegas, self.lows, self.deltas, self.highs, self.num_tails, self.den_tails)
+    def csv_columns(self):
+        return (self.omegas, self.lows, self.deltas, self.highs, self.num_tails, self.den_tails)
 
     @staticmethod
     def read_csv(path) -> "DensityProfile":
@@ -677,6 +693,30 @@ class DensityProfile(CsvTable):
         )
 
 
+_BISECTION_PASSES = 3
+
+
+def _bisection_points(lo: float, mid: float, hi: float) -> list[float]:
+    """Every omega min_delta's bisection passes can evaluate from the bracket (lo, mid, hi).
+
+    Each pass evaluates the two midpoints of its bracket and moves to one
+    of three brackets, so the passes' tree is walked with their own
+    expressions.  De-duplicated, these are the points j/8 of a grid step
+    from mid, j = 1..7, on both sides: at most 14 points, or 7 when the
+    bracket ends at the grid's end (lo == mid or mid == hi).
+    """
+    points: list[float] = []
+    brackets = [(lo, mid, hi)]
+    for _ in range(_BISECTION_PASSES):
+        following = []
+        for lo, mid, hi in brackets:
+            left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            points += (left, right)
+            following += [(lo, left, mid), (mid, right, hi), (left, mid, right)]
+        brackets = following
+    return list(dict.fromkeys(points))
+
+
 def min_delta(
     w: Window,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -689,15 +729,19 @@ def min_delta(
     interval; refined points are merged into the profile, so re-reading an
     exported profile reproduces min_value.
 
-    Enveloped windows go through the sweep engine (_sweep), in one call for
-    the grid and one per bisection pass.  For a window classified even or
-    odd, |ghat| is even, so ghat is evaluated for the grid points in
-    [0, 1/2] only and each partner point 1 - omega reuses those values
-    with the columns reflected, keeping its own cutoff, tail and stopping
-    decision (the two points of a pair add up to 1 within 1.5 ulp, an
-    argument error the rounding budget covers).  Windows without an
-    envelope go through the heuristic sweep (_heuristic_sweep), which
-    applies lattice_sum's heuristic rule row by row.
+    Enveloped windows go through the sweep engine (_sweep) in two calls.
+    The first sums the grid.  For a window classified even or odd, |ghat|
+    is even, so ghat is evaluated for the grid points in [0, 1/2] only and
+    each partner point 1 - omega reuses those values with the columns
+    reflected, keeping its own cutoff, tail and stopping decision (the two
+    points of a pair add up to 1 within 1.5 ulp, an argument error the
+    rounding budget covers).  The second sums, unmirrored, every point the
+    bisection passes could visit (_bisection_points: at most 14); a sweep
+    row does not depend on the other rows of its call, so the passes then
+    run on lookups and pick exactly the points they would have evaluated
+    one pass at a time.  Windows without an envelope go through the
+    heuristic sweep (_heuristic_sweep), which applies lattice_sum's
+    heuristic rule row by row, once for the grid and once per pass.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -706,11 +750,9 @@ def min_delta(
 
     omegas = np.linspace(0.0, 1.0, grid_points)
     if w.envelope is None:
-        evaluate = _heuristic_rows
-        rows = evaluate(w, omegas, tail_tol)
+        rows = _heuristic_rows(w, omegas, tail_tol)
     else:
-        evaluate = _sweep_rows
-        rows = evaluate(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+        rows = _sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
@@ -722,11 +764,24 @@ def min_delta(
     lo = float(omegas[max(idx - 1, 0)])
     hi = float(omegas[min(idx + 1, grid_points - 1)])
     mid = float(omegas[idx])
-    for _ in range(3):
+    if w.envelope is None:
+
+        def evaluate(new: list[float]) -> np.ndarray:
+            return _heuristic_rows(w, np.array(new), tail_tol)
+
+    else:
+        ahead = [om for om in _bisection_points(lo, mid, hi) if om not in value_at]
+        ahead_rows = _sweep_rows(w, np.array(ahead), tail_tol)
+        column = {om: i for i, om in enumerate(ahead)}
+
+        def evaluate(new: list[float]) -> np.ndarray:
+            return ahead_rows[:, [column[om] for om in new]]
+
+    for _ in range(_BISECTION_PASSES):
         candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
         new = [om for om in dict.fromkeys(candidates) if om not in value_at]
         if new:
-            extra = evaluate(w, np.array(new), tail_tol)
+            extra = evaluate(new)
             value_at.update(zip(new, extra[0].tolist()))
             refined.extend(new)
             refined_rows.append(extra)

@@ -1,40 +1,39 @@
 """CSV tables of floats: the one writer behind profile, scan and window files.
 
 Every value is written as repr(float(x)), so reading a file back gives the
-identical doubles, and identical tables give byte-identical files.
+identical doubles, and identical tables give byte-identical files.  Lines
+end in \\r\\n, as the csv module writes them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
+
+import numpy as np
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Iterable[float]]) -> str:
-    """The CSV text of a header line and rows of floats."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows([repr(float(x)) for x in row] for row in rows)
-    return buffer.getvalue()
+def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """The CSV text of a header line and equally long columns of floats."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    return "\r\n".join(lines) + "\r\n"
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Iterable[float]]) -> None:
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(csv_text(header, columns))
 
 
 class CsvTable:
-    """Mixin giving csv_text() and write_csv(path) to a class with CSV_HEADER and csv_rows()."""
+    """Mixin giving csv_text() and write_csv(path) to a class with CSV_HEADER and csv_columns()."""
 
     CSV_HEADER: ClassVar[tuple[str, ...]]
 
-    def csv_rows(self) -> Iterable[Iterable[float]]:
+    def csv_columns(self) -> Sequence[np.ndarray]:
         raise NotImplementedError
 
     def csv_text(self) -> str:
-        return csv_text(self.CSV_HEADER, self.csv_rows())
+        return csv_text(self.CSV_HEADER, self.csv_columns())
 
     def write_csv(self, path) -> None:
-        write_csv(path, self.CSV_HEADER, self.csv_rows())
+        write_csv(path, self.CSV_HEADER, self.csv_columns())

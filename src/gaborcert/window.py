@@ -497,7 +497,7 @@ CSV_HEADER = ("t", "re", "im")
 def write_sampled_csv(path, t: np.ndarray, values: np.ndarray) -> None:
     """Write samples in the interchange format: header t,re,im."""
     values = np.asarray(values, dtype=complex)
-    write_csv(path, CSV_HEADER, zip(np.asarray(t, dtype=float), values.real, values.imag))
+    write_csv(path, CSV_HEADER, (t, values.real, values.imag))
 
 
 def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray]:

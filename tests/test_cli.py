@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import gaborcert
+from gaborcert import cli
 from gaborcert.cli import main
 from gaborcert.criterion import DensityProfile
 from gaborcert.window import read_sampled_csv
@@ -187,6 +188,40 @@ def test_precondition_errors_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, (argv, err)
         assert "gaborcert:" in err
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    # every subcommand, with usage (64) and precondition (2) errors in between
+    mixed = [
+        ("certify", "--window", "gaussian", "--delta", "0.9"),
+        ("certify", "--delta", "0.5"),
+        ("profile", "--window", "hermite:1", "--grid-points", "11"),
+        ("certify", "--window", "hermite:x", "--delta", "0.5"),
+        ("barrier-scan", "--b-min", "0.5", "--b-max", "2", "--steps", "3"),
+        ("frobnicate",),
+        ("gaussian-cert",),
+        ("certify", "--window", "gaussian", "--delta", "0.5", "--a", "0.5"),
+        ("iwasawa", "--basis", "2,0.5,0,0.5"),
+        ("certify", "--window", "gaussian", "--delta", "-1"),
+        ("reduce", "--window", "hermite:1", "--basis", "1,0,0,1"),
+        ("profile", "--window", "gaussian", "--grid-points", "4"),
+        ("oracle", "--window", "gaussian", "--a", "0.5", "--b", "1", "--n", "24"),
+        (),
+        ("certify", "--window", "hermite:1", "--a", "0.7", "--b", "0.5"),
+        ("certify", "--window", "gaussian", "--delta", "0.9"),
+    ]
+
+    def answers():
+        return [run_cli(capsys, *argv) for argv in mixed]
+
+    cli._shared_parser.cache_clear()
+    shared = answers()
+    assert cli._shared_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = answers()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 64, 0, 2, 0, 64, 0, 2, 0, 64, 0, 2, 0, 64, 0, 0]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_numerical_errors_exit_3(capsys):

@@ -8,6 +8,7 @@ numbers that reuse no package code.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -168,8 +169,8 @@ def test_halving_only_for_even_and_odd_windows(monkeypatch):
         calls.clear()
         min_delta(w)
         assert calls[0] == (1001, mirrored)
-        # the bisection passes: at most two new omegas each, never mirrored
-        assert all(size <= 2 and not mirror for size, mirror in calls[1:])
+        # the bisection passes: one call for every point they could visit, never mirrored
+        assert len(calls) <= 2 and all(size <= 14 and not mirror for size, mirror in calls[1:])
 
 
 def test_mirror_follows_each_rows_own_cutoff():
@@ -182,6 +183,123 @@ def test_mirror_follows_each_rows_own_cutoff():
         mirrored = criterion._sweep(w, grid, 1e-12, mirror=True)
         direct = criterion._sweep(w, grid, 1e-12)
         np.testing.assert_allclose(mirrored, direct, rtol=1e-14, atol=0.0)
+
+
+# hermite:5 at b = 0.05 and hermite:1 at b = 0.01 reach K = 100 to 300, where
+# one cutoff step adds more columns than a 4,096-value block of many rows holds
+@pytest.mark.parametrize("spec, b", [("hermite:5", 0.05), ("hermite:1", 0.01)])
+def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
+    w = dilate(corpus_window(spec), b)
+    grid = np.linspace(0.0, 1.0, 1001)
+    full = criterion._sweep(w, grid, 1e-12)
+    rng = np.random.default_rng(7)
+    for size in list(range(1, 41, 3)) + [40]:
+        subset = np.sort(rng.choice(grid.size, size, replace=False))
+        rows = criterion._sweep(w, grid[subset], 1e-12)
+        np.testing.assert_array_equal(rows, full[:, :, subset])
+    # the evaluated half of a mirrored sweep sums exactly as an unmirrored one
+    own = grid <= 0.5
+    mirrored = criterion._sweep(w, grid, 1e-12, mirror=True)
+    np.testing.assert_array_equal(mirrored[:, :, own], full[:, :, own])
+
+
+def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
+    """The per-weight numpy tail bound the shared pass of _envelope_tails replaced."""
+    c = 2.0 * rate
+
+    def side(a):
+        r = np.exp(-2.0 * c * a)
+        one = 1.0 - r
+        if p == 0:
+            poly = 1.0 / one
+        else:
+            poly = a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3
+        return -c * a * a + np.log(poly)
+
+    log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side(m + omegas), side(m - omegas))
+    with np.errstate(over="ignore"):
+        return np.where(log_bound < math.log(5e-324), 5e-324, np.exp(log_bound) * (1.0 + 4e-16))
+
+
+def test_shared_tail_pass_gives_each_weights_tails():
+    omegas = np.random.default_rng(3).uniform(0.0, 1.0, 257)
+    for rate in (1e-4, 0.004, 0.5, math.pi, 600.0):
+        for m in (3, 5, 10, 64, 1000):
+            tails = criterion._envelope_tails(1.7, rate, m, omegas)
+            for p in (0, 1):
+                np.testing.assert_array_equal(tails[p], old_envelope_tail_rows(1.7, rate, p, m, omegas))
+
+
+def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
+    """min_delta's profile with its three bisection passes run one sweep call per pass."""
+    omegas = np.linspace(0.0, 1.0, grid_points)
+    rows = criterion._sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+    value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
+    refined, refined_rows = [], []
+    idx = int(np.nanargmin(rows[0]))
+    lo = float(omegas[max(idx - 1, 0)])
+    hi = float(omegas[min(idx + 1, grid_points - 1)])
+    mid = float(omegas[idx])
+    for _ in range(3):
+        candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
+        new = [om for om in dict.fromkeys(candidates) if om not in value_at]
+        if new:
+            extra = criterion._sweep_rows(w, np.array(new), tail_tol)
+            value_at.update(zip(new, extra[0].tolist()))
+            refined.extend(new)
+            refined_rows.append(extra)
+        triple = [om for om in (candidates[0], mid, candidates[1]) if math.isfinite(value_at[om])]
+        if not triple:
+            break
+        pick = min(triple, key=value_at.__getitem__)
+        if pick == candidates[0]:
+            lo, mid, hi = lo, pick, mid
+        elif pick == candidates[1]:
+            lo, mid, hi = mid, pick, hi
+        else:
+            lo, mid, hi = candidates[0], mid, candidates[1]
+    omg = np.concatenate([omegas, refined])
+    order = np.argsort(omg, kind="stable")
+    table = np.concatenate([rows, *refined_rows], axis=1)[:, order]
+    finite = np.isfinite(table[0])
+    return omg[order], table, float(np.min(table[1][finite])), int(np.nanargmin(table[0]))
+
+
+# the (window, b) pairs of the analytic-sweep benchmark, the rows lost to
+# underflow, and a window classified neither even nor odd
+B_GRID = sorted(float(f"{b:.6g}") for b in np.geomspace(0.05, 20.0, 15))
+CLI_SPECS = ["gaussian"] + [f"hermite:{n}" for n in range(7)]
+REFINEMENT_CASES = sorted(
+    {(CLI_SPECS[(j + 6) % len(CLI_SPECS)], b) for j, b in enumerate(B_GRID)}
+    | {(name, B_GRID[5 * k + 2]) for k, name in enumerate(sorted(COMBOS))}
+    | {("hermite:2", 13.0367), ("hermite:3", 20.0), ("combo:h0+0.4h1", 1.0), ("hermite:1", 8.49781)}
+)
+
+
+@pytest.mark.parametrize("spec, b", REFINEMENT_CASES)
+def test_batched_refinement_equals_sequential_passes(spec, b):
+    w = dilate(corpus_window(spec), b)
+    profile = min_delta(w)
+    omegas, table, min_value, argmin = sequential_refinement(w)
+    np.testing.assert_array_equal(profile.omegas, omegas)
+    got = np.array([profile.deltas, profile.lows, profile.highs, profile.num_tails, profile.den_tails])
+    np.testing.assert_array_equal(got, table)
+    assert profile.min_value == min_value
+    assert profile.argmin == argmin
+
+
+def test_sweep_memory_stays_bounded():
+    # rows are summed for blocks of at most 4,096 (omega, k) values, not for
+    # the whole grid at once
+    w = dilate(hermite(5), 0.05)
+    certify(w, 0.1)
+    tracemalloc.start()
+    try:
+        certify(w, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_vanishing_envelope_rate_is_divergent():

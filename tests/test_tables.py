@@ -1,14 +1,36 @@
 """The one CSV writer behind profile, barrier-scan and window-sample files."""
 
+import csv
+import io
+
 import numpy as np
 
-from gaborcert import h1_barrier_scan, hermite, min_delta, read_sampled_csv, write_sampled_csv
+from gaborcert import (
+    Lattice2D,
+    dilate,
+    h1_barrier_scan,
+    hermite,
+    min_delta,
+    read_sampled_csv,
+    reduce_general,
+    sample_window,
+    write_sampled_csv,
+)
 from gaborcert.tables import csv_text
 
 
+def row_writer_text(header, rows):
+    """The row-by-row csv.writer text the columnar writer replaces."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) for x in row] for row in rows)
+    return buffer.getvalue()
+
+
 def test_csv_text_format():
-    rows = [(0.1, 1.0), (np.float64(2.5e-300), -0.0), (np.nan, 1 / 3)]
-    assert csv_text(("a", "b"), rows) == (
+    columns = [np.array([0.1, 2.5e-300, np.nan]), np.array([1.0, -0.0, 1 / 3])]
+    assert csv_text(("a", "b"), columns) == (
         "a,b\r\n0.1,1.0\r\n2.5e-300,-0.0\r\nnan,0.3333333333333333\r\n"
     )
 
@@ -18,7 +40,7 @@ def test_barrier_scan_and_profile_files_are_their_csv_text(tmp_path):
         path = tmp_path / "table.csv"
         table.write_csv(path)
         assert path.read_bytes() == table.csv_text().encode()
-        assert table.csv_text() == csv_text(table.CSV_HEADER, table.csv_rows())
+        assert table.csv_text() == csv_text(table.CSV_HEADER, table.csv_columns())
 
 
 def test_window_samples_go_through_the_same_writer(tmp_path):
@@ -26,7 +48,32 @@ def test_window_samples_go_through_the_same_writer(tmp_path):
     values = np.exp(-np.pi * t * t) * (1.0 - 0.25j)
     path = tmp_path / "w.csv"
     write_sampled_csv(path, t, values)
-    expected = csv_text(("t", "re", "im"), zip(t, values.real, values.imag))
+    expected = csv_text(("t", "re", "im"), (t, values.real, values.imag))
     assert path.read_bytes() == expected.encode()
     t_back, v_back = read_sampled_csv(path)
     assert np.array_equal(t_back, t) and np.array_equal(v_back, values)
+
+
+def test_columns_write_the_row_writers_bytes(tmp_path):
+    # edge values, and an empty table
+    edge = [np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan]), np.array([1e308, -5e-324, 0.0, 2.0, 1e-7])]
+    assert csv_text(("x", "y"), edge) == row_writer_text(("x", "y"), zip(*edge))
+    assert csv_text(("x",), [np.array([])]) == row_writer_text(("x",), [])
+
+    # a profile with NaN rows: omega = 0 and 1 underflow
+    profile = min_delta(dilate(hermite(3), 20.0))
+    assert np.isnan(profile.deltas).sum() == 2
+    assert profile.csv_text() == row_writer_text(profile.CSV_HEADER, zip(*profile.csv_columns()))
+
+    scan = h1_barrier_scan(0.01, 100.0, 2026)
+    rows = [(r.b, r.delta0_low, r.delta0, r.delta0_high) for r in scan.rows]
+    assert len(rows) == 2026
+    assert scan.csv_text() == row_writer_text(scan.CSV_HEADER, rows)
+
+    # a reduced window's samples, as `reduce --out-window` writes them
+    reduced = reduce_general(hermite(1), Lattice2D(basis=np.array([[0.75, 0.0], [0.3, 0.75]])))
+    f = sample_window(reduced.window)
+    path = tmp_path / "reduced.csv"
+    write_sampled_csv(path, f.grid, f.values)
+    expected = row_writer_text(("t", "re", "im"), zip(f.grid, f.values.real, f.values.imag))
+    assert path.read_bytes() == expected.encode()
