@@ -10,25 +10,18 @@ frame-operator oracle supplies independent desk-scale evidence.
 """
 
 from .barrier import (
-    BarrierReport,
-    BarrierScan,
-    BarrierScanRow,
     delta_at_zero,
     h1_barrier_scan,
     odd_barrier_suite,
     termwise_gap,
 )
-from .certify_gaussian import GaussianCertificate, gaussian_certificate, geometric_tail
+from .certify_gaussian import gaussian_certificate, geometric_tail
 from .criterion import (
-    CriterionVerdict,
-    DeltaEnclosure,
     DensityProfile,
-    LatticeSumResult,
     certify,
     certify_rect,
     delta_g,
     geometric_power_sum,
-    lattice_partial_sum,
     lattice_sum,
     min_delta,
     wirtinger_residual,
@@ -47,13 +40,10 @@ from .errors import (
 from .lattice import (
     IwasawaFactors,
     Lattice2D,
-    ReductionResult,
-    dilation_matrix,
     iwasawa,
     rect,
     reduce_general,
     rotation_matrix,
-    shear_matrix,
 )
 from .metaplectic import (
     SampledFunction,
@@ -64,12 +54,8 @@ from .metaplectic import (
     parity_residual,
     sample_window,
     time_frequency_shift,
-    to_window,
 )
 from .oracle import (
-    EquivalenceReport,
-    FiniteGaborModel,
-    FrameBounds,
     build_model,
     equivalence_check,
     finite_frame_bounds,
@@ -82,10 +68,8 @@ from .window import (
     Parity,
     Window,
     chirp_window,
-    classify_parity,
     combine,
     dilate,
-    envelope_violation,
     gaussian,
     hermite,
     read_sampled_csv,
@@ -98,29 +82,18 @@ from .window import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierReport",
-    "BarrierScan",
-    "BarrierScanRow",
-    "CriterionVerdict",
     "DegenerateAngleError",
     "DegenerateError",
-    "DeltaEnclosure",
     "DensityProfile",
     "DivergentSeriesError",
     "Envelope",
-    "EquivalenceReport",
-    "FiniteGaborModel",
-    "FrameBounds",
     "GaborcertError",
-    "GaussianCertificate",
     "IwasawaFactors",
     "Lattice2D",
-    "LatticeSumResult",
     "NumericalError",
     "ParameterNotRepresentable",
     "Parity",
     "PreconditionError",
-    "ReductionResult",
     "SampledFunction",
     "TruncationRiskWarning",
     "Window",
@@ -130,14 +103,11 @@ __all__ = [
     "certify_rect",
     "chirp",
     "chirp_window",
-    "classify_parity",
     "combine",
     "delta_at_zero",
     "delta_g",
     "dilate",
     "dilate_sampled",
-    "dilation_matrix",
-    "envelope_violation",
     "equivalence_check",
     "finite_frame_bounds",
     "frac_fourier",
@@ -150,7 +120,6 @@ __all__ = [
     "hermite",
     "intertwining_residual",
     "iwasawa",
-    "lattice_partial_sum",
     "lattice_sum",
     "min_delta",
     "model_for",
@@ -163,11 +132,9 @@ __all__ = [
     "sample_grid",
     "sample_window",
     "sampled_window",
-    "shear_matrix",
     "snap_lattice",
     "termwise_gap",
     "time_frequency_shift",
-    "to_window",
     "window_from_csv",
     "wirtinger_residual",
     "write_sampled_csv",

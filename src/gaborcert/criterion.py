@@ -22,7 +22,6 @@ check so the constant 4/pi^2 can be exercised on explicit samples.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from .errors import (
     TruncationRiskWarning,
     ZeroSumError,
 )
-from .tables import CsvTable
+from .tables import CsvTable, read_csv
 from .window import Parity, Window, dilate, ghat_lattice
 
 # Lattice sums whose value is exactly zero are still given a stopping rule:
@@ -52,10 +51,11 @@ DEFAULT_GRID_POINTS = 1001
 _TINY = 5e-324
 _LOG_TINY = math.log(_TINY)
 
-# Heuristic truncation limits for windows without a decay envelope.
-_HEURISTIC_QUIET_TERMS = 5
-_HEURISTIC_WARN_K = 2048
-_HEURISTIC_ZERO_SCAN_K = 10_000
+# Windows without a decay envelope: a sum still 0 scans on to the first cutoff
+# past _ZERO_SCAN_K (12,138) before it counts as vanishing, and one still
+# summing at the first cutoff past _WARN_K (2,398) stops there, truncated.
+_WARN_K = 2048
+_ZERO_SCAN_K = 10_000
 
 # The enveloped cutoff K grows through 2, 4, 6, 9, 13, ... and gives up past
 # this; an envelope that weak never engaged.
@@ -248,48 +248,26 @@ def _check_tail_tol(tail_tol: float) -> float:
     return tail_tol
 
 
-def _check_p(p: int) -> None:
-    if p not in (0, 1, 2):
-        raise PreconditionError(f"weight exponent p must be 0, 1 or 2, got {p!r}")
-
-
-def _terms(w: Window, omega: float, p: int, k_lo: int, k_hi: int) -> np.ndarray:
-    """Nonnegative summands (k+omega)^(2p) |ghat(k+omega)|^2 for k in [k_lo, k_hi]."""
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    xi = k + omega
-    mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
-    if p == 0:
-        return mag2
-    return xi ** (2 * p) * mag2
-
-
-def lattice_partial_sum(w: Window, omega: float, p: int, k_max: int) -> float:
-    """Exact-rounded partial sum over |k| <= k_max (no tail accounting)."""
-    omega = _check_omega(omega)
-    _check_p(p)
-    return math.fsum(_terms(w, omega, p, -k_max, k_max).tolist())
-
-
 def lattice_sum(
     w: Window, omega: float, p: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> LatticeSumResult:
-    """Sum (k+omega)^(2p) |ghat(k+omega)|^2 over k in Z with tail control.
+    """Sum (k+omega)^(2p) |ghat(k+omega)|^2 over k in Z with tail control, p in {0, 1}.
 
     With an envelope the cutoff K runs through _cutoffs() until the
     closed-form tail bound drops below tail_tol * max(value, FLOOR_GUARD);
     the result is then a certified enclosure [value - rounding, value +
-    tail_bound + rounding].  Without an envelope the sum stops once several
-    consecutive terms are negligible and the reported tail is an estimate
-    only.
+    tail_bound + rounding].  Without an envelope the sum is the row of a
+    one-row _sweep, and the reported tail is an estimate only.
 
     Raises ZeroSumError when every term vanishes identically.
     """
     omega = _check_omega(omega)
     tail_tol = _check_tail_tol(tail_tol)
-    _check_p(p)
+    if p not in (0, 1):
+        raise PreconditionError(f"weight exponent p must be 0 or 1, got {p!r}")
 
     if w.envelope is None:
-        (res,) = _heuristic_sums(w, omega, (p,), tail_tol)
+        res = _row_sums(w, omega, tail_tol)[p]
     else:
         (res,) = _enveloped_sums(w, omega, (p,), tail_tol)
     if res.value == 0.0:
@@ -336,15 +314,13 @@ def _enveloped_sums(
     )
 
 
-def _heuristic_sums(
-    w: Window, omega: float, ps: tuple[int, ...], tail_tol: float
-) -> list[LatticeSumResult]:
-    """S_p(omega) for each weight in ps without an envelope: the one-row _heuristic_sweep.
+def _row_sums(w: Window, omega: float, tail_tol: float) -> list[LatticeSumResult]:
+    """S_0 and S_1 at one omega for a window without an envelope: the one-row _sweep.
 
-    Raises ZeroSumError when the first weight's terms vanish everywhere
-    scanned; a later weight that vanishes comes back with value 0.
+    Raises ZeroSumError when S_0 vanishes at every k scanned; a vanishing
+    S_1 comes back with value 0.
     """
-    sums = _heuristic_sweep(w, np.array([omega]), ps, tail_tol)[:, :, 0]
+    sums = _sweep(w, np.array([omega]), tail_tol)[:, :, 0]
     if not sums[0, 0] > 0.0:
         raise ZeroSumError(
             f"all lattice-sum terms vanish for {w.label!r} at omega={omega} "
@@ -354,94 +330,6 @@ def _heuristic_sums(
         LatticeSumResult(float(v), float(t), int(k), rigorous=False, rounding=float(r))
         for v, t, r, k in sums
     ]
-
-
-def _heuristic_sweep(w: Window, omegas: np.ndarray, ps: tuple[int, ...], tail_tol: float) -> np.ndarray:
-    """S_p at every omega for each weight in ps, for windows without an envelope.
-
-    Each (omega, p) sum runs its own copy of the heuristic rule.  K grows in
-    blocks of 8; after each block the sum is the math.fsum of every term
-    with |k| <= K and a term pair (k, -k) counts as quiet when its larger
-    term is at most 0.1 * tail_tol * max(value, FLOOR_GUARD).  The sum stops
-    after 5 consecutive quiet pairs; a sum still 0 keeps scanning to
-    K = 10,000 first, and one still active at K = 2,048 stops there with a
-    TruncationRiskWarning.  The tail estimate is 50 times the largest pair
-    of the last block, the rounding estimate covers the summation and the
-    per-term constant only.  ghat is evaluated once per block for every
-    weight and every omega still summing, through ghat_lattice, in chunks
-    of _CHUNK_ROWS omegas.
-
-    Returns sums of shape (len(ps), 4, len(omegas)): sums[i] = (value,
-    tail estimate, rounding, K) of S_ps[i].  A sum that vanishes has value
-    0; once the first weight's sum vanishes the others of that omega stop
-    and hold NaN.
-    """
-    sums = np.full((len(ps), 4, omegas.size), math.nan)
-    warned = False
-    for start in range(0, omegas.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        sums[:, :, rows], truncated = _heuristic_chunk(w, omegas[rows], ps, tail_tol)
-        warned |= truncated
-    if warned:
-        warnings.warn(
-            f"lattice sum for {w.label!r} still active at K={_HEURISTIC_WARN_K}; "
-            "truncating without decay evidence",
-            TruncationRiskWarning,
-            stacklevel=4,
-        )
-    return sums
-
-
-def _heuristic_chunk(w: Window, omegas: np.ndarray, ps: tuple[int, ...], tail_tol: float):
-    """_heuristic_sweep on one chunk; also says whether any sum was truncated at K = 2,048."""
-    block = 8
-    at = ghat_lattice(w, omegas)
-    out = np.full((len(ps), 4, omegas.size), math.nan)
-    terms = [[[] for _ in range(omegas.size)] for _ in ps]
-    quiet = np.zeros((len(ps), omegas.size), dtype=int)
-    summing = np.ones((len(ps), omegas.size), dtype=bool)
-    truncated = False
-    k_cut = 0
-    while summing.any():
-        # k_cut + 1 .. k_cut + 8, then -(k_cut + 8) .. -(k_cut + 1), then 0 on the first block
-        new = np.arange(k_cut + 1, k_cut + block + 1)
-        ks = np.concatenate([new, -new[::-1], [0] if k_cut == 0 else []]).astype(float)
-        k_cut += block
-        live = np.flatnonzero(summing.any(axis=0))
-        xi = ks[None, :] + omegas[live, None]
-        mag2 = np.abs(at(live, ks)) ** 2
-        for i, p in enumerate(ps):
-            rows = np.flatnonzero(summing[i])
-            if rows.size == 0:
-                continue
-            t = mag2 if p == 0 else xi ** (2 * p) * mag2
-            t = t[np.searchsorted(live, rows)]
-            for r, row_terms in zip(rows, t.tolist()):
-                terms[i][r].extend(row_terms)
-            value = np.array([math.fsum(terms[i][r]) for r in rows])
-            empty = value == 0.0
-            for r in rows[empty]:
-                terms[i][r].clear()  # all zero: the sum so far needs none of them
-            threshold = 0.1 * tail_tol * np.maximum(value, FLOOR_GUARD)
-            pair_peaks = np.maximum(t[:, :block], t[:, block : 2 * block][:, ::-1])
-            loud = ~(pair_peaks <= threshold[:, None])
-            # the quiet run: the pairs after the last loud one, or all 8 added to it
-            q = np.where(loud.any(axis=1), np.argmax(loud[:, ::-1], axis=1), quiet[i, rows] + block)
-            scan_on = (q >= _HEURISTIC_QUIET_TERMS) & empty & (k_cut < _HEURISTIC_ZERO_SCAN_K)
-            quiet[i, rows] = np.where(scan_on, 0, q)
-            cut = (q < _HEURISTIC_QUIET_TERMS) & ~empty & (k_cut >= _HEURISTIC_WARN_K)
-            stop = (q >= _HEURISTIC_QUIET_TERMS) & ~scan_on
-            stop |= cut | (empty & (k_cut >= _HEURISTIC_ZERO_SCAN_K))
-            truncated |= bool(cut.any())
-            done = rows[stop]
-            out[i, 0, done] = value[stop]
-            out[i, 1, done] = 10.0 * np.max(pair_peaks[stop], axis=1) * _HEURISTIC_QUIET_TERMS
-            out[i, 2, done] = _rounding_budget(value[stop], 0.0, 2 * k_cut + 1)
-            out[i, 3, done] = k_cut
-            summing[i, done] = False
-            if i == 0:
-                summing[1:, done[value[stop] == 0.0]] = False
-    return out, truncated
 
 
 @dataclass(frozen=True)
@@ -476,10 +364,11 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
     accounts for the truncation tail and the rounding of the summed terms.
     Raises DegenerateError when the denominator vanishes identically.
     """
+    omega, tail_tol = _check_omega(omega), _check_tail_tol(tail_tol)
     if w.envelope is None:
-        num, den = _heuristic_sums(w, _check_omega(omega), (0, 1), _check_tail_tol(tail_tol))
+        num, den = _row_sums(w, omega, tail_tol)
     else:
-        num, den = _enveloped_sums(w, _check_omega(omega), (0, 1), _check_tail_tol(tail_tol))
+        num, den = _enveloped_sums(w, omega, (0, 1), tail_tol)
         if num.value == 0.0:
             raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
@@ -498,13 +387,25 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
 
 
 def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
-    """Enveloped S_0 and S_1 at every omega, summed as (omega x k) arrays.
+    """S_0 and S_1 at every omega, summed as (omega x k) arrays.
 
-    Each (omega, p) sum follows lattice_sum's cutoff schedule and stopping
-    rule, but ghat is evaluated once per cutoff step for both weights, only
-    at the new k, and over all omegas still summing.  Returns sums of shape
-    (2, 3, len(omegas)): sums[p] = (value, tail_bound, rounding) of S_p.
-    Omegas where either sum vanishes (lattice_sum's ZeroSumError) hold NaN.
+    Each (omega, p) sum runs through the cutoffs of _cutoffs(), but ghat is
+    evaluated once per cutoff step for both weights, only at the new k, and
+    over all omegas still summing.  Returns sums of shape (2, 4,
+    len(omegas)): sums[p] = (value, tail, rounding, K) of S_p.  A sum that
+    vanishes holds value 0 and stops its row's other sum, which may then
+    hold NaN; such a row is lost to delta_g (ZeroSumError or
+    DegenerateError).
+
+    With an envelope each sum stops at lattice_sum's rule: the first K
+    whose closed-form tail bound passes _converged.  Without one the tail
+    is an estimate, the sum of the terms that the row's last two cutoff
+    steps added (at least four consecutive |k| on each side), and it must
+    pass the same test; a sum still 0 scans on to the first cutoff past
+    _ZERO_SCAN_K before it counts as vanishing, and one still summing at
+    the first cutoff past _WARN_K stops there, under one
+    TruncationRiskWarning per call.  The rounding of such a sum covers the
+    summation and the per-term constant only.
 
     A row adds each step's new terms as one group, whatever other rows the
     call holds, so with a closed-form ghat (freq_eval elementwise) its sums
@@ -517,34 +418,49 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     omega' = 1 - omega.  The partner rows still keep their own cutoffs,
     tails and stopping decisions; the first-half rows equal unmirrored ones.
     """
-    if not math.exp(-8.0 * w.envelope.rate) < 1.0:  # geometric_power_sum's check at a >= 2
+    env = w.envelope
+    if env is not None and not math.exp(-8.0 * env.rate) < 1.0:  # geometric_power_sum's check at a >= 2
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
-    sums = np.full((2, 3, omegas.size), math.nan)
+    sums = np.full((2, 4, omegas.size), math.nan)
+    truncated = False
     n_eval = (omegas.size + 1) // 2 if mirror else omegas.size
     chunk_rows = _CHUNK_ROWS if w.quadrature is not None else max(n_eval, 1)
     for start in range(0, n_eval, chunk_rows):
         own = np.arange(start, min(start + chunk_rows, n_eval))
         partners = omegas.size - 1 - own if mirror else own[:0]
-        chunk = _sweep_chunk(w, omegas[np.concatenate([own, partners])], own.size, tail_tol)
+        chunk, cut = _sweep_chunk(w, omegas[np.concatenate([own, partners])], own.size, tail_tol)
+        truncated |= cut
         sums[:, :, partners] = chunk[:, :, own.size :]
         sums[:, :, own] = chunk[:, :, : own.size]  # the middle row is its own partner
+    if truncated:
+        warnings.warn(
+            f"lattice sum for {w.label!r} still active at K={_WARN_K}; "
+            "truncating without decay evidence",
+            TruncationRiskWarning,
+            stacklevel=4,
+        )
     return sums
 
 
-def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> np.ndarray:
+def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float):
     """_sweep on one chunk: ghat is evaluated for omegas[:n_own]; the rows
-    after them, if any, are their mirror partners, in the same order."""
-    amp, rate = w.envelope.amplitude, w.envelope.rate
+    after them, if any, are their mirror partners, in the same order.  Also
+    says whether a sum was truncated."""
+    env = w.envelope
     mirror = omegas.size > n_own
     at = omegas[:n_own]
     ghat_at = ghat_lattice(w, at)
-    out = np.full((2, 3, omegas.size), math.nan)
-    # partial sums of the terms of S_0 and S_1, then of E(xi) * term for each
-    acc = np.zeros((4, omegas.size))
+    out = np.full((2, 4, omegas.size), math.nan)
+    # partial sums of the terms of S_0 and S_1, then, with an envelope, of
+    # E(xi) * term for each
+    acc = np.zeros((2 if env is None else 4, omegas.size))
+    # without an envelope: the terms of S_0 and S_1 that each of the last
+    # two cutoff steps added
+    recent = np.zeros((2, 2, omegas.size)) if env is None else None
     summing = np.ones((2, omegas.size), dtype=bool)
-    lost = np.zeros(omegas.size, dtype=bool)
+    truncated = False
     k_done = -1  # terms for |k| <= k_done are summed
-    for k_cut in _cutoffs():
+    for step, k_cut in enumerate(_cutoffs()):
         # columns k holding new terms of an own row (k_done < |k| <= k_cut)
         # or, reflected to -k - 1, of its partner
         ks = np.arange(-k_cut - 1, k_cut + 1)
@@ -562,55 +478,61 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float) -> 
             xi = ks[:, None] + at[None, rows]
             t0 = np.abs(ghat_at(rows, ks).T) ** 2
             t1 = xi**2 * t0
-            e = _exponent_weight(xi, rate)
-            terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
+            if env is None:
+                terms = np.stack([t0, t1], axis=1)
+            else:
+                e = _exponent_weight(xi, env.rate)
+                terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
             for cols, offset in groups:
                 # each row's new terms as one group, added k by k in column
                 # order: numpy sums pairwise along the fastest axis only, and
                 # the k axis is never that, whatever the number of rows
                 group = terms if cols is None else terms[cols]
-                acc[:, rows + offset] += np.add.reduce(group, axis=0)
+                added = np.add.reduce(group, axis=0)
+                acc[:, rows + offset] += added
+                if recent is not None:
+                    recent[step % 2][:, rows + offset] = added
         k_done = k_cut
         rows = np.flatnonzero(summing.any(axis=0))
-        tails = _envelope_tails(amp, rate, k_cut + 1, omegas[rows])
+        if env is None:
+            tails = (recent[0] + recent[1])[:, rows]
+        else:
+            tails = _envelope_tails(env.amplitude, env.rate, k_cut + 1, omegas[rows])
         for p in (0, 1):
             sel = summing[p, rows]
             done, tail = rows[sel], tails[p, sel]
             stop = _converged(tail, acc[p, done], tail_tol)
+            if env is None:
+                zero = acc[p, done] == 0.0
+                cut = ~stop & ~zero & (k_cut > _WARN_K)
+                truncated |= bool(cut.any())
+                stop = np.where(zero, k_cut > _ZERO_SCAN_K, stop | cut)
             done, tail = done[stop], tail[stop]
             value = acc[p, done]
             out[p, 0, done] = value
             out[p, 1, done] = tail
-            out[p, 2, done] = _rounding_budget(value, acc[2 + p, done], 2 * k_cut + 1)
+            weighted = 0.0 if env is None else acc[2 + p, done]
+            out[p, 2, done] = _rounding_budget(value, weighted, 2 * k_cut + 1)
+            out[p, 3, done] = k_cut
             summing[p, done] = False
-            zero = done[value == 0.0]
-            lost[zero] = True
-            summing[:, zero] = False  # a vanishing S_0 already loses the row
+            summing[:, done[value == 0.0]] = False  # a vanishing sum already loses the row
         if not summing.any():
             break
     else:
         raise DivergentSeriesError(
             f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
         )
-    out[:, :, lost] = math.nan
-    return out
+    return out, truncated
 
 
 def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
-    """Profile rows (value, low, high, num tail, den tail) from one _sweep."""
-    (nv, nt, nr), (dv, dt, dr) = _sweep(w, omegas, tail_tol, mirror)
-    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr, np.sqrt)
-    return np.array([value, low, high, nt, dt])
+    """Profile rows (value, low, high, num tail, den tail) from one _sweep.
 
-
-def _heuristic_rows(w: Window, omegas: np.ndarray, tail_tol: float) -> np.ndarray:
-    """Profile rows from one _heuristic_sweep (windows without an envelope).
-
-    An omega where either sum vanishes (delta_g's ZeroSumError or
+    A row where either sum vanishes (delta_g's ZeroSumError or
     DegenerateError) holds NaN.
     """
-    sums = _heuristic_sweep(w, omegas, (0, 1), tail_tol)
-    sums[:, :, ~(sums[0, 0] > 0.0) | ~(sums[1, 0] > 0.0)] = math.nan
+    sums = _sweep(w, omegas, tail_tol, mirror)
+    sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
     value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr, np.sqrt)
     return np.array([value, low, high, nt, dt])
@@ -662,16 +584,7 @@ class DensityProfile(CsvTable):
 
     @staticmethod
     def read_csv(path) -> "DensityProfile":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != PROFILE_CSV_HEADER:
-                raise PreconditionError(f"unexpected profile CSV header in {path}")
-            rows = [[float(x) for x in row] for row in reader if row]
-        if not rows:
-            raise PreconditionError(f"no profile rows in {path}")
-        cols = np.array(rows).T
-        omegas, lows, deltas, highs, num_tails, den_tails = cols
+        omegas, lows, deltas, highs, num_tails, den_tails = read_csv(path, PROFILE_CSV_HEADER)
         finite = np.isfinite(lows)
         if not np.any(finite):
             raise DegenerateError(f"profile in {path} has no finite rows")
@@ -685,7 +598,7 @@ class DensityProfile(CsvTable):
             den_tails=den_tails,
             min_value=float(np.min(lows[finite])),
             argmin=argmin,
-            grid_points=len(rows),
+            grid_points=omegas.size,
             tail_tol=math.nan,
             rigorous=False,
             non_certifying=bool(np.any(~finite)),
@@ -729,19 +642,18 @@ def min_delta(
     interval; refined points are merged into the profile, so re-reading an
     exported profile reproduces min_value.
 
-    Enveloped windows go through the sweep engine (_sweep) in two calls.
-    The first sums the grid.  For a window classified even or odd, |ghat|
+    Every window goes through the sweep engine (_sweep) in two calls.  The
+    first sums the grid.  For a window classified even or odd, |ghat|
     is even, so ghat is evaluated for the grid points in [0, 1/2] only and
     each partner point 1 - omega reuses those values with the columns
     reflected, keeping its own cutoff, tail and stopping decision (the two
     points of a pair add up to 1 within 1.5 ulp, an argument error the
     rounding budget covers).  The second sums, unmirrored, every point the
     bisection passes could visit (_bisection_points: at most 14); a sweep
-    row does not depend on the other rows of its call, so the passes then
-    run on lookups and pick exactly the points they would have evaluated
-    one pass at a time.  Windows without an envelope go through the
-    heuristic sweep (_heuristic_sweep), which applies lattice_sum's
-    heuristic rule row by row, once for the grid and once per pass.
+    row does not depend on the other rows of its call (for a quadrature
+    window, up to the last bits of its matrix products), so the passes
+    then run on lookups and pick the points they would have evaluated one
+    pass at a time.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -749,10 +661,7 @@ def min_delta(
     tail_tol = _check_tail_tol(tail_tol)
 
     omegas = np.linspace(0.0, 1.0, grid_points)
-    if w.envelope is None:
-        rows = _heuristic_rows(w, omegas, tail_tol)
-    else:
-        rows = _sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+    rows = _sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
@@ -764,24 +673,14 @@ def min_delta(
     lo = float(omegas[max(idx - 1, 0)])
     hi = float(omegas[min(idx + 1, grid_points - 1)])
     mid = float(omegas[idx])
-    if w.envelope is None:
-
-        def evaluate(new: list[float]) -> np.ndarray:
-            return _heuristic_rows(w, np.array(new), tail_tol)
-
-    else:
-        ahead = [om for om in _bisection_points(lo, mid, hi) if om not in value_at]
-        ahead_rows = _sweep_rows(w, np.array(ahead), tail_tol)
-        column = {om: i for i, om in enumerate(ahead)}
-
-        def evaluate(new: list[float]) -> np.ndarray:
-            return ahead_rows[:, [column[om] for om in new]]
-
+    ahead = [om for om in _bisection_points(lo, mid, hi) if om not in value_at]
+    ahead_rows = _sweep_rows(w, np.array(ahead), tail_tol)
+    column = {om: i for i, om in enumerate(ahead)}
     for _ in range(_BISECTION_PASSES):
         candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
         new = [om for om in dict.fromkeys(candidates) if om not in value_at]
         if new:
-            extra = evaluate(new)
+            extra = ahead_rows[:, [column[om] for om in new]]
             value_at.update(zip(new, extra[0].tolist()))
             refined.extend(new)
             refined_rows.append(extra)

@@ -110,17 +110,22 @@ class FiniteGaborModel:
         return self.snapped_a / self.target_a
 
 
-def _periodized_samples(w: Window, n: int, spacing: float) -> tuple[np.ndarray, float]:
-    """Window samples wrapped onto the circle of circumference n*spacing.
-
-    Returns the unnormalized samples and the relative l2 mass the window
-    still carries outside the covered interval (wraparound plus probe
-    mass beyond it), which measures how faithful the periodization is.
-    """
+def _periodized(w: Window, n: int, spacing: float) -> np.ndarray:
+    """Window samples wrapped onto the circle of circumference n*spacing, unnormalized."""
     m = (np.arange(n) - n // 2) * spacing
     total = np.zeros(n, dtype=complex)
     for j in range(-_PERIODIZE_COPIES, _PERIODIZE_COPIES + 1):
         total += np.asarray(w.time_eval(m + j * n * spacing), dtype=complex)
+    return total
+
+
+def _wrap_defect(w: Window, n: int, spacing: float) -> float:
+    """The relative l2 mass the window carries outside the interval of n samples.
+
+    Probe mass beyond the covered interval against the mass of the central
+    samples: it measures how faithful the periodization at this spacing is.
+    """
+    m = (np.arange(n) - n // 2) * spacing
     central = np.asarray(w.time_eval(m), dtype=complex)
     inside = float(np.linalg.norm(central))
     if inside == 0.0:
@@ -129,8 +134,7 @@ def _periodized_samples(w: Window, n: int, spacing: float) -> tuple[np.ndarray, 
     probe = half + spacing * np.arange(1, int(math.ceil(16.0 / spacing)) + 1)
     outside_sq = float(np.sum(np.abs(np.asarray(w.time_eval(probe), dtype=complex)) ** 2))
     outside_sq += float(np.sum(np.abs(np.asarray(w.time_eval(-probe), dtype=complex)) ** 2))
-    defect = math.sqrt(outside_sq) / inside
-    return total, defect
+    return math.sqrt(outside_sq) / inside
 
 
 def build_model(
@@ -145,7 +149,7 @@ def build_model(
     """Assemble a model at explicit steps; snapped values follow from the grid."""
     if not (spacing > 0 and math.isfinite(spacing)):
         raise PreconditionError(f"spacing must be positive, got {spacing!r}")
-    samples, _ = _periodized_samples(w, n, spacing)
+    samples = _periodized(w, n, spacing)
     norm = float(np.linalg.norm(samples))
     if norm == 0.0:
         raise PreconditionError("periodized window is identically zero")
@@ -188,19 +192,6 @@ def frame_operator(model: FiniteGaborModel) -> np.ndarray:
     rows = np.arange(N)[:, None] + N * np.arange(q)[None, :]
     S = np.zeros((n, n), dtype=complex)
     S[rows[:, :, None], rows[:, None, :]] = _frame_blocks(model)
-    return S
-
-
-def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:
-    """Literal sum over every lattice shift; small n only, for cross-checks."""
-    n, p, q = model.n, model.p, model.q
-    idx = np.arange(n)
-    S = np.zeros((n, n), dtype=complex)
-    for k in range(n // p):
-        shifted = np.roll(model.window, p * k)
-        for ell in range(n // q):
-            atom = np.exp(2j * np.pi * q * ell * idx / n) * shifted
-            S += np.outer(atom, atom.conj())
     return S
 
 
@@ -277,8 +268,7 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
             candidates.append((score, SnapChoice(p=p, q=q, spacing=spacing, rho=rho, coverage=coverage)))
     candidates.sort(key=lambda item: item[0])
     for _, choice in candidates:
-        _, defect = _periodized_samples(w, n, choice.spacing)
-        if defect <= _WRAP_TOL:
+        if _wrap_defect(w, n, choice.spacing) <= _WRAP_TOL:
             return choice
     raise ParameterNotRepresentable(
         f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "

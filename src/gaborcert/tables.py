@@ -1,4 +1,4 @@
-"""CSV tables of floats: the one writer behind profile, scan and window files.
+"""CSV tables of floats: the one writer and reader behind profile, scan and window files.
 
 Every value is written as repr(float(x)), so reading a file back gives the
 identical doubles, and identical tables give byte-identical files.  Lines
@@ -7,9 +7,12 @@ end in \\r\\n, as the csv module writes them.
 
 from __future__ import annotations
 
+import csv
 from typing import ClassVar, Sequence
 
 import numpy as np
+
+from .errors import PreconditionError
 
 
 def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
@@ -17,6 +20,38 @@ def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
     lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\r\n".join(lines) + "\r\n"
+
+
+def read_csv(path, header: Sequence[str]) -> np.ndarray:
+    """The columns of a CSV table of floats under this header, shape (len(header), rows).
+
+    Header cells may carry surrounding spaces; blank lines are skipped.
+    Raises PreconditionError for a different header, a row of another
+    width or a cell that is not a number (naming its line), and for a
+    table without rows.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or tuple(cell.strip() for cell in first) != tuple(header):
+            raise PreconditionError(f"expected CSV header {','.join(header)!r} in {path}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise PreconditionError(
+                    f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise PreconditionError(
+                    f"{path}, line {reader.line_num}: not a number in {','.join(row)!r}"
+                ) from None
+    if not rows:
+        raise PreconditionError(f"no rows in {path}")
+    return np.array(rows).T
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

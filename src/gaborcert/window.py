@@ -20,7 +20,6 @@ results carry a non-rigorous flag.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ import numpy as np
 from numpy.polynomial import hermite as _herm
 
 from .errors import PreconditionError
-from .tables import write_csv
+from .tables import read_csv, write_csv
 
 # Standard sampling grid used for quadrature-backed transforms and for
 # turning closed-form windows into sample vectors.
@@ -237,6 +236,13 @@ def dilate(w: Window, b: float) -> Window:
         xi = np.asarray(xi, dtype=float)
         return sqrt_b * base_freq(b * xi)
 
+    # a sampled window stays a quadrature on the dilated nodes, so
+    # ghat_lattice keeps factoring its lattice evaluations
+    quad = None
+    if w.quadrature is not None:
+        quad = Quadrature(w.quadrature.nodes * b, w.quadrature.weighted * sqrt_b)
+        freq_eval = quad.freq_eval
+
     env = None
     if w.envelope is not None:
         # pad a hair: rescaled exponents travel a different float path than
@@ -253,6 +259,7 @@ def dilate(w: Window, b: float) -> Window:
         freq_eval=freq_eval,
         parity=w.parity,
         envelope=env,
+        quadrature=quad,
     )
 
 
@@ -501,16 +508,10 @@ def write_sampled_csv(path, t: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_sampled_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise PreconditionError(f"expected CSV header {','.join(CSV_HEADER)!r} in {path}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    if not rows:
-        raise PreconditionError(f"no samples in {path}")
-    t = np.array([r[0] for r in rows])
-    values = np.array([complex(r[1], r[2]) for r in rows])
+    """Samples from the interchange format (tables.read_csv under header t,re,im)."""
+    t, re, im = read_csv(path, CSV_HEADER)
+    values = re.astype(complex)
+    values.imag = im
     return t, values
 
 

@@ -174,7 +174,12 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_precondition_errors_exit_2(capsys, tmp_path):
+    # window files with a cell that is not a number and with a short row
+    (tmp_path / "word.csv").write_text("t,re,im\r\n-0.01,0.0,0.0\r\n0.0,x,0.0\r\n0.01,0.0,0.0\r\n")
+    (tmp_path / "short.csv").write_text("t,re,im\r\n-0.01,0.0,0.0\r\n0.0,1.0\r\n0.01,0.0,0.0\r\n")
     cases = [
+        ("certify", "--window", f"file:{tmp_path / 'word.csv'}", "--delta", "0.5"),
+        ("certify", "--window", f"file:{tmp_path / 'short.csv'}", "--delta", "0.5"),
         ("certify", "--window", "hermite:x", "--delta", "0.5"),
         ("certify", "--window", "gaussian"),
         ("certify", "--window", "gaussian", "--delta", "0.5", "--a", "0.5"),
@@ -188,6 +193,8 @@ def test_precondition_errors_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, (argv, err)
         assert "gaborcert:" in err
+        if argv[2].endswith(("word.csv", "short.csv")):
+            assert "line 3" in err, err
 
 
 def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):

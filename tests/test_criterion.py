@@ -30,12 +30,18 @@ from gaborcert import (
     gaussian,
     geometric_power_sum,
     hermite,
-    lattice_partial_sum,
     lattice_sum,
     min_delta,
     wirtinger_residual,
 )
 from gaborcert.criterion import DensityProfile, one_sided_gauss_tail_log
+
+
+def lattice_partial_sum(w, omega, p, k_max):
+    """The correctly rounded partial sum of S_p over |k| <= k_max, no tail accounting."""
+    xi = np.arange(-k_max, k_max + 1, dtype=float) + omega
+    terms = xi ** (2 * p) * np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+    return math.fsum(terms.tolist())
 
 
 def mp_gauss_mag2(xi):

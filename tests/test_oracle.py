@@ -1,8 +1,7 @@
 """Finite Gabor models: collapse identity, snapping policy, frame bounds."""
 
-import importlib.util
+import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +18,21 @@ from gaborcert import (
     snap_lattice,
 )
 from gaborcert import oracle
-from gaborcert.oracle import SnapChoice, brute_frame_operator
+from gaborcert.oracle import FiniteGaborModel, SnapChoice
 from gaborcert.window import chirp_window, dilate, gaussian, hermite
 
-REPO = Path(__file__).resolve().parent.parent
+
+def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:
+    """The frame operator as a literal sum of atom outer products, over every lattice shift."""
+    n, p, q = model.n, model.p, model.q
+    idx = np.arange(n)
+    S = np.zeros((n, n), dtype=complex)
+    for k in range(n // p):
+        shifted = np.roll(model.window, p * k)
+        for ell in range(n // q):
+            atom = np.exp(2j * np.pi * q * ell * idx / n) * shifted
+            S += np.outer(atom, atom.conj())
+    return S
 
 
 def test_full_lattice_resolves_identity(gauss):
@@ -218,8 +228,7 @@ def _exhaustive_snap(w, a, b, n):
             coverage = n * spacing
             score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p)
             scores.append(score)
-            _, defect = oracle._periodized_samples(w, n, spacing)
-            if defect > oracle._WRAP_TOL:
+            if oracle._wrap_defect(w, n, spacing) > oracle._WRAP_TOL:
                 continue
             if best_score is None or score < best_score:
                 best_score = score
@@ -243,13 +252,13 @@ SNAP_GRID = [
 
 def _spy_defects(monkeypatch):
     calls = []
-    real = oracle._periodized_samples
+    real = oracle._wrap_defect
 
     def spy(w, n, spacing):
         calls.append(spacing)
         return real(w, n, spacing)
 
-    monkeypatch.setattr(oracle, "_periodized_samples", spy)
+    monkeypatch.setattr(oracle, "_wrap_defect", spy)
     return calls
 
 
@@ -294,17 +303,20 @@ def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss
     assert calls == [choice.spacing]
 
 
-# --- scripts/oracle_sweep.py ---------------------------------------------------
+def test_model_evaluates_the_window_once(gauss):
+    # snapping evaluates the wrap defect of the winning candidate only (the
+    # central samples and the probes past both ends); the model, the five
+    # periodized copies
+    points = []
 
+    def time_eval(t):
+        points.append(np.size(t))
+        return gauss.time_eval(t)
 
-def test_oracle_sweep_script_smoke(capsys):
-    spec = importlib.util.spec_from_file_location("oracle_sweep", REPO / "scripts" / "oracle_sweep.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--steps", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = lines[2:]
-    assert [float(row.split()[0]) for row in rows] == pytest.approx([0.3, 0.7, 1.1])
-    for row in rows:
-        ratio = row.split()[-1]
-        assert ratio == "unrepresentable" or math.isfinite(float(ratio))
+    spy = dataclasses.replace(gauss, time_eval=time_eval)
+    n = 240
+    choice = snap_lattice(gauss, 0.5, 1.0, n)
+    model = model_for(spy, 0.5, 1.0, n)
+    probes = 2 * math.ceil(16.0 / choice.spacing)
+    assert sum(points) == (n + probes) + 5 * n
+    np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)

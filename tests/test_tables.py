@@ -1,12 +1,15 @@
-"""The one CSV writer behind profile, barrier-scan and window-sample files."""
+"""The one CSV writer and reader behind profile, barrier-scan and window-sample files."""
 
 import csv
 import io
 
 import numpy as np
+import pytest
 
 from gaborcert import (
+    DensityProfile,
     Lattice2D,
+    PreconditionError,
     dilate,
     h1_barrier_scan,
     hermite,
@@ -77,3 +80,24 @@ def test_columns_write_the_row_writers_bytes(tmp_path):
     write_sampled_csv(path, f.grid, f.values)
     expected = row_writer_text(("t", "re", "im"), zip(f.grid, f.values.real, f.values.imag))
     assert path.read_bytes() == expected.encode()
+
+
+def test_readers_name_the_bad_line(tmp_path):
+    profile = min_delta(hermite(1), grid_points=11)
+    lines = profile.csv_text().split("\r\n")
+    cases = {
+        "word": (lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:], "line 4"),
+        "short": (lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], "line 6"),
+    }
+    for name, (text, where) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\r\n".join(text))
+        with pytest.raises(PreconditionError, match=where):
+            DensityProfile.read_csv(path)
+    grid = np.linspace(-1.0, 1.0, 201)
+    path = tmp_path / "window.csv"
+    write_sampled_csv(path, grid, np.exp(-np.pi * grid**2))
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[:7] + ["0.5,nan?,0.0"] + lines[8:]))
+    with pytest.raises(PreconditionError, match="line 8"):
+        read_sampled_csv(path)

@@ -17,6 +17,7 @@ from gaborcert.window import (
     combine,
     dilate,
     envelope_violation,
+    ghat_lattice,
     gaussian,
     hermite,
     read_sampled_csv,
@@ -101,6 +102,25 @@ def test_dilate_roundtrip(b):
     assert np.allclose(
         np.asarray(back.time_eval(t)), np.asarray(hermite(2).time_eval(t)), rtol=1e-12, atol=1e-15
     )
+
+
+def test_dilate_keeps_a_sampled_windows_quadrature():
+    grid = sample_grid()
+    base = sampled_window(grid, hermite(1).time_eval(grid) * np.exp(0.4j * grid))
+    for b in (0.5, 2.0):
+        w = dilate(base, b)
+        assert w.quadrature is not None
+        np.testing.assert_array_equal(w.quadrature.nodes, base.quadrature.nodes * b)
+        # the dilated transform sqrt(b) * ghat(b * xi)
+        xi = np.linspace(-3.0, 3.0, 13)
+        want = math.sqrt(b) * np.asarray(base.freq_eval(b * xi))
+        assert np.allclose(np.asarray(w.freq_eval(xi)), want, rtol=0.0, atol=1e-13)
+        # ghat_lattice factors the dilated nodes and agrees with freq_eval
+        omegas = np.linspace(0.0, 1.0, 5)
+        ks = np.arange(-6, 7, dtype=float)
+        got = ghat_lattice(w, omegas)(np.arange(5), ks)
+        direct = np.asarray(w.freq_eval((ks[None, :] + omegas[:, None]).ravel())).reshape(got.shape)
+        assert float(np.max(np.abs(got - direct))) <= 1e-13
 
 
 def test_dilate_preserves_parity(h1, gauss):
