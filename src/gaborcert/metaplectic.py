@@ -29,6 +29,9 @@ u - v alone: one FFT convolution of length about 2n between two chirp
 multiplications, O(n log n) time and O(n) memory for an n-point grid.
 Centring keeps the phases small; their rounding stays at the level of the
 direct O(n^2) sum (about 1e-14 on the standard 3201-point grid).
+
+Dilation goes through the same kernel: a forward Fourier transform, then
+an inverse one whose frequency is scaled by 1/a.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateAngleError, PreconditionError, TruncationRiskWarning
 from .window import (
@@ -128,6 +129,32 @@ def _warn_end_decay(f: SampledFunction) -> None:
         )
 
 
+def _warn_aliasing(f: SampledFunction, cot: float, csc: float) -> None:
+    """Warn when the kernel's integrand, up to (|cot| + |csc|) * half_width cycles, nears Nyquist."""
+    nyquist = 0.5 / f.spacing
+    bandwidth = (abs(cot) + abs(csc)) * f.half_width
+    if bandwidth > 0.9 * nyquist:
+        warnings.warn(
+            f"chirped integrand reaches {bandwidth:.1f} cycles against a grid "
+            f"Nyquist of {nyquist:.1f}; expect aliasing",
+            TruncationRiskWarning,
+            stacklevel=3,
+        )
+
+
+def _fast_length(m: int) -> int:
+    """The smallest 11-smooth integer at or above m: an FFT length pocketfft splits fully."""
+    n = m
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _chirped_kernel_apply(
     f: SampledFunction, cot: float, csc: float, amplitude: complex
 ) -> SampledFunction:
@@ -145,9 +172,9 @@ def _chirped_kernel_apply(
     c = np.exp(1j * math.pi * (cot - csc) * h * h * u * u)
     d = np.arange(1 - n, n, dtype=float)  # u - v, in the order the convolution reads it
     kernel = np.exp(1j * math.pi * csc * h * h * d * d)
-    size = fft.next_fast_len(2 * n - 1)
+    size = _fast_length(2 * n - 1)
     weighted = f.values * trapezoid_weights(n, h) * c
-    conv = fft.ifft(fft.fft(weighted, size) * fft.fft(kernel, size))[n - 1 : 2 * n - 1]
+    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel, size))[n - 1 : 2 * n - 1]
     return f.with_values(amplitude * c * conv)
 
 
@@ -182,15 +209,7 @@ def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:
         cot = math.cos(rr) / sin_r
         csc = 1.0 / sin_r
         amplitude = np.sqrt(complex(1.0, -cot))
-        nyquist = 0.5 / f.spacing
-        bandwidth = (abs(cot) + abs(csc)) * f.half_width
-        if bandwidth > 0.9 * nyquist:
-            warnings.warn(
-                f"chirped integrand reaches {bandwidth:.1f} cycles against a grid "
-                f"Nyquist of {nyquist:.1f}; expect aliasing",
-                TruncationRiskWarning,
-                stacklevel=2,
-            )
+        _warn_aliasing(f, cot, csc)
     return _chirped_kernel_apply(f, cot, csc, amplitude)
 
 
@@ -206,19 +225,20 @@ def chirp(f: SampledFunction, q: float) -> SampledFunction:
 def dilate_sampled(f: SampledFunction, a: float) -> SampledFunction:
     """Unitary dilation (D_a f)(t) = a^(-1/2) f(t/a), resampled on the same grid.
 
-    Cubic-spline resampling; points pulled from beyond the recorded
-    interval are treated as 0, so a < 1 relies on the samples having
-    decayed at the ends.
+    Spectral resampling through the chirp-z kernel: the Fourier transform
+    fhat on the function's own grid, then f(t/a) = integral fhat(s)
+    exp(2 pi i s t/a) ds on the same grid.  Both sums assume f and fhat have
+    decayed at the grid ends; the second warns when its integrand, of up to
+    half_width/a cycles, nears the grid's Nyquist rate.
     """
     if not (a > 0 and math.isfinite(a)):
         raise PreconditionError(f"dilation scale must be positive, got {a!r}")
     if a == 1.0:
         return f.with_values(f.values.copy())
-    spline = CubicSpline(f.grid, f.values)
-    query = f.grid / a
-    inside = np.abs(query) <= f.half_width
-    out = np.where(inside, spline(np.clip(query, f.grid[0], f.grid[-1])), 0.0)
-    return f.with_values(out / math.sqrt(a))
+    _warn_aliasing(f, 0.0, -1.0 / a)
+    spectrum = _chirped_kernel_apply(f, 0.0, 1.0, complex(1.0))
+    out = _chirped_kernel_apply(spectrum, 0.0, -1.0 / a, complex(1.0))
+    return out.with_values(out.values / math.sqrt(a))
 
 
 def time_frequency_shift(f: SampledFunction, x: float, omega: float) -> SampledFunction:

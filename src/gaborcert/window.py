@@ -126,7 +126,6 @@ class Window:
     """
 
     label: str
-    kind: str
     time_eval: Callable = None  # type: ignore[assignment]
     freq_eval: Callable = None  # type: ignore[assignment]
     parity: Parity = Parity.UNKNOWN
@@ -136,7 +135,7 @@ class Window:
 
     def __repr__(self) -> str:  # callables are noise in reprs
         return (
-            f"Window(label={self.label!r}, kind={self.kind!r}, "
+            f"Window(label={self.label!r}, "
             f"parity={self.parity.value}, envelope={self.envelope!r})"
         )
 
@@ -154,7 +153,6 @@ def gaussian() -> Window:
 
     return Window(
         label="gaussian",
-        kind="gaussian",
         time_eval=evaluate,
         freq_eval=evaluate,
         parity=Parity.EVEN,
@@ -203,7 +201,6 @@ def hermite(n: int) -> Window:
 
     return Window(
         label=f"hermite{n}",
-        kind="hermite",
         time_eval=time_eval,
         freq_eval=freq_eval,
         parity=Parity.EVEN if n % 2 == 0 else Parity.ODD,
@@ -254,7 +251,6 @@ def dilate(w: Window, b: float) -> Window:
 
     return Window(
         label=f"dilate({w.label},b={b!r})",
-        kind="dilated",
         time_eval=time_eval,
         freq_eval=freq_eval,
         parity=w.parity,
@@ -285,7 +281,6 @@ def chirp_window(w: Window, q: float) -> Window:
 
     return Window(
         label=f"chirp({w.label},q={q!r})",
-        kind="chirped",
         time_eval=time_eval,
         freq_eval=quad.freq_eval,
         parity=w.parity,
@@ -329,7 +324,6 @@ def combine(terms: Sequence[tuple[float, Window]], label: str | None = None) -> 
         label = " + ".join(f"{c!r}*{w.label}" for c, w in terms)
     out = Window(
         label=label,
-        kind="combo",
         time_eval=time_eval,
         freq_eval=freq_eval,
         parity=Parity.UNKNOWN,
@@ -396,7 +390,6 @@ def sampled_window(
 
     out = Window(
         label=label,
-        kind="sampled",
         time_eval=time_eval,
         freq_eval=quad.freq_eval,
         parity=Parity.UNKNOWN,

@@ -294,16 +294,44 @@ def check_entry_point(command, env=None):
     return result.stdout
 
 
-def test_console_entry_point(capsys):
-    # the child imports the same package as this process, from any cwd
+def child_env():
+    """The environment of a child that imports the same package as this process, from any cwd."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )
-    stdout = check_entry_point([sys.executable, "-m", "gaborcert"], env=env)
+    return env
+
+
+def test_console_entry_point(capsys):
+    stdout = check_entry_point([sys.executable, "-m", "gaborcert"], env=child_env())
     code, out, _ = run_cli(capsys, "gaussian-cert")
     assert code == 0
     assert stdout == out.encode()
+
+
+# a child in which any import of scipy fails
+WITHOUT_SCIPY = (
+    "import sys; sys.modules['scipy'] = None; "
+    "from gaborcert.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_sampled_route_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency, also on the reduce route
+    out_window = tmp_path / "reduced.csv"
+    runs = (
+        ("reduce", ("reduce", "--window", "hermite:1", "--basis", "0.75,0,0.3,0.75",
+                    "--out-window", str(out_window))),
+        ("verdict", ("certify", "--window", f"file:{out_window}", "--delta", "0.4")),
+    )
+    for schema, argv in runs:
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *argv],
+            capture_output=True, timeout=120, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        jsonschema.validate(json.loads(result.stdout), load_schema(schema))
 
 
 def toml_parser():

@@ -154,7 +154,6 @@ def test_zero_sum_raises():
 
     w = Window(
         label="sin-comb",
-        kind="synthetic",
         time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
         freq_eval=freq,
         parity=Parity.UNKNOWN,
@@ -171,7 +170,6 @@ def test_degenerate_denominator_raises():
 
     w = Window(
         label="narrow-band",
-        kind="synthetic",
         time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
         freq_eval=freq,
         parity=Parity.UNKNOWN,

@@ -149,11 +149,35 @@ def test_intertwining_examples(g_s):
         intertwining_residual(g_s, -1.0, (0.0, 0.0))
 
 
-@pytest.mark.parametrize("a", [1.3, 0.8])
-def test_dilate_sampled_matches_analytic(g_s, a):
-    resampled = dilate_sampled(g_s, a)
-    analytic = sample_window(dilate(gaussian(), a))
-    assert max_err(resampled, analytic.values) <= 1e-9
+@pytest.mark.parametrize("a", [0.3, 0.8, 1.3, 4.0])
+def test_dilate_sampled_matches_analytic(a):
+    for w in (gaussian(), hermite(1), hermite(3), hermite(5)):
+        resampled = dilate_sampled(sample_window(w), a)
+        analytic = sample_window(dilate(w, a))
+        assert max_err(resampled, analytic.values) <= 1e-12, w.label
+
+
+def test_dilate_sampled_warns_near_nyquist(g_s):
+    # f(t/a) at |t| = 8 needs a spectrum of 8/a = 160 cycles; the grid holds 100
+    with pytest.warns(TruncationRiskWarning, match="Nyquist"):
+        dilate_sampled(g_s, 0.05)
+
+
+def test_fast_length_is_next_11_smooth():
+    smooth = {1}
+    for p in (2, 3, 5, 7, 11):
+        frontier = sorted(smooth)
+        for n in frontier:
+            while n * p <= 40_000:
+                n *= p
+                smooth.add(n)
+    smooth = sorted(smooth)
+    expected = iter(smooth)
+    want = next(expected)
+    for m in range(1, 20_001):
+        while want < m:
+            want = next(expected)
+        assert metaplectic._fast_length(m) == want, m
 
 
 def test_operator_input_validation(g_s):
