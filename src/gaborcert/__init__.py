@@ -21,7 +21,6 @@ from .criterion import (
     certify,
     certify_rect,
     delta_g,
-    geometric_power_sum,
     lattice_sum,
     min_delta,
     wirtinger_residual,
@@ -114,7 +113,6 @@ __all__ = [
     "frame_operator",
     "gaussian",
     "gaussian_certificate",
-    "geometric_power_sum",
     "geometric_tail",
     "h1_barrier_scan",
     "hermite",

@@ -19,11 +19,11 @@ terms themselves underflow.
 The scan sums every dilation row at once, outward in k: each new k
 column (one math.exp per active row) is added to the scaled sums of all
 active rows, so every row is still summed left to right.  A row retires
-at the first k where its exact closed-form tails (one_sided_gauss_tail_log)
-fall below tail_tol of both sums, the same rule a row-by-row loop stops
-on; a vectorised copy of the tail bound only rules rows out, so the exact
-tail runs about once per row and sum.  Rows, and the CSV written from them, are
-bit-identical to that loop's, with memory proportional to the row count.
+at the first k where its closed-form tails (one_sided_gauss_tail_log,
+one array call per k step for both sums) fall below tail_tol of both
+sums, the same rule a row-by-row loop stops on.  Rows, and the CSV
+written from them, are bit-identical to that loop's, with memory
+proportional to the row count.
 """
 
 from __future__ import annotations
@@ -42,16 +42,11 @@ from .criterion import (
 )
 from .errors import GaborcertError, PreconditionError
 from .tables import CsvTable
-from .window import Parity, Window, classify_parity
+from .window import Parity, Window
 
 _GHAT_ZERO_TOL = 1e-20
 _LOG12 = math.log(12.0)
 _K_MAX = 10_000  # a row whose sums have not settled past this k raises
-# The vectorised tail filter rules a row out only with this much log-scale
-# room above a threshold, and never where a threshold nears the subnormal
-# range, in which the exact test's exp rounds by far more than the room.
-_FILTER_MARGIN = 1e-9
-_FILTER_MIN_LOG = -700.0
 
 
 @dataclass(frozen=True)
@@ -71,22 +66,18 @@ class BarrierReport:
 def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierReport:
     """Evaluate the criterion at omega = 0 and certify delta0 < 1/2 if possible.
 
-    For a window classified odd, checks that |ghat(0)|^2 is numerically
-    zero; a visible value means the window is not actually odd.  strict
-    is True when the certified upper end of the numerator still sits
-    below the certified lower end of the denominator, which pins
-    delta0 < 1/2 whenever the termwise domination applies (ghat0_sq ~ 0).
+    For a window whose parity (w.parity, set by its constructor) is odd,
+    checks that |ghat(0)|^2 is numerically zero; a visible value means the
+    window is not actually odd.  strict is True when the certified upper
+    end of the numerator still sits below the certified lower end of the
+    denominator, which pins delta0 < 1/2 whenever the termwise domination
+    applies (ghat0_sq ~ 0).
     Past a gap of about the rounding budget (1e-14 relative; hermite:1
     dilated by b = 1.5 has 5e-18) float sums cannot show it, and strict
     is False; h1_barrier_scan certifies such gaps in log scale.
     """
-    return _delta_at_zero(w, classify_parity(w), tail_tol)
-
-
-def _delta_at_zero(w: Window, parity: Parity, tail_tol: float) -> BarrierReport:
-    """delta_at_zero for a window whose parity is already classified."""
     ghat0_sq = abs(complex(w.freq_eval(np.asarray([0.0]))[0])) ** 2
-    if parity is Parity.ODD and ghat0_sq > _GHAT_ZERO_TOL:
+    if w.parity is Parity.ODD and ghat0_sq > _GHAT_ZERO_TOL:
         raise PreconditionError(
             f"window {w.label!r} classifies as odd but |ghat(0)|^2 = {ghat0_sq!r}"
         )
@@ -94,7 +85,7 @@ def _delta_at_zero(w: Window, parity: Parity, tail_tol: float) -> BarrierReport:
     strict = ghat0_sq <= _GHAT_ZERO_TOL and enc.num.upper < enc.den.lower
     return BarrierReport(
         label=w.label,
-        parity=parity,
+        parity=w.parity,
         num0=enc.num.value,
         den0=enc.den.value,
         delta0=enc.value,
@@ -121,12 +112,12 @@ def termwise_gap(w: Window, k_max: int = 12) -> float:
 def odd_barrier_suite(
     corpus: Sequence[Window], tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[BarrierReport, ...]:
-    """delta_at_zero across a corpus that must classify odd throughout."""
+    """delta_at_zero across a corpus whose windows must all have parity ODD."""
     reports = []
     for w in corpus:
-        if classify_parity(w) is not Parity.ODD:
+        if w.parity is not Parity.ODD:
             raise PreconditionError(f"window {w.label!r} is not odd")
-        reports.append(_delta_at_zero(w, Parity.ODD, tail_tol))
+        reports.append(delta_at_zero(w, tail_tol))
     return tuple(reports)
 
 
@@ -168,50 +159,16 @@ class BarrierScan(CsvTable):
         return table.reshape(-1, len(self.CSV_HEADER)).T
 
 
-def _approx_tail_logs(c: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c + one_sided_gauss_tail_log(c, p, a) for p = 1, 2 over an array of c.
-
-    The same closed form in numpy (np.exp, np.log and a plain sum in place
-    of math.exp, math.log and math.fsum), so it is off by a few ulps of
-    log(poly), plus the last bit of r amplified up to 5/(1 - r) times by the
-    1/(1 - r)^5 factor: below 6e-11 while 1 - r > 1e-5, far inside
-    _FILTER_MARGIN.  Where 1 - r <= 1e-5 no row can settle, so a larger
-    error rules out nothing the exact test would pass: there
-    c*a^2 ~ a*(1 - r)/2 <= 0.051 for a <= 10,001, so
-    log_t4 >= log(24/(1 - r)^5) - 0.051 > 60, while
-    tail_tol * sigma4 <= 1e-2 * a^5 ~ 1e18.  `finite` marks the rows where
-    the copy is a number at all (c = 0 or inf, or r rounding to 1, are left
-    to the exact tail, which raises).
-    """
-    with np.errstate(all="ignore"):
-        r = np.exp(-2.0 * c * a)
-        one = 1.0 - r
-        g0 = 1.0 / one
-        g1 = r / one**2
-        g2 = r * (1.0 + r) / one**3
-        g3 = r * (1.0 + 4.0 * r + r * r) / one**4
-        g4 = r * (1.0 + r * (11.0 + r * (11.0 + r))) / one**5
-        poly2 = a * a * g0 + 2.0 * a * g1 + g2
-        poly4 = a**4 * g0 + 4.0 * a**3 * g1 + 6.0 * a * a * g2 + 4.0 * a * g3 + g4
-        log_t2 = c + (-c * a * a + np.log(poly2))
-        log_t4 = c + (-c * a * a + np.log(poly4))
-    finite = np.isfinite(log_t2) & np.isfinite(log_t4)
-    return log_t2, log_t4, finite
-
-
 def _scaled_sums(cs: np.ndarray, tail_tol: float):
     """Partial sums of k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 plus log tails, per c.
 
     One sweep outward in k over every row at once: each new k column is
     added to sigma2, sigma4 and E of all active rows (a per-row += in k
     order, the left-to-right sum of a row-by-row loop), and a row retires
-    at the first k where the exact test
+    at the first k where
     exp(log_t4) <= tail_tol * sigma4 and exp(log_t2) <= tail_tol * sigma2
-    holds, with log_tp = c + one_sided_gauss_tail_log(c, p, k + 1).  The
-    vectorised tail copy only rules rows out: a row it places more than
-    _FILTER_MARGIN (in log scale) above either threshold fails the exact
-    test too, so the exact tail runs only for the rest, about once per row
-    and sum.
+    holds, with log_tp = c + one_sided_gauss_tail_log(c, p, k + 1) from one
+    array call for every active row and both weights.
 
     Returns ((sigma2, sigma4, e_partial, log_t2, log_t4), fail_at, failure),
     the five as arrays over the rows: the true sums lie in
@@ -236,33 +193,20 @@ def _scaled_sums(cs: np.ndarray, tail_tol: float):
         s4 += k2 * k2 * w
         e += k2 * (k2 - 1.0) * w
         a = float(k + 1)
-        approx2, approx4, finite = _approx_tail_logs(c, a)
-        thresh2 = np.log(tail_tol * s2)
-        thresh4 = np.log(tail_tol * s4)
-        ruled_out = (
-            finite
-            & (np.minimum(thresh2, thresh4) > _FILTER_MIN_LOG)
-            & ((approx2 > thresh2 + _FILTER_MARGIN) | (approx4 > thresh4 + _FILTER_MARGIN))
-        )
-        done = np.zeros(idx.size, dtype=bool)
-        for j in np.flatnonzero(~ruled_out).tolist():
-            cj = float(c[j])
-            # one-sided tail of k^(2p) exp(-c k^2) from k+1, rescaled by e^c
+        # one-sided tails of k^(2p) exp(-c k^2) from k+1, rescaled by e^c;
+        # NaN where the scalar tail raises
+        lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), a))
+        bad = np.flatnonzero(np.isnan(lt).any(axis=0))
+        if bad.size:
             try:
-                lt2 = cj + one_sided_gauss_tail_log(cj, 1, a)
-                lt4 = cj + one_sided_gauss_tail_log(cj, 2, a)
-                settled = (
-                    math.exp(lt4) <= tail_tol * float(s4[j])
-                    and math.exp(lt2) <= tail_tol * float(s2[j])
-                )
+                one_sided_gauss_tail_log(float(c[bad[0]]), (1, 2), a)
             except (GaborcertError, ArithmeticError) as exc:
-                fail_at, failure = int(idx[j]), exc
-                break
-            if settled:
-                done[j] = True
-                i = idx[j]
-                sigma2[i], sigma4[i], e_partial[i] = s2[j], s4[j], e[j]
-                log_t2[i], log_t4[i] = lt2, lt4
+                fail_at, failure = int(idx[bad[0]]), exc
+        t2, t4 = np.exp(lt)
+        done = (t4 <= tail_tol * s4) & (t2 <= tail_tol * s2) & (idx < fail_at)
+        rows = idx[done]
+        sigma2[rows], sigma4[rows], e_partial[rows] = s2[done], s4[done], e[done]
+        log_t2[rows], log_t4[rows] = lt[:, done]
         if k > _K_MAX:
             stuck = idx[~done]
             if stuck.size and stuck[0] < fail_at:

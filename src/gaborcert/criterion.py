@@ -80,51 +80,67 @@ _MAX_BLOCK = 1 << 12
 _RATIO_PAD = 4.0 * _U
 
 
-def geometric_power_sum(r: float, s: int) -> float:
-    """Closed form for sum_{j>=0} j^s * r^j with 0 <= r < 1 and s in 0..4."""
-    if not 0.0 <= r < 1.0:
-        raise DivergentSeriesError(f"geometric ratio must lie in [0, 1), got {r!r}")
-    one = 1.0 - r
-    if s == 0:
-        return 1.0 / one
-    if s == 1:
-        return r / one**2
-    if s == 2:
-        return r * (1.0 + r) / one**3
-    if s == 3:
-        return r * (1.0 + 4.0 * r + r * r) / one**4
-    if s == 4:
-        return r * (1.0 + r * (11.0 + r * (11.0 + r))) / one**5
-    raise PreconditionError(f"power {s} not supported (need 0..4)")
-
-
-def one_sided_gauss_tail_log(c: float, p: int, a: float) -> float:
-    """log of an upper bound for sum_{j>=0} (a+j)^(2p) * exp(-c*(a+j)^2).
+def one_sided_gauss_tail_log(c, p, a):
+    """log of an upper bound for sum_{j>=0} (a+j)^(2p) * exp(-c*(a+j)^2), p in {0, 1, 2}.
 
     Uses (a+j)^2 >= a^2 + 2*a*j to peel off a geometric factor, then sums
-    the polynomial-weighted geometric series in closed form.  Requires
-    c > 0 and a > 0 so the series converges.
+    the polynomial-weighted geometric series in closed form:
+    exp(-c*a^2) * sum_s C(2p, s) a^(2p-s) G_s(r) with r = exp(-2*c*a) and
+    G_s(r) = sum_{j>=0} j^s r^j.  Requires c > 0 and a > 0 so the series
+    converges.  p may be a tuple of weights, which share one exp pass; the
+    logs then come back as a list in that order.
+
+    c and a are floats, or numpy arrays evaluated elementwise (math.exp and
+    math.log on floats, np.exp and np.log on arrays).  Where a float call
+    raises, an array call holds NaN instead; a bound whose exponent
+    overflows is -inf either way.
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise DivergentSeriesError(f"decay rate must be positive, got {c!r}")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise PreconditionError(f"tail start must be positive, got {a!r}")
-    if p not in (0, 1, 2):
+    weights = tuple(p) if isinstance(p, tuple) else (p,)
+    if any(q not in (0, 1, 2) for q in weights):
         raise PreconditionError(f"weight exponent p must be 0, 1 or 2, got {p!r}")
-    r = math.exp(-2.0 * c * a)
-    poly = math.fsum(
-        math.comb(2 * p, s) * a ** (2 * p - s) * geometric_power_sum(r, s)
-        for s in range(2 * p + 1)
-    )
-    return -c * a * a + math.log(poly)
+    if isinstance(c, np.ndarray) or isinstance(a, np.ndarray):
+        with np.errstate(all="ignore"):
+            r = np.exp(-2.0 * c * a)
+            ok = (r < 1.0) & (a < math.inf) & ((c > 0.0) & (c < math.inf))  # r < 1 needs a > 0 here
+            r = np.where(ok, r, math.nan)
+            peel = -c * a * a
+            logs = [peel + np.log(poly) for poly in _tail_polys(r, a, weights)]
+    else:
+        if not (c > 0.0 and math.isfinite(c)):
+            raise DivergentSeriesError(f"decay rate must be positive, got {c!r}")
+        if not (a > 0.0 and math.isfinite(a)):
+            raise PreconditionError(f"tail start must be positive, got {a!r}")
+        r = math.exp(-2.0 * c * a)
+        if not r < 1.0:
+            raise DivergentSeriesError(f"geometric ratio must lie in [0, 1), got {r!r}")
+        peel = -c * a * a
+        logs = [peel + math.log(poly) for poly in _tail_polys(r, a, weights)]
+    return logs if isinstance(p, tuple) else logs[0]
 
 
-def envelope_tail_log(amplitude: float, rate: float, p: int, m: int, omega: float) -> float:
+def _tail_polys(r, a, weights):
+    """sum_s C(2p, s) a^(2p-s) G_s(r) for each p in weights, on floats or arrays."""
+    one = 1.0 - r
+    for p in weights:
+        if p == 0:
+            yield 1.0 / one  # G_0
+        elif p == 1:
+            yield a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3  # a^2 G_0 + 2a G_1 + G_2
+        else:  # a^4 G_0 + 4a^3 G_1 + 6a^2 G_2 + 4a G_3 + G_4, by Horner in a
+            g2 = 6.0 * r * (1.0 + r) / one**3
+            g3 = 4.0 * r * (1.0 + 4.0 * r + r * r) / one**4
+            g4 = r * (1.0 + r * (11.0 + r * (11.0 + r))) / one**5
+            yield (((a / one + 4.0 * r / one**2) * a + g2) * a + g3) * a + g4
+
+
+def envelope_tail_log(amplitude: float, rate: float, p, m: int, omega: float):
     """log upper bound for the two-sided lattice tail over |k| >= m.
 
     Bounds sum over k >= m of (k+omega)^(2p) |ghat|^2 plus the mirrored
     k <= -m side, assuming |ghat(xi)| <= amplitude * exp(-rate * xi^2).
     Needs m >= 2 so both tail starts m - omega and m + omega are >= 1.
+    p may be a tuple of weights, as in one_sided_gauss_tail_log; the
+    bounds then come back as an array in that order.
     """
     if m < 2:
         raise PreconditionError("tail bound needs cutoff m >= 2")
@@ -135,40 +151,24 @@ def envelope_tail_log(amplitude: float, rate: float, p: int, m: int, omega: floa
     return log_c2 + np.logaddexp(side_plus, side_minus)
 
 
-def _from_log(log_bound: float) -> float:
+def _from_log(log_bound):
     # Upper bound survives the exp: clamp underflow to the smallest positive
-    # double and pad a couple of ulps against rounding.
-    if log_bound < _LOG_TINY:
-        return _TINY
-    return math.exp(log_bound) * (1.0 + 4e-16)
+    # double and pad a couple of ulps against rounding; elementwise on
+    # arrays, where an overflowing bound comes out as inf.
+    with np.errstate(over="ignore"):
+        return np.where(log_bound < _LOG_TINY, _TINY, np.exp(log_bound) * (1.0 + 4e-16))
 
 
 def _envelope_tails(amplitude: float, rate: float, m: int, omegas: np.ndarray) -> np.ndarray:
     """envelope_tail_log followed by _from_log for p = 0 and p = 1, over an array of omegas.
 
-    The same closed form as one_sided_gauss_tail_log on both tail starts
-    m + omega and m - omega, evaluated in numpy, one exp and one log pass
-    for both weights; an overflowing bound comes out as inf, which simply
-    fails the stopping rule.  Returns shape (2, len(omegas)), row p the
-    tails of S_p.
+    One one_sided_gauss_tail_log call on both tail starts m + omega and
+    m - omega, so one exp and one log pass for both weights; an overflowing
+    bound comes out as inf, which simply fails the stopping rule.  Returns
+    shape (2, len(omegas)), row p the tails of S_p.
     """
-    c = 2.0 * rate
-    a = np.stack([m + omegas, m - omegas])
-    r = np.exp(-2.0 * c * a)
-    one = 1.0 - r
-    poly = np.stack([
-        1.0 / one,  # p = 0: G_0(r)
-        a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3,  # p = 1: a^2 G_0 + 2a G_1 + G_2
-    ])
-    side = -c * a * a + np.log(poly)
-    log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side[:, 0], side[:, 1])
-    with np.errstate(over="ignore"):
-        return np.where(log_bound < _LOG_TINY, _TINY, np.exp(log_bound) * (1.0 + 4e-16))
-
-
-def _envelope_tail_rows(amplitude: float, rate: float, p: int, m: int, omegas: np.ndarray) -> np.ndarray:
-    """The tails of S_p alone from _envelope_tails."""
-    return _envelope_tails(amplitude, rate, m, omegas)[p]
+    side = np.array(one_sided_gauss_tail_log(2.0 * rate, (0, 1), np.stack([m + omegas, m - omegas])))
+    return _from_log(2.0 * math.log(amplitude) + np.logaddexp(side[:, 0], side[:, 1]))
 
 
 def _cutoffs():
@@ -281,9 +281,10 @@ def _enveloped_sums(
     """S_p(omega) for each weight in ps from one K loop: the one-omega engine.
 
     ghat is evaluated once per cutoff step, at the new k only, and shared by
-    every weight; each sum stops at the first cutoff where its own tail
-    passes _converged.  Values are math.fsum of the terms, so exactly
-    rounded.  A vanishing sum comes back with value 0; callers raise.
+    every weight, as is one tail pass (envelope_tail_log); each sum stops
+    at the first cutoff where its own tail passes _converged.  Values are
+    math.fsum of the terms, so exactly rounded.  A vanishing sum comes back
+    with value 0; callers raise.
     """
     amp, rate = w.envelope.amplitude, w.envelope.rate
     terms: dict[int, list[float]] = {p: [] for p in ps}
@@ -295,14 +296,14 @@ def _enveloped_sums(
         k_done = k_cut
         mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
         e = _exponent_weight(xi, rate)
-        for p in ps:
+        tails = _from_log(envelope_tail_log(amp, rate, ps, k_cut + 1, omega)).tolist()
+        for p, tail in zip(ps, tails):
             if p in results:
                 continue
             t = mag2 if p == 0 else xi ** (2 * p) * mag2
             terms[p].extend(t.tolist())
             weighted[p] += float(np.dot(e, t))
             value = math.fsum(terms[p])
-            tail = _from_log(envelope_tail_log(amp, rate, p, k_cut + 1, omega))
             if _converged(tail, value, tail_tol):
                 n_terms = 2 * k_cut + 1
                 rounding = _rounding_budget(value, weighted[p], n_terms)
@@ -419,7 +420,7 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     tails and stopping decisions; the first-half rows equal unmirrored ones.
     """
     env = w.envelope
-    if env is not None and not math.exp(-8.0 * env.rate) < 1.0:  # geometric_power_sum's check at a >= 2
+    if env is not None and not math.exp(-8.0 * env.rate) < 1.0:  # the tail's ratio check at a >= 2
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
     sums = np.full((2, 4, omegas.size), math.nan)
     truncated = False

@@ -336,13 +336,14 @@ def classify_parity(w: Window) -> Parity:
     """Classify parity from a 201-point probe grid on [-5, 5].
 
     Even or odd requires the corresponding symmetry residual to stay below
-    PARITY_TOL relative to the largest probe magnitude.
+    PARITY_TOL relative to the largest probe magnitude.  A window that
+    vanishes at every probe shows no symmetry there and is UNKNOWN.
     """
     vals = np.asarray(w.time_eval(_PARITY_PROBES), dtype=complex)
     flipped = vals[::-1]
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
-        return Parity.EVEN
+        return Parity.UNKNOWN
     even_res = float(np.max(np.abs(vals - flipped))) / scale
     odd_res = float(np.max(np.abs(vals + flipped))) / scale
     if even_res < PARITY_TOL:

@@ -28,7 +28,6 @@ from gaborcert import (
     delta_g,
     dilate,
     gaussian,
-    geometric_power_sum,
     hermite,
     lattice_sum,
     min_delta,
@@ -241,38 +240,56 @@ def test_min_delta_validates_grid(gauss):
         min_delta(gauss, grid_points=1)
 
 
-@given(r=st.floats(min_value=0.0, max_value=0.99), s=st.integers(min_value=0, max_value=4))
-def test_geometric_power_sum_matches_mpmath(r, s):
-    value = geometric_power_sum(r, s)
+def mp_one_sided_tail(c, p, a):
+    """sum_{j>=0} (a+j)^(2p) exp(-c (a+j)^2) at 40 digits, up to exp(-c (a+j)^2) < e^-300."""
     with mpmath.workdps(40):
-        truth = mpmath.nsum(lambda j: j**s * mpmath.mpf(r) ** j, [0, mpmath.inf])
-    if truth == 0:
-        assert value == 0.0
-    else:
-        assert abs(value - float(truth)) <= 1e-11 * float(truth)
+        c, a = mpmath.mpf(c), mpmath.mpf(a)
+        stop = int(math.sqrt(300 / c)) + 1
+        return mpmath.fsum((a + j) ** (2 * p) * mpmath.exp(-c * (a + j) ** 2) for j in range(stop))
 
 
-def test_geometric_power_sum_rejects_bad_input():
-    with pytest.raises(DivergentSeriesError):
-        geometric_power_sum(1.0, 0)
-    with pytest.raises(DivergentSeriesError):
-        geometric_power_sum(-0.1, 2)
-    with pytest.raises(PreconditionError):
-        geometric_power_sum(0.5, 5)
-
-
-@pytest.mark.parametrize("c", [1.0, 2.0, 2.0 * math.pi])
+# the two small rates are the scan's at b = 0.01 (r = 0.996 at a = 3) and b = 0.05
+@pytest.mark.parametrize("c", [2.0 * math.pi * 0.01**2, 2.0 * math.pi * 0.05**2, 1.0, 2.0, 2.0 * math.pi])
 @pytest.mark.parametrize("p", [0, 1, 2])
 @pytest.mark.parametrize("a", [2.0, 3.5])
 def test_one_sided_tail_is_sharp_upper_bound(c, p, a):
     bound = math.exp(one_sided_gauss_tail_log(c, p, a))
-    with mpmath.workdps(40):
-        truth = mpmath.nsum(
-            lambda j: (a + j) ** (2 * p) * mpmath.exp(-c * (a + j) ** 2),
-            [0, mpmath.inf],
-        )
-    assert bound >= float(truth)
-    assert bound <= 2.0 * float(truth)
+    truth = float(mp_one_sided_tail(c, p, a))
+    assert bound >= truth
+    if c >= 1.0:  # at small c the peeled j^2 term is what decays, and the bound is loose
+        assert bound <= 2.0 * truth
+
+
+def test_one_sided_tail_on_arrays_matches_floats():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(1.0, 20.0, 64)
+    a = rng.uniform(2.0, 100.0, 64)
+    for p in (0, 1, 2):
+        floats = [one_sided_gauss_tail_log(float(ci), p, float(ai)) for ci, ai in zip(c, a)]
+        np.testing.assert_allclose(one_sided_gauss_tail_log(c, p, a), floats, rtol=1e-14, atol=0.0)
+    # a tuple of weights gives each weight's logs, from one exp pass
+    shared = one_sided_gauss_tail_log(c, (0, 1, 2), a)
+    for p, logs in zip((0, 1, 2), shared):
+        np.testing.assert_array_equal(logs, one_sided_gauss_tail_log(c, p, a))
+    # an array start with a float rate, as the sweep calls it
+    floats = [one_sided_gauss_tail_log(3.0, 1, float(ai)) for ai in a]
+    np.testing.assert_allclose(one_sided_gauss_tail_log(3.0, 1, a), floats, rtol=1e-14, atol=0.0)
+
+
+def test_one_sided_tail_array_entries_fail_where_floats_raise():
+    # decay rate 0, negative, inf, NaN, one whose ratio rounds to 1; tail start
+    # 0, negative, inf; then a valid entry and one whose exponent overflows
+    c = np.array([0.0, -1.0, math.inf, math.nan, 1e-18, 1.0, 1.0, 1.0, 2.0, 1e300])
+    a = np.array([3.0, 3.0, 3.0, 3.0, 3.0, 0.0, -2.0, math.inf, 3.0, 1e5])
+    logs = np.array(one_sided_gauss_tail_log(c, (0, 1, 2), a))
+    for j, (cj, aj) in enumerate(zip(c.tolist(), a.tolist())):
+        if j < 8:
+            with pytest.raises((DivergentSeriesError, PreconditionError)):
+                one_sided_gauss_tail_log(cj, 2, aj)
+            assert np.isnan(logs[:, j]).all()
+        else:
+            np.testing.assert_array_equal(logs[:, j], one_sided_gauss_tail_log(cj, (0, 1, 2), aj))
+    assert logs[:, -1].tolist() == [-math.inf] * 3
 
 
 def test_one_sided_tail_rejects_bad_input():

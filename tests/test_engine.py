@@ -39,7 +39,7 @@ from gaborcert import (
     sampled_window,
 )
 from gaborcert import criterion
-from gaborcert.criterion import FLOOR_GUARD, _envelope_tail_rows, _from_log, envelope_tail_log
+from gaborcert.criterion import FLOOR_GUARD, _envelope_tails, _from_log, envelope_tail_log
 from gaborcert.window import ghat_lattice
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
@@ -318,7 +318,7 @@ def test_vanishing_envelope_rate_is_divergent():
 def test_tail_rows_match_scalar_bound(rate, p):
     omegas = np.linspace(0.0, 1.0, 9)
     for m in (3, 5, 10, 64):
-        rows = _envelope_tail_rows(1.7, rate, p, m, omegas)
+        rows = _envelope_tails(1.7, rate, m, omegas)[p]
         for om, row in zip(omegas, rows):
             scalar = _from_log(envelope_tail_log(1.7, rate, p, m, float(om)))
             assert row == pytest.approx(scalar, rel=1e-13, abs=0.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaborcert.criterion import delta_g, min_delta
 from gaborcert.errors import PreconditionError
 from gaborcert.metaplectic import SampledFunction
 from gaborcert.window import (
@@ -147,6 +148,20 @@ def test_combine_of_mixed_parity_is_neither(gauss, h1):
     w = combine([(1.0, h1), (0.3, gauss)], label="mixed")
     assert w.parity is Parity.NEITHER
     assert classify_parity(w) is Parity.NEITHER
+
+
+def test_window_vanishing_at_every_probe_is_unknown():
+    # 0 on |t| <= 5.5, complex beyond: the probes on [-5, 5] see nothing, and
+    # |ghat| is not even, so min_delta must not mirror the profile
+    t = sample_grid()
+    bumps = np.exp(-20.0 * (t - 6.8) ** 2) * np.exp(2.0j * t) + 0.5 * np.exp(-20.0 * (t + 6.8) ** 2)
+    w = sampled_window(t, np.where(np.abs(t) > 5.5, bumps, 0.0), label="outside")
+    assert classify_parity(w) is Parity.UNKNOWN
+    assert w.parity is Parity.UNKNOWN
+    profile = min_delta(w, grid_points=21)
+    at = int(np.argmin(np.abs(profile.omegas - 0.8)))
+    # mirrored, the row read delta_g(0.2) = 0.5177 against delta_g(0.8) = 0.8165
+    assert profile.deltas[at] == pytest.approx(delta_g(w, profile.omegas[at]).value, rel=1e-9)
 
 
 def test_combine_single_term_scales_values(h1):
