@@ -13,7 +13,6 @@ from .barrier import (
     delta_at_zero,
     h1_barrier_scan,
     odd_barrier_suite,
-    termwise_gap,
 )
 from .certify_gaussian import gaussian_certificate, geometric_tail
 from .criterion import (
@@ -23,7 +22,6 @@ from .criterion import (
     delta_g,
     lattice_sum,
     min_delta,
-    wirtinger_residual,
 )
 from .errors import (
     DegenerateAngleError,
@@ -49,10 +47,7 @@ from .metaplectic import (
     chirp,
     dilate_sampled,
     frac_fourier,
-    intertwining_residual,
-    parity_residual,
     sample_window,
-    time_frequency_shift,
 )
 from .oracle import (
     build_model,
@@ -116,13 +111,11 @@ __all__ = [
     "geometric_tail",
     "h1_barrier_scan",
     "hermite",
-    "intertwining_residual",
     "iwasawa",
     "lattice_sum",
     "min_delta",
     "model_for",
     "odd_barrier_suite",
-    "parity_residual",
     "read_sampled_csv",
     "rect",
     "reduce_general",
@@ -131,9 +124,6 @@ __all__ = [
     "sample_window",
     "sampled_window",
     "snap_lattice",
-    "termwise_gap",
-    "time_frequency_shift",
     "window_from_csv",
-    "wirtinger_residual",
     "write_sampled_csv",
 ]

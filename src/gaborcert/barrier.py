@@ -95,20 +95,6 @@ def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierRepor
     )
 
 
-def termwise_gap(w: Window, k_max: int = 12) -> float:
-    """max over 2 <= |k| <= k_max of (k^2 - 1)|ghat(k)|^2.
-
-    Positive iff some tabulated frequency past |k| = 1 carries energy,
-    which is what upgrades delta0 <= 1/2 to a strict inequality.
-    """
-    if k_max < 2:
-        raise PreconditionError("k_max must be at least 2")
-    ks = np.arange(2, k_max + 1, dtype=float)
-    ks = np.concatenate([-ks, ks])
-    vals = np.abs(np.asarray(w.freq_eval(ks), dtype=complex)) ** 2
-    return float(np.max((ks**2 - 1.0) * vals))
-
-
 def odd_barrier_suite(
     corpus: Sequence[Window], tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[BarrierReport, ...]:

@@ -14,10 +14,6 @@ sums with certified truncation error (driven by the window's decay
 envelope), encloses delta_g between rigorous bounds, profiles it over an
 omega grid with local refinement, and turns the profile into a one-sided
 certification verdict.
-
-The underlying integral inequality (a Wirtinger inequality for functions
-vanishing at one endpoint of a unit interval) is exposed as a quadrature
-check so the constant 4/pi^2 can be exercised on explicit samples.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +32,7 @@ from .errors import (
     ZeroSumError,
 )
 from .tables import CsvTable, read_csv
-from .window import Parity, Window, dilate, ghat_lattice
+from .window import Window, dilate, ghat_lattice
 
 # Lattice sums whose value is exactly zero are still given a stopping rule:
 # the tail must fall below tail_tol * FLOOR_GUARD before we conclude.
@@ -78,6 +73,8 @@ _MAX_BLOCK = 1 << 12
 # Outward factor on delta enclosures: the ratio and the square root each
 # round once.
 _RATIO_PAD = 4.0 * _U
+# Outward factor on the tail's peel -c*a^2 (one_sided_gauss_tail_log).
+_PEEL_PAD = 1.0 - 8.0 * _U
 
 
 def one_sided_gauss_tail_log(c, p, a):
@@ -86,9 +83,12 @@ def one_sided_gauss_tail_log(c, p, a):
     Uses (a+j)^2 >= a^2 + 2*a*j to peel off a geometric factor, then sums
     the polynomial-weighted geometric series in closed form:
     exp(-c*a^2) * sum_s C(2p, s) a^(2p-s) G_s(r) with r = exp(-2*c*a) and
-    G_s(r) = sum_{j>=0} j^s r^j.  Requires c > 0 and a > 0 so the series
-    converges.  p may be a tuple of weights, which share one exp pass; the
-    logs then come back as a list in that order.
+    G_s(r) = sum_{j>=0} j^s r^j.  The peel -c*a^2 is shrunk by 8 units
+    of roundoff (_PEEL_PAD), more than its own roundings and that of its sum
+    with the log of the polynomial move the log (at most u * c*a^2 each).
+    Requires c > 0 and a > 0 so the series converges.  p may be a tuple of
+    weights, which share one exp pass; the logs then come back as a list in
+    that order.
 
     c and a are floats, or numpy arrays evaluated elementwise (math.exp and
     math.log on floats, np.exp and np.log on arrays).  Where a float call
@@ -103,7 +103,7 @@ def one_sided_gauss_tail_log(c, p, a):
             r = np.exp(-2.0 * c * a)
             ok = (r < 1.0) & (a < math.inf) & ((c > 0.0) & (c < math.inf))  # r < 1 needs a > 0 here
             r = np.where(ok, r, math.nan)
-            peel = -c * a * a
+            peel = -c * a * a * _PEEL_PAD
             logs = [peel + np.log(poly) for poly in _tail_polys(r, a, weights)]
     else:
         if not (c > 0.0 and math.isfinite(c)):
@@ -113,7 +113,7 @@ def one_sided_gauss_tail_log(c, p, a):
         r = math.exp(-2.0 * c * a)
         if not r < 1.0:
             raise DivergentSeriesError(f"geometric ratio must lie in [0, 1), got {r!r}")
-        peel = -c * a * a
+        peel = -c * a * a * _PEEL_PAD
         logs = [peel + math.log(poly) for poly in _tail_polys(r, a, weights)]
     return logs if isinstance(p, tuple) else logs[0]
 
@@ -644,12 +644,13 @@ def min_delta(
     exported profile reproduces min_value.
 
     Every window goes through the sweep engine (_sweep) in two calls.  The
-    first sums the grid.  For a window classified even or odd, |ghat|
-    is even, so ghat is evaluated for the grid points in [0, 1/2] only and
-    each partner point 1 - omega reuses those values with the columns
-    reflected, keeping its own cutoff, tail and stopping decision (the two
-    points of a pair add up to 1 within 1.5 ulp, an argument error the
-    rounding budget covers).  The second sums, unmirrored, every point the
+    first sums the grid.  For a window whose |ghat| is even (w.even_modulus:
+    even, odd, or real up to a constant phase), ghat is evaluated for the
+    grid points in [0, 1/2] only and each partner point 1 - omega reuses
+    those values with the columns reflected, keeping its own cutoff, tail
+    and stopping decision (the two points of a pair add up to 1 within 1.5
+    ulp, an argument error the rounding budget covers).  The second sums,
+    unmirrored, every point the
     bisection passes could visit (_bisection_points: at most 14); a sweep
     row does not depend on the other rows of its call (for a quadrature
     window, up to the last bits of its matrix products), so the passes
@@ -662,7 +663,7 @@ def min_delta(
     tail_tol = _check_tail_tol(tail_tol)
 
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = _sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+    rows = _sweep_rows(w, omegas, tail_tol, mirror=w.even_modulus)
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
@@ -783,26 +784,3 @@ def certify_rect(
     if not (a > 0 and math.isfinite(a)) or not (b > 0 and math.isfinite(b)):
         raise PreconditionError(f"lattice steps must be positive, got a={a!r}, b={b!r}")
     return certify(dilate(w, b), a * b, grid_points, tail_tol)
-
-
-def wirtinger_residual(values: Sequence[complex] | np.ndarray) -> tuple[float, float]:
-    """Quadrature check of the endpoint Wirtinger inequality on [0, 1].
-
-    Given samples of f on a uniform grid over [0, 1] with f(0)*f(1) = 0,
-    returns (lhs, rhs) with lhs = integral |f|^2 and rhs = (4/pi^2) *
-    integral |f'|^2, derivative by central differences.  The inequality
-    asserts lhs <= rhs, with equality for the quarter-period sine.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 1 or values.size < 101:
-        raise PreconditionError("need at least 101 samples of f on a uniform [0, 1] grid")
-    if abs(values[0] * values[-1]) > 1e-8:
-        raise PreconditionError(
-            "boundary condition f(0)*f(1) = 0 violated: "
-            f"|f(0)*f(1)| = {abs(values[0] * values[-1]):.3e}"
-        )
-    h = 1.0 / (values.size - 1)
-    lhs = float(np.trapezoid(np.abs(values) ** 2, dx=h))
-    deriv = np.gradient(values, h)
-    rhs = float(4.0 / math.pi**2 * np.trapezoid(np.abs(deriv) ** 2, dx=h))
-    return lhs, rhs

@@ -9,7 +9,8 @@ factors as
 with the clockwise rotation R_r = [[cos r, sin r], [-sin r, cos r]],
 the lower shear V_q = [[1, 0], [q, 1]] and the dilation
 D_a = diag(a, 1/a).  Each factor lifts to a unitary operator on
-sampled windows (fractional Fourier transform, chirp, dilation), and
+windows (fractional Fourier transform, chirp, dilation), exact on
+closed-form windows and by quadrature on sampled ones, and
 conjugating the window by the inverse chain turns any lattice Gabor
 system into an equivalent one over the square lattice
 delta*Z x delta*Z, i.e. a rectangular system with co-volume delta^2.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .metaplectic import chirp, dilate_sampled, frac_fourier, sample_window, to_window
-from .window import Parity, Window, dilate
+from .metaplectic import _angle_kernel, chirp, dilate_sampled, frac_fourier, sample_window, to_window
+from .window import Parity, Window, dilate, from_form
 
 _SNAP = 1e-12
 
@@ -161,7 +162,9 @@ def reduce_general(w: Window, L: Lattice2D) -> ReductionResult:
     operator chain to the window: fractional Fourier transform for the
     rotation, chirp for the shear, then one combined dilation for D_a
     and the final rescale of the unit square to side scale.  Rectangular
-    lattices take an exact closed-form path (a single dilation).
+    lattices take a single dilation.  A closed-form window maps exactly
+    (ClosedForm.fractional, chirp and dilate); a sampled one goes through
+    the sampled operators of metaplectic.
     """
     factors = iwasawa(L)
     delta_eff = factors.scale**2
@@ -175,11 +178,16 @@ def reduce_general(w: Window, L: Lattice2D) -> ReductionResult:
             factors=factors,
             parity_preserved=reduced.parity is w.parity,
         )
-    f = sample_window(w)
-    f = frac_fourier(f, -factors.r)
-    f = chirp(f, -factors.q)
-    f = dilate_sampled(f, stretch)
-    reduced = to_window(f, label=f"reduced({w.label})")
+    label = f"reduced({w.label})"
+    if w.form is None:
+        f = sample_window(w)
+        f = frac_fourier(f, -factors.r)
+        f = chirp(f, -factors.q)
+        f = dilate_sampled(f, stretch)
+        reduced = to_window(f, label=label)
+    else:
+        form = w.form.fractional(_angle_kernel(-factors.r))
+        reduced = from_form(form.chirp(-factors.q).dilate(stretch), label)
     definite = w.parity in (Parity.EVEN, Parity.ODD)
     return ReductionResult(
         window=reduced,

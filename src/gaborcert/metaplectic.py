@@ -12,11 +12,14 @@ convention ghat(xi) = integral g(t) exp(-2*pi*i*xi*t) dt, F_0 is the
 identity and F_pi is the reflection f(t) -> f(-t).  Hermite windows are
 eigenvectors with eigenvalue exp(-i*n*r).
 
-Everything here acts on functions sampled on a uniform symmetric grid;
-the transform is evaluated by trapezoid quadrature, which converges
-spectrally for smooth rapidly decaying data as long as the chirped
-integrand stays below the grid's Nyquist rate.  Angles too close to a
-multiple of pi make csc blow up and are rejected rather than mis-sampled.
+Everything here acts on functions sampled on a uniform symmetric grid,
+the reduction route for sampled (file:) windows; closed-form windows map
+exactly through window.ClosedForm.fractional, which shares the kernel and
+its special angles (_angle_kernel).  The sampled transform is evaluated by
+trapezoid quadrature, which converges spectrally for smooth rapidly
+decaying data as long as the chirped integrand stays below the grid's
+Nyquist rate.  Angles too close to a multiple of pi make csc blow up and
+are rejected rather than mis-sampled.
 
 The quadrature sum is a chirp-z transform (Bluestein's factoring).  On the
 ideal nodes t = h*u and s = h*v, with u and v centred indices (half-integers
@@ -39,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -178,13 +180,14 @@ def _chirped_kernel_apply(
     return f.with_values(amplitude * c * conv)
 
 
-def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:
-    """Fractional Fourier transform of angle r on the function's own grid.
+def _angle_kernel(r: float):
+    """Classify the angle r of a fractional Fourier transform.
 
-    Angles within 1e-12 of a multiple of pi/2 take the exact special
-    path (identity, reflection, forward or inverse Fourier transform).
-    Angles within 1e-6 of a multiple of pi, but not snapped, raise
-    DegenerateAngleError instead of evaluating a useless kernel.
+    Returns 1 for the identity and -1 for the reflection f(t) -> f(-t)
+    (angles within 1e-12 of a multiple of pi), else the kernel's
+    (cot r, csc r, sqrt(1 - i*cot r)), exactly (0, +-1, 1) within 1e-12 of
+    +-pi/2.  Angles within 1e-6 of a multiple of pi, but not snapped, raise
+    DegenerateAngleError instead of giving a useless kernel.
     """
     if not math.isfinite(r):
         raise PreconditionError(f"angle must be finite, got {r!r}")
@@ -192,23 +195,38 @@ def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:
     if rr <= -math.pi + SNAP_TOL:
         rr = math.pi
     if abs(rr) <= SNAP_TOL:
-        return f.with_values(f.values.copy())
+        return 1
     if abs(abs(rr) - math.pi) <= SNAP_TOL:
-        return f.flipped()
+        return -1
     if min(abs(rr), math.pi - abs(rr)) < DEGENERATE_TOL:
         raise DegenerateAngleError(
             f"angle {r!r} is within {DEGENERATE_TOL} of a multiple of pi"
         )
-    _warn_end_decay(f)
     if abs(rr - 0.5 * math.pi) <= SNAP_TOL:
-        cot, csc, amplitude = 0.0, 1.0, complex(1.0)
-    elif abs(rr + 0.5 * math.pi) <= SNAP_TOL:
-        cot, csc, amplitude = 0.0, -1.0, complex(1.0)
-    else:
-        sin_r = math.sin(rr)
-        cot = math.cos(rr) / sin_r
-        csc = 1.0 / sin_r
-        amplitude = np.sqrt(complex(1.0, -cot))
+        return 0.0, 1.0, complex(1.0)
+    if abs(rr + 0.5 * math.pi) <= SNAP_TOL:
+        return 0.0, -1.0, complex(1.0)
+    sin_r = math.sin(rr)
+    cot = math.cos(rr) / sin_r
+    return cot, 1.0 / sin_r, np.sqrt(complex(1.0, -cot))
+
+
+def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:
+    """Fractional Fourier transform of angle r on the function's own grid.
+
+    Angles within 1e-12 of a multiple of pi/2 take the exact special
+    path (identity, reflection, forward or inverse Fourier transform);
+    angles within 1e-6 of a multiple of pi, but not snapped, raise
+    DegenerateAngleError (see _angle_kernel).
+    """
+    kernel = _angle_kernel(r)
+    if kernel == 1:
+        return f.with_values(f.values.copy())
+    if kernel == -1:
+        return f.flipped()
+    _warn_end_decay(f)
+    cot, csc, amplitude = kernel
+    if cot != 0.0:
         _warn_aliasing(f, cot, csc)
     return _chirped_kernel_apply(f, cot, csc, amplitude)
 
@@ -239,62 +257,3 @@ def dilate_sampled(f: SampledFunction, a: float) -> SampledFunction:
     spectrum = _chirped_kernel_apply(f, 0.0, 1.0, complex(1.0))
     out = _chirped_kernel_apply(spectrum, 0.0, -1.0 / a, complex(1.0))
     return out.with_values(out.values / math.sqrt(a))
-
-
-def time_frequency_shift(f: SampledFunction, x: float, omega: float) -> SampledFunction:
-    """pi(x, omega) f = exp(2 pi i omega t) f(t - x), linear resampling in t."""
-    if not (math.isfinite(x) and math.isfinite(omega)):
-        raise PreconditionError("shift parameters must be finite")
-    shifted = np.interp(f.grid - x, f.grid, f.values, left=0.0, right=0.0)
-    return f.with_values(np.exp(2j * math.pi * omega * f.grid) * shifted)
-
-
-_OPERATORS: dict[str, Callable[[SampledFunction, float], SampledFunction]] = {
-    "frac_fourier": frac_fourier,
-    "chirp": chirp,
-    "dilate": dilate_sampled,
-}
-
-
-def _sample_sign(f: SampledFunction) -> int:
-    scale = float(np.max(np.abs(f.values)))
-    if scale == 0.0:
-        raise PreconditionError("cannot classify the parity of the zero function")
-    flipped = f.values[::-1]
-    if float(np.max(np.abs(f.values - flipped))) <= 1e-9 * scale:
-        return 1
-    if float(np.max(np.abs(f.values + flipped))) <= 1e-9 * scale:
-        return -1
-    raise PreconditionError("samples are neither even nor odd")
-
-
-def parity_residual(op: str, f: SampledFunction, param: float) -> float:
-    """Relative parity defect of op applied to a definite-parity input.
-
-    All three operators preserve the parity class, so the output of an
-    even (odd) input should again be even (odd); the returned number is
-    max |out(t) - sign * out(-t)| / max |out|.
-    """
-    try:
-        operator = _OPERATORS[op]
-    except KeyError:
-        raise PreconditionError(
-            f"unknown operator {op!r}; expected one of {sorted(_OPERATORS)}"
-        ) from None
-    sign = _sample_sign(f)
-    out = operator(f, param)
-    scale = float(np.max(np.abs(out.values)))
-    if scale == 0.0:
-        return 0.0
-    defect = float(np.max(np.abs(out.values - sign * out.values[::-1])))
-    return defect / scale
-
-
-def intertwining_residual(f: SampledFunction, a: float, z: tuple[float, float]) -> float:
-    """Max-norm residual of D_a pi(x, omega) D_a^{-1} = pi(a x, omega / a) on f."""
-    if not (a > 0 and math.isfinite(a)):
-        raise PreconditionError(f"dilation scale must be positive, got {a!r}")
-    x, omega = z
-    lhs = dilate_sampled(time_frequency_shift(dilate_sampled(f, 1.0 / a), x, omega), a)
-    rhs = time_frequency_shift(f, a * x, omega / a)
-    return float(np.max(np.abs(lhs.values - rhs.values)))

@@ -7,20 +7,25 @@ The Fourier transform convention throughout the package is
 under which the standard Gaussian exp(-pi*t^2) is its own transform and the
 Hermite function of order n is an eigenfunction with eigenvalue (-i)^n.
 
-A window bundles closed-form (or quadrature-backed) evaluators with the
-metadata the certification machinery needs: a parity classification and,
-when available, a Gaussian decay envelope
+Every analytic window is one closed form (ClosedForm),
+g(t) = sum_n c_n H_n(sqrt(2*pi*z) t) exp(-pi*z*t^2) with Re z > 0, a family
+closed under the Fourier transform, dilation, chirps and sums at one z; the
+constructors only map (c, z), and from_form derives a window's transform,
+parity and Gaussian decay envelope
 
     |ghat(xi)| <= amplitude * exp(-rate * xi^2)   for all real xi,
 
-which drives rigorous truncation bounds for lattice sums.  Windows without
-an envelope are still accepted; downstream truncation is then heuristic and
-results carry a non-rigorous flag.
+which drives rigorous truncation bounds for lattice sums.  Sampled windows
+carry a trapezoid quadrature and no envelope unless one is declared;
+downstream truncation is then heuristic and results carry a non-rigorous
+flag.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -45,7 +50,7 @@ _GRID_TOL = 1e-9
 # for at most this many (node, k) pairs at once.
 _FACTOR_VALUES = 1 << 18
 
-# Relative symmetry residual below which a window counts as even or odd.
+# Relative symmetry residual below which a sampled window counts as even or odd.
 PARITY_TOL = 1e-10
 _PARITY_PROBES = np.linspace(-5.0, 5.0, 201)
 
@@ -56,6 +61,14 @@ _HERMITE_NORM = 1.0 / (2.0 * _SQRT_2PI)
 # Relative headroom applied to derived envelope amplitudes so a bound that is
 # mathematically tight still holds after float rounding.
 _ENVELOPE_PAD = 1.0 + 1e-12
+
+# A coefficient counts as real after its phase is divided out when its
+# imaginary part is within a few roundings of the division.
+_U = 2.0**-53
+_PHASE_ULPS = 4
+
+# (-i)^n by n mod 4, exactly.
+_MINUS_I_POWERS = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 class Parity(enum.Enum):
@@ -115,14 +128,147 @@ class Quadrature:
         return out[0] if scalar else out
 
 
+def _interpolant(nodes: np.ndarray, values: np.ndarray) -> Callable:
+    """Linear interpolation of samples, 0 outside the nodes."""
+    return functools.partial(np.interp, xp=nodes, fp=values, left=0.0 + 0.0j, right=0.0 + 0.0j)
+
+
+@functools.lru_cache(maxsize=256)
+def _peak_sum(n: int, rho: float) -> float:
+    """sum_j |a_j| (2 pi rho)^(j/2) sup_x x^j exp(-(pi/2) x^2) over the
+    power-basis coefficients a_j of H_n (see ClosedForm.envelope); the sup
+    is (j/pi)^(j/2) exp(-j/2)."""
+    root = _SQRT_2PI * math.sqrt(rho)
+    power = _herm.herm2poly([0.0] * n + [1.0])
+    return math.fsum(
+        abs(float(a)) * root**j * ((j / math.pi) ** (j / 2.0) * math.exp(-j / 2.0))
+        for j, a in enumerate(power)
+        if a != 0.0
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """g(t) = sum_n coef[n] H_n(sqrt(2*pi*z) t) exp(-pi*z*t^2) with Re z > 0.
+
+    H_n are the physicists' Hermite polynomials and the root is principal.
+    Calling the form evaluates g (vectorised, complex output).  Trailing
+    zero coefficients are dropped; at least one must be nonzero.
+    """
+
+    coef: tuple[complex, ...]
+    z: complex
+
+    def __post_init__(self) -> None:
+        coef = tuple(map(complex, self.coef))
+        while coef and coef[-1] == 0:
+            coef = coef[:-1]
+        z = complex(self.z)
+        if not coef or not all(map(cmath.isfinite, coef)):
+            raise PreconditionError("a closed form needs finite coefficients, not all zero")
+        if not (z.real > 0 and cmath.isfinite(z)):
+            raise PreconditionError(f"a closed form needs finite z with Re z > 0, got {z!r}")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "z", z)
+
+    @property
+    def parity(self) -> Parity:
+        orders = {n % 2 for n, c in enumerate(self.coef) if c != 0}
+        if orders == {0}:
+            return Parity.EVEN
+        return Parity.ODD if orders == {1} else Parity.NEITHER
+
+    @functools.cached_property
+    def _plan(self):
+        """(root, -pi z, phase, poly): a real root and rate for real z, and
+        real coefficients poly times one phase where the coefficients are
+        real up to it; else phase None and poly the coefficients."""
+        lead = max(self.coef, key=abs)
+        phase = lead / abs(lead)
+        units = [c * phase.conjugate() for c in self.coef]
+        if all(abs(u.imag) <= _PHASE_ULPS * _U * abs(u) for u in units):
+            poly = [u.real for u in units]
+        else:
+            phase, poly = None, list(self.coef)
+        z = self.z.real if self.z.imag == 0.0 else self.z
+        root = math.sqrt(2.0 * math.pi * z) if isinstance(z, float) else cmath.sqrt(2.0 * math.pi * z)
+        return root, -math.pi * z, phase, poly
+
+    @property
+    def real(self) -> bool:
+        """g is real up to one constant phase."""
+        return self.z.imag == 0.0 and self._plan[2] is not None
+
+    def __call__(self, t):
+        root, rate, phase, poly = self._plan
+        t = np.asarray(t, dtype=float)
+        decay = np.exp(rate * t * t)
+        out = poly[0] * decay if len(poly) == 1 else _herm.hermval(root * t, poly) * decay
+        return out if phase is None else phase * out
+
+    def transform(self) -> "ClosedForm":
+        """The Fourier transform: coef[n] -> (-i)^n z^(-1/2) coef[n], z -> 1/z."""
+        root = 1.0 / cmath.sqrt(self.z)
+        return ClosedForm(
+            tuple(c * _MINUS_I_POWERS[n % 4] * root for n, c in enumerate(self.coef)), 1.0 / self.z
+        )
+
+    def scaled(self, s: float, factor: complex = 1.0) -> "ClosedForm":
+        """factor * g(s*t) for real s != 0: z -> s^2 z, coef[n] -> factor sign(s)^n coef[n]."""
+        signs = (factor, factor if s > 0 else -factor)
+        return ClosedForm(tuple(c * signs[n % 2] for n, c in enumerate(self.coef)), self.z * (s * s))
+
+    def dilate(self, b: float) -> "ClosedForm":
+        """b^(-1/2) g(t/b), b > 0."""
+        return self.scaled(1.0 / b, b**-0.5)
+
+    def chirp(self, q: float) -> "ClosedForm":
+        """exp(i*pi*q*t^2) g(t): z -> z - i*q, and each H_n(gamma*x) re-expanded,
+        gamma = sqrt(z)/sqrt(z - i*q), by the multiplication theorem
+        H_n(gamma*x) = sum_i gamma^(n-2i) (gamma^2 - 1)^i n!/(i! (n-2i)!) H_(n-2i)(x)."""
+        if q == 0.0:
+            return self
+        z = complex(self.z.real, self.z.imag - q)
+        gamma = cmath.sqrt(self.z) / cmath.sqrt(z)
+        coef = [0j] * len(self.coef)
+        for n, c in enumerate(self.coef):
+            for i in range(n // 2 + 1):
+                count = math.factorial(n) // (math.factorial(i) * math.factorial(n - 2 * i))
+                coef[n - 2 * i] += c * gamma ** (n - 2 * i) * (gamma * gamma - 1.0) ** i * count
+        return ClosedForm(tuple(coef), z)
+
+    def fractional(self, kernel) -> "ClosedForm":
+        """The image under a kernel of metaplectic.frac_fourier (_angle_kernel):
+        1 the identity, -1 the reflection, else (cot, csc, amplitude) for
+        amplitude * exp(i pi cot s^2) * FT[g * exp(i pi cot t^2)](csc * s)."""
+        if kernel in (1, -1):
+            return self.scaled(kernel)
+        cot, csc, amplitude = kernel
+        return self.chirp(cot).transform().scaled(csc, amplitude).chirp(cot)
+
+    def envelope(self) -> Envelope:
+        """|g(t)| <= amplitude * exp(-rate * t^2): rate pi Re z for a constant
+        polynomial, else (pi/2) Re z with each |H_n| bounded by its
+        absolute-coefficient polynomial, whose monomials peak against
+        exp(-(pi/2) Re z t^2) at |sqrt(z)|^j (Re z)^(-j/2) = (|z|/Re z)^(j/2)
+        times their real-z peaks."""
+        re = self.z.real
+        if len(self.coef) == 1:
+            return Envelope(amplitude=abs(self.coef[0]) * _ENVELOPE_PAD, rate=math.pi * re)
+        rho = abs(self.z) / re
+        amplitude = math.fsum(abs(c) * _peak_sum(n, rho) for n, c in enumerate(self.coef) if c != 0)
+        return Envelope(amplitude=amplitude * _ENVELOPE_PAD, rate=0.5 * math.pi * re)
+
+
 @dataclass(frozen=True)
 class Window:
     """A window function with paired time and frequency evaluators.
 
     Both evaluators are vectorised: they accept a float or an ndarray and
-    return complex values of matching shape.  A quadrature-backed window
-    also carries its Quadrature, which freq_eval evaluates; ghat_lattice
-    uses it to factor lattice evaluations.
+    return complex values of matching shape.  A closed-form window also
+    carries its ClosedForm, and a quadrature-backed window its Quadrature,
+    which freq_eval evaluates; ghat_lattice uses it to factor lattice
+    evaluations.
     """
 
     label: str
@@ -132,12 +278,29 @@ class Window:
     envelope: Envelope | None = None
     known_minimizer: float | None = None
     quadrature: Quadrature | None = None
+    form: ClosedForm | None = None
 
     def __repr__(self) -> str:  # callables are noise in reprs
         return (
             f"Window(label={self.label!r}, "
             f"parity={self.parity.value}, envelope={self.envelope!r})"
         )
+
+    @property
+    def even_modulus(self) -> bool:
+        """|ghat| is even: the window is even or odd, or real up to a constant
+        phase (a real closed form, or real samples)."""
+        if self.parity in (Parity.EVEN, Parity.ODD):
+            return True
+        if self.form is not None:
+            return self.form.real
+        return self.quadrature is not None and not np.any(self.quadrature.weighted.imag)
+
+
+def from_form(form: ClosedForm, label: str, known_minimizer: float | None = None) -> Window:
+    """The window of a closed form: its transform, parity and envelope."""
+    freq = form.transform()
+    return Window(label, form, freq, form.parity, freq.envelope(), known_minimizer, form=form)
 
 
 def gaussian() -> Window:
@@ -146,26 +309,7 @@ def gaussian() -> Window:
     Its density profile attains its minimum at omega = 1/2, so the grid
     minimiser found by the criterion is known to be global.
     """
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-math.pi * t * t) + 0.0j
-
-    return Window(
-        label="gaussian",
-        time_eval=evaluate,
-        freq_eval=evaluate,
-        parity=Parity.EVEN,
-        envelope=Envelope(amplitude=1.0, rate=math.pi),
-        known_minimizer=0.5,
-    )
-
-
-def _monomial_peak(j: int, beta: float) -> float:
-    # sup over x >= 0 of x^j * exp(-beta*x^2)
-    if j == 0:
-        return 1.0
-    return (j / (2.0 * beta)) ** (j / 2.0) * math.exp(-j / 2.0)
+    return from_form(ClosedForm((1.0,), 1.0), "gaussian", known_minimizer=0.5)
 
 
 def hermite(n: int) -> Window:
@@ -177,159 +321,73 @@ def hermite(n: int) -> Window:
     """
     if not isinstance(n, int) or n < 0:
         raise PreconditionError(f"hermite order must be a nonnegative integer, got {n!r}")
-
-    herm_coef = [0.0] * n + [1.0]
-    eigenvalue = (-1j) ** n
-
-    def time_eval(t):
-        t = np.asarray(t, dtype=float)
-        poly = _herm.hermval(_SQRT_2PI * t, herm_coef)
-        return _HERMITE_NORM * poly * np.exp(-math.pi * t * t) + 0.0j
-
-    def freq_eval(xi):
-        return eigenvalue * time_eval(xi)
-
-    # Global envelope with rate pi/2: bound |H_n| by the absolute-coefficient
-    # polynomial and absorb each monomial's peak against exp(-(pi/2)*xi^2).
-    power_coef = _herm.herm2poly(herm_coef)
-    beta = math.pi / 2.0
-    amplitude = _HERMITE_NORM * math.fsum(
-        abs(a) * _SQRT_2PI**j * _monomial_peak(j, beta)
-        for j, a in enumerate(power_coef)
-        if a != 0.0
-    )
-
-    return Window(
-        label=f"hermite{n}",
-        time_eval=time_eval,
-        freq_eval=freq_eval,
-        parity=Parity.EVEN if n % 2 == 0 else Parity.ODD,
-        envelope=Envelope(amplitude=amplitude, rate=beta),
-    )
+    return from_form(ClosedForm((0.0,) * n + (_HERMITE_NORM,), 1.0), f"hermite{n}")
 
 
 def dilate(w: Window, b: float) -> Window:
     """L2-normalised dilation: (D_b w)(t) = b^(-1/2) * w(t/b), b > 0.
 
     The transform picks up the reciprocal scale: (D_b w)^hat(xi)
-    = b^(1/2) * what(b*xi).  Parity is preserved.
+    = b^(1/2) * what(b*xi).  Parity is preserved.  A sampled window stays
+    a quadrature on the dilated nodes, so ghat_lattice keeps factoring its
+    lattice evaluations.
     """
     b = float(b)
     if not (b > 0 and math.isfinite(b)):
         raise PreconditionError(f"dilation scale must be positive and finite, got {b!r}")
     if b == 1.0:
         return w
-
-    base_time = w.time_eval
-    base_freq = w.freq_eval
-    inv_sqrt = b**-0.5
-    sqrt_b = b**0.5
-
-    def time_eval(t):
-        t = np.asarray(t, dtype=float)
-        return inv_sqrt * base_time(t / b)
-
-    def freq_eval(xi):
-        xi = np.asarray(xi, dtype=float)
-        return sqrt_b * base_freq(b * xi)
-
-    # a sampled window stays a quadrature on the dilated nodes, so
-    # ghat_lattice keeps factoring its lattice evaluations
-    quad = None
-    if w.quadrature is not None:
-        quad = Quadrature(w.quadrature.nodes * b, w.quadrature.weighted * sqrt_b)
-        freq_eval = quad.freq_eval
-
+    label = f"dilate({w.label},b={b!r})"
+    if w.form is not None:
+        return from_form(w.form.dilate(b), label)
+    if w.quadrature is None:
+        raise PreconditionError(f"window {w.label!r} has neither a closed form nor samples to dilate")
+    nodes = w.quadrature.nodes
+    quad = Quadrature(nodes * b, w.quadrature.weighted * b**0.5)
     env = None
     if w.envelope is not None:
         # pad a hair: rescaled exponents travel a different float path than
         # the bound's, and a tight envelope must survive that ulp noise
-        env = Envelope(
-            amplitude=sqrt_b * w.envelope.amplitude * _ENVELOPE_PAD,
-            rate=w.envelope.rate * b * b,
-        )
-
-    return Window(
-        label=f"dilate({w.label},b={b!r})",
-        time_eval=time_eval,
-        freq_eval=freq_eval,
-        parity=w.parity,
-        envelope=env,
-        quadrature=quad,
-    )
+        env = Envelope(b**0.5 * w.envelope.amplitude * _ENVELOPE_PAD, w.envelope.rate * b * b)
+    time_eval = _interpolant(quad.nodes, w.time_eval(nodes) * b**-0.5)
+    return Window(label, time_eval, quad.freq_eval, w.parity, env, quadrature=quad)
 
 
 def chirp_window(w: Window, q: float) -> Window:
-    """Multiply a window by the unit chirp exp(i*pi*q*t^2).
+    """Multiply a closed-form window by the unit chirp exp(i*pi*q*t^2).
 
-    The chirp factor is even, so parity is preserved.  No decay envelope is
-    propagated; the transform is evaluated by quadrature on the standard
-    grid, and downstream truncation becomes heuristic.
+    The chirp factor is even, so parity is preserved.
     """
     q = float(q)
     if q == 0.0:
         return w
-    base_time = w.time_eval
-
-    def time_eval(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(1j * math.pi * q * t * t) * base_time(t)
-
-    n = int(round(2 * GRID_HALF_WIDTH / GRID_SPACING)) + 1
-    t_grid = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, n)
-    quad = Quadrature.of(t_grid, np.asarray(time_eval(t_grid), dtype=complex))
-
-    return Window(
-        label=f"chirp({w.label},q={q!r})",
-        time_eval=time_eval,
-        freq_eval=quad.freq_eval,
-        parity=w.parity,
-        envelope=None,
-        quadrature=quad,
-    )
+    if w.form is None:
+        raise PreconditionError(f"chirp_window needs a closed-form window, not {w.label!r}")
+    return from_form(w.form.chirp(q), f"chirp({w.label},q={q!r})")
 
 
 def combine(terms: Sequence[tuple[float, Window]], label: str | None = None) -> Window:
-    """Finite linear combination sum_i c_i * w_i of windows.
+    """Finite linear combination sum_i c_i * w_i of closed-form windows of one z.
 
-    Envelopes add in absolute value (with the weakest rate) when every
-    component carries one; otherwise the combination has no envelope.
+    The coefficients of each Hermite order add up.  Raises PreconditionError
+    for windows without a closed form or of different z, and for a sum that
+    vanishes identically.
     """
     terms = [(float(c), w) for c, w in terms]
     if not terms:
         raise PreconditionError("combine needs at least one (coefficient, window) term")
-
-    def time_eval(t):
-        t = np.asarray(t, dtype=float)
-        acc = terms[0][0] * terms[0][1].time_eval(t)
-        for c, w in terms[1:]:
-            acc = acc + c * w.time_eval(t)
-        return acc
-
-    def freq_eval(xi):
-        xi = np.asarray(xi, dtype=float)
-        acc = terms[0][0] * terms[0][1].freq_eval(xi)
-        for c, w in terms[1:]:
-            acc = acc + c * w.freq_eval(xi)
-        return acc
-
-    env = None
-    if all(w.envelope is not None for _, w in terms):
-        env = Envelope(
-            amplitude=math.fsum(abs(c) * w.envelope.amplitude for c, w in terms) * _ENVELOPE_PAD,
-            rate=min(w.envelope.rate for _, w in terms),
-        )
-
+    if any(w.form is None for _, w in terms):
+        raise PreconditionError("combine needs closed-form windows")
+    z = terms[0][1].form.z
+    if any(w.form.z != z for _, w in terms):
+        raise PreconditionError("combine needs windows of one z")
+    coef = [0j] * max(len(w.form.coef) for _, w in terms)
+    for c, w in terms:
+        for n, a in enumerate(w.form.coef):
+            coef[n] += c * a
     if label is None:
         label = " + ".join(f"{c!r}*{w.label}" for c, w in terms)
-    out = Window(
-        label=label,
-        time_eval=time_eval,
-        freq_eval=freq_eval,
-        parity=Parity.UNKNOWN,
-        envelope=env,
-    )
-    return replace(out, parity=classify_parity(out))
+    return from_form(ClosedForm(tuple(coef), z), label)
 
 
 def classify_parity(w: Window) -> Parity:
@@ -382,21 +440,8 @@ def sampled_window(
     is checked on a probe grid before being accepted.
     """
     t, values = check_samples(t, values)
-
-    def time_eval(x):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, t, values, left=0.0 + 0.0j, right=0.0 + 0.0j)
-
     quad = Quadrature.of(t, values)
-
-    out = Window(
-        label=label,
-        time_eval=time_eval,
-        freq_eval=quad.freq_eval,
-        parity=Parity.UNKNOWN,
-        envelope=envelope,
-        quadrature=quad,
-    )
+    out = Window(label, _interpolant(t, values), quad.freq_eval, envelope=envelope, quadrature=quad)
     out = replace(out, parity=classify_parity(out))
     if envelope is not None:
         violation = envelope_violation(out)

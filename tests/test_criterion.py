@@ -31,9 +31,9 @@ from gaborcert import (
     hermite,
     lattice_sum,
     min_delta,
-    wirtinger_residual,
 )
-from gaborcert.criterion import DensityProfile, one_sided_gauss_tail_log
+from gaborcert.criterion import DensityProfile, _from_log, one_sided_gauss_tail_log
+from helpers import wirtinger_residual
 
 
 def lattice_partial_sum(w, omega, p, k_max):
@@ -258,6 +258,20 @@ def test_one_sided_tail_is_sharp_upper_bound(c, p, a):
     assert bound >= truth
     if c >= 1.0:  # at small c the peeled j^2 term is what decays, and the bound is loose
         assert bound <= 2.0 * truth
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("a", [3.0, 4.0, 5.0])
+def test_tail_bound_covers_the_peel_rounding(p, a):
+    # unpadded, the rounding of the peel -c*a^2 left the float bound below the
+    # 40-digit sum at c = 2 pi by up to 7e-15 relative (a = 5, p = 0)
+    c = 2.0 * math.pi
+    logs = [one_sided_gauss_tail_log(c, p, a), one_sided_gauss_tail_log(np.array([c]), p, np.array([a]))[0]]
+    truth = mp_one_sided_tail(c, p, a)
+    for log in logs:
+        bound = float(_from_log(log))
+        with mpmath.workdps(40):
+            assert mpmath.mpf(bound) >= truth, (p, a, log)
 
 
 def test_one_sided_tail_on_arrays_matches_floats():

@@ -40,7 +40,7 @@ from gaborcert import (
 )
 from gaborcert import criterion
 from gaborcert.criterion import FLOOR_GUARD, _envelope_tails, _from_log, envelope_tail_log
-from gaborcert.window import ghat_lattice
+from gaborcert.window import envelope_violation, ghat_lattice
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
 COMBOS = {
@@ -153,7 +153,9 @@ def test_engine_loses_vanishing_rows_like_delta_g(make):
     assert profile.non_certifying
 
 
-def test_halving_only_for_even_and_odd_windows(monkeypatch):
+def test_halving_for_every_window_with_an_even_modulus(monkeypatch):
+    # |ghat| is even for even and odd windows and for every window that is
+    # real up to a constant phase, whatever its parity
     calls = []
     sweep = criterion._sweep
 
@@ -162,14 +164,31 @@ def test_halving_only_for_even_and_odd_windows(monkeypatch):
         return sweep(w, omegas, tail_tol, mirror)
 
     monkeypatch.setattr(criterion, "_sweep", spy)
-    for spec, mirrored in (("hermite:1", True), ("gaussian", True), ("combo:h0+0.4h1", False)):
-        w = corpus_window(spec)
-        assert (w.parity in (Parity.EVEN, Parity.ODD)) == mirrored
+    grid = sample_grid()
+    real_neither = corpus_window("combo:h0+0.4h1")
+    cases = (
+        (corpus_window("hermite:1"), True),
+        (corpus_window("gaussian"), True),
+        (real_neither, True),
+        (chirp_window(real_neither, 0.6), False),
+        (sampled_window(grid, real_neither.time_eval(grid)), True),
+        (sampled_window(grid, real_neither.time_eval(grid) * np.exp(0.7j * grid)), False),
+    )
+    for w, mirrored in cases:
+        assert w.even_modulus == mirrored, w.label
         calls.clear()
-        min_delta(w)
-        assert calls[0] == (1001, mirrored)
+        grid_points = 1001 if w.quadrature is None else 101
+        profile = min_delta(w, grid_points=grid_points)
+        assert calls[0] == (grid_points, mirrored), w.label
         # the bisection passes: one call for every point they could visit, never mirrored
         assert len(calls) <= 2 and all(size <= 14 and not mirror for size, mirror in calls[1:])
+        if w.quadrature is not None and mirrored:
+            # a real sampled window mirrors its rows to the rounding of its transform
+            for i in (1, 30, 70, 99):
+                enc = delta_g(w, float(profile.omegas[i]))
+                got = (profile.deltas[i], profile.lows[i], profile.highs[i])
+                for g, want in zip(got, (enc.value, enc.low, enc.high)):
+                    assert abs(g - want) <= ENGINE_REL * want, (w.label, i)
 
 
 def test_mirror_follows_each_rows_own_cutoff():
@@ -203,7 +222,8 @@ def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
 
 
 def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
-    """The per-weight numpy tail bound the shared pass of _envelope_tails replaced."""
+    """The per-weight numpy tail bound the shared pass of _envelope_tails replaced
+    (with the peel -c*a^2 padded outward by 8 units of roundoff)."""
     c = 2.0 * rate
 
     def side(a):
@@ -213,7 +233,7 @@ def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
             poly = 1.0 / one
         else:
             poly = a * a / one + 2.0 * a * r / one**2 + r * (1.0 + r) / one**3
-        return -c * a * a + np.log(poly)
+        return -c * a * a * (1.0 - 8.0 * 2.0**-53) + np.log(poly)
 
     log_bound = 2.0 * math.log(amplitude) + np.logaddexp(side(m + omegas), side(m - omegas))
     with np.errstate(over="ignore"):
@@ -232,7 +252,7 @@ def test_shared_tail_pass_gives_each_weights_tails():
 def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
     """min_delta's profile with its three bisection passes run one sweep call per pass."""
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = criterion._sweep_rows(w, omegas, tail_tol, mirror=w.parity in (Parity.EVEN, Parity.ODD))
+    rows = criterion._sweep_rows(w, omegas, tail_tol, mirror=w.even_modulus)
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
     refined, refined_rows = [], []
     idx = int(np.nanargmin(rows[0]))
@@ -265,7 +285,7 @@ def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
 
 
 # the (window, b) pairs of the analytic-sweep benchmark, the rows lost to
-# underflow, and a window classified neither even nor odd
+# underflow, and a real window classified neither even nor odd
 B_GRID = sorted(float(f"{b:.6g}") for b in np.geomspace(0.05, 20.0, 15))
 CLI_SPECS = ["gaussian"] + [f"hermite:{n}" for n in range(7)]
 REFINEMENT_CASES = sorted(
@@ -440,7 +460,17 @@ def pointwise_heuristic_delta(w, omega):
 
 
 def reduced(spec, basis):
+    """The exact square-lattice image of a corpus window."""
     return reduce_general(corpus_window(spec), Lattice2D(np.array(basis))).window
+
+
+def sampled_reduced(spec, basis):
+    """The same image through the sampled chain of a file: window: the corpus
+    window sampled on the standard grid, then frac_fourier, chirp and
+    dilate_sampled."""
+    grid = sample_grid()
+    w = sampled_window(grid, corpus_window(spec).time_eval(grid), label=spec)
+    return reduce_general(w, Lattice2D(np.array(basis))).window
 
 
 def slow_decay():
@@ -456,7 +486,7 @@ def slow_decay():
 BASES = ([[0.6, 0.3], [-0.2, 0.9]], [[0.810874, 0.4956], [-0.058915, 0.860777]])
 HEURISTIC_WINDOWS = {
     **{
-        f"reduced({spec}, basis {i})": (lambda spec=spec, basis=basis: reduced(spec, basis))
+        f"reduced({spec}, basis {i})": (lambda spec=spec, basis=basis: sampled_reduced(spec, basis))
         for spec in ("gaussian", "hermite:1", "hermite:2")
         for i, basis in enumerate(BASES)
     },
@@ -570,7 +600,7 @@ REDUCED_BASES = BASES + ([[1.0, 0.5], [0.0, 0.5]],)
 
 def test_reduced_h1_enclosure_is_tight_at_zero():
     # the tail estimate is the last terms summed, not a multiple of the leading ones
-    w = reduced("hermite:1", BASES[0])
+    w = sampled_reduced("hermite:1", BASES[0])
     enc = delta_g(w, 0.0)
     assert (enc.high - enc.low) / enc.value <= 1e-9
     profile = min_delta(w)
@@ -580,28 +610,79 @@ def test_reduced_h1_enclosure_is_tight_at_zero():
 
 def test_reduced_h1_profile_is_a_dilate():
     # hermite:1 reduced on this basis is dilate(hermite:1, sqrt(0.9)) up to a
-    # chirp and a phase, which leave |ghat| unchanged
+    # chirp and a phase, which leave |ghat| unchanged: for t exp(-pi z t^2),
+    # |ghat|^2 depends on z only through Re(1/z)
     profile = min_delta(reduced("hermite:1", BASES[0]))
     exact = min_delta(dilate(hermite(1), math.sqrt(0.9)))
+    assert profile.rigorous
     np.testing.assert_array_equal(profile.omegas, exact.omegas)
     for got, want in ((profile.deltas, exact.deltas), (profile.lows, exact.lows), (profile.highs, exact.highs)):
-        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", ["hermite:1", "hermite:3"])
 def test_reduced_odd_windows_stay_below_the_barrier(spec):
-    # odd windows stay odd under reduction, so delta_g(0) < 1/2 on every lattice
+    # odd windows stay odd under reduction, so delta_g(0) < 1/2 on every
+    # lattice, in the exact image (rigorous) and through the sampled chain
+    for make in (reduced, sampled_reduced):
+        for basis in REDUCED_BASES:
+            verdict = certify(make(spec, basis), 0.5)
+            assert verdict.status == "Inconclusive", (spec, basis, verdict.min_delta_g)
+            assert verdict.min_delta_g < 0.5
+            assert verdict.rigorous == (make is reduced)
+
+
+def mp_form_mag2(form):
+    """xi -> |sum_n c_n H_n(sqrt(2 pi z) xi) exp(-pi z xi^2)|^2 in mpmath, H_n by its recurrence."""
+    coef = [mpmath.mpc(c) for c in form.coef]
+    z = mpmath.mpc(form.z)
+    root = mpmath.sqrt(2 * mpmath.pi * z)
+
+    def mag2(xi):
+        x, h = root * xi, [mpmath.mpf(1), 2 * root * xi]
+        for k in range(1, len(coef)):
+            h.append(2 * x * h[k] - 2 * k * h[k - 1])
+        return abs(mpmath.fsum(c * hk for c, hk in zip(coef, h)) * mpmath.exp(-mpmath.pi * z * xi * xi)) ** 2
+
+    return mag2
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "hermite:1", "hermite:3"])
+def test_reduced_enclosures_contain_50_digit_sums(spec):
+    # the reduced windows are enveloped closed forms with complex z; their
+    # enclosures hold the 50-digit sums of the same |ghat|^2
+    rng = np.random.default_rng(11)
     for basis in REDUCED_BASES:
-        verdict = certify(reduced(spec, basis), 0.5)
-        assert verdict.status == "Inconclusive", (spec, basis, verdict.min_delta_g)
-        assert verdict.min_delta_g < 0.5
+        w = reduced(spec, basis)
+        mag2 = mp_form_mag2(w.form.transform())
+        k_max = int(12 / math.sqrt(w.form.transform().z.real)) + 12
+        for om in np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, 2)]):
+            with mpmath.workdps(50):
+                x = mpmath.mpf(float(om))
+                truth = [mpmath.fsum((k + x) ** (2 * p) * mag2(k + x) for k in range(-k_max, k_max + 1)) for p in (0, 1)]
+                delta = float(mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1]))
+            enc = delta_g(w, float(om))
+            assert enc.rigorous and enc.low <= delta <= enc.high, (spec, basis, om)
+            assert enc.num.lower <= truth[0] <= enc.num.upper and enc.den.lower <= truth[1] <= enc.den.upper
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "hermite:1", "hermite:2", "hermite:3"])
+def test_exact_reduction_matches_the_sampled_chain(spec):
+    grid = sample_grid()
+    for basis in REDUCED_BASES:
+        exact, sampled = reduced(spec, basis), sampled_reduced(spec, basis)
+        assert exact.envelope is not None and sampled.envelope is None
+        assert exact.parity is sampled.parity
+        assert envelope_violation(exact) <= 0.0
+        err = float(np.max(np.abs(exact.time_eval(grid) - sampled.time_eval(grid))))
+        assert err <= 1e-12, (spec, basis, err)
 
 
 QUADRATURE_WINDOWS = {
     "sampled": lambda: sampled_window(
         sample_grid(), hermite(1).time_eval(sample_grid()) * np.exp(0.7j * sample_grid())
     ),
-    "chirp": lambda: chirp_window(hermite(2), 0.8),
+    "chirp": lambda: sampled_window(sample_grid(), chirp_window(hermite(2), 0.8).time_eval(sample_grid())),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from gaborcert.criterion import delta_g, min_delta
 from gaborcert.errors import PreconditionError
-from gaborcert.metaplectic import SampledFunction
+from gaborcert.metaplectic import SampledFunction, _angle_kernel
 from gaborcert.window import (
+    ClosedForm,
     Envelope,
     Parity,
     chirp_window,
@@ -18,6 +20,7 @@ from gaborcert.window import (
     combine,
     dilate,
     envelope_violation,
+    from_form,
     ghat_lattice,
     gaussian,
     hermite,
@@ -138,6 +141,9 @@ def test_envelope_holds_for_all_constructors(gauss, h1):
         dilate(h1, 0.5),
         dilate(gauss, 2.5),
         combine([(1.0, h1), (0.2, hermite(3))]),
+        chirp_window(gauss, 0.8),
+        chirp_window(hermite(4), -1.3),
+        dilate(chirp_window(combine([(1.0, gauss), (0.4, h1)]), 2.5), 0.7),
     ]
     for w in windows:
         assert w.envelope is not None, w.label
@@ -174,7 +180,7 @@ def test_chirp_window_freq_via_quadrature(gauss):
     w = chirp_window(gauss, 0.8)
     for xi in (0.0, 0.5, 1.5):
         direct = complex(np.asarray(w.freq_eval(np.array([xi])))[0])
-        assert abs(direct - quadrature_ft(w, xi)) < 1e-7
+        assert abs(direct - quadrature_ft(w, xi)) < 1e-14
     assert w.parity is Parity.EVEN
 
 
@@ -254,3 +260,181 @@ def test_sample_nodes_checked_against_their_uniform_places():
 
 def test_trapezoid_weights():
     assert trapezoid_weights(4, 0.5).tolist() == [0.25, 0.5, 0.5, 0.25]
+
+
+# --- the closed form against 50-digit mpmath ----------------------------------
+
+
+def mp_hermite(n, x):
+    """H_n(x) by the three-term recurrence."""
+    h0, h1 = mpmath.mpf(1), 2 * x
+    if n == 0:
+        return h0
+    for k in range(1, n):
+        h0, h1 = h1, 2 * x * h1 - 2 * k * h0
+    return h1
+
+
+def mp_form(coef, z):
+    """t -> sum_n coef[n] H_n(sqrt(2 pi z) t) exp(-pi z t^2), in mpmath."""
+    coef = [mpmath.mpc(c) for c in coef]
+    z = mpmath.mpc(z)
+    root = mpmath.sqrt(2 * mpmath.pi * z)
+
+    def g(t):
+        poly = mpmath.fsum(c * mp_hermite(n, root * t) for n, c in enumerate(coef))
+        return poly * mpmath.exp(-mpmath.pi * z * t * t)
+
+    return g
+
+
+class MpKernel:
+    """Kernel images amplitude * exp(i pi cot s^2) * integral g(t) exp(i pi
+    (cot t^2 - 2 csc s t)) dt of one function g (cot = 0, csc = 1: the
+    Fourier transform), by the trapezoid rule on [-12, 12] at spacing 1/64
+    in 50-digit arithmetic.  For the draws below Re z >= 0.4, so the
+    truncation drops under exp(-pi 0.4 144) ~ 1e-79, and the integrand's
+    transform decays as exp(-pi Re(1/(z - i cot)) xi^2) with Re(1/(z - i cot))
+    >= 0.035, so the rule's aliasing at 64 cycles is below 1e-100."""
+
+    def __init__(self, g):
+        self.t = [mpmath.mpf(j) / 64 for j in range(-768, 769)]
+        self.values = [g(t) for t in self.t]
+
+    def image(self, cot, csc, amplitude, s):
+        s = mpmath.mpf(s)
+        total = mpmath.fsum(
+            v * mpmath.expj(mpmath.pi * (cot * t * t - 2 * csc * s * t)) for t, v in zip(self.t, self.values)
+        )
+        return mpmath.mpc(amplitude) * mpmath.expj(mpmath.pi * cot * s * s) * total / 64
+
+
+def max_rel_err(got, want):
+    want = np.array([complex(v) for v in want])
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+POINTS = (-1.3, 0.45, 1.1)
+
+
+def random_forms(count):
+    rng = np.random.default_rng(20261018)
+    for _ in range(count):
+        order = int(rng.integers(1, 5))
+        coef = tuple(complex(a, b) for a, b in rng.normal(size=(order + 1, 2)))
+        z = complex(rng.uniform(0.4, 2.0), rng.uniform(-1.0, 1.0))
+        q = float(rng.uniform(-1.5, 1.5))
+        b = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        r = float(rng.uniform(0.5, math.pi - 0.5) * rng.choice([-1.0, 1.0]))
+        yield ClosedForm(coef, z), q, b, r
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_closed_form_operations_match_mpmath(case):
+    form, q, b, r = list(random_forms(3))[case]
+    w = from_form(form, "random")
+    pts = np.array(POINTS)
+    with mpmath.workdps(50):
+        g = mp_form(form.coef, form.z)
+        gq = lambda t: g(t) * mpmath.expj(mpmath.pi * q * t * t)  # noqa: E731
+        direct, chirped = MpKernel(g), MpKernel(gq)
+        want = {
+            "time": [g(mpmath.mpf(t)) for t in POINTS],
+            "freq": [direct.image(0, 1, 1, x) for x in POINTS],
+            "chirp time": [gq(mpmath.mpf(t)) for t in POINTS],
+            "chirp freq": [chirped.image(0, 1, 1, x) for x in POINTS],
+            "dilate time": [g(mpmath.mpf(t) / b) / mpmath.sqrt(b) for t in POINTS],
+            "dilate freq": [direct.image(0, 1, 1, b * x) * mpmath.sqrt(b) for x in POINTS],
+            "frac_fourier": [direct.image(*_angle_kernel(r), s) for s in POINTS],
+        }
+    chirp, dilated = chirp_window(w, q), dilate(w, b)
+    got = {
+        "time": w.time_eval(pts),
+        "freq": w.freq_eval(pts),
+        "chirp time": chirp.time_eval(pts),
+        "chirp freq": chirp.freq_eval(pts),
+        "dilate time": dilated.time_eval(pts),
+        "dilate freq": dilated.freq_eval(pts),
+        "frac_fourier": form.fractional(_angle_kernel(r))(pts),
+    }
+    for name in want:
+        assert max_rel_err(got[name], want[name]) <= 1e-13, (name, form, q, b, r)
+    # every derived window's envelope holds everywhere, not only on |xi| >= 1
+    xi = np.linspace(-6.0, 6.0, 1201)
+    for v in (w, chirp, dilated, from_form(form.fractional(_angle_kernel(r)), "frac")):
+        assert np.all(np.abs(v.freq_eval(xi)) <= v.envelope.bound(xi)), v.label
+        assert envelope_violation(v) <= 0.0, v.label
+
+
+def test_closed_form_fractional_group_law():
+    # F_a F_b = F_(a+b), the quarter turn is the Fourier transform and
+    # Hermite functions are eigenvectors with eigenvalue exp(-i n r)
+    t = np.linspace(-4.0, 4.0, 81)
+    for w in (gaussian(), hermite(1), hermite(3), chirp_window(hermite(2), 0.7)):
+        form = w.form
+        two_step = form.fractional(_angle_kernel(math.pi / 4)).fractional(_angle_kernel(math.pi / 6))
+        one_step = form.fractional(_angle_kernel(math.pi / 4 + math.pi / 6))
+        assert np.max(np.abs(two_step(t) - one_step(t))) <= 1e-13, w.label
+        quarter = form.fractional(_angle_kernel(math.pi / 2))
+        assert np.max(np.abs(quarter(t) - w.freq_eval(t))) <= 1e-15, w.label
+    # the snapped angles: the identity and the reflection t -> -t
+    w = chirp_window(combine([(1.0, gaussian()), (0.4, hermite(1))]), 0.3)
+    assert np.array_equal(w.form.fractional(_angle_kernel(1e-13))(t), w.time_eval(t))
+    assert np.array_equal(w.form.fractional(_angle_kernel(-math.pi))(t), w.time_eval(-t))
+    for n in range(5):
+        form = hermite(n).form.fractional(_angle_kernel(0.7))
+        assert np.max(np.abs(form(t) - np.exp(-0.7j * n) * hermite(n).time_eval(t))) <= 1e-13, n
+
+
+def test_closed_form_parity_and_realness():
+    assert ClosedForm((0.0, 1.0, 0.0, 2.0j), 0.5).parity is Parity.ODD
+    assert ClosedForm((1.0, 0.0, 3.0), 0.5 + 1j).parity is Parity.EVEN
+    assert ClosedForm((1.0, 0.5), 1.0).parity is Parity.NEITHER
+    # real up to one phase, at real z only
+    assert ClosedForm((1.0j, -0.5j), 2.0).real
+    assert ClosedForm(tuple(np.exp(0.3j) * c for c in (1.0, 0.25, -2.0)), 0.7).real
+    assert not ClosedForm((1.0, 0.5j), 1.0).real
+    assert not ClosedForm((1.0, 0.5), 1.0 - 0.2j).real
+    # the transform of a real window is not real, but its modulus is even
+    w = combine([(1.0, gaussian()), (0.4, hermite(1))])
+    assert w.form.real and not w.form.transform().real and w.even_modulus
+    xi = np.linspace(0.1, 3.0, 30)
+    assert np.allclose(np.abs(w.freq_eval(xi)), np.abs(w.freq_eval(-xi)), rtol=1e-15, atol=0.0)
+
+
+def test_closed_form_validation():
+    with pytest.raises(PreconditionError):
+        ClosedForm((0.0, 0.0), 1.0)
+    with pytest.raises(PreconditionError):
+        ClosedForm((1.0,), -0.5 + 1j)
+    with pytest.raises(PreconditionError):
+        ClosedForm((math.nan,), 1.0)
+    # combine needs one z and closed forms; dilate keeps samples, chirp_window does not
+    with pytest.raises(PreconditionError, match="one z"):
+        combine([(1.0, hermite(1)), (1.0, dilate(hermite(3), 2.0))])
+    with pytest.raises(PreconditionError):
+        combine([(1.0, hermite(1)), (-1.0, hermite(1))])
+    grid = sample_grid()
+    sampled = sampled_window(grid, hermite(1).time_eval(grid))
+    with pytest.raises(PreconditionError, match="closed-form"):
+        combine([(1.0, sampled)])
+    with pytest.raises(PreconditionError, match="closed-form"):
+        chirp_window(sampled, 0.5)
+    assert ClosedForm((1.0, 0.0, 0.0), 1.0).coef == (1.0 + 0.0j,)
+
+
+def test_constructor_labels():
+    assert gaussian().label == "gaussian"
+    assert hermite(3).label == "hermite3"
+    assert dilate(hermite(1), 0.5).label == "dilate(hermite1,b=0.5)"
+    assert chirp_window(gaussian(), 0.8).label == "chirp(gaussian,q=0.8)"
+    assert combine([(1.0, gaussian()), (0.4, hermite(1))]).label == "1.0*gaussian + 0.4*hermite1"
+
+
+def test_real_argument_for_real_z():
+    # a dilate evaluates its Hermite polynomial on a real argument with real
+    # coefficients times one phase; a chirp on a complex one
+    scale, _, phase, poly = dilate(hermite(5), 0.4).form.transform()._plan
+    assert isinstance(scale, float) and all(isinstance(c, float) for c in poly) and phase == -1j
+    scale, _, _, _ = chirp_window(hermite(5), 0.4).form._plan
+    assert isinstance(scale, complex)
