@@ -65,10 +65,7 @@ _EXP_ULPS = 8
 
 # The sweep engine evaluates each cutoff step's new terms for blocks of rows
 # of at most _MAX_BLOCK (omega, k) values, so its working arrays stay small
-# however many omegas or terms there are.  A quadrature window also goes
-# through in chunks of _CHUNK_ROWS omegas, which bound its row-factor table
-# (see ghat_lattice).
-_CHUNK_ROWS = 128
+# however many omegas or terms there are.
 _MAX_BLOCK = 1 << 12
 # Outward factor on delta enclosures: the ratio and the square root each
 # round once.
@@ -422,33 +419,12 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     env = w.envelope
     if env is not None and not math.exp(-8.0 * env.rate) < 1.0:  # the tail's ratio check at a >= 2
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
-    sums = np.full((2, 4, omegas.size), math.nan)
-    truncated = False
-    n_eval = (omegas.size + 1) // 2 if mirror else omegas.size
-    chunk_rows = _CHUNK_ROWS if w.quadrature is not None else max(n_eval, 1)
-    for start in range(0, n_eval, chunk_rows):
-        own = np.arange(start, min(start + chunk_rows, n_eval))
-        partners = omegas.size - 1 - own if mirror else own[:0]
-        chunk, cut = _sweep_chunk(w, omegas[np.concatenate([own, partners])], own.size, tail_tol)
-        truncated |= cut
-        sums[:, :, partners] = chunk[:, :, own.size :]
-        sums[:, :, own] = chunk[:, :, : own.size]  # the middle row is its own partner
-    if truncated:
-        warnings.warn(
-            f"lattice sum for {w.label!r} still active at K={_WARN_K}; "
-            "truncating without decay evidence",
-            TruncationRiskWarning,
-            stacklevel=4,
-        )
-    return sums
-
-
-def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float):
-    """_sweep on one chunk: ghat is evaluated for omegas[:n_own]; the rows
-    after them, if any, are their mirror partners, in the same order.  Also
-    says whether a sum was truncated."""
-    env = w.envelope
-    mirror = omegas.size > n_own
+    n_own = (omegas.size + 1) // 2 if mirror else omegas.size
+    own_rows = np.arange(n_own)
+    partner_rows = omegas.size - 1 - own_rows if mirror else own_rows[:0]
+    size = omegas.size
+    # ghat is evaluated for the own rows; their partners follow in the same order
+    omegas = omegas[np.concatenate([own_rows, partner_rows])]
     at = omegas[:n_own]
     ghat_at = ghat_lattice(w, at)
     out = np.full((2, 4, omegas.size), math.nan)
@@ -523,7 +499,17 @@ def _sweep_chunk(w: Window, omegas: np.ndarray, n_own: int, tail_tol: float):
         raise DivergentSeriesError(
             f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
         )
-    return out, truncated
+    if truncated:
+        warnings.warn(
+            f"lattice sum for {w.label!r} still active at K={_WARN_K}; "
+            "truncating without decay evidence",
+            TruncationRiskWarning,
+            stacklevel=4,
+        )
+    sums = np.full((2, 4, size), math.nan)
+    sums[:, :, partner_rows] = out[:, :, n_own:]
+    sums[:, :, own_rows] = out[:, :, :n_own]  # the middle row is its own partner
+    return sums
 
 
 def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
@@ -653,7 +639,7 @@ def min_delta(
     unmirrored, every point the
     bisection passes could visit (_bisection_points: at most 14); a sweep
     row does not depend on the other rows of its call (for a quadrature
-    window, up to the last bits of its matrix products), so the passes
+    window, up to the last bits of its transforms), so the passes
     then run on lookups and pick the points they would have evaluated one
     pass at a time.
     """

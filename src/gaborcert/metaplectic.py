@@ -50,6 +50,7 @@ from .window import (
     GRID_HALF_WIDTH,
     GRID_SPACING,
     Window,
+    _convolve_valid,
     check_samples,
     sample_grid,
     sampled_window,
@@ -144,19 +145,6 @@ def _warn_aliasing(f: SampledFunction, cot: float, csc: float) -> None:
         )
 
 
-def _fast_length(m: int) -> int:
-    """The smallest 11-smooth integer at or above m: an FFT length pocketfft splits fully."""
-    n = m
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
 def _chirped_kernel_apply(
     f: SampledFunction, cot: float, csc: float, amplitude: complex
 ) -> SampledFunction:
@@ -174,10 +162,8 @@ def _chirped_kernel_apply(
     c = np.exp(1j * math.pi * (cot - csc) * h * h * u * u)
     d = np.arange(1 - n, n, dtype=float)  # u - v, in the order the convolution reads it
     kernel = np.exp(1j * math.pi * csc * h * h * d * d)
-    size = _fast_length(2 * n - 1)
     weighted = f.values * trapezoid_weights(n, h) * c
-    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel, size))[n - 1 : 2 * n - 1]
-    return f.with_values(amplitude * c * conv)
+    return f.with_values(amplitude * c * _convolve_valid(weighted, kernel))
 
 
 def _angle_kernel(r: float):

@@ -27,31 +27,44 @@ def read_csv(path, header: Sequence[str]) -> np.ndarray:
 
     Header cells may carry surrounding spaces; blank lines are skipped.
     Raises PreconditionError for a different header, a row of another
-    width or a cell that is not a number (naming its line), and for a
-    table without rows.
+    width or a cell that is not a number (naming the first such line), and
+    for a table without rows.  Cells convert as float() converts them.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or tuple(cell.strip() for cell in first) != tuple(header):
             raise PreconditionError(f"expected CSV header {','.join(header)!r} in {path}")
-        rows = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
+                _raise_not_a_number(path, rows, lines)
                 raise PreconditionError(
                     f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise PreconditionError(
-                    f"{path}, line {reader.line_num}: not a number in {','.join(row)!r}"
-                ) from None
+            rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise PreconditionError(f"no rows in {path}")
-    return np.array(rows).T
+    try:
+        return np.array(rows, dtype=float).T
+    except ValueError:
+        _raise_not_a_number(path, rows, lines)
+        raise
+
+
+def _raise_not_a_number(path, rows: list[list[str]], lines: list[int]) -> None:
+    """Raise PreconditionError naming the first of these rows with a cell that
+    is not a number, if any."""
+    for row, line in zip(rows, lines):
+        try:
+            [float(cell) for cell in row]
+        except ValueError:
+            raise PreconditionError(
+                f"{path}, line {line}: not a number in {','.join(row)!r}"
+            ) from None
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -46,8 +46,13 @@ GRID_SPACING = 0.005
 MAX_SPACING = 0.01
 _GRID_TOL = 1e-9
 
-# ghat_lattice forms a quadrature window's column factors exp(-2*pi*i*k*t_m)
-# for at most this many (node, k) pairs at once.
+# ghat_lattice evaluates a quadrature window's transform on at most
+# _STRETCH_POINTS lattice points per chirp-z transform (its rounding grows
+# with the length: on the 1001-omega grid, 1e-14 of the peak with 32,768
+# points, 2.2e-15 with 8,192), and off a grid forms at most _FACTOR_VALUES
+# column factors exp(-2*pi*i*k*t_m) at once (a zero sum scans some 8,000 new
+# k in one cutoff step: 400 MB of them on the standard grid).
+_STRETCH_POINTS = 1 << 13
 _FACTOR_VALUES = 1 << 18
 
 # Relative symmetry residual below which a sampled window counts as even or odd.
@@ -104,12 +109,21 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return wgt
 
 
+def ideal_nodes(t: np.ndarray) -> np.ndarray:
+    """The uniform grid t_0 + j*(t_last - t_0)/(n - 1) that the nodes t sit on,
+    as centre + h*u with u = j - (n - 1)/2 the centred index."""
+    n = t.size
+    h = (t[-1] - t[0]) / (n - 1)
+    return 0.5 * (t[0] + t[-1]) + h * (np.arange(n) - 0.5 * (n - 1))
+
+
 @dataclass(frozen=True, eq=False)
 class Quadrature:
     """Trapezoid rule for the transform of a sampled window.
 
-    ghat(xi) = sum_m weighted[m] * exp(-2*pi*i*xi*nodes[m]), with weighted the
-    samples times trapezoid_weights on the spacing of the first step.
+    ghat(xi) = sum_m weighted[m] * exp(-2*pi*i*xi*nodes[m]), with nodes the
+    ideal nodes of the samples (ideal_nodes, the metaplectic kernel's too)
+    and weighted the samples times trapezoid_weights on the ideal spacing.
     """
 
     nodes: np.ndarray
@@ -117,7 +131,8 @@ class Quadrature:
 
     @staticmethod
     def of(t: np.ndarray, values: np.ndarray) -> "Quadrature":
-        return Quadrature(t, values * trapezoid_weights(t.size, float(t[1] - t[0])))
+        nodes = ideal_nodes(t)
+        return Quadrature(nodes, values * trapezoid_weights(t.size, (t[-1] - t[0]) / (t.size - 1)))
 
     def freq_eval(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -267,8 +282,7 @@ class Window:
     Both evaluators are vectorised: they accept a float or an ndarray and
     return complex values of matching shape.  A closed-form window also
     carries its ClosedForm, and a quadrature-backed window its Quadrature,
-    which freq_eval evaluates; ghat_lattice uses it to factor lattice
-    evaluations.
+    which freq_eval evaluates and ghat_lattice evaluates on whole lattices.
     """
 
     label: str
@@ -329,8 +343,8 @@ def dilate(w: Window, b: float) -> Window:
 
     The transform picks up the reciprocal scale: (D_b w)^hat(xi)
     = b^(1/2) * what(b*xi).  Parity is preserved.  A sampled window stays
-    a quadrature on the dilated nodes, so ghat_lattice keeps factoring its
-    lattice evaluations.
+    a quadrature on the dilated nodes, which ghat_lattice evaluates as it
+    does the undilated ones.
     """
     b = float(b)
     if not (b > 0 and math.isfinite(b)):
@@ -434,10 +448,10 @@ def sampled_window(
     """Window backed by samples on a uniform symmetric grid (check_samples).
 
     Evaluation interpolates linearly inside the grid and is 0 outside; the
-    transform is a trapezoid quadrature over the samples at their recorded
-    nodes (a node may sit up to 1e-9 off its ideal place t_0 + j*h; the
-    metaplectic chirp-z kernel uses the ideal nodes).  A declared envelope
-    is checked on a probe grid before being accepted.
+    transform is a trapezoid quadrature over the samples at their ideal
+    nodes t_0 + j*h (a recorded node may sit up to 1e-9 off its ideal place;
+    the metaplectic chirp-z kernel uses the ideal nodes too).  A declared
+    envelope is checked on a probe grid before being accepted.
     """
     t, values = check_samples(t, values)
     quad = Quadrature.of(t, values)
@@ -466,11 +480,10 @@ def check_samples(t, values) -> tuple[np.ndarray, np.ndarray]:
     if t.ndim != 1 or t.shape != values.shape or t.size < 2:
         raise PreconditionError("samples must be two matching 1-d arrays with at least 2 points")
     h = float(t[1] - t[0])
-    ideal = t[0] + (t[-1] - t[0]) / (t.size - 1) * np.arange(t.size)
     if not (
         h > 0
         and np.allclose(np.diff(t), h, rtol=0.0, atol=_GRID_TOL)
-        and np.allclose(t, ideal, rtol=0.0, atol=_GRID_TOL)
+        and np.allclose(t, ideal_nodes(t), rtol=0.0, atol=_GRID_TOL)
     ):
         raise PreconditionError("sample grid must be strictly increasing and uniform")
     if h > MAX_SPACING + 1e-12:
@@ -487,14 +500,18 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
     ghat(ks[None, :] + omegas[rows, None]) for row indices rows and integer ks.
 
     Closed-form windows evaluate freq_eval on the flattened lattice.  A
-    quadrature-backed window factors each node's phase,
+    quadrature-backed window on omegas that form a uniform grid of step 1/L,
+    L a positive integer (_grid_steps), sees every xi = k + omega on one grid
+    of step 1/L: each call evaluates the stretches of that grid it needs by
+    chirp-z transforms (_chirp_z), O((n + points) log) in place of
+    (rows + columns) x n exponentials.  Off such a grid (min_delta's at most
+    14 bisection points, one omega) it factors each node's phase,
 
         ghat(k + omega) = sum_m (c_m exp(-2 pi i omega t_m)) exp(-2 pi i k t_m),
 
-    so the row factors (computed here, once) and the column factors of each
-    call (in blocks of at most _FACTOR_VALUES node values) meet in one matrix
-    product: (rows + columns) x n exponentials instead of rows x columns x n.
-    The row table holds omegas.size x n values, so callers pass bounded chunks.
+    so the row factors (computed here, once: omegas.size x n values) and the
+    column factors of each call (in blocks of at most _FACTOR_VALUES) meet
+    in one matrix product.
     """
     quad = w.quadrature
     if quad is None:
@@ -504,6 +521,10 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
             return np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
 
         return at
+
+    steps = _grid_steps(omegas)
+    if steps is not None:
+        return functools.partial(_grid_lattice, quad, omegas[0], steps)
 
     nodes = quad.nodes
     row_factor = _unit_phase(np.outer(omegas, nodes))
@@ -518,6 +539,115 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
         return out
 
     return at
+
+
+def _grid_steps(omegas: np.ndarray) -> int | None:
+    """L when omegas[j] = omegas[0] + j/L for a positive integer L, to a few
+    ulps; else None."""
+    if omegas.size < 2 or not omegas[-1] > omegas[0]:
+        return None
+    steps = round((omegas.size - 1) / float(omegas[-1] - omegas[0]))
+    if steps < 1:
+        return None
+    grid = omegas[0] + np.arange(omegas.size) / steps
+    tol = 8.0 * _U * max(1.0, float(np.max(np.abs(omegas))))
+    return steps if bool(np.all(np.abs(omegas - grid) <= tol)) else None
+
+
+def _grid_lattice(quad: Quadrature, origin: float, steps: int, rows, ks) -> np.ndarray:
+    """ghat(ks[None, :] + omegas[rows, None]) for omegas[j] = origin + j/steps.
+
+    Lattice point (row, k) is point k*steps + row of the grid origin + i/steps.
+    The points needed are cut into stretches, one chirp-z transform each: a
+    stretch ends before a gap longer than the node count, whose points would
+    cost more than a second transform, and after at most _STRETCH_POINTS
+    points.
+    """
+    index = ks.astype(np.int64)[None, :] * steps + np.asarray(rows, dtype=np.int64)[:, None]
+    points, where = np.unique(index, return_inverse=True)
+    values = np.empty(points.size, dtype=complex)
+    starts = np.flatnonzero(np.diff(points) > quad.nodes.size) + 1
+    for lo, hi in zip(np.r_[0, starts], np.r_[starts, points.size]):
+        while lo < hi:
+            first = points[lo]
+            end = min(hi, lo + int(np.searchsorted(points[lo:hi], first + _STRETCH_POINTS)))
+            size = int(points[end - 1] - first) + 1
+            stretch = _chirp_z(quad, origin + first / steps, 1.0 / steps, size)
+            values[lo:end] = stretch[points[lo:end] - first]
+            lo = end
+    return values[where.reshape(index.shape)]
+
+
+def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarray:
+    """ghat(start + j*step) for j < size, by one chirp-z transform.
+
+    On the nodes t_m = c + h*u_m (u centred) and the points xi = mid + v*step
+    (v centred, mid the middle point), 2*u*v = u^2 + v^2 - (v - u)^2 gives
+    (Bluestein's factoring)
+
+        ghat(xi) = exp(-2 pi i xi c) exp(-i pi a v^2)
+                   * sum_m [c_m exp(-2 pi i mid h u_m) exp(-i pi a u_m^2)] exp(i pi a (v - u_m)^2)
+
+    with a = h*step: one chirp on the nodes, one FFT convolution of length
+    about n + size (metaplectic's kernel factors the same way) and one chirp
+    on the points.  Twice u, v and v - u are integers, and the chirps' phases
+    are reduced modulo 2*pi exactly (_half_turns), so they carry a few ulps
+    however far the indices run.
+    """
+    nodes, n = quad.nodes, quad.weighted.size
+    h = (nodes[-1] - nodes[0]) / (n - 1)
+    centre = 0.5 * (nodes[0] + nodes[-1])
+    quarter = 0.25 * h * step  # a/4, the phase per squared doubled index
+    mid = start + 0.5 * (size - 1) * step
+    twice_u = np.arange(n) * 2.0 - (n - 1)
+    twice_v = np.arange(size) * 2.0 - (size - 1)
+    twice_d = np.arange(n + size - 1) * 2.0 - 2.0 * (n - 1) + (n - size)
+    weighted = quad.weighted * _unit_phase(
+        0.5 * (_half_turns(mid * h, twice_u) + _half_turns(quarter, twice_u * twice_u))
+    )
+    kernel = _unit_phase(-0.5 * _half_turns(quarter, twice_d * twice_d))
+    out = _convolve_valid(weighted, kernel)
+    out *= _unit_phase(0.5 * _half_turns(quarter, twice_v * twice_v))
+    if centre != 0.0:
+        out *= _unit_phase((start + step * np.arange(size)) * centre)
+    return out
+
+
+def _half_turns(a: float, s: np.ndarray) -> np.ndarray:
+    """a*s modulo 2, in about [-1, 1], for integer-valued floats s.
+
+    a splits into hi + lo with hi short enough that hi*s is exact, so it
+    reduces modulo 2 exactly; lo*s is below 2^(b - 52) of a*s for |s| < 2^b.
+    The result carries a few ulps of 1 where a*s itself carries ulps of a*s.
+    """
+    spare = 52 - math.frexp(float(np.max(np.abs(s))))[1]  # bits of hi that keep hi*s exact
+    mantissa, exponent = math.frexp(a)
+    hi = math.ldexp(round(math.ldexp(mantissa, spare)), exponent - spare) if spare > 0 else 0.0
+    turns = hi * s
+    turns -= 2.0 * np.rint(0.5 * turns)
+    turns += (a - hi) * s
+    return turns
+
+
+def _convolve_valid(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[j] = sum_m a[m] kernel[j + n - 1 - m] for j <= kernel.size - n, n = a.size:
+    the part of the linear convolution that sees all of a, by FFT."""
+    n = a.size
+    size = _fast_length(kernel.size)
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(kernel, size))[n - 1 : kernel.size]
+
+
+def _fast_length(m: int) -> int:
+    """The smallest 11-smooth integer at or above m: an FFT length pocketfft splits fully."""
+    n = m
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:

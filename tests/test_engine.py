@@ -40,7 +40,8 @@ from gaborcert import (
 )
 from gaborcert import criterion
 from gaborcert.criterion import FLOOR_GUARD, _envelope_tails, _from_log, envelope_tail_log
-from gaborcert.window import envelope_violation, ghat_lattice
+from gaborcert import window as window_module
+from gaborcert.window import envelope_violation, ghat_lattice, window_from_csv, write_sampled_csv
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
 COMBOS = {
@@ -499,9 +500,9 @@ HEURISTIC_WINDOWS = {
 
 def assert_sums_match(got, want, where, quadrature=False):
     """K exactly, value and tail to 1e-12.  A quadrature window's tail terms
-    sit at the rounding noise of its transform, which depends on the shape
-    of the matrix product that evaluates them, so its tail is held to 1e-12
-    of the value instead."""
+    sit at the rounding noise of its transform, which depends on how it is
+    evaluated (chirp-z transforms of a grid, or a matrix product off one),
+    so its tail is held to 1e-12 of the value instead."""
     value, tail, _, k_cut = got
     want_value, want_tail, want_k, _ = want
     assert k_cut == want_k, where
@@ -580,9 +581,10 @@ def test_heuristic_lattice_sum_is_the_one_row_sweep():
         delta_g(band, 0.0)
 
 
-def test_heuristic_profile_chunks_long_grids():
-    # 301 omegas make three 128-row chunks of a quadrature window's sweep;
-    # a row cannot depend on the chunk it falls in
+def test_heuristic_profile_rows_match_one_row_calls():
+    # 301 omegas form a grid, which a quadrature window's sweep evaluates by
+    # chirp-z transforms; a one-row call factors the quadrature instead, and
+    # a row cannot depend on which of the two evaluated it
     grid = sample_grid()
     w = sampled_window(grid, hermite(1).time_eval(grid))
     assert w.envelope is None and w.quadrature is not None
@@ -698,13 +700,125 @@ def test_factorized_lattice_matches_freq_eval(name):
     want = w.freq_eval((ks[None, :] + omegas[rows, None]).ravel()).reshape(got.shape)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
-    # a single column or row goes through the same product
+    # a single column or row comes out the same
     assert np.allclose(at(rows[:1], ks[5:6]), want[:1, 5:6], rtol=0.0, atol=1e-13 * scale)
+
+
+def shifted_csv_window(tmp_path):
+    """A complex window read from a CSV whose nodes sit up to 5e-10 off their
+    ideal grid, itself 4e-10 off centre (both within check_samples' 1e-9)."""
+    grid = sample_grid()
+    t = grid + 4e-10 + 5e-10 * np.sin(np.pi * grid / 8.0)
+    path = tmp_path / "shifted.csv"
+    write_sampled_csv(path, t, hermite(1).time_eval(grid) * np.exp(0.7j * grid))
+    w = window_from_csv(path)
+    assert 3e-10 < float(np.max(np.abs(t - w.quadrature.nodes))) <= 1e-9
+    return w
+
+
+def mp_quadrature(w, xi):
+    """The window's quadrature sum at xi in 30-digit mpmath, on the ideal
+    nodes t_0 + m*h between its end nodes, the phases by recurrence."""
+    nodes = w.quadrature.nodes
+    with mpmath.workdps(30):
+        t0 = mpmath.mpf(float(nodes[0]))
+        h = (mpmath.mpf(float(nodes[-1])) - t0) / (nodes.size - 1)
+        x = mpmath.mpf(float(xi))
+        phase, ratio, total = mpmath.expjpi(-2 * x * t0), mpmath.expjpi(-2 * x * h), mpmath.mpc(0)
+        for c in w.quadrature.weighted.tolist():
+            total += c * phase
+            phase *= ratio
+        return complex(total)
+
+
+def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
+    rng = np.random.default_rng(5)
+    windows = {
+        **{name: make() for name, make in QUADRATURE_WINDOWS.items()},
+        "dilated": dilate(QUADRATURE_WINDOWS["sampled"](), 1.7),
+        "shifted csv": shifted_csv_window(tmp_path),
+    }
+    # new columns of a cutoff step: two runs of k with a gap between them
+    ks = np.r_[-14:-6, -2:3, 6:14].astype(float)
+    for name, w in windows.items():
+        for grid_points in (3, 101, 1001):
+            grid = np.linspace(0.0, 1.0, grid_points)
+            # the whole grid, and the first half that a mirrored sweep evaluates
+            for omegas in (grid, grid[: (grid_points + 1) // 2]):
+                rows = np.arange(omegas.size)
+                got = ghat_lattice(w, omegas)(rows, ks)
+                check = rows[:: max(1, omegas.size // 25)]
+                want = w.freq_eval((ks[None, :] + omegas[check, None]).ravel()).reshape(check.size, ks.size)
+                scale = float(np.max(np.abs(want)))
+                err = float(np.max(np.abs(got[check] - want)))
+                assert err <= 1e-13 * scale, (name, grid_points, omegas.size, err / scale)
+                r, c = rng.integers(omegas.size), rng.integers(ks.size)
+                truth = mp_quadrature(w, ks[c] + omegas[r])
+                assert abs(got[r, c] - truth) <= 1e-13 * scale, (name, grid_points, r, c)
+        # a long run of k, as a slowly decaying window sums, in ten
+        # 8,192-point stretches: their chirps' phases, reduced exactly, keep
+        # the values within 1e-14 of the peak (1.4e-14 to 3.1e-14 off without
+        # that reduction)
+        grid = np.linspace(0.0, 1.0, 1001)
+        long_ks = np.arange(-40.0, 41.0)
+        got = ghat_lattice(w, grid)(np.arange(1001), long_ks)[::100]
+        want = w.freq_eval((long_ks[None, :] + grid[::100, None]).ravel()).reshape(got.shape)
+        err = float(np.max(np.abs(got - want)))
+        assert err <= 1e-14 * float(np.max(np.abs(want))), (name, err)
+        # off a grid (bisection points, one omega) the factorized product
+        omegas = rng.uniform(0.0, 1.0, 14)
+        got = ghat_lattice(w, omegas)(np.arange(14), ks)
+        want = w.freq_eval((ks[None, :] + omegas[:, None]).ravel()).reshape(got.shape)
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want))), name
+
+
+def test_sampled_grids_build_no_row_table(monkeypatch):
+    # min_delta evaluates a quadrature window's grid by chirp-z transforms;
+    # only the at most 14 bisection points factor the quadrature, whose row
+    # table holds one row of node phases per omega
+    w = QUADRATURE_WINDOWS["sampled"]()
+    calls = []
+    grid_steps = window_module._grid_steps
+
+    def spy(omegas):
+        steps = grid_steps(omegas)
+        calls.append((omegas.size, steps))
+        return steps
+
+    monkeypatch.setattr(window_module, "_grid_steps", spy)
+    for grid_points in (101, 1001):
+        calls.clear()
+        min_delta(w, grid_points=grid_points)
+        assert calls[0] == (grid_points, grid_points - 1)
+        assert len(calls) == 2 and calls[1][0] <= 14, calls
+
+
+def sampled_of(w):
+    return sampled_window(sample_grid(), w.time_eval(sample_grid()))
+
+
+SAMPLED_PROFILE_WINDOWS = {
+    "real odd": (lambda: sampled_of(dilate(hermite(3), 1.3)), True),
+    "complex chirped": (lambda: sampled_of(chirp_window(corpus_window("combo:h0+0.4h1"), 0.6)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_PROFILE_WINDOWS))
+@pytest.mark.parametrize("grid_points", [101, 1001])
+def test_sampled_profile_matches_pointwise_delta_g(name, grid_points):
+    # grid rows (mirrored for the real window) and bisection rows of a
+    # sampled window without an envelope against the one-omega delta_g
+    make, mirrored = SAMPLED_PROFILE_WINDOWS[name]
+    w = make()
+    assert w.envelope is None and w.even_modulus == mirrored
+    profile = min_delta(w, grid_points=grid_points)
+    assert profile.omegas.size > grid_points  # the bisection points are in
+    assert_rows_match_pointwise(w, profile)
 
 
 def test_enveloped_sampled_window_sweep_matches_delta_g():
     # a quadrature window with a declared envelope takes the enveloped sweep,
-    # whose factorized lattice must agree with delta_g's pointwise freq_eval
+    # whose lattice must agree with delta_g's pointwise freq_eval
     grid = sample_grid()
     w = sampled_window(grid, np.exp(-np.pi * grid**2), envelope=Envelope(amplitude=1.0 + 1e-9, rate=np.pi))
     profile = min_delta(w, grid_points=41)

@@ -20,6 +20,7 @@ from gaborcert import (
     sample_window,
 )
 from gaborcert import metaplectic
+from gaborcert.window import _fast_length
 from helpers import parity_residual
 
 
@@ -193,7 +194,7 @@ def test_fast_length_is_next_11_smooth():
     for m in range(1, 20_001):
         while want < m:
             want = next(expected)
-        assert metaplectic._fast_length(m) == want, m
+        assert _fast_length(m) == want, m
 
 
 def test_operator_input_validation(g_s):

@@ -19,7 +19,7 @@ from gaborcert import (
     sample_window,
     write_sampled_csv,
 )
-from gaborcert.tables import csv_text
+from gaborcert.tables import csv_text, read_csv
 
 
 def row_writer_text(header, rows):
@@ -101,3 +101,18 @@ def test_readers_name_the_bad_line(tmp_path):
     path.write_text("\n".join(lines[:7] + ["0.5,nan?,0.0"] + lines[8:]))
     with pytest.raises(PreconditionError, match="line 8"):
         read_sampled_csv(path)
+
+
+def test_reader_converts_cells_as_float_does(tmp_path):
+    # the cells convert in one numpy call, which follows float(): spaces,
+    # underscores, nan and overflow to inf read; hex and a bare exponent do
+    # not, and the first bad line is named even when a short row follows it
+    path = tmp_path / "cells.csv"
+    path.write_text("x,y\r\n 1.5 ,1_0\r\nnan,-Infinity\r\n1e500,2\r\n")
+    got = read_csv(path, ("x", "y"))
+    want = [[1.5, float("nan"), float("inf")], [10.0, float("-inf"), 2.0]]
+    np.testing.assert_array_equal(got, want)
+    for bad in ("0x10", "1.5e"):
+        path.write_text(f"x,y\r\n1,2\r\n3,{bad}\r\n4\r\n")
+        with pytest.raises(PreconditionError, match=f"line 3: not a number in '3,{bad}'"):
+            read_csv(path, ("x", "y"))

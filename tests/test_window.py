@@ -119,7 +119,7 @@ def test_dilate_keeps_a_sampled_windows_quadrature():
         xi = np.linspace(-3.0, 3.0, 13)
         want = math.sqrt(b) * np.asarray(base.freq_eval(b * xi))
         assert np.allclose(np.asarray(w.freq_eval(xi)), want, rtol=0.0, atol=1e-13)
-        # ghat_lattice factors the dilated nodes and agrees with freq_eval
+        # ghat_lattice evaluates the dilated nodes and agrees with freq_eval
         omegas = np.linspace(0.0, 1.0, 5)
         ks = np.arange(-6, 7, dtype=float)
         got = ghat_lattice(w, omegas)(np.arange(5), ks)
