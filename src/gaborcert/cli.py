@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import Callable, Sequence
 
@@ -40,8 +39,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
-
-TAIL_TOL_ENV = "GABOR_TAIL_TOL"
 
 SCHEMA_VERDICT = "gaborcert/verdict/v1"
 SCHEMA_GAUSSIAN_CERT = "gaborcert/gaussian_certificate/v1"
@@ -100,18 +97,6 @@ def _load_window(args: argparse.Namespace) -> Window:
     return w
 
 
-def _tail_tol(args: argparse.Namespace) -> float:
-    if getattr(args, "tail_tol", None) is not None:
-        return args.tail_tol
-    raw = os.environ.get(TAIL_TOL_ENV)
-    if raw is None:
-        return DEFAULT_TAIL_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise PreconditionError(f"{TAIL_TOL_ENV}={raw!r} is not a number") from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -126,7 +111,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     w = _load_window(args)
-    profile = min_delta(w, grid_points=args.grid_points, tail_tol=_tail_tol(args))
+    profile = min_delta(w, grid_points=args.grid_points, tail_tol=args.tail_tol)
     summary = {
         "schema": SCHEMA_PROFILE_SUMMARY,
         "window": w.label,
@@ -149,10 +134,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.delta is not None and (args.a is not None or args.b is not None):
         raise PreconditionError("pass either --delta or --a/--b, not both")
     if args.delta is not None:
-        verdict = certify(w, args.delta, grid_points=args.grid_points, tail_tol=_tail_tol(args))
+        verdict = certify(w, args.delta, grid_points=args.grid_points, tail_tol=args.tail_tol)
     elif args.a is not None and args.b is not None:
         verdict = certify_rect(
-            w, args.a, args.b, grid_points=args.grid_points, tail_tol=_tail_tol(args)
+            w, args.a, args.b, grid_points=args.grid_points, tail_tol=args.tail_tol
         )
     else:
         raise PreconditionError("certify needs --delta, or both --a and --b")
@@ -172,7 +157,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_barrier_scan(args: argparse.Namespace) -> int:
-    scan = h1_barrier_scan(args.b_min, args.b_max, args.steps, tail_tol=_tail_tol(args))
+    scan = h1_barrier_scan(args.b_min, args.b_max, args.steps, tail_tol=args.tail_tol)
     if args.out is None:
         sys.stdout.write(scan.csv_text())
     else:
@@ -249,14 +234,17 @@ def build_parser() -> _Parser:
             help="apply the unitary dilation D_b to the window first",
         )
 
-    def add_numeric_flags(p: _Parser) -> None:
-        p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_GRID_POINTS)
+    def add_tail_tol_flag(p: _Parser) -> None:
         p.add_argument(
             "--tail-tol",
             type=_positive_float,
-            default=None,
-            help=f"relative tail tolerance (default {DEFAULT_TAIL_TOL}, or ${TAIL_TOL_ENV})",
+            default=DEFAULT_TAIL_TOL,
+            help="relative tail tolerance (default %(default)s)",
         )
+
+    def add_numeric_flags(p: _Parser) -> None:
+        p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_GRID_POINTS)
+        add_tail_tol_flag(p)
 
     p = sub.add_parser("profile", help="delta_g enclosures over an omega grid (CSV)")
     add_window_flags(p)
@@ -277,12 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b-min", type=_positive_float, default=0.1)
     p.add_argument("--b-max", type=_positive_float, default=10.0)
     p.add_argument("--steps", type=_positive_int, default=50)
-    p.add_argument(
-        "--tail-tol",
-        type=_positive_float,
-        default=None,
-        help=f"relative tail tolerance (default {DEFAULT_TAIL_TOL}, or ${TAIL_TOL_ENV})",
-    )
+    add_tail_tol_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_barrier_scan)
 

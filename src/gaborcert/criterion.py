@@ -62,6 +62,8 @@ _MAX_CUTOFF = 100_000
 _U = 2.0**-53
 _TERM_ULPS = 32
 _EXP_ULPS = 8
+_MIN_SUBNORMAL = 2.0**-1074
+_MAX_DOUBLE = float(np.finfo(float).max)
 
 # The sweep engine evaluates each cutoff step's new terms for blocks of rows
 # of at most _MAX_BLOCK (omega, k) values, so its working arrays stay small
@@ -187,8 +189,8 @@ def _exponent_weight(xi: np.ndarray, rate: float) -> np.ndarray:
     return 4.0 * rate * axi * np.maximum(axi, 1.0)
 
 
-def _rounding_budget(value, weighted, n_terms: int):
-    """Bound on the float error of a sum of n_terms computed nonnegative terms.
+def _rounding_budget(value, weighted, n_terms: int, p: int):
+    """Bound on the float error of a sum of n_terms computed nonnegative terms of S_p.
 
     Error model for the closed-form windows (a polynomial times exp(-x)):
     each computed term t_k = (k+omega)^(2p) |ghat(k+omega)|^2 carries a
@@ -199,9 +201,19 @@ def _rounding_budget(value, weighted, n_terms: int):
     covers the polynomial and constant factors away from their zeros.
     weighted is sum_k E(xi_k) * t_k.  Summing the terms in any order adds
     at most gamma_n * value.
+
+    Below the normal range rounding is absolute, not relative: a square or
+    product whose result is subnormal rounds by at most 2^-1075 (half the
+    smallest subnormal), and adds whose result is subnormal are exact.  The
+    square |ghat|^2 so errs by at most 2^-1075, and the product of that
+    square with xi^2 by at most (1 + xi^2) * 2^-1075, with |xi| <= K + 1 for
+    the n_terms = 2K + 1 terms; n_terms * (1 + (K + 1)^2)^p * 2^-1074 covers
+    them all, with room to spare.
     """
     gamma = n_terms * _U / (1.0 - n_terms * _U)
-    return (gamma + _TERM_ULPS * _U) * value + _EXP_ULPS * _U * weighted
+    reach = 0.5 * (n_terms + 1)  # K + 1
+    underflow = n_terms * (1.0 + reach * reach) ** p * _MIN_SUBNORMAL
+    return (gamma + _TERM_ULPS * _U) * value + _EXP_ULPS * _U * weighted + underflow
 
 
 @dataclass(frozen=True)
@@ -303,7 +315,7 @@ def _enveloped_sums(
             value = math.fsum(terms[p])
             if _converged(tail, value, tail_tol):
                 n_terms = 2 * k_cut + 1
-                rounding = _rounding_budget(value, weighted[p], n_terms)
+                rounding = _rounding_budget(value, weighted[p], n_terms, p)
                 results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
         if len(results) == len(ps):
             return [results[p] for p in ps]
@@ -342,16 +354,29 @@ class DeltaEnclosure:
     rigorous: bool
 
 
-def _enclose(num_value, num_lower, num_upper, den_value, den_lower, den_upper, sqrt):
+def _enclose(num_value, num_lower, num_upper, den_value, den_lower, den_upper):
     """delta = (1/2) sqrt(S_0/S_1) and its enclosure from the sums' bounds.
 
-    Works on floats (sqrt=math.sqrt) and arrays (sqrt=np.sqrt); the outward
-    _RATIO_PAD covers the rounding of the ratio and the square root.
+    Works on floats and arrays alike, with the same roundings (sqrt is
+    correctly rounded in math and numpy); the outward
+    _RATIO_PAD covers the rounding of the ratio and the square root.  A
+    lower sum bound at or below 0 gives a lower end of 0 (numerator) or an
+    upper end of inf (denominator).  A ratio that overflows (a subnormal
+    S_1) gives an inf value and upper end; its exact value is then above
+    the largest double, which bounds the lower end.
     """
-    value = 0.5 * sqrt(num_value / den_value)
-    low = 0.5 * sqrt(num_lower / den_upper) * (1.0 - _RATIO_PAD)
-    high = 0.5 * sqrt(num_upper / den_lower) * (1.0 + _RATIO_PAD)
-    return value, low, high
+    if isinstance(num_value, float):  # one omega: plain floats, clear of numpy's per-call cost
+        sqrt = math.sqrt
+        value = num_value / den_value
+        low = min(max(num_lower, 0.0) / den_upper, _MAX_DOUBLE)
+        high = num_upper / den_lower if den_lower > 0.0 else math.inf
+    else:
+        sqrt = np.sqrt
+        with np.errstate(divide="ignore", over="ignore"):
+            value = num_value / den_value
+            low = np.minimum(np.maximum(num_lower, 0.0) / den_upper, _MAX_DOUBLE)
+            high = num_upper / np.maximum(den_lower, 0.0)
+    return 0.5 * sqrt(value), 0.5 * sqrt(low) * (1.0 - _RATIO_PAD), 0.5 * sqrt(high) * (1.0 + _RATIO_PAD)
 
 
 def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DeltaEnclosure:
@@ -371,9 +396,7 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
             raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
         raise DegenerateError(f"denominator sum is zero for {w.label!r} at omega={omega}")
-    value, low, high = _enclose(
-        num.value, num.lower, num.upper, den.value, den.lower, den.upper, math.sqrt
-    )
+    value, low, high = _enclose(num.value, num.lower, num.upper, den.value, den.lower, den.upper)
     return DeltaEnclosure(
         value=value,
         low=low,
@@ -489,7 +512,7 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
             out[p, 0, done] = value
             out[p, 1, done] = tail
             weighted = 0.0 if env is None else acc[2 + p, done]
-            out[p, 2, done] = _rounding_budget(value, weighted, 2 * k_cut + 1)
+            out[p, 2, done] = _rounding_budget(value, weighted, 2 * k_cut + 1, p)
             out[p, 3, done] = k_cut
             summing[p, done] = False
             summing[:, done[value == 0.0]] = False  # a vanishing sum already loses the row
@@ -521,7 +544,7 @@ def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = F
     sums = _sweep(w, omegas, tail_tol, mirror)
     sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
-    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr, np.sqrt)
+    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr)
     return np.array([value, low, high, nt, dt])
 
 
@@ -539,11 +562,13 @@ PROFILE_CSV_HEADER = (
 class DensityProfile(CsvTable):
     """delta_g evaluated over an omega grid, plus local refinement points.
 
-    min_value is the minimum of the certified lower enclosures over every
-    evaluated point, so it is a lower bound for the grid minimum.  It is a
-    global claim only when global_minimum_known is set (the window declared
-    a known minimiser).  Degenerate grid points are recorded as NaN rows
-    and force non_certifying.
+    The rows are every point min_delta evaluated, the grid and its
+    refinement stencil, in increasing omega.  min_value is the minimum of
+    the certified lower enclosures over all of them, so it is a lower bound
+    for the grid minimum.  It is a global claim only when
+    global_minimum_known is set (the window declared a known minimiser).
+    Degenerate grid points are recorded as NaN rows and force
+    non_certifying.
     """
 
     omegas: np.ndarray
@@ -593,28 +618,10 @@ class DensityProfile(CsvTable):
         )
 
 
-_BISECTION_PASSES = 3
-
-
-def _bisection_points(lo: float, mid: float, hi: float) -> list[float]:
-    """Every omega min_delta's bisection passes can evaluate from the bracket (lo, mid, hi).
-
-    Each pass evaluates the two midpoints of its bracket and moves to one
-    of three brackets, so the passes' tree is walked with their own
-    expressions.  De-duplicated, these are the points j/8 of a grid step
-    from mid, j = 1..7, on both sides: at most 14 points, or 7 when the
-    bracket ends at the grid's end (lo == mid or mid == hi).
-    """
-    points: list[float] = []
-    brackets = [(lo, mid, hi)]
-    for _ in range(_BISECTION_PASSES):
-        following = []
-        for lo, mid, hi in brackets:
-            left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            points += (left, right)
-            following += [(lo, left, mid), (mid, right, hi), (left, mid, right)]
-        brackets = following
-    return list(dict.fromkeys(points))
+# The refinement stencil: this many rounds of midpoints between neighbours,
+# from the coarse argmin and its two grid neighbours, give the points j/8 of
+# a grid step on either side of the argmin.
+_REFINEMENT_ROUNDS = 3
 
 
 def min_delta(
@@ -625,9 +632,12 @@ def min_delta(
     """Profile delta_g over a uniform omega grid on [0, 1] and refine locally.
 
     grid_points must be odd so that 0, 1/2 and 1 all land on the grid.  The
-    coarse argmin is sharpened by three bisection passes on its bracketing
-    interval; refined points are merged into the profile, so re-reading an
-    exported profile reproduces min_value.
+    coarse argmin is refined on a fixed stencil: the points j/8 of a grid
+    step on either side of it, j = 1..7 (three rounds of midpoints between
+    neighbours, _REFINEMENT_ROUNDS), so at most 14 points, or 7 at a grid
+    end.  Every stencil point is merged into the profile, so min_value is
+    the minimum over every evaluated point and re-reading an exported
+    profile reproduces it.
 
     Every window goes through the sweep engine (_sweep) in two calls.  The
     first sums the grid.  For a window whose |ghat| is even (w.even_modulus:
@@ -635,13 +645,8 @@ def min_delta(
     grid points in [0, 1/2] only and each partner point 1 - omega reuses
     those values with the columns reflected, keeping its own cutoff, tail
     and stopping decision (the two points of a pair add up to 1 within 1.5
-    ulp, an argument error the rounding budget covers).  The second sums,
-    unmirrored, every point the
-    bisection passes could visit (_bisection_points: at most 14); a sweep
-    row does not depend on the other rows of its call (for a quadrature
-    window, up to the last bits of its transforms), so the passes
-    then run on lookups and pick the points they would have evaluated one
-    pass at a time.
+    ulp, an argument error the rounding budget covers).  The second sums
+    the stencil, unmirrored.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -653,40 +658,22 @@ def min_delta(
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
-    # local refinement: three bisection passes around the coarse argmin
-    value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
-    refined: list[float] = []
-    refined_rows: list[np.ndarray] = []
+    # local refinement: rounds of midpoints between neighbours from the coarse
+    # argmin and its grid neighbours, which end up at every 8th point
     idx = int(np.nanargmin(rows[0]))
-    lo = float(omegas[max(idx - 1, 0)])
-    hi = float(omegas[min(idx + 1, grid_points - 1)])
-    mid = float(omegas[idx])
-    ahead = [om for om in _bisection_points(lo, mid, hi) if om not in value_at]
-    ahead_rows = _sweep_rows(w, np.array(ahead), tail_tol)
-    column = {om: i for i, om in enumerate(ahead)}
-    for _ in range(_BISECTION_PASSES):
-        candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
-        new = [om for om in dict.fromkeys(candidates) if om not in value_at]
-        if new:
-            extra = ahead_rows[:, [column[om] for om in new]]
-            value_at.update(zip(new, extra[0].tolist()))
-            refined.extend(new)
-            refined_rows.append(extra)
-        triple = [om for om in (candidates[0], mid, candidates[1]) if math.isfinite(value_at[om])]
-        if not triple:
-            break
-        pick = min(triple, key=value_at.__getitem__)
-        if pick == candidates[0]:
-            lo, mid, hi = lo, pick, mid
-        elif pick == candidates[1]:
-            lo, mid, hi = mid, pick, hi
-        else:
-            lo, mid, hi = candidates[0], mid, candidates[1]
+    points = omegas[max(idx - 1, 0) : idx + 2]
+    for _ in range(_REFINEMENT_ROUNDS):
+        refined = np.empty(2 * points.size - 1)
+        refined[0::2], refined[1::2] = points, 0.5 * (points[:-1] + points[1:])
+        points = refined
+    stencil = np.delete(points, np.s_[:: 2**_REFINEMENT_ROUNDS])
 
-    omg = np.concatenate([omegas, refined])
+    omg = np.concatenate([omegas, stencil])
     order = np.argsort(omg, kind="stable")
     omg = omg[order]
-    deltas, lows, highs, num_tails, den_tails = np.concatenate([rows, *refined_rows], axis=1)[:, order]
+    deltas, lows, highs, num_tails, den_tails = np.concatenate(
+        [rows, _sweep_rows(w, stencil, tail_tol)], axis=1
+    )[:, order]
     finite_mask = np.isfinite(deltas)
     degenerate = not bool(np.all(finite_mask))
 

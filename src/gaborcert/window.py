@@ -425,15 +425,15 @@ def classify_parity(w: Window) -> Parity:
     return Parity.NEITHER
 
 
-def envelope_violation(w: Window, n_probes: int = 101) -> float:
-    """Worst violation of the declared envelope on probes with |xi| in [1, 10].
+def envelope_violation(w: Window) -> float:
+    """Worst violation of the declared envelope on 101 probes on each side, |xi| in [1, 10].
 
     Returns max(|ghat(xi)| - bound(xi)) over the probe grid; nonpositive
     values mean the envelope held everywhere it was checked.
     """
     if w.envelope is None:
         raise PreconditionError(f"window {w.label!r} declares no envelope")
-    xi = np.linspace(1.0, 10.0, n_probes)
+    xi = np.linspace(1.0, 10.0, 101)
     xi = np.concatenate([-xi[::-1], xi])
     mag = np.abs(np.asarray(w.freq_eval(xi), dtype=complex))
     return float(np.max(mag - w.envelope.bound(xi)))
@@ -505,7 +505,7 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
     of step 1/L: each call evaluates the stretches of that grid it needs by
     chirp-z transforms (_chirp_z), O((n + points) log) in place of
     (rows + columns) x n exponentials.  Off such a grid (min_delta's at most
-    14 bisection points, one omega) it factors each node's phase,
+    14 stencil points, one omega) it factors each node's phase,
 
         ghat(k + omega) = sum_m (c_m exp(-2 pi i omega t_m)) exp(-2 pi i k t_m),
 
@@ -533,21 +533,27 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
 
     def at(rows, ks):
         lhs = row_factor[rows]
+        # numpy takes a vector kernel for one row, whose rounding is not the
+        # matrix kernel's: a lone row goes twice, so a row's value does not
+        # depend on how many rows its call holds
+        lhs = np.concatenate([lhs, lhs]) if lhs.shape[0] == 1 else lhs
         out = np.empty((lhs.shape[0], ks.size), dtype=complex)
         for c in range(0, ks.size, block):
             out[:, c : c + block] = lhs @ _unit_phase(np.outer(nodes, ks[c : c + block]))
-        return out
+        return out[: len(rows)]
 
     return at
 
 
 def _grid_steps(omegas: np.ndarray) -> int | None:
     """L when omegas[j] = omegas[0] + j/L for a positive integer L, to a few
-    ulps; else None."""
+    ulps, and the omegas fill more than half of a unit interval (2*size > L:
+    a chirp-z transform evaluates every point of the step-1/L grid between
+    the ones needed); else None."""
     if omegas.size < 2 or not omegas[-1] > omegas[0]:
         return None
     steps = round((omegas.size - 1) / float(omegas[-1] - omegas[0]))
-    if steps < 1:
+    if not 1 <= steps < 2 * omegas.size:
         return None
     grid = omegas[0] + np.arange(omegas.size) / steps
     tol = 8.0 * _U * max(1.0, float(np.max(np.abs(omegas))))
@@ -589,7 +595,7 @@ def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarr
                    * sum_m [c_m exp(-2 pi i mid h u_m) exp(-i pi a u_m^2)] exp(i pi a (v - u_m)^2)
 
     with a = h*step: one chirp on the nodes, one FFT convolution of length
-    about n + size (metaplectic's kernel factors the same way) and one chirp
+    about n + size (the metaplectic kernel is this transform too) and one chirp
     on the points.  Twice u, v and v - u are integers, and the chirps' phases
     are reduced modulo 2*pi exactly (_half_turns), so they carry a few ulps
     however far the indices run.
@@ -606,7 +612,10 @@ def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarr
         0.5 * (_half_turns(mid * h, twice_u) + _half_turns(quarter, twice_u * twice_u))
     )
     kernel = _unit_phase(-0.5 * _half_turns(quarter, twice_d * twice_d))
-    out = _convolve_valid(weighted, kernel)
+    # the part of the linear convolution of weighted and kernel that sees all
+    # of weighted, by FFT
+    length = _fast_length(kernel.size)
+    out = np.fft.ifft(np.fft.fft(weighted, length) * np.fft.fft(kernel, length))[n - 1 : kernel.size]
     out *= _unit_phase(0.5 * _half_turns(quarter, twice_v * twice_v))
     if centre != 0.0:
         out *= _unit_phase((start + step * np.arange(size)) * centre)
@@ -627,14 +636,6 @@ def _half_turns(a: float, s: np.ndarray) -> np.ndarray:
     turns -= 2.0 * np.rint(0.5 * turns)
     turns += (a - hi) * s
     return turns
-
-
-def _convolve_valid(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """out[j] = sum_m a[m] kernel[j + n - 1 - m] for j <= kernel.size - n, n = a.size:
-    the part of the linear convolution that sees all of a, by FFT."""
-    n = a.size
-    size = _fast_length(kernel.size)
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(kernel, size))[n - 1 : kernel.size]
 
 
 def _fast_length(m: int) -> int:
@@ -659,12 +660,11 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_grid(half_width: float = GRID_HALF_WIDTH, spacing: float = GRID_SPACING) -> np.ndarray:
-    """Uniform symmetric grid [-half_width, half_width] including 0."""
-    n = int(round(2 * half_width / spacing))
-    if n % 2 == 1:
-        n += 1
-    return np.linspace(-half_width, half_width, n + 1)
+def sample_grid() -> np.ndarray:
+    """The standard sampling grid: [-GRID_HALF_WIDTH, GRID_HALF_WIDTH] at spacing
+    GRID_SPACING, an odd number of points, so 0 among them."""
+    n = round(2 * GRID_HALF_WIDTH / GRID_SPACING)
+    return np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, n + 1)
 
 
 CSV_HEADER = ("t", "re", "im")

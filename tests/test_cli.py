@@ -10,13 +10,14 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import gaborcert
-from gaborcert import cli
+from gaborcert import TruncationRiskWarning, cli, gaussian, sample_grid
 from gaborcert.cli import main
 from gaborcert.criterion import DensityProfile
-from gaborcert.window import read_sampled_csv
+from gaborcert.window import read_sampled_csv, write_sampled_csv
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMAS = REPO / "schemas"
@@ -91,6 +92,25 @@ def test_reduce_schema_and_window_export(capsys, tmp_path):
     assert tags == ["frac_fourier", "chirp", "dilate"]
     grid, values = read_sampled_csv(out_window)
     assert grid.size == values.size == 3201
+
+
+# a basis whose reduction dilates by 10: the Gaussian's reduced window,
+# exp(-pi t^2/100) up to a phase, is still 4e-2 of its peak at |t| = 8
+WIDE_BASIS = "0.0707106781186548,7.07106781186548,-0.0707106781186548,7.07106781186548"
+
+
+def test_reduce_warns_when_the_grid_cuts_the_window(capsys, tmp_path):
+    gauss = tmp_path / "gauss.csv"
+    write_sampled_csv(gauss, sample_grid(), gaussian().time_eval(sample_grid()))
+    # the closed-form route cuts the window when it samples it, the sampled
+    # route when it dilates the samples
+    for window in ("gaussian", f"file:{gauss}"):
+        out_window = tmp_path / "reduced.csv"
+        with pytest.warns(TruncationRiskWarning, match="grid ends"):
+            run_json(capsys, "reduce", "--window", window, "--basis", WIDE_BASIS,
+                     "--out-window", str(out_window))
+        _, values = read_sampled_csv(out_window)
+        assert min(abs(values[0]), abs(values[-1])) > 0.04 * np.max(np.abs(values)), window
 
 
 def test_oracle_schema(capsys):
@@ -243,10 +263,9 @@ def test_numerical_errors_exit_3(capsys):
     assert code == 3
 
 
-def test_tail_tol_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("GABOR_TAIL_TOL", "1e-6")
+def test_tail_tol_flag(capsys):
     payload = run_json(capsys, "certify", "--window", "gaussian", "--delta", "0.5")
-    assert payload["tail_tol"] == 1e-6
+    assert payload["tail_tol"] == 1e-12
     payload = run_json(
         capsys,
         "certify",
@@ -258,9 +277,6 @@ def test_tail_tol_env_and_flag(capsys, monkeypatch):
         "1e-8",
     )
     assert payload["tail_tol"] == 1e-8
-    monkeypatch.setenv("GABOR_TAIL_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "certify", "--window", "gaussian", "--delta", "0.5")
-    assert code == 2
 
 
 def test_dilation_flag_matches_rect_route(capsys):

@@ -181,7 +181,7 @@ def test_halving_for_every_window_with_an_even_modulus(monkeypatch):
         grid_points = 1001 if w.quadrature is None else 101
         profile = min_delta(w, grid_points=grid_points)
         assert calls[0] == (grid_points, mirrored), w.label
-        # the bisection passes: one call for every point they could visit, never mirrored
+        # the refinement stencil: one call, never mirrored
         assert len(calls) <= 2 and all(size <= 14 and not mirror for size, mirror in calls[1:])
         if w.quadrature is not None and mirrored:
             # a real sampled window mirrors its rows to the rounding of its transform
@@ -251,7 +251,8 @@ def test_shared_tail_pass_gives_each_weights_tails():
 
 
 def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
-    """min_delta's profile with its three bisection passes run one sweep call per pass."""
+    """The profile of three bisection passes on the grid minimum's bracket, one
+    sweep call per pass: the rows min_delta's refinement stencil extends."""
     omegas = np.linspace(0.0, 1.0, grid_points)
     rows = criterion._sweep_rows(w, omegas, tail_tol, mirror=w.even_modulus)
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
@@ -296,16 +297,42 @@ REFINEMENT_CASES = sorted(
 )
 
 
+def assert_profile_extends_sequential_passes(w, grid_points):
+    """min_delta's profile holds every row of sequential_refinement's, byte for
+    byte, and besides them only the other points of the refinement stencil."""
+    profile = min_delta(w, grid_points=grid_points)
+    omegas, table, min_value, _ = sequential_refinement(w, grid_points)
+    got = np.array([profile.deltas, profile.lows, profile.highs, profile.num_tails, profile.den_tails])
+    where = np.searchsorted(profile.omegas, omegas)
+    np.testing.assert_array_equal(profile.omegas[where], omegas)
+    np.testing.assert_array_equal(got[:, where], table)
+    # the stencil: j/8 of a grid step on either side of the coarse argmin
+    grid = np.linspace(0.0, 1.0, grid_points)
+    on_grid = np.isin(omegas, grid)
+    mid = omegas[on_grid][np.nanargmin(table[0, on_grid])]
+    step = 1.0 / (grid_points - 1)
+    stencil = [mid + j * step / 8 for j in range(-7, 8) if j and 0.0 <= mid + j * step / 8 <= 1.0]
+    refined = profile.omegas[~np.isin(profile.omegas, grid)]
+    np.testing.assert_allclose(refined, stencil, rtol=0.0, atol=4e-16)
+    assert profile.omegas.size - omegas.size <= 8
+    finite = np.isfinite(profile.lows)
+    assert profile.min_value == np.min(profile.lows[finite]) <= min_value
+
+
+# on every point the sequential passes evaluate, the batched profile equals theirs
 @pytest.mark.parametrize("spec, b", REFINEMENT_CASES)
 def test_batched_refinement_equals_sequential_passes(spec, b):
-    w = dilate(corpus_window(spec), b)
-    profile = min_delta(w)
-    omegas, table, min_value, argmin = sequential_refinement(w)
-    np.testing.assert_array_equal(profile.omegas, omegas)
-    got = np.array([profile.deltas, profile.lows, profile.highs, profile.num_tails, profile.den_tails])
-    np.testing.assert_array_equal(got, table)
-    assert profile.min_value == min_value
-    assert profile.argmin == argmin
+    assert_profile_extends_sequential_passes(dilate(corpus_window(spec), b), 1001)
+
+
+@pytest.mark.parametrize("grid_points", [101, 1001])
+@pytest.mark.parametrize("spec", ["gaussian", "hermite:1"])
+def test_sampled_refinement_extends_sequential_passes(spec, grid_points):
+    # a coarse argmin inside the grid (the Gaussian, at 1/2) and at its end
+    # (hermite:1, at 0): both stencils sum by the factorized product
+    grid = sample_grid()
+    w = dilate(corpus_window(spec), 0.7)
+    assert_profile_extends_sequential_passes(sampled_window(grid, w.time_eval(grid)), grid_points)
 
 
 def test_sweep_memory_stays_bounded():
@@ -405,6 +432,49 @@ def test_enclosures_contain_50_digit_sums(spec, n, b):
         assert rows[1, i] <= delta <= rows[2, i], (spec, om)
         # the budget is a few ulps per term, not a loose pad
         assert enc.high - enc.low <= 1e-11 * delta
+
+
+def mp_delta(n, b, omega):
+    mag2 = mp_mag2(n, b)
+    truth = [mp_sum(mag2, omega, p, b) for p in (0, 1)]
+    with mpmath.workdps(50):
+        return mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1])
+
+
+def test_subnormal_sums_keep_their_enclosure():
+    # S_0 = 1.5e-323 and S_1 = 5e-324: a purely relative budget rounds them
+    # by 0 and misses the true 1.13701
+    enc = delta_g(dilate(hermite(2), 25.0), 0.43975)
+    assert enc.low <= mp_delta(2, 25.0, 0.43975) <= enc.high
+    assert enc.num.rounding > 0.0 and enc.den.rounding > 0.0
+
+
+def test_rows_near_the_underflow_edge_contain_50_digit_sums():
+    # rows whose smaller sum is below 1e-290, where rounding is absolute:
+    # each holds the true delta_g (with a lower end of 0 or an upper end of
+    # inf where a sum's bound reaches 0, and a lower end of the largest
+    # double where S_0/S_1 overflows), or is lost by both engines
+    rng = np.random.default_rng(20261018)
+    grid = np.linspace(0.0, 1.0, 401)
+    checked = 0
+    for n, spec in enumerate(["gaussian", "hermite:1", "hermite:2", "hermite:3"]):
+        for b in [*rng.uniform(10.0, 25.0, 4), 25.0]:
+            w = dilate(corpus_window(spec), b)
+            sums = criterion._sweep(w, grid, 1e-12)
+            edge = np.flatnonzero(np.nanmin(sums[:, 0], axis=0) < 1e-290)
+            if edge.size == 0:
+                continue
+            omegas = np.sort(grid[rng.choice(edge, min(6, edge.size), replace=False)])
+            rows = criterion._sweep_rows(w, omegas, 1e-12)
+            for om, row, enc in zip(omegas, rows.T, pointwise(w, omegas)):
+                if enc is None:
+                    assert np.isnan(row).all(), (spec, b, om)
+                    continue
+                truth = mp_delta(n, b, om)
+                assert row[1] <= truth <= row[2], (spec, b, om)
+                assert enc.low <= truth <= enc.high, (spec, b, om)
+                checked += 1
+    assert checked >= 20, checked
 
 
 def test_rounding_budget_grows_with_the_exponent():

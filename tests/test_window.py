@@ -185,7 +185,7 @@ def test_chirp_window_freq_via_quadrature(gauss):
 
 
 def test_sampled_csv_roundtrip(tmp_path):
-    grid = sample_grid(8.0, 0.005)
+    grid = sample_grid()
     values = np.exp(-np.pi * grid**2) * (1 + 0.5j)
     path = tmp_path / "w.csv"
     write_sampled_csv(path, grid, values)
@@ -195,7 +195,7 @@ def test_sampled_csv_roundtrip(tmp_path):
 
 
 def test_window_from_csv_matches_analytic_transform(tmp_path, gauss):
-    grid = sample_grid(8.0, 0.005)
+    grid = sample_grid()
     path = tmp_path / "gauss.csv"
     write_sampled_csv(path, grid, np.exp(-np.pi * grid**2))
     w = window_from_csv(path)
@@ -205,7 +205,7 @@ def test_window_from_csv_matches_analytic_transform(tmp_path, gauss):
 
 
 def test_sampled_window_validations():
-    grid = sample_grid(8.0, 0.005)
+    grid = sample_grid()
     values = np.exp(-np.pi * grid**2)
     with pytest.raises(PreconditionError):
         sampled_window(grid[:-1], values[:-1] * 0 + grid[:-1] ** 2, label="asym")
@@ -220,7 +220,7 @@ def test_sampled_window_validations():
 
 
 def test_sampled_window_rejects_false_envelope():
-    grid = sample_grid(8.0, 0.005)
+    grid = sample_grid()
     values = np.exp(-np.pi * grid**2)
     claimed = Envelope(amplitude=1e-6, rate=np.pi)
     with pytest.raises(PreconditionError):
@@ -228,7 +228,7 @@ def test_sampled_window_rejects_false_envelope():
 
 
 def test_sampled_window_accepts_true_envelope():
-    grid = sample_grid(8.0, 0.005)
+    grid = sample_grid()
     values = np.exp(-np.pi * grid**2)
     w = sampled_window(grid, values, label="ok", envelope=Envelope(amplitude=1.0, rate=np.pi))
     assert w.envelope is not None
