@@ -12,6 +12,7 @@ numerically unresolvable inputs, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -97,11 +98,20 @@ def _load_window(args: argparse.Namespace) -> Window:
     return w
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised inside (path cannot be written) into exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with _writing(out), open(out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -121,10 +131,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "rigorous": profile.rigorous,
         "non_certifying": profile.non_certifying,
     }
-    if args.out is None:
-        sys.stdout.write(profile.csv_text())
-    else:
-        profile.write_csv(args.out)
+    _emit(profile.csv_text(), args.out)
+    if args.out is not None:
         _emit_json(summary, None)
     return EXIT_OK
 
@@ -158,10 +166,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_barrier_scan(args: argparse.Namespace) -> int:
     scan = h1_barrier_scan(args.b_min, args.b_max, args.steps, tail_tol=args.tail_tol)
-    if args.out is None:
-        sys.stdout.write(scan.csv_text())
-    else:
-        scan.write_csv(args.out)
+    _emit(scan.csv_text(), args.out)
     return EXIT_OK
 
 
@@ -185,7 +190,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     payload = {"schema": SCHEMA_REDUCE, **result.to_json()}
     if args.out_window is not None:
         f = sample_window(result.window)
-        write_sampled_csv(args.out_window, f.grid, f.values)
+        with _writing(args.out_window):
+            write_sampled_csv(args.out_window, f.grid, f.values)
     _emit_json(payload, args.out)
     return EXIT_OK
 

@@ -109,9 +109,30 @@ class SampledFunction:
 
 def sample_window(w: Window) -> SampledFunction:
     """w on the standard grid (window.sample_grid); warns when the samples have
-    not decayed at its ends (_warn_end_decay), since the grid then cuts w off."""
+    not decayed at its ends (_warn_end_decay), since the grid then cuts w off.
+
+    A quadrature window is resampled through its transform, not by linear
+    interpolation: ghat on m points over one period 1/h of the quadrature (h
+    its spacing), then the trapezoid rule over them at minus each grid point,
+    which repeats g with period about m*h, longer than any node-to-grid
+    distance.
+    """
     grid = sample_grid()
-    f = SampledFunction(grid=grid, values=np.asarray(w.time_eval(grid), dtype=complex))
+    quad = w.quadrature
+    if quad is None:
+        values = np.asarray(w.time_eval(grid), dtype=complex)
+    else:
+        nodes = quad.nodes
+        h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+        m = 2 * math.ceil(0.5 * (nodes[-1] + grid[-1]) / h) + 1
+        # a step of 24 significant bits makes every point j*step exact, so the
+        # second rule's nodes are exactly the points the first one evaluated
+        step = float(np.float32(1.0 / (m * h)))
+        freqs = (np.arange(m) - 0.5 * (m - 1)) * step
+        spectrum = _chirp_z(quad, freqs[0], step, m)
+        spacing = (grid[-1] - grid[0]) / (grid.size - 1)
+        values = _chirp_z(Quadrature.of(freqs, spectrum), -grid[0], -spacing, grid.size)
+    f = SampledFunction(grid=grid, values=values)
     _warn_end_decay(f)
     return f
 

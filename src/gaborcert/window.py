@@ -15,10 +15,11 @@ parity and Gaussian decay envelope
 
     |ghat(xi)| <= amplitude * exp(-rate * xi^2)   for all real xi,
 
-which drives rigorous truncation bounds for lattice sums.  Sampled windows
-carry a trapezoid quadrature and no envelope unless one is declared;
-downstream truncation is then heuristic and results carry a non-rigorous
-flag.
+which drives rigorous truncation bounds for lattice sums.  Only closed forms
+carry an envelope.  Sampled windows carry a trapezoid quadrature, whose
+transform is periodic with period 1/h in xi (h the grid spacing), so no
+Gaussian envelope holds for it; downstream truncation is then heuristic and
+results carry a non-rigorous flag.
 """
 
 from __future__ import annotations
@@ -281,8 +282,9 @@ class Window:
 
     Both evaluators are vectorised: they accept a float or an ndarray and
     return complex values of matching shape.  A closed-form window also
-    carries its ClosedForm, and a quadrature-backed window its Quadrature,
-    which freq_eval evaluates and ghat_lattice evaluates on whole lattices.
+    carries its ClosedForm and the envelope from_form derives from it; a
+    quadrature-backed window carries its Quadrature, which freq_eval
+    evaluates and ghat_lattice evaluates on whole lattices, and no envelope.
     """
 
     label: str
@@ -358,13 +360,8 @@ def dilate(w: Window, b: float) -> Window:
         raise PreconditionError(f"window {w.label!r} has neither a closed form nor samples to dilate")
     nodes = w.quadrature.nodes
     quad = Quadrature(nodes * b, w.quadrature.weighted * b**0.5)
-    env = None
-    if w.envelope is not None:
-        # pad a hair: rescaled exponents travel a different float path than
-        # the bound's, and a tight envelope must survive that ulp noise
-        env = Envelope(b**0.5 * w.envelope.amplitude * _ENVELOPE_PAD, w.envelope.rate * b * b)
     time_eval = _interpolant(quad.nodes, w.time_eval(nodes) * b**-0.5)
-    return Window(label, time_eval, quad.freq_eval, w.parity, env, quadrature=quad)
+    return Window(label, time_eval, quad.freq_eval, w.parity, quadrature=quad)
 
 
 def chirp_window(w: Window, q: float) -> Window:
@@ -425,45 +422,20 @@ def classify_parity(w: Window) -> Parity:
     return Parity.NEITHER
 
 
-def envelope_violation(w: Window) -> float:
-    """Worst violation of the declared envelope on 101 probes on each side, |xi| in [1, 10].
-
-    Returns max(|ghat(xi)| - bound(xi)) over the probe grid; nonpositive
-    values mean the envelope held everywhere it was checked.
-    """
-    if w.envelope is None:
-        raise PreconditionError(f"window {w.label!r} declares no envelope")
-    xi = np.linspace(1.0, 10.0, 101)
-    xi = np.concatenate([-xi[::-1], xi])
-    mag = np.abs(np.asarray(w.freq_eval(xi), dtype=complex))
-    return float(np.max(mag - w.envelope.bound(xi)))
-
-
-def sampled_window(
-    t: np.ndarray,
-    values: np.ndarray,
-    label: str = "sampled",
-    envelope: Envelope | None = None,
-) -> Window:
+def sampled_window(t: np.ndarray, values: np.ndarray, label: str = "sampled") -> Window:
     """Window backed by samples on a uniform symmetric grid (check_samples).
 
     Evaluation interpolates linearly inside the grid and is 0 outside; the
     transform is a trapezoid quadrature over the samples at their ideal
     nodes t_0 + j*h (a recorded node may sit up to 1e-9 off its ideal place;
-    the metaplectic chirp-z kernel uses the ideal nodes too).  A declared
-    envelope is checked on a probe grid before being accepted.
+    the metaplectic chirp-z kernel uses the ideal nodes too).  The window
+    carries no envelope: the quadrature's transform repeats with period 1/h,
+    so it never decays, and sums over it are never rigorous.
     """
     t, values = check_samples(t, values)
     quad = Quadrature.of(t, values)
-    out = Window(label, _interpolant(t, values), quad.freq_eval, envelope=envelope, quadrature=quad)
-    out = replace(out, parity=classify_parity(out))
-    if envelope is not None:
-        violation = envelope_violation(out)
-        if violation > 1e-12:
-            raise PreconditionError(
-                f"declared envelope violated by {violation:.3e} on the probe grid"
-            )
-    return out
+    out = Window(label, _interpolant(t, values), quad.freq_eval, quadrature=quad)
+    return replace(out, parity=classify_parity(out))
 
 
 def check_samples(t, values) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Checks shared by several test modules: the Wirtinger inequality on samples,
-and the parity defect of the sampled metaplectic operators."""
+the parity defect of the sampled metaplectic operators, and how far a window's
+transform exceeds its envelope."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from gaborcert.errors import PreconditionError
 from gaborcert.metaplectic import SampledFunction, chirp, dilate_sampled, frac_fourier
+from gaborcert.window import Window
 
 
 def wirtinger_residual(values):
@@ -71,3 +73,17 @@ def parity_residual(op: str, f: SampledFunction, param: float) -> float:
         return 0.0
     defect = float(np.max(np.abs(out.values - sign * out.values[::-1])))
     return defect / scale
+
+
+def envelope_violation(w: Window) -> float:
+    """Worst violation of w's envelope on 101 probes on each side, |xi| in [1, 10].
+
+    Returns max(|ghat(xi)| - bound(xi)) over the probe grid; nonpositive
+    values mean the envelope held everywhere it was checked.
+    """
+    if w.envelope is None:
+        raise PreconditionError(f"window {w.label!r} has no envelope")
+    xi = np.linspace(1.0, 10.0, 101)
+    xi = np.concatenate([-xi[::-1], xi])
+    mag = np.abs(np.asarray(w.freq_eval(xi), dtype=complex))
+    return float(np.max(mag - w.envelope.bound(xi)))

@@ -217,6 +217,28 @@ def test_precondition_errors_exit_2(capsys, tmp_path):
             assert "line 3" in err, err
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # a missing directory and a directory in place of a file, for every --out
+    # and --out-window: one stderr line naming the path, no traceback
+    subcommands = [
+        ("profile", "--window", "hermite:1", "--grid-points", "11"),
+        ("certify", "--window", "hermite:1", "--delta", "0.4"),
+        ("barrier-scan", "--b-min", "0.5", "--b-max", "2", "--steps", "3"),
+        ("gaussian-cert",),
+        ("iwasawa", "--basis", "2,0.5,0,0.5"),
+        ("reduce", "--window", "hermite:1", "--basis", "0.6,0.3,-0.2,0.9"),
+        ("oracle", "--window", "gaussian", "--a", "0.5", "--b", "1", "--n", "24"),
+    ]
+    cases = [argv + ("--out",) for argv in subcommands] + [subcommands[5] + ("--out-window",)]
+    for argv in cases:
+        for path in (tmp_path / "missing" / "out.txt", tmp_path):
+            code, _, err = run_cli(capsys, *argv, str(path))
+            assert code == 2, (argv, err)
+            assert err.count("\n") == 1 and f"cannot write {str(path)!r}" in err, err
+            assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     # every subcommand, with usage (64) and precondition (2) errors in between
     mixed = [

@@ -41,7 +41,9 @@ from gaborcert import (
 from gaborcert import criterion
 from gaborcert.criterion import FLOOR_GUARD, _envelope_tails, _from_log, envelope_tail_log
 from gaborcert import window as window_module
-from gaborcert.window import envelope_violation, ghat_lattice, window_from_csv, write_sampled_csv
+from gaborcert.window import ghat_lattice, window_from_csv, write_sampled_csv
+
+from helpers import envelope_violation
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
 COMBOS = {
@@ -883,13 +885,4 @@ def test_sampled_profile_matches_pointwise_delta_g(name, grid_points):
     assert w.envelope is None and w.even_modulus == mirrored
     profile = min_delta(w, grid_points=grid_points)
     assert profile.omegas.size > grid_points  # the bisection points are in
-    assert_rows_match_pointwise(w, profile)
-
-
-def test_enveloped_sampled_window_sweep_matches_delta_g():
-    # a quadrature window with a declared envelope takes the enveloped sweep,
-    # whose lattice must agree with delta_g's pointwise freq_eval
-    grid = sample_grid()
-    w = sampled_window(grid, np.exp(-np.pi * grid**2), envelope=Envelope(amplitude=1.0 + 1e-9, rate=np.pi))
-    profile = min_delta(w, grid_points=41)
     assert_rows_match_pointwise(w, profile)

@@ -1,6 +1,8 @@
 """Window constructors: closed forms, transforms, parity, envelopes, CSV."""
 
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaborcert.criterion import delta_g, min_delta
+import gaborcert
+from gaborcert.criterion import certify, delta_g, min_delta
 from gaborcert.errors import PreconditionError
+from gaborcert.lattice import Lattice2D, reduce_general
 from gaborcert.metaplectic import SampledFunction, _angle_kernel
 from gaborcert.window import (
     ClosedForm,
@@ -19,7 +23,6 @@ from gaborcert.window import (
     classify_parity,
     combine,
     dilate,
-    envelope_violation,
     from_form,
     ghat_lattice,
     gaussian,
@@ -31,6 +34,8 @@ from gaborcert.window import (
     window_from_csv,
     write_sampled_csv,
 )
+
+from helpers import envelope_violation
 
 
 def quadrature_ft(w, xi, half_width=8.0, n=4097):
@@ -219,20 +224,48 @@ def test_sampled_window_validations():
         sampled_window(grid, np.where(np.abs(grid) < 1, np.inf, 0.0), label="nonfinite")
 
 
-def test_sampled_window_rejects_false_envelope():
+def bump_samples():
+    """exp(-pi t^2) (1 + 0.02 cos(2 pi 15 t)) on the standard grid: |ghat(15)| = 0.01,
+    far above any Gaussian envelope of rate pi, which probes on |xi| in [1, 10]
+    would not see."""
     grid = sample_grid()
-    values = np.exp(-np.pi * grid**2)
-    claimed = Envelope(amplitude=1e-6, rate=np.pi)
-    with pytest.raises(PreconditionError):
-        sampled_window(grid, values, label="overtight", envelope=claimed)
+    return grid, np.exp(-np.pi * grid**2) * (1.0 + 0.02 * np.cos(2.0 * np.pi * 15.0 * grid))
 
 
-def test_sampled_window_accepts_true_envelope():
-    grid = sample_grid()
-    values = np.exp(-np.pi * grid**2)
-    w = sampled_window(grid, values, label="ok", envelope=Envelope(amplitude=1.0, rate=np.pi))
-    assert w.envelope is not None
-    assert envelope_violation(w) <= 1e-12
+def test_only_closed_forms_carry_an_envelope(tmp_path):
+    # a trapezoid transform repeats with period 1/h, so samples never carry an
+    # envelope, and nothing built from them certifies rigorously
+    grid, values = bump_samples()
+    with pytest.raises(TypeError):
+        sampled_window(grid, values, envelope=Envelope(amplitude=1.0 + 1e-9, rate=np.pi))
+    w = sampled_window(grid, values, label="bump")
+    path = tmp_path / "bump.csv"
+    write_sampled_csv(path, grid, values)
+    rotated = Lattice2D(np.array([[0.6, 0.3], [-0.2, 0.9]]))
+    for v in (w, window_from_csv(path), dilate(w, 1.7), reduce_general(w, rotated).window):
+        assert v.form is None and v.envelope is None, v.label
+        assert not min_delta(v).rigorous, v.label
+        assert not certify(v, 0.97).rigorous, v.label
+
+
+def test_only_from_form_builds_an_enveloped_window():
+    # no Window(...) or replace(...) in the package passes an envelope, by
+    # keyword or in the fifth positional place, except inside from_form
+    package = pathlib.Path(gaborcert.__file__).parent
+    builders = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                    continue
+                name = call.func.id
+                keyed = any(k.arg == "envelope" for k in call.keywords)
+                if (name == "Window" and (keyed or len(call.args) >= 5)) or (name == "replace" and keyed):
+                    builders.add((path.name, func.name))
+    assert builders == {("window.py", "from_form")}
 
 
 def bent_grid():
