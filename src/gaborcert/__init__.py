@@ -42,18 +42,11 @@ from .lattice import (
     reduce_general,
     rotation_matrix,
 )
-from .metaplectic import (
-    SampledFunction,
-    chirp,
-    dilate_sampled,
-    frac_fourier,
-    sample_window,
-)
+from .metaplectic import sample_window
 from .oracle import (
     build_model,
     equivalence_check,
     finite_frame_bounds,
-    frame_operator,
     model_for,
     snap_lattice,
 )
@@ -88,24 +81,19 @@ __all__ = [
     "ParameterNotRepresentable",
     "Parity",
     "PreconditionError",
-    "SampledFunction",
     "TruncationRiskWarning",
     "Window",
     "ZeroSumError",
     "build_model",
     "certify",
     "certify_rect",
-    "chirp",
     "chirp_window",
     "combine",
     "delta_at_zero",
     "delta_g",
     "dilate",
-    "dilate_sampled",
     "equivalence_check",
     "finite_frame_bounds",
-    "frac_fourier",
-    "frame_operator",
     "gaussian",
     "gaussian_certificate",
     "geometric_tail",

@@ -34,7 +34,7 @@ from .errors import GaborcertError, NumericalError, PreconditionError
 from .lattice import Lattice2D, iwasawa, reduce_general
 from .metaplectic import sample_window
 from .oracle import DEFAULT_DIM, finite_frame_bounds, model_for
-from .window import Window, dilate, gaussian, hermite, window_from_csv, write_sampled_csv
+from .window import Window, dilate, gaussian, hermite, sample_grid, window_from_csv, write_sampled_csv
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -189,9 +189,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     result = reduce_general(w, _parse_basis(args.basis))
     payload = {"schema": SCHEMA_REDUCE, **result.to_json()}
     if args.out_window is not None:
-        f = sample_window(result.window)
+        values = sample_window(result.window)
         with _writing(args.out_window):
-            write_sampled_csv(args.out_window, f.grid, f.values)
+            write_sampled_csv(args.out_window, sample_grid(), values)
     _emit_json(payload, args.out)
     return EXIT_OK
 

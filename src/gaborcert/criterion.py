@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateError,
     DivergentSeriesError,
+    NumericalError,
     PreconditionError,
     TruncationRiskWarning,
     ZeroSumError,
@@ -284,6 +285,9 @@ def lattice_sum(
     return res
 
 
+# the two engines below evaluate and sum terms that may overflow (a Hermite
+# order in the hundreds): they check their sums instead of warning
+@np.errstate(over="ignore", invalid="ignore")
 def _enveloped_sums(
     w: Window, omega: float, ps: tuple[int, ...], tail_tol: float
 ) -> list[LatticeSumResult]:
@@ -293,7 +297,8 @@ def _enveloped_sums(
     every weight, as is one tail pass (envelope_tail_log); each sum stops
     at the first cutoff where its own tail passes _converged.  Values are
     math.fsum of the terms, so exactly rounded.  A vanishing sum comes back
-    with value 0; callers raise.
+    with value 0; callers raise.  A sum, or the rounding weight of its terms,
+    that is not finite raises NumericalError (_overflow).
     """
     amp, rate = w.envelope.amplitude, w.envelope.rate
     terms: dict[int, list[float]] = {p: [] for p in ps}
@@ -312,7 +317,12 @@ def _enveloped_sums(
             t = mag2 if p == 0 else xi ** (2 * p) * mag2
             terms[p].extend(t.tolist())
             weighted[p] += float(np.dot(e, t))
-            value = math.fsum(terms[p])
+            try:
+                value = math.fsum(terms[p])
+            except OverflowError:
+                value = math.inf
+            if not (math.isfinite(value) and math.isfinite(weighted[p])):
+                raise _overflow(w, k_cut)
             if _converged(tail, value, tail_tol):
                 n_terms = 2 * k_cut + 1
                 rounding = _rounding_budget(value, weighted[p], n_terms, p)
@@ -322,6 +332,11 @@ def _enveloped_sums(
     raise DivergentSeriesError(
         f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
     )
+
+
+def _overflow(w: Window, k_cut: int) -> NumericalError:
+    """The error for a sum, or the rounding weight of its terms, past the double range."""
+    return NumericalError(f"lattice sums for {w.label!r} overflow the double range by K={k_cut}")
 
 
 def _row_sums(w: Window, omega: float, tail_tol: float) -> list[LatticeSumResult]:
@@ -407,6 +422,7 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
     """S_0 and S_1 at every omega, summed as (omega x k) arrays.
 
@@ -426,7 +442,8 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     _ZERO_SCAN_K before it counts as vanishing, and one still summing at
     the first cutoff past _WARN_K stops there, under one
     TruncationRiskWarning per call.  The rounding of such a sum covers the
-    summation and the per-term constant only.
+    summation and the per-term constant only.  Partial sums that are not
+    finite raise NumericalError (_overflow).
 
     A row adds each step's new terms as one group, whatever other rows the
     call holds, so with a closed-form ghat (freq_eval elementwise) its sums
@@ -492,6 +509,8 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
                 acc[:, rows + offset] += added
                 if recent is not None:
                     recent[step % 2][:, rows + offset] = added
+        if not np.all(np.isfinite(acc)):
+            raise _overflow(w, k_cut)
         k_done = k_cut
         rows = np.flatnonzero(summing.any(axis=0))
         if env is None:

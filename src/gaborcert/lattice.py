@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .metaplectic import _angle_kernel, chirp, dilate_sampled, frac_fourier, sample_window, to_window
-from .window import Parity, Window, dilate, from_form
+from .metaplectic import _angle_kernel, reduce_samples
+from .window import Parity, Window, dilate, from_form, sample_grid, sampled_window
 
 _SNAP = 1e-12
 
@@ -49,15 +49,6 @@ class Lattice2D:
     @property
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
-
-    def to_json(self) -> dict:
-        return {"basis": [[float(v) for v in row] for row in self.basis]}
-
-    @staticmethod
-    def from_json(payload: dict) -> "Lattice2D":
-        if not isinstance(payload, dict) or "basis" not in payload:
-            raise PreconditionError("lattice payload must carry a 'basis' key")
-        return Lattice2D(basis=np.asarray(payload["basis"], dtype=float))
 
 
 def rect(a: float, b: float) -> Lattice2D:
@@ -163,8 +154,8 @@ def reduce_general(w: Window, L: Lattice2D) -> ReductionResult:
     rotation, chirp for the shear, then one combined dilation for D_a
     and the final rescale of the unit square to side scale.  Rectangular
     lattices take a single dilation.  A closed-form window maps exactly
-    (ClosedForm.fractional, chirp and dilate); a sampled one goes through
-    the sampled operators of metaplectic.
+    (ClosedForm.fractional, chirp and dilate); a sampled one is reduced
+    on the standard grid by metaplectic.reduce_samples.
     """
     factors = iwasawa(L)
     delta_eff = factors.scale**2
@@ -179,20 +170,17 @@ def reduce_general(w: Window, L: Lattice2D) -> ReductionResult:
             parity_preserved=reduced.parity is w.parity,
         )
     label = f"reduced({w.label})"
+    angle, rate = -factors.r, -factors.q
     if w.form is None:
-        f = sample_window(w)
-        f = frac_fourier(f, -factors.r)
-        f = chirp(f, -factors.q)
-        f = dilate_sampled(f, stretch)
-        reduced = to_window(f, label=label)
+        reduced = sampled_window(sample_grid(), reduce_samples(w, angle, rate, stretch), label=label)
     else:
-        form = w.form.fractional(_angle_kernel(-factors.r))
-        reduced = from_form(form.chirp(-factors.q).dilate(stretch), label)
+        form = w.form.fractional(_angle_kernel(angle))
+        reduced = from_form(form.chirp(rate).dilate(stretch), label)
     definite = w.parity in (Parity.EVEN, Parity.ODD)
     return ReductionResult(
         window=reduced,
         delta_eff=delta_eff,
-        steps=(("frac_fourier", -factors.r), ("chirp", -factors.q), ("dilate", stretch)),
+        steps=(("frac_fourier", angle), ("chirp", rate), ("dilate", stretch)),
         factors=factors,
         parity_preserved=(not definite) or reduced.parity is w.parity,
     )

@@ -1,4 +1,4 @@
-"""Metaplectic operators on sampled functions.
+"""Metaplectic reduction of sampled windows.
 
 The fractional Fourier transform of angle r acts by the integral kernel
 
@@ -12,34 +12,32 @@ convention ghat(xi) = integral g(t) exp(-2*pi*i*xi*t) dt, F_0 is the
 identity and F_pi is the reflection f(t) -> f(-t).  Hermite windows are
 eigenvectors with eigenvalue exp(-i*n*r).
 
-Everything here acts on functions sampled on a uniform symmetric grid,
-the reduction route for sampled (file:) windows; closed-form windows map
-exactly through window.ClosedForm.fractional, which shares the kernel and
-its special angles (_angle_kernel).  The sampled transform is evaluated by
-trapezoid quadrature, which converges spectrally for smooth rapidly
-decaying data as long as the chirped integrand stays below the grid's
-Nyquist rate.  Angles too close to a multiple of pi make csc blow up and
-are rejected rather than mis-sampled.
+Closed-form windows map exactly through window.ClosedForm.fractional, which
+shares the kernel and its special angles (_angle_kernel).  A sampled (file:)
+window is reduced here, on the standard grid (window.sample_grid), in one
+step: the chain lattice.reduce_general applies, the transform F_r, the chirp
+V_q = exp(i*pi*q*t^2) and the dilation (D_a g)(t) = a^(-1/2) g(t/a), is one
+linear canonical transform (Ozaktas, Arikan, Kutay and Bozdagi 1996),
 
-The quadrature sum is a chirp-z transform (Bluestein's factoring).  With
-the chirp c(t) = exp(i*pi*cot*t^2) the kernel's sum is c(s) times the
-trapezoid transform of the chirped samples f*c at frequency csc*s, and on
-the ideal nodes t = h*u (u the centred index) that transform is the one
-chirp-z transform of window._chirp_z: one FFT convolution of length about
-2n between two chirp multiplications, O(n log n) time and O(n) memory for
-an n-point grid.  Every chirp phase is reduced modulo 2*pi exactly, so the
-result stays within about 7e-15 of the exact Hermite eigen-images on the
-standard 3201-point grid.
+    (D_a V_q F_r g)(t) = a^(-1/2) * sqrt(1 - i*cot r)
+                         * exp(i*pi*(cot r + q)*(t/a)^2) * Q[g*c](csc(r)*t/a),
 
-Dilation goes through the same kernel: a forward Fourier transform, then
-an inverse one whose frequency is scaled by 1/a.
+with c(s) = exp(i*pi*cot(r)*s^2) and Q the trapezoid transform of the
+chirped samples: one chirp-z transform (window._chirp_z), an FFT
+convolution of length about 2n between two chirp multiplications, O(n log n)
+time and O(n) memory for an n-point grid.  Every chirp phase is reduced
+modulo 2*pi exactly.  The trapezoid sum converges spectrally for smooth
+rapidly decaying data as long as the chirped integrand stays below the
+grid's Nyquist rate.  An angle snapped to a multiple of pi needs no
+transform: the result is the output chirp times the sampled dilate, reversed
+for the reflection.  Angles too close to a multiple of pi make csc blow up
+and are rejected rather than mis-sampled.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,66 +48,21 @@ from .window import (
     _chirp_z,
     _half_turns,
     _unit_phase,
-    check_samples,
+    dilate,
     sample_grid,
-    sampled_window,
+    trapezoid_weights,
 )
 
 TWO_PI = 2.0 * math.pi
 SNAP_TOL = 1e-12
 DEGENERATE_TOL = 1e-6
-MIN_HALF_WIDTH = 8.0
 _END_DECAY = 1e-10
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Complex samples on a uniform grid over a symmetric interval.
-
-    The grid passes window.check_samples (nodes within 1e-9 of t_0 + j*h,
-    symmetric about 0, spacing at most 0.01) and has half-width at least 8,
-    dense and wide enough for the quadrature rules used throughout.  The
-    chirp-z kernel of frac_fourier computes on the ideal nodes h*u, u the
-    centred index, so a node's recorded offset from its ideal place (at most
-    about 1.5e-9) is not seen there.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid, values = check_samples(self.grid, self.values)
-        if grid[-1] < MIN_HALF_WIDTH - 1e-9:
-            raise PreconditionError(f"grid half-width {grid[-1]!r} is below {MIN_HALF_WIDTH}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    @property
-    def half_width(self) -> float:
-        return float(self.grid[-1])
-
-    @property
-    def size(self) -> int:
-        return int(self.grid.size)
-
-    def with_values(self, values: np.ndarray) -> "SampledFunction":
-        return SampledFunction(grid=self.grid, values=np.asarray(values, dtype=complex))
-
-    def l2_norm(self) -> float:
-        return float(math.sqrt(np.trapezoid(np.abs(self.values) ** 2, dx=self.spacing)))
-
-    def flipped(self) -> "SampledFunction":
-        # symmetric grid, so reversal realizes t -> -t exactly
-        return self.with_values(self.values[::-1])
-
-
-def sample_window(w: Window) -> SampledFunction:
-    """w on the standard grid (window.sample_grid); warns when the samples have
-    not decayed at its ends (_warn_end_decay), since the grid then cuts w off.
+def sample_window(w: Window) -> np.ndarray:
+    """w's values on the standard grid (window.sample_grid); warns when they
+    have not decayed at its ends (_warn_end_decay), since the grid then cuts
+    w off.
 
     A quadrature window is resampled through its transform, not by linear
     interpolation: ghat on m points over one period 1/h of the quadrature (h
@@ -132,17 +85,12 @@ def sample_window(w: Window) -> SampledFunction:
         spectrum = _chirp_z(quad, freqs[0], step, m)
         spacing = (grid[-1] - grid[0]) / (grid.size - 1)
         values = _chirp_z(Quadrature.of(freqs, spectrum), -grid[0], -spacing, grid.size)
-    f = SampledFunction(grid=grid, values=values)
-    _warn_end_decay(f)
-    return f
+    _warn_end_decay(values)
+    return values
 
 
-def to_window(f: SampledFunction, label: str) -> Window:
-    return sampled_window(f.grid, f.values, label=label)
-
-
-def _warn_end_decay(f: SampledFunction) -> None:
-    edge = max(abs(f.values[0]), abs(f.values[-1]))
+def _warn_end_decay(values: np.ndarray) -> None:
+    edge = max(abs(values[0]), abs(values[-1]))
     if edge > _END_DECAY:
         warnings.warn(
             f"samples still {edge:.3e} at the grid ends; quadrature tails are uncontrolled",
@@ -151,10 +99,9 @@ def _warn_end_decay(f: SampledFunction) -> None:
         )
 
 
-def _warn_aliasing(f: SampledFunction, cot: float, csc: float) -> None:
-    """Warn when the kernel's integrand, up to (|cot| + |csc|) * half_width cycles, nears Nyquist."""
-    nyquist = 0.5 / f.spacing
-    bandwidth = (abs(cot) + abs(csc)) * f.half_width
+def _warn_aliasing(bandwidth: float, spacing: float) -> None:
+    """Warn when the kernel's integrand, of up to bandwidth cycles, nears the Nyquist rate."""
+    nyquist = 0.5 / spacing
     if bandwidth > 0.9 * nyquist:
         warnings.warn(
             f"chirped integrand reaches {bandwidth:.1f} cycles against a grid "
@@ -164,25 +111,62 @@ def _warn_aliasing(f: SampledFunction, cot: float, csc: float) -> None:
         )
 
 
-def _chirped_kernel_apply(
-    f: SampledFunction, cot: float, csc: float, amplitude: complex
-) -> SampledFunction:
-    """out(s) = amplitude * sum_t wgt(t) f(t) exp(i pi (cot s^2 - 2 csc s t + cot t^2)).
+def _chirp(rate: float, n: int, h: float) -> np.ndarray:
+    """exp(i pi rate t^2) on the n nodes t = h*u, u the centred index.
 
-    With the chirp c(t) = exp(i pi cot t^2) this is amplitude * c(s) times
-    the quadrature transform of the chirped samples f * c at xi = csc * s,
-    one chirp-z transform on the ideal nodes (window._chirp_z).  The chirp's
-    phase is reduced modulo 2*pi exactly (window._half_turns), as twice the
-    centred index u of t = h*u is an integer.
+    The phase is reduced modulo 2*pi exactly (window._half_turns), as twice
+    u is an integer.
     """
-    n = f.size
-    # the ideal spacing: a difference of two neighbours carries the rounding
-    # of the nodes, about 2e-14 relative on the standard grid
-    h = (f.grid[-1] - f.grid[0]) / (n - 1)
     twice_u = np.arange(n) * 2.0 - (n - 1)
-    c = _unit_phase(-0.5 * _half_turns(0.25 * cot * h * h, twice_u * twice_u))
-    quad = Quadrature.of(f.grid, f.values * c)
-    return f.with_values(amplitude * c * _chirp_z(quad, csc * quad.nodes[0], csc * h, n))
+    return _unit_phase(-0.5 * _half_turns(0.25 * rate * h * h, twice_u * twice_u))
+
+
+def _chirped_kernel_apply(
+    values: np.ndarray, h: float, cot: float, csc: float, amplitude: complex, out_rate: float
+) -> np.ndarray:
+    """out(t) = amplitude * exp(i pi out_rate t^2)
+                 * sum_s wgt(s) values(s) exp(i pi cot s^2) exp(-2 pi i csc s t).
+
+    s and t run over the n nodes h*u (u the centred index) and wgt is the
+    trapezoid rule: the transform of the chirped samples at csc * t, one
+    chirp-z transform on those nodes (window._chirp_z).
+    """
+    n = values.size
+    nodes = h * (np.arange(n) - 0.5 * (n - 1))
+    quad = Quadrature(nodes, values * _chirp(cot, n, h) * trapezoid_weights(n, h))
+    return amplitude * _chirp(out_rate, n, h) * _chirp_z(quad, csc * nodes[0], csc * h, n)
+
+
+def reduce_samples(w: Window, angle: float, rate: float, stretch: float) -> np.ndarray:
+    """D_stretch V_rate F_angle w on the standard grid (window.sample_grid).
+
+    F_angle is the fractional Fourier transform, V_rate the chirp
+    exp(i pi rate t^2) and D_stretch the unitary dilation.  Off the snapped
+    angles this is one _chirped_kernel_apply of w's samples; at a snapped
+    angle the chirp times sample_window(dilate(w, stretch)), reversed for the
+    reflection.  Warns (TruncationRiskWarning) when the samples of w or of
+    the result have not decayed at the grid ends, and when the kernel's
+    integrand, of up to (|cot| + |csc|/stretch) * GRID_HALF_WIDTH cycles,
+    nears the grid's Nyquist rate.
+    """
+    if not (stretch > 0 and math.isfinite(stretch)) or not math.isfinite(rate):
+        raise PreconditionError(f"chirp rate and dilation must be finite, got {rate!r}, {stretch!r}")
+    kernel = _angle_kernel(angle)
+    grid = sample_grid()
+    n = grid.size
+    h = (grid[-1] - grid[0]) / (n - 1)
+    if kernel in (1, -1):
+        _warn_aliasing(grid[-1] / stretch, h)
+        # the grid is symmetric, so reversal realizes t -> -t exactly
+        return _chirp(rate / (stretch * stretch), n, h) * sample_window(dilate(w, stretch))[::kernel]
+    cot, csc, amplitude = kernel
+    _warn_aliasing((abs(cot) + abs(csc) / stretch) * grid[-1], h)
+    out_rate = (cot + rate) / (stretch * stretch)
+    out = _chirped_kernel_apply(
+        sample_window(w), h, cot, csc / stretch, amplitude / math.sqrt(stretch), out_rate
+    )
+    _warn_end_decay(out)
+    return out
 
 
 def _angle_kernel(r: float):
@@ -214,54 +198,3 @@ def _angle_kernel(r: float):
     sin_r = math.sin(rr)
     cot = math.cos(rr) / sin_r
     return cot, 1.0 / sin_r, np.sqrt(complex(1.0, -cot))
-
-
-def frac_fourier(f: SampledFunction, r: float) -> SampledFunction:
-    """Fractional Fourier transform of angle r on the function's own grid.
-
-    Angles within 1e-12 of a multiple of pi/2 take the exact special
-    path (identity, reflection, forward or inverse Fourier transform);
-    angles within 1e-6 of a multiple of pi, but not snapped, raise
-    DegenerateAngleError (see _angle_kernel).
-    """
-    kernel = _angle_kernel(r)
-    if kernel == 1:
-        return f.with_values(f.values.copy())
-    if kernel == -1:
-        return f.flipped()
-    _warn_end_decay(f)
-    cot, csc, amplitude = kernel
-    if cot != 0.0:
-        _warn_aliasing(f, cot, csc)
-    return _chirped_kernel_apply(f, cot, csc, amplitude)
-
-
-def chirp(f: SampledFunction, q: float) -> SampledFunction:
-    """Multiply by the unit chirp exp(i pi q t^2)."""
-    if not math.isfinite(q):
-        raise PreconditionError(f"chirp rate must be finite, got {q!r}")
-    if q == 0.0:
-        return f.with_values(f.values.copy())
-    return f.with_values(f.values * np.exp(1j * math.pi * q * f.grid**2))
-
-
-def dilate_sampled(f: SampledFunction, a: float) -> SampledFunction:
-    """Unitary dilation (D_a f)(t) = a^(-1/2) f(t/a), resampled on the same grid.
-
-    Spectral resampling through the chirp-z kernel: the Fourier transform
-    fhat on the function's own grid, then f(t/a) = integral fhat(s)
-    exp(2 pi i s t/a) ds on the same grid.  Both sums assume f and fhat have
-    decayed at the grid ends; the second warns when its integrand, of up to
-    half_width/a cycles, nears the grid's Nyquist rate, and the output warns
-    when it has not decayed at the grid ends, where the grid cuts it off.
-    """
-    if not (a > 0 and math.isfinite(a)):
-        raise PreconditionError(f"dilation scale must be positive, got {a!r}")
-    if a == 1.0:
-        return f.with_values(f.values.copy())
-    _warn_aliasing(f, 0.0, -1.0 / a)
-    spectrum = _chirped_kernel_apply(f, 0.0, 1.0, complex(1.0))
-    out = _chirped_kernel_apply(spectrum, 0.0, -1.0 / a, complex(1.0))
-    out = out.with_values(out.values / math.sqrt(a))
-    _warn_end_decay(out)
-    return out

@@ -185,16 +185,6 @@ def _frame_blocks(model: FiniteGaborModel) -> np.ndarray:
     return (n / q) * np.matmul(G.transpose(0, 2, 1), G.conj())
 
 
-def frame_operator(model: FiniteGaborModel) -> np.ndarray:
-    """Dense frame operator: the diagonal blocks scattered back to (m, m')."""
-    n, q = model.n, model.q
-    N = n // q
-    rows = np.arange(N)[:, None] + N * np.arange(q)[None, :]
-    S = np.zeros((n, n), dtype=complex)
-    S[rows[:, :, None], rows[:, None, :]] = _frame_blocks(model)
-    return S
-
-
 def finite_frame_bounds(model: FiniteGaborModel) -> FrameBounds:
     """Smallest and largest eigenvalues of the (symmetrized) frame operator.
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import hermite as _herm
 
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .tables import read_csv, write_csv
 
 # Standard sampling grid used for quadrature-backed transforms and for
@@ -153,14 +153,18 @@ def _interpolant(nodes: np.ndarray, values: np.ndarray) -> Callable:
 def _peak_sum(n: int, rho: float) -> float:
     """sum_j |a_j| (2 pi rho)^(j/2) sup_x x^j exp(-(pi/2) x^2) over the
     power-basis coefficients a_j of H_n (see ClosedForm.envelope); the sup
-    is (j/pi)^(j/2) exp(-j/2)."""
+    is (j/pi)^(j/2) exp(-j/2).  Not finite (inf or NaN) where it overflows."""
     root = _SQRT_2PI * math.sqrt(rho)
-    power = _herm.herm2poly([0.0] * n + [1.0])
-    return math.fsum(
-        abs(float(a)) * root**j * ((j / math.pi) ** (j / 2.0) * math.exp(-j / 2.0))
-        for j, a in enumerate(power)
-        if a != 0.0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _herm.herm2poly([0.0] * n + [1.0])
+    try:
+        return math.fsum(
+            abs(float(a)) * root**j * ((j / math.pi) ** (j / 2.0) * math.exp(-j / 2.0))
+            for j, a in enumerate(power)
+            if a != 0.0
+        )
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +276,12 @@ class ClosedForm:
         if len(self.coef) == 1:
             return Envelope(amplitude=abs(self.coef[0]) * _ENVELOPE_PAD, rate=math.pi * re)
         rho = abs(self.z) / re
-        amplitude = math.fsum(abs(c) * _peak_sum(n, rho) for n, c in enumerate(self.coef) if c != 0)
-        return Envelope(amplitude=amplitude * _ENVELOPE_PAD, rate=0.5 * math.pi * re)
+        peaks = math.fsum(abs(c) * _peak_sum(n, rho) for n, c in enumerate(self.coef) if c != 0)
+        amplitude = peaks * _ENVELOPE_PAD
+        if not math.isfinite(amplitude):
+            degree = len(self.coef) - 1
+            raise NumericalError(f"envelope amplitude of a degree-{degree} closed form overflows")
+        return Envelope(amplitude=amplitude, rate=0.5 * math.pi * re)
 
 
 @dataclass(frozen=True)

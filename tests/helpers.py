@@ -1,5 +1,5 @@
 """Checks shared by several test modules: the Wirtinger inequality on samples,
-the parity defect of the sampled metaplectic operators, and how far a window's
+the parity defect of the sampled reduction's operators, and how far a window's
 transform exceeds its envelope."""
 
 import math
@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from gaborcert.errors import PreconditionError
-from gaborcert.metaplectic import SampledFunction, chirp, dilate_sampled, frac_fourier
-from gaborcert.window import Window
+from gaborcert.metaplectic import reduce_samples
+from gaborcert.window import Window, sample_grid, sampled_window
 
 
 def wirtinger_residual(values):
@@ -34,27 +34,34 @@ def wirtinger_residual(values):
     return lhs, rhs
 
 
+def on_grid(values):
+    """The sampled (file:) window of values on the standard grid."""
+    return sampled_window(sample_grid(), values)
+
+
+# each operator of the reduction alone, on standard-grid samples: the
+# fractional Fourier transform, the chirp exp(i pi q t^2), the dilation
 _OPERATORS = {
-    "frac_fourier": frac_fourier,
-    "chirp": chirp,
-    "dilate": dilate_sampled,
+    "frac_fourier": lambda values, r: reduce_samples(on_grid(values), r, 0.0, 1.0),
+    "chirp": lambda values, q: reduce_samples(on_grid(values), 0.0, q, 1.0),
+    "dilate": lambda values, a: reduce_samples(on_grid(values), 0.0, 0.0, a),
 }
 
 
-def _sample_sign(f: SampledFunction) -> int:
-    scale = float(np.max(np.abs(f.values)))
+def _sample_sign(values: np.ndarray) -> int:
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise PreconditionError("cannot classify the parity of the zero function")
-    flipped = f.values[::-1]
-    if float(np.max(np.abs(f.values - flipped))) <= 1e-9 * scale:
+    flipped = values[::-1]
+    if float(np.max(np.abs(values - flipped))) <= 1e-9 * scale:
         return 1
-    if float(np.max(np.abs(f.values + flipped))) <= 1e-9 * scale:
+    if float(np.max(np.abs(values + flipped))) <= 1e-9 * scale:
         return -1
     raise PreconditionError("samples are neither even nor odd")
 
 
-def parity_residual(op: str, f: SampledFunction, param: float) -> float:
-    """Relative parity defect of op applied to a definite-parity input.
+def parity_residual(op: str, values: np.ndarray, param: float) -> float:
+    """Relative parity defect of op applied to definite-parity samples on the standard grid.
 
     All three operators preserve the parity class, so the output of an
     even (odd) input should again be even (odd); the returned number is
@@ -66,12 +73,12 @@ def parity_residual(op: str, f: SampledFunction, param: float) -> float:
         raise PreconditionError(
             f"unknown operator {op!r}; expected one of {sorted(_OPERATORS)}"
         ) from None
-    sign = _sample_sign(f)
-    out = operator(f, param)
-    scale = float(np.max(np.abs(out.values)))
+    sign = _sample_sign(values)
+    out = operator(values, param)
+    scale = float(np.max(np.abs(out)))
     if scale == 0.0:
         return 0.0
-    defect = float(np.max(np.abs(out.values - sign * out.values[::-1])))
+    defect = float(np.max(np.abs(out - sign * out[::-1])))
     return defect / scale
 
 

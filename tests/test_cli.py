@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gaborcert
-from gaborcert import TruncationRiskWarning, cli, gaussian, sample_grid
+from gaborcert import TruncationRiskWarning, cli, gaussian, hermite, sample_grid
 from gaborcert.cli import main
 from gaborcert.criterion import DensityProfile
 from gaborcert.window import read_sampled_csv, write_sampled_csv
@@ -111,6 +111,26 @@ def test_reduce_warns_when_the_grid_cuts_the_window(capsys, tmp_path):
                      "--out-window", str(out_window))
         _, values = read_sampled_csv(out_window)
         assert min(abs(values[0]), abs(values[-1])) > 0.04 * np.max(np.abs(values)), window
+
+
+@pytest.mark.parametrize("basis", ["0.6,0.3,-0.2,0.9", "0.75,0,0.3,0.75", "-1,0,0.3,-1"])
+def test_reduce_file_window_matches_the_closed_form(capsys, tmp_path, basis):
+    # hermite:1 on the standard grid and on a coarser, narrower one, reduced
+    # through the sampled route (rotation, shear only, reflection)
+    exact_csv = tmp_path / "exact.csv"
+    # --basis=...: a leading minus would read as a flag
+    exact = run_json(capsys, "reduce", "--window", "hermite:1", f"--basis={basis}",
+                     "--out-window", str(exact_csv))
+    _, want = read_sampled_csv(exact_csv)
+    narrow = np.linspace(-6.0, 6.0, 1201)
+    for t in (sample_grid(), narrow):
+        window_csv, reduced_csv = tmp_path / "h1.csv", tmp_path / "reduced.csv"
+        write_sampled_csv(window_csv, t, hermite(1).time_eval(t))
+        payload = run_json(capsys, "reduce", "--window", f"file:{window_csv}", f"--basis={basis}",
+                           "--out-window", str(reduced_csv))
+        assert payload["parity"] == exact["parity"] == "odd"
+        _, got = read_sampled_csv(reduced_csv)
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want))), t.size
 
 
 def test_oracle_schema(capsys):
@@ -283,6 +303,17 @@ def test_numerical_errors_exit_3(capsys):
     tiny = "0.999999999999995,1e-07,-1e-07,0.999999999999995"
     code, _, err = run_cli(capsys, "reduce", "--window", "gaussian", "--basis", tiny)
     assert code == 3
+
+
+@pytest.mark.parametrize("order", [150, 300, 1000])
+def test_overflowing_hermite_orders_exit_3(capsys, order):
+    # hermite:150 overflows the rounding weight of its sums, hermite:300 and
+    # hermite:1000 the envelope amplitude: no verdict, and no numpy warning
+    # (the suite turns one into an error)
+    code, out, err = run_cli(capsys, "certify", "--window", f"hermite:{order}", "--delta", "0.01")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "overflow" in err, err
 
 
 def test_tail_tol_flag(capsys):

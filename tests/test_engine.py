@@ -538,9 +538,9 @@ def reduced(spec, basis):
 
 
 def sampled_reduced(spec, basis):
-    """The same image through the sampled chain of a file: window: the corpus
-    window sampled on the standard grid, then frac_fourier, chirp and
-    dilate_sampled."""
+    """The same image through the sampled route of a file: window: the corpus
+    window sampled on the standard grid, then one chirp-z kernel
+    (metaplectic.reduce_samples)."""
     grid = sample_grid()
     w = sampled_window(grid, corpus_window(spec).time_eval(grid), label=spec)
     return reduce_general(w, Lattice2D(np.array(basis))).window
@@ -697,7 +697,7 @@ def test_reduced_h1_profile_is_a_dilate():
 @pytest.mark.parametrize("spec", ["hermite:1", "hermite:3"])
 def test_reduced_odd_windows_stay_below_the_barrier(spec):
     # odd windows stay odd under reduction, so delta_g(0) < 1/2 on every
-    # lattice, in the exact image (rigorous) and through the sampled chain
+    # lattice, in the exact image (rigorous) and through the sampled route
     for make in (reduced, sampled_reduced):
         for basis in REDUCED_BASES:
             verdict = certify(make(spec, basis), 0.5)

@@ -13,13 +13,22 @@ from gaborcert import (
     build_model,
     equivalence_check,
     finite_frame_bounds,
-    frame_operator,
     model_for,
     snap_lattice,
 )
 from gaborcert import oracle
 from gaborcert.oracle import FiniteGaborModel, SnapChoice
 from gaborcert.window import chirp_window, dilate, gaussian, hermite
+
+
+def frame_operator(model: FiniteGaborModel) -> np.ndarray:
+    """Dense frame operator: the oracle's diagonal blocks scattered back to (m, m')."""
+    n, q = model.n, model.q
+    N = n // q
+    rows = np.arange(N)[:, None] + N * np.arange(q)[None, :]
+    S = np.zeros((n, n), dtype=complex)
+    S[rows[:, :, None], rows[:, None, :]] = oracle._frame_blocks(model)
+    return S
 
 
 def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:

@@ -16,6 +16,7 @@ from gaborcert import (
     min_delta,
     read_sampled_csv,
     reduce_general,
+    sample_grid,
     sample_window,
     write_sampled_csv,
 )
@@ -75,10 +76,10 @@ def test_columns_write_the_row_writers_bytes(tmp_path):
 
     # a reduced window's samples, as `reduce --out-window` writes them
     reduced = reduce_general(hermite(1), Lattice2D(basis=np.array([[0.75, 0.0], [0.3, 0.75]])))
-    f = sample_window(reduced.window)
+    grid, values = sample_grid(), sample_window(reduced.window)
     path = tmp_path / "reduced.csv"
-    write_sampled_csv(path, f.grid, f.values)
-    expected = row_writer_text(("t", "re", "im"), zip(f.grid, f.values.real, f.values.imag))
+    write_sampled_csv(path, grid, values)
+    expected = row_writer_text(("t", "re", "im"), zip(grid, values.real, values.imag))
     assert path.read_bytes() == expected.encode()
 
 
