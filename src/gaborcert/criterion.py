@@ -584,10 +584,8 @@ class DensityProfile(CsvTable):
     The rows are every point min_delta evaluated, the grid and its
     refinement stencil, in increasing omega.  min_value is the minimum of
     the certified lower enclosures over all of them, so it is a lower bound
-    for the grid minimum.  It is a global claim only when
-    global_minimum_known is set (the window declared a known minimiser).
-    Degenerate grid points are recorded as NaN rows and force
-    non_certifying.
+    for the grid minimum.  Degenerate grid points are recorded as NaN rows
+    and force non_certifying.
     """
 
     omegas: np.ndarray
@@ -602,7 +600,6 @@ class DensityProfile(CsvTable):
     tail_tol: float
     rigorous: bool
     non_certifying: bool
-    global_minimum_known: bool
 
     CSV_HEADER = PROFILE_CSV_HEADER
 
@@ -633,7 +630,6 @@ class DensityProfile(CsvTable):
             tail_tol=math.nan,
             rigorous=False,
             non_certifying=bool(np.any(~finite)),
-            global_minimum_known=False,
         )
 
 
@@ -709,7 +705,6 @@ def min_delta(
         tail_tol=tail_tol,
         rigorous=w.envelope is not None and not degenerate,
         non_certifying=degenerate,
-        global_minimum_known=w.known_minimizer is not None,
     )
 
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import DegenerateAngleError, PreconditionError, TruncationRiskWarning
 from .window import (
-    Quadrature,
     Window,
     _chirp_z,
     _half_turns,
@@ -60,31 +59,12 @@ _END_DECAY = 1e-10
 
 
 def sample_window(w: Window) -> np.ndarray:
-    """w's values on the standard grid (window.sample_grid); warns when they
-    have not decayed at its ends (_warn_end_decay), since the grid then cuts
-    w off.
-
-    A quadrature window is resampled through its transform, not by linear
-    interpolation: ghat on m points over one period 1/h of the quadrature (h
-    its spacing), then the trapezoid rule over them at minus each grid point,
-    which repeats g with period about m*h, longer than any node-to-grid
-    distance.
+    """w.time_eval on the standard grid (window.sample_grid): a sampled
+    window's band-limited interpolant, which on that grid is its samples.
+    Warns when the values have not decayed at the grid ends
+    (_warn_end_decay), since the grid then cuts w off.
     """
-    grid = sample_grid()
-    quad = w.quadrature
-    if quad is None:
-        values = np.asarray(w.time_eval(grid), dtype=complex)
-    else:
-        nodes = quad.nodes
-        h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-        m = 2 * math.ceil(0.5 * (nodes[-1] + grid[-1]) / h) + 1
-        # a step of 24 significant bits makes every point j*step exact, so the
-        # second rule's nodes are exactly the points the first one evaluated
-        step = float(np.float32(1.0 / (m * h)))
-        freqs = (np.arange(m) - 0.5 * (m - 1)) * step
-        spectrum = _chirp_z(quad, freqs[0], step, m)
-        spacing = (grid[-1] - grid[0]) / (grid.size - 1)
-        values = _chirp_z(Quadrature.of(freqs, spectrum), -grid[0], -spacing, grid.size)
+    values = np.asarray(w.time_eval(sample_grid()), dtype=complex)
     _warn_end_decay(values)
     return values
 
@@ -133,8 +113,8 @@ def _chirped_kernel_apply(
     """
     n = values.size
     nodes = h * (np.arange(n) - 0.5 * (n - 1))
-    quad = Quadrature(nodes, values * _chirp(cot, n, h) * trapezoid_weights(n, h))
-    return amplitude * _chirp(out_rate, n, h) * _chirp_z(quad, csc * nodes[0], csc * h, n)
+    weighted = values * _chirp(cot, n, h) * trapezoid_weights(n, h)
+    return amplitude * _chirp(out_rate, n, h) * _chirp_z(nodes, weighted, csc * nodes[0], csc * h, n)
 
 
 def reduce_samples(w: Window, angle: float, rate: float, stretch: float) -> np.ndarray:

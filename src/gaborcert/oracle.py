@@ -113,10 +113,10 @@ class FiniteGaborModel:
 def _periodized(w: Window, n: int, spacing: float) -> np.ndarray:
     """Window samples wrapped onto the circle of circumference n*spacing, unnormalized."""
     m = (np.arange(n) - n // 2) * spacing
-    total = np.zeros(n, dtype=complex)
-    for j in range(-_PERIODIZE_COPIES, _PERIODIZE_COPIES + 1):
-        total += np.asarray(w.time_eval(m + j * n * spacing), dtype=complex)
-    return total
+    # the copies side by side are one uniform grid; the rows add in loop order
+    shifts = range(-_PERIODIZE_COPIES, _PERIODIZE_COPIES + 1)
+    copies = w.time_eval(np.concatenate([m + j * n * spacing for j in shifts]))
+    return np.asarray(copies, dtype=complex).reshape(len(shifts), n).sum(axis=0)
 
 
 def _wrap_defect(w: Window, n: int, spacing: float) -> float:

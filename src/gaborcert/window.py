@@ -16,10 +16,10 @@ parity and Gaussian decay envelope
     |ghat(xi)| <= amplitude * exp(-rate * xi^2)   for all real xi,
 
 which drives rigorous truncation bounds for lattice sums.  Only closed forms
-carry an envelope.  Sampled windows carry a trapezoid quadrature, whose
-transform is periodic with period 1/h in xi (h the grid spacing), so no
-Gaussian envelope holds for it; downstream truncation is then heuristic and
-results carry a non-rigorous flag.
+carry an envelope.  A sampled window is one trapezoid quadrature (its values
+are the band-limited interpolant of its transform), whose transform is
+periodic with period 1/h in xi (h the grid spacing), so no Gaussian envelope
+holds for it; truncation is then heuristic and results are non-rigorous.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,10 +42,12 @@ from .tables import read_csv, write_csv
 GRID_HALF_WIDTH = 8.0
 GRID_SPACING = 0.005
 
-# Sampled windows: coarsest grid spacing accepted, and the tolerance to which
-# nodes must sit on their uniform grid t_0 + j*h and the grid be symmetric.
+# Sampled windows: coarsest grid spacing accepted, the tolerance to which
+# nodes must sit on their uniform grid t_0 + j*h and the grid be symmetric,
+# and the one in ulps for the grid of points they evaluate on.
 MAX_SPACING = 0.01
 _GRID_TOL = 1e-9
+_GRID_ULPS = 16
 
 # ghat_lattice evaluates a quadrature window's transform on at most
 # _STRETCH_POINTS lattice points per chirp-z transform (its rounding grows
@@ -58,7 +60,6 @@ _FACTOR_VALUES = 1 << 18
 
 # Relative symmetry residual below which a sampled window counts as even or odd.
 PARITY_TOL = 1e-10
-_PARITY_PROBES = np.linspace(-5.0, 5.0, 201)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Normalisation making hermite(1) exactly t*exp(-pi*t^2).
@@ -120,20 +121,23 @@ def ideal_nodes(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Trapezoid rule for the transform of a sampled window.
+    """The one model of a sampled window: its samples and their trapezoid rule.
 
     ghat(xi) = sum_m weighted[m] * exp(-2*pi*i*xi*nodes[m]), with nodes the
     ideal nodes of the samples (ideal_nodes, the metaplectic kernel's too)
     and weighted the samples times trapezoid_weights on the ideal spacing.
+    g is the band-limited interpolant of that transform (time_eval): samples[m]
+    at an interior node, half of it at the two ends, whose weights are halved.
     """
 
     nodes: np.ndarray
     weighted: np.ndarray
+    samples: np.ndarray
 
     @staticmethod
     def of(t: np.ndarray, values: np.ndarray) -> "Quadrature":
         nodes = ideal_nodes(t)
-        return Quadrature(nodes, values * trapezoid_weights(t.size, (t[-1] - t[0]) / (t.size - 1)))
+        return Quadrature(nodes, values * trapezoid_weights(t.size, (t[-1] - t[0]) / (t.size - 1)), values)
 
     def freq_eval(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -143,10 +147,32 @@ class Quadrature:
         out = kernel @ self.weighted
         return out[0] if scalar else out
 
-
-def _interpolant(nodes: np.ndarray, values: np.ndarray) -> Callable:
-    """Linear interpolation of samples, 0 outside the nodes."""
-    return functools.partial(np.interp, xp=nodes, fp=values, left=0.0 + 0.0j, right=0.0 + 0.0j)
+    def time_eval(self, t):
+        """g at t, a scalar or a uniform 1-d grid in either direction (to
+        _GRID_ULPS ulps of its largest point; else PreconditionError): the
+        samples where t is the nodes to that tolerance, elsewhere the inverse
+        trapezoid rule over ghat on m points of one period 1/h (h the
+        spacing), one chirp-z transform each way.  That rule repeats g with
+        period about m*h, longer than any distance from a node to a point of t.
+        """
+        t = np.asarray(t, dtype=float)
+        pts = np.atleast_1d(t)
+        tol = _GRID_ULPS * _U * float(np.max(np.abs(pts), initial=0.0))
+        step = (pts[-1] - pts[0]) / (pts.size - 1) if pts.ndim == 1 and pts.size > 1 else 0.0
+        if pts.ndim != 1 or not pts.size or not np.all(np.abs(pts - pts[0] - step * np.arange(pts.size)) <= tol):
+            raise PreconditionError("a sampled window evaluates on a scalar or a uniform 1-d grid only")
+        nodes = self.nodes
+        if pts.size == nodes.size and np.all(np.abs(pts - nodes) <= tol):
+            return self.samples.copy()
+        h = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+        m = 2 * math.ceil(0.5 * max(pts.max() - nodes[0], nodes[-1] - pts.min()) / h) + 1
+        # a step of 24 significant bits makes every point j*df exact, so the
+        # second rule's nodes are exactly the points the first one evaluated
+        df = float(np.float32(1.0 / (m * h)))
+        freqs = (np.arange(m) - 0.5 * (m - 1)) * df
+        rule = Quadrature.of(freqs, _chirp_z(nodes, self.weighted, freqs[0], df, m))
+        out = _chirp_z(rule.nodes, rule.weighted, -pts[0], -step, pts.size)
+        return out[0] if t.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=256)
@@ -291,8 +317,10 @@ class Window:
     Both evaluators are vectorised: they accept a float or an ndarray and
     return complex values of matching shape.  A closed-form window also
     carries its ClosedForm and the envelope from_form derives from it; a
-    quadrature-backed window carries its Quadrature, which freq_eval
-    evaluates and ghat_lattice evaluates on whole lattices, and no envelope.
+    sampled window carries its Quadrature, its one model: freq_eval is the
+    trapezoid rule (ghat_lattice evaluates it on whole lattices), time_eval
+    its band-limited interpolant, which takes only a scalar or a uniform
+    grid; it has no envelope.
     """
 
     label: str
@@ -300,7 +328,6 @@ class Window:
     freq_eval: Callable = None  # type: ignore[assignment]
     parity: Parity = Parity.UNKNOWN
     envelope: Envelope | None = None
-    known_minimizer: float | None = None
     quadrature: Quadrature | None = None
     form: ClosedForm | None = None
 
@@ -321,19 +348,15 @@ class Window:
         return self.quadrature is not None and not np.any(self.quadrature.weighted.imag)
 
 
-def from_form(form: ClosedForm, label: str, known_minimizer: float | None = None) -> Window:
+def from_form(form: ClosedForm, label: str) -> Window:
     """The window of a closed form: its transform, parity and envelope."""
     freq = form.transform()
-    return Window(label, form, freq, form.parity, freq.envelope(), known_minimizer, form=form)
+    return Window(label, form, freq, form.parity, freq.envelope(), form=form)
 
 
 def gaussian() -> Window:
-    """The standard Gaussian window exp(-pi*t^2), self-dual under the FT.
-
-    Its density profile attains its minimum at omega = 1/2, so the grid
-    minimiser found by the criterion is known to be global.
-    """
-    return from_form(ClosedForm((1.0,), 1.0), "gaussian", known_minimizer=0.5)
+    """The standard Gaussian window exp(-pi*t^2), self-dual under the FT."""
+    return from_form(ClosedForm((1.0,), 1.0), "gaussian")
 
 
 def hermite(n: int) -> Window:
@@ -354,7 +377,7 @@ def dilate(w: Window, b: float) -> Window:
     The transform picks up the reciprocal scale: (D_b w)^hat(xi)
     = b^(1/2) * what(b*xi).  Parity is preserved.  A sampled window stays
     a quadrature on the dilated nodes, which ghat_lattice evaluates as it
-    does the undilated ones.
+    does the undilated ones, and its interpolant is the dilated one.
     """
     b = float(b)
     if not (b > 0 and math.isfinite(b)):
@@ -366,10 +389,9 @@ def dilate(w: Window, b: float) -> Window:
         return from_form(w.form.dilate(b), label)
     if w.quadrature is None:
         raise PreconditionError(f"window {w.label!r} has neither a closed form nor samples to dilate")
-    nodes = w.quadrature.nodes
-    quad = Quadrature(nodes * b, w.quadrature.weighted * b**0.5)
-    time_eval = _interpolant(quad.nodes, w.time_eval(nodes) * b**-0.5)
-    return Window(label, time_eval, quad.freq_eval, w.parity, quadrature=quad)
+    q = w.quadrature
+    quad = Quadrature(q.nodes * b, q.weighted * b**0.5, q.samples * b**-0.5)
+    return Window(label, quad.time_eval, quad.freq_eval, w.parity, quadrature=quad)
 
 
 def chirp_window(w: Window, q: float) -> Window:
@@ -409,14 +431,14 @@ def combine(terms: Sequence[tuple[float, Window]], label: str | None = None) -> 
     return from_form(ClosedForm(tuple(coef), z), label)
 
 
-def classify_parity(w: Window) -> Parity:
-    """Classify parity from a 201-point probe grid on [-5, 5].
+def classify_parity(values: np.ndarray) -> Parity:
+    """The parity of samples on a grid symmetric about 0 (check_samples).
 
-    Even or odd requires the corresponding symmetry residual to stay below
-    PARITY_TOL relative to the largest probe magnitude.  A window that
-    vanishes at every probe shows no symmetry there and is UNKNOWN.
+    Even or odd requires values - values[::-1], or values + values[::-1],
+    to stay below PARITY_TOL relative to the largest sample.  All-zero
+    samples show no symmetry and are UNKNOWN.
     """
-    vals = np.asarray(w.time_eval(_PARITY_PROBES), dtype=complex)
+    vals = np.asarray(values, dtype=complex)
     flipped = vals[::-1]
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
@@ -433,17 +455,18 @@ def classify_parity(w: Window) -> Parity:
 def sampled_window(t: np.ndarray, values: np.ndarray, label: str = "sampled") -> Window:
     """Window backed by samples on a uniform symmetric grid (check_samples).
 
-    Evaluation interpolates linearly inside the grid and is 0 outside; the
-    transform is a trapezoid quadrature over the samples at their ideal
-    nodes t_0 + j*h (a recorded node may sit up to 1e-9 off its ideal place;
-    the metaplectic chirp-z kernel uses the ideal nodes too).  The window
-    carries no envelope: the quadrature's transform repeats with period 1/h,
-    so it never decays, and sums over it are never rigorous.
+    Its one model is a Quadrature: the transform is the trapezoid rule over
+    the samples at their ideal nodes t_0 + j*h (a recorded node may sit up
+    to 1e-9 off its ideal place; the metaplectic chirp-z kernel uses the
+    ideal nodes too), and evaluation is that transform's band-limited
+    interpolant, which returns the samples at the nodes.  The parity is the
+    samples' own (classify_parity).  The window carries no envelope: the
+    quadrature's transform repeats with period 1/h, so it never decays, and
+    sums over it are never rigorous.
     """
     t, values = check_samples(t, values)
     quad = Quadrature.of(t, values)
-    out = Window(label, _interpolant(t, values), quad.freq_eval, quadrature=quad)
-    return replace(out, parity=classify_parity(out))
+    return Window(label, quad.time_eval, quad.freq_eval, classify_parity(values), quadrature=quad)
 
 
 def check_samples(t, values) -> tuple[np.ndarray, np.ndarray]:
@@ -558,14 +581,15 @@ def _grid_lattice(quad: Quadrature, origin: float, steps: int, rows, ks) -> np.n
             first = points[lo]
             end = min(hi, lo + int(np.searchsorted(points[lo:hi], first + _STRETCH_POINTS)))
             size = int(points[end - 1] - first) + 1
-            stretch = _chirp_z(quad, origin + first / steps, 1.0 / steps, size)
+            stretch = _chirp_z(quad.nodes, quad.weighted, origin + first / steps, 1.0 / steps, size)
             values[lo:end] = stretch[points[lo:end] - first]
             lo = end
     return values[where.reshape(index.shape)]
 
 
-def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarray:
-    """ghat(start + j*step) for j < size, by one chirp-z transform.
+def _chirp_z(nodes: np.ndarray, weighted: np.ndarray, start: float, step: float, size: int) -> np.ndarray:
+    """sum_m weighted[m] exp(-2 pi i xi nodes[m]), the transform ghat of a
+    quadrature, at xi = start + j*step for j < size, by one chirp-z transform.
 
     On the nodes t_m = c + h*u_m (u centred) and the points xi = mid + v*step
     (v centred, mid the middle point), 2*u*v = u^2 + v^2 - (v - u)^2 gives
@@ -580,7 +604,7 @@ def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarr
     are reduced modulo 2*pi exactly (_half_turns), so they carry a few ulps
     however far the indices run.
     """
-    nodes, n = quad.nodes, quad.weighted.size
+    n = weighted.size
     h = (nodes[-1] - nodes[0]) / (n - 1)
     centre = 0.5 * (nodes[0] + nodes[-1])
     quarter = 0.25 * h * step  # a/4, the phase per squared doubled index
@@ -588,7 +612,7 @@ def _chirp_z(quad: Quadrature, start: float, step: float, size: int) -> np.ndarr
     twice_u = np.arange(n) * 2.0 - (n - 1)
     twice_v = np.arange(size) * 2.0 - (size - 1)
     twice_d = np.arange(n + size - 1) * 2.0 - 2.0 * (n - 1) + (n - size)
-    weighted = quad.weighted * _unit_phase(
+    weighted = weighted * _unit_phase(
         0.5 * (_half_turns(mid * h, twice_u) + _half_turns(quarter, twice_u * twice_u))
     )
     kernel = _unit_phase(-0.5 * _half_turns(quarter, twice_d * twice_d))

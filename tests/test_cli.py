@@ -143,6 +143,18 @@ def test_oracle_schema(capsys):
     assert 0.0 < payload["ratio"] <= 1.0
 
 
+def test_oracle_of_file_samples_matches_the_closed_form(capsys, tmp_path):
+    # the periodized copies evaluate the samples' band-limited interpolant:
+    # linear interpolation read B = 3.7054374 against 3.7053283
+    window_csv = tmp_path / "h1.csv"
+    write_sampled_csv(window_csv, sample_grid(), hermite(1).time_eval(sample_grid()))
+    argv = ("--a", "0.5", "--b", "1", "--n", "240")
+    exact = run_json(capsys, "oracle", "--window", "hermite:1", *argv)
+    sampled = run_json(capsys, "oracle", "--window", f"file:{window_csv}", *argv)
+    assert sampled["B"] == pytest.approx(exact["B"], rel=1e-12, abs=0.0)
+    assert (sampled["snapped_a"], sampled["snapped_b"]) == (exact["snapped_a"], exact["snapped_b"])
+
+
 def test_oracle_accepts_capital_n_alias(capsys):
     payload = run_json(
         capsys, "oracle", "--window", "gaussian", "--a", "0.5", "--b", "1.0", "--N", "144"

@@ -213,7 +213,6 @@ def test_certify_rect_reduces_to_dilation(h1):
 
 def test_min_delta_gaussian_profile(gauss):
     profile = min_delta(gauss)
-    assert profile.global_minimum_known
     assert profile.rigorous
     assert not profile.non_certifying
     assert abs(profile.argmin_omega - 0.5) <= 1e-3

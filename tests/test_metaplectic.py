@@ -13,6 +13,7 @@ from gaborcert import (
     IwasawaFactors,
     PreconditionError,
     TruncationRiskWarning,
+    chirp_window,
     dilate,
     gaussian,
     hermite,
@@ -236,6 +237,12 @@ def test_sample_window_resamples_through_the_quadrature(make, exact):
     # samples off the standard grid, or dilated nodes, reach it by spectral
     # interpolation: linear interpolation was off by up to 4.3e-5 here
     assert max_err(sample_window(make()), exact.time_eval(GRID)) <= 1e-13
+
+
+def test_sample_window_of_standard_grid_samples_is_the_samples():
+    for w in (gaussian(), hermite(1), chirp_window(hermite(2), 0.8)):
+        values = w.time_eval(GRID)
+        assert np.array_equal(sample_window(sampled_window(GRID, values)), values), w.label
 
 
 # the two bases of test_engine, a shear alone and a reflected shear (the

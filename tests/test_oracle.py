@@ -329,3 +329,17 @@ def test_model_evaluates_the_window_once(gauss):
     probes = 2 * math.ceil(16.0 / choice.spacing)
     assert sum(points) == (n + probes) + 5 * n
     np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)
+
+
+def test_periodized_copies_sum_as_a_loop_does(gauss, h1):
+    # one evaluation of the five copies side by side, summed in the order
+    # of a loop over them: the same bits
+    n = 240
+    for w in (gauss, h1, dilate(h1, 0.37)):
+        choice = snap_lattice(w, 0.5, 1.0, n)
+        m = (np.arange(n) - n // 2) * choice.spacing
+        total = np.zeros(n, dtype=complex)
+        for j in range(-2, 3):
+            total += w.time_eval(m + j * n * choice.spacing)
+        model = model_for(w, 0.5, 1.0, n)
+        np.testing.assert_array_equal(model.window, total / float(np.linalg.norm(total)))
