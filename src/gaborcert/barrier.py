@@ -20,10 +20,10 @@ The scan sums every dilation row at once, outward in k: each new k
 column (one math.exp per active row) is added to the scaled sums of all
 active rows, so every row is still summed left to right.  A row retires
 at the first k where its closed-form tails (one_sided_gauss_tail_log,
-one array call per k step for both sums) fall below tail_tol of both
-sums, the same rule a row-by-row loop stops on.  Rows, and the CSV
-written from them, are bit-identical to that loop's, with memory
-proportional to the row count.
+one array call per k step for both sums) pass the criterion's stopping
+rule, tail <= 1e-12 * value, for both sums, the rule a row-by-row loop
+stops on.  Rows, and the CSV written from them, are bit-identical to that
+loop's, with memory proportional to the row count.
 """
 
 from __future__ import annotations
@@ -34,13 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .criterion import (
-    DEFAULT_TAIL_TOL,
-    _check_tail_tol,
-    delta_g,
-    one_sided_gauss_tail_log,
-)
-from .errors import GaborcertError, PreconditionError
+from .criterion import _converged, delta_g, one_sided_gauss_tail_log
+from .errors import PreconditionError
 from .tables import CsvTable
 from .window import Parity, Window
 
@@ -63,7 +58,7 @@ class BarrierReport:
     ghat0_sq: float
 
 
-def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierReport:
+def delta_at_zero(w: Window) -> BarrierReport:
     """Evaluate the criterion at omega = 0 and certify delta0 < 1/2 if possible.
 
     For a window whose parity (w.parity, set by its constructor) is odd,
@@ -81,7 +76,7 @@ def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierRepor
         raise PreconditionError(
             f"window {w.label!r} classifies as odd but |ghat(0)|^2 = {ghat0_sq!r}"
         )
-    enc = delta_g(w, 0.0, tail_tol=tail_tol)
+    enc = delta_g(w, 0.0)
     strict = ghat0_sq <= _GHAT_ZERO_TOL and enc.num.upper < enc.den.lower
     return BarrierReport(
         label=w.label,
@@ -95,15 +90,13 @@ def delta_at_zero(w: Window, tail_tol: float = DEFAULT_TAIL_TOL) -> BarrierRepor
     )
 
 
-def odd_barrier_suite(
-    corpus: Sequence[Window], tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[BarrierReport, ...]:
+def odd_barrier_suite(corpus: Sequence[Window]) -> tuple[BarrierReport, ...]:
     """delta_at_zero across a corpus whose windows must all have parity ODD."""
     reports = []
     for w in corpus:
         if w.parity is not Parity.ODD:
             raise PreconditionError(f"window {w.label!r} is not odd")
-        reports.append(delta_at_zero(w, tail_tol))
+        reports.append(delta_at_zero(w))
     return tuple(reports)
 
 
@@ -145,29 +138,27 @@ class BarrierScan(CsvTable):
         return table.reshape(-1, len(self.CSV_HEADER)).T
 
 
-def _scaled_sums(cs: np.ndarray, tail_tol: float):
-    """Partial sums of k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 plus log tails, per c.
+def _scaled_sums(cs: np.ndarray):
+    """Partial sums of k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 plus log tails, per finite c.
 
     One sweep outward in k over every row at once: each new k column is
     added to sigma2, sigma4 and E of all active rows (a per-row += in k
     order, the left-to-right sum of a row-by-row loop), and a row retires
-    at the first k where
-    exp(log_t4) <= tail_tol * sigma4 and exp(log_t2) <= tail_tol * sigma2
-    holds, with log_tp = c + one_sided_gauss_tail_log(c, p, k + 1) from one
-    array call for every active row and both weights.
+    at the first k where exp(log_t4) and exp(log_t2) pass _converged
+    against sigma4 and sigma2 (both at least 1), with
+    log_tp = c + one_sided_gauss_tail_log(c, p, k + 1) from one array call
+    for every active row and both weights.  The caller has checked the
+    smallest c with a scalar tail call; every larger c has a smaller tail
+    ratio, so no array tail here fails.
 
-    Returns ((sigma2, sigma4, e_partial, log_t2, log_t4), fail_at, failure),
-    the five as arrays over the rows: the true sums lie in
-    [sigma_p, sigma_p + exp(log_t_p)] and
-    E = sum k^2 (k^2-1) exp(-c*(k^2-1)) >= e_partial.  Row fail_at (len(cs)
-    if none) is the first whose sums raised, and failure its exception; the
-    rows before it are complete and the rows after it are left unfinished,
-    as a row-by-row loop would have stopped there.
+    Returns (sigma2, sigma4, e_partial, log_t2, log_t4) as arrays over the
+    rows: the true sums lie in [sigma_p, sigma_p + exp(log_t_p)] and
+    E = sum k^2 (k^2-1) exp(-c*(k^2-1)) >= e_partial.  Raises if a row is
+    still summing past _K_MAX.
     """
     n = cs.size
     sigma2, sigma4, e_partial = np.ones(n), np.ones(n), np.zeros(n)
     log_t2, log_t4 = np.empty(n), np.empty(n)
-    fail_at, failure = n, None
     idx = np.arange(n)
     c, s2, s4, e = cs.copy(), np.ones(n), np.ones(n), np.zeros(n)
     k = 2
@@ -178,31 +169,20 @@ def _scaled_sums(cs: np.ndarray, tail_tol: float):
         s2 += k2 * w
         s4 += k2 * k2 * w
         e += k2 * (k2 - 1.0) * w
-        a = float(k + 1)
-        # one-sided tails of k^(2p) exp(-c k^2) from k+1, rescaled by e^c;
-        # NaN where the scalar tail raises
-        lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), a))
-        bad = np.flatnonzero(np.isnan(lt).any(axis=0))
-        if bad.size:
-            try:
-                one_sided_gauss_tail_log(float(c[bad[0]]), (1, 2), a)
-            except (GaborcertError, ArithmeticError) as exc:
-                fail_at, failure = int(idx[bad[0]]), exc
+        # one-sided tails of k^(2p) exp(-c k^2) from k+1, rescaled by e^c
+        lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), float(k + 1)))
         t2, t4 = np.exp(lt)
-        done = (t4 <= tail_tol * s4) & (t2 <= tail_tol * s2) & (idx < fail_at)
+        done = _converged(t4, s4) & _converged(t2, s2)
         rows = idx[done]
         sigma2[rows], sigma4[rows], e_partial[rows] = s2[done], s4[done], e[done]
         log_t2[rows], log_t4[rows] = lt[:, done]
-        if k > _K_MAX:
-            stuck = idx[~done]
-            if stuck.size and stuck[0] < fail_at:
-                fail_at = int(stuck[0])
-                failure = PreconditionError("scan sums did not settle; c is too small")
-        keep = ~done & (idx < fail_at)
-        if not keep.all():
+        if done.any():
+            keep = ~done
             idx, c, s2, s4, e = idx[keep], c[keep], s2[keep], s4[keep], e[keep]
+        if idx.size and k > _K_MAX:
+            raise PreconditionError("scan sums did not settle; c is too small")
         k += 1
-    return (sigma2, sigma4, e_partial, log_t2, log_t4), fail_at, failure
+    return sigma2, sigma4, e_partial, log_t2, log_t4
 
 
 def _scan_row(
@@ -236,12 +216,7 @@ def _scan_row(
     )
 
 
-def h1_barrier_scan(
-    b_min: float,
-    b_max: float,
-    steps: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> BarrierScan:
+def h1_barrier_scan(b_min: float, b_max: float, steps: int) -> BarrierScan:
     """Closed-form scan of delta0 for dilates of the first Hermite window.
 
     Dilation scales are log-uniform over [b_min, b_max].  Every row is
@@ -253,14 +228,15 @@ def h1_barrier_scan(
         raise PreconditionError(f"need 0 < b_min < b_max, got {b_min!r}, {b_max!r}")
     if not isinstance(steps, int) or steps < 2:
         raise PreconditionError(f"steps must be an integer >= 2, got {steps!r}")
-    _check_tail_tol(tail_tol)
     bs = np.geomspace(b_min, b_max, steps)
-    with np.errstate(over="ignore"):  # c = inf past b ~ 1e154 fails in its row
+    with np.errstate(over="ignore"):  # c = inf past b ~ 1e154; such rows raise below
         cs = 2.0 * math.pi * bs * bs
-    sums, fail_at, failure = _scaled_sums(cs, tail_tol)
-    rows = []
-    for i, row in enumerate(zip(bs, cs, *sums)):
-        if i == fail_at:
-            raise failure
-        rows.append(_scan_row(*map(float, row)))
+    # c grows with b and the tail ratio exp(-2*c*a) shrinks with c and a, so
+    # the first tail of row 0 raises where a row-by-row loop would, and no
+    # later tail of a finite c can
+    one_sided_gauss_tail_log(float(cs[0]), (1, 2), 3.0)
+    finite = int(np.searchsorted(cs, math.inf))
+    rows = [_scan_row(*map(float, row)) for row in zip(bs, cs, *_scaled_sums(cs[:finite]))]
+    if finite < steps:
+        one_sided_gauss_tail_log(math.inf, (1, 2), 3.0)  # raises for the first row with c = inf
     return BarrierScan(rows=tuple(rows))

@@ -23,13 +23,7 @@ import numpy as np
 
 from .barrier import h1_barrier_scan
 from .certify_gaussian import gaussian_certificate
-from .criterion import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_TAIL_TOL,
-    certify,
-    certify_rect,
-    min_delta,
-)
+from .criterion import DEFAULT_GRID_POINTS, TAIL_TOL, certify, certify_rect, min_delta
 from .errors import GaborcertError, NumericalError, PreconditionError
 from .lattice import Lattice2D, iwasawa, reduce_general
 from .metaplectic import sample_window
@@ -121,7 +115,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     w = _load_window(args)
-    profile = min_delta(w, grid_points=args.grid_points, tail_tol=args.tail_tol)
+    profile = min_delta(w, grid_points=args.grid_points)
     summary = {
         "schema": SCHEMA_PROFILE_SUMMARY,
         "window": w.label,
@@ -142,11 +136,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.delta is not None and (args.a is not None or args.b is not None):
         raise PreconditionError("pass either --delta or --a/--b, not both")
     if args.delta is not None:
-        verdict = certify(w, args.delta, grid_points=args.grid_points, tail_tol=args.tail_tol)
+        verdict = certify(w, args.delta, grid_points=args.grid_points)
     elif args.a is not None and args.b is not None:
-        verdict = certify_rect(
-            w, args.a, args.b, grid_points=args.grid_points, tail_tol=args.tail_tol
-        )
+        verdict = certify_rect(w, args.a, args.b, grid_points=args.grid_points)
     else:
         raise PreconditionError("certify needs --delta, or both --a and --b")
     payload = {
@@ -158,14 +150,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "margin": verdict.margin,
         "rigorous": verdict.rigorous,
         "grid_points": verdict.grid_points,
-        "tail_tol": verdict.tail_tol,
+        "tail_tol": TAIL_TOL,
     }
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_barrier_scan(args: argparse.Namespace) -> int:
-    scan = h1_barrier_scan(args.b_min, args.b_max, args.steps, tail_tol=args.tail_tol)
+    scan = h1_barrier_scan(args.b_min, args.b_max, args.steps)
     _emit(scan.csv_text(), args.out)
     return EXIT_OK
 
@@ -240,27 +232,15 @@ def build_parser() -> _Parser:
             help="apply the unitary dilation D_b to the window first",
         )
 
-    def add_tail_tol_flag(p: _Parser) -> None:
-        p.add_argument(
-            "--tail-tol",
-            type=_positive_float,
-            default=DEFAULT_TAIL_TOL,
-            help="relative tail tolerance (default %(default)s)",
-        )
-
-    def add_numeric_flags(p: _Parser) -> None:
-        p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_GRID_POINTS)
-        add_tail_tol_flag(p)
-
     p = sub.add_parser("profile", help="delta_g enclosures over an omega grid (CSV)")
     add_window_flags(p)
-    add_numeric_flags(p)
+    p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("certify", help="frame certification verdict (JSON)")
     add_window_flags(p)
-    add_numeric_flags(p)
+    p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_GRID_POINTS)
     p.add_argument("--delta", type=_positive_float, default=None, help="co-volume of delta*Z x Z")
     p.add_argument("--a", type=_positive_float, default=None, help="lattice side a of a*Z x b*Z")
     p.add_argument("--b", type=_positive_float, default=None, help="lattice side b of a*Z x b*Z")
@@ -271,7 +251,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b-min", type=_positive_float, default=0.1)
     p.add_argument("--b-max", type=_positive_float, default=10.0)
     p.add_argument("--steps", type=_positive_int, default=50)
-    add_tail_tol_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_barrier_scan)
 

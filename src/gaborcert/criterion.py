@@ -35,11 +35,13 @@ from .errors import (
 from .tables import CsvTable, read_csv
 from .window import Window, dilate, ghat_lattice
 
-# Lattice sums whose value is exactly zero are still given a stopping rule:
-# the tail must fall below tail_tol * FLOOR_GUARD before we conclude.
+# The stopping rule of every lattice sum (_converged) and barrier scan row:
+# the truncation tail must fall below TAIL_TOL times the sum.  A sum whose
+# value is exactly zero is still held to it: its tail must fall below
+# TAIL_TOL * FLOOR_GUARD before we conclude.
+TAIL_TOL = 1e-12
 FLOOR_GUARD = 1e-30
 
-DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_GRID_POINTS = 1001
 
 # Smallest positive double; used to clamp log-space tail bounds that
@@ -179,9 +181,9 @@ def _cutoffs():
         k_cut += max(2, k_cut // 2)
 
 
-def _converged(tail, value, tail_tol: float):
-    """The stopping rule: tail <= tail_tol * max(value, FLOOR_GUARD); elementwise on arrays."""
-    return tail <= tail_tol * np.maximum(value, FLOOR_GUARD)
+def _converged(tail, value):
+    """The stopping rule: tail <= TAIL_TOL * max(value, FLOOR_GUARD); elementwise on arrays."""
+    return tail <= TAIL_TOL * np.maximum(value, FLOOR_GUARD)
 
 
 def _exponent_weight(xi: np.ndarray, rate: float) -> np.ndarray:
@@ -251,35 +253,25 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def _check_tail_tol(tail_tol: float) -> float:
-    tail_tol = float(tail_tol)
-    if not 0.0 < tail_tol <= 1e-2:
-        raise PreconditionError(f"tail_tol must lie in (0, 1e-2], got {tail_tol!r}")
-    return tail_tol
-
-
-def lattice_sum(
-    w: Window, omega: float, p: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> LatticeSumResult:
+def lattice_sum(w: Window, omega: float, p: int) -> LatticeSumResult:
     """Sum (k+omega)^(2p) |ghat(k+omega)|^2 over k in Z with tail control, p in {0, 1}.
 
     With an envelope the cutoff K runs through _cutoffs() until the
-    closed-form tail bound drops below tail_tol * max(value, FLOOR_GUARD);
-    the result is then a certified enclosure [value - rounding, value +
-    tail_bound + rounding].  Without an envelope the sum is the row of a
-    one-row _sweep, and the reported tail is an estimate only.
+    closed-form tail bound passes _converged; the result is then a
+    certified enclosure [value - rounding, value + tail_bound + rounding].
+    Without an envelope the sum is the row of a one-row _sweep, and the
+    reported tail is an estimate only.
 
     Raises ZeroSumError when every term vanishes identically.
     """
     omega = _check_omega(omega)
-    tail_tol = _check_tail_tol(tail_tol)
     if p not in (0, 1):
         raise PreconditionError(f"weight exponent p must be 0 or 1, got {p!r}")
 
     if w.envelope is None:
-        res = _row_sums(w, omega, tail_tol)[p]
+        res = _row_sums(w, omega)[p]
     else:
-        (res,) = _enveloped_sums(w, omega, (p,), tail_tol)
+        (res,) = _enveloped_sums(w, omega, (p,))
     if res.value == 0.0:
         raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     return res
@@ -288,9 +280,7 @@ def lattice_sum(
 # the two engines below evaluate and sum terms that may overflow (a Hermite
 # order in the hundreds): they check their sums instead of warning
 @np.errstate(over="ignore", invalid="ignore")
-def _enveloped_sums(
-    w: Window, omega: float, ps: tuple[int, ...], tail_tol: float
-) -> list[LatticeSumResult]:
+def _enveloped_sums(w: Window, omega: float, ps: tuple[int, ...]) -> list[LatticeSumResult]:
     """S_p(omega) for each weight in ps from one K loop: the one-omega engine.
 
     ghat is evaluated once per cutoff step, at the new k only, and shared by
@@ -323,7 +313,7 @@ def _enveloped_sums(
                 value = math.inf
             if not (math.isfinite(value) and math.isfinite(weighted[p])):
                 raise _overflow(w, k_cut)
-            if _converged(tail, value, tail_tol):
+            if _converged(tail, value):
                 n_terms = 2 * k_cut + 1
                 rounding = _rounding_budget(value, weighted[p], n_terms, p)
                 results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
@@ -339,13 +329,13 @@ def _overflow(w: Window, k_cut: int) -> NumericalError:
     return NumericalError(f"lattice sums for {w.label!r} overflow the double range by K={k_cut}")
 
 
-def _row_sums(w: Window, omega: float, tail_tol: float) -> list[LatticeSumResult]:
+def _row_sums(w: Window, omega: float) -> list[LatticeSumResult]:
     """S_0 and S_1 at one omega for a window without an envelope: the one-row _sweep.
 
     Raises ZeroSumError when S_0 vanishes at every k scanned; a vanishing
     S_1 comes back with value 0.
     """
-    sums = _sweep(w, np.array([omega]), tail_tol)[:, :, 0]
+    sums = _sweep(w, np.array([omega]))[:, :, 0]
     if not sums[0, 0] > 0.0:
         raise ZeroSumError(
             f"all lattice-sum terms vanish for {w.label!r} at omega={omega} "
@@ -394,7 +384,7 @@ def _enclose(num_value, num_lower, num_upper, den_value, den_lower, den_upper):
     return 0.5 * sqrt(value), 0.5 * sqrt(low) * (1.0 - _RATIO_PAD), 0.5 * sqrt(high) * (1.0 + _RATIO_PAD)
 
 
-def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> DeltaEnclosure:
+def delta_g(w: Window, omega: float) -> DeltaEnclosure:
     """Criterion value (1/2)*sqrt(S_0/S_1) at a single omega with enclosure.
 
     The numerator uses weight p=0, the denominator p=1.  The enclosure
@@ -402,11 +392,11 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
     accounts for the truncation tail and the rounding of the summed terms.
     Raises DegenerateError when the denominator vanishes identically.
     """
-    omega, tail_tol = _check_omega(omega), _check_tail_tol(tail_tol)
+    omega = _check_omega(omega)
     if w.envelope is None:
-        num, den = _row_sums(w, omega, tail_tol)
+        num, den = _row_sums(w, omega)
     else:
-        num, den = _enveloped_sums(w, omega, (0, 1), tail_tol)
+        num, den = _enveloped_sums(w, omega, (0, 1))
         if num.value == 0.0:
             raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
@@ -423,7 +413,7 @@ def delta_g(w: Window, omega: float, tail_tol: float = DEFAULT_TAIL_TOL) -> Delt
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
+def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     """S_0 and S_1 at every omega, summed as (omega x k) arrays.
 
     Each (omega, p) sum runs through the cutoffs of _cutoffs(), but ghat is
@@ -520,7 +510,7 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
         for p in (0, 1):
             sel = summing[p, rows]
             done, tail = rows[sel], tails[p, sel]
-            stop = _converged(tail, acc[p, done], tail_tol)
+            stop = _converged(tail, acc[p, done])
             if env is None:
                 zero = acc[p, done] == 0.0
                 cut = ~stop & ~zero & (k_cut > _WARN_K)
@@ -554,13 +544,13 @@ def _sweep(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False)
     return sums
 
 
-def _sweep_rows(w: Window, omegas: np.ndarray, tail_tol: float, mirror: bool = False) -> np.ndarray:
+def _sweep_rows(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     """Profile rows (value, low, high, num tail, den tail) from one _sweep.
 
     A row where either sum vanishes (delta_g's ZeroSumError or
     DegenerateError) holds NaN.
     """
-    sums = _sweep(w, omegas, tail_tol, mirror)
+    sums = _sweep(w, omegas, mirror)
     sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
     value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr)
@@ -597,7 +587,6 @@ class DensityProfile(CsvTable):
     min_value: float
     argmin: int
     grid_points: int
-    tail_tol: float
     rigorous: bool
     non_certifying: bool
 
@@ -627,7 +616,6 @@ class DensityProfile(CsvTable):
             min_value=float(np.min(lows[finite])),
             argmin=argmin,
             grid_points=omegas.size,
-            tail_tol=math.nan,
             rigorous=False,
             non_certifying=bool(np.any(~finite)),
         )
@@ -639,11 +627,7 @@ class DensityProfile(CsvTable):
 _REFINEMENT_ROUNDS = 3
 
 
-def min_delta(
-    w: Window,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> DensityProfile:
+def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfile:
     """Profile delta_g over a uniform omega grid on [0, 1] and refine locally.
 
     grid_points must be odd so that 0, 1/2 and 1 all land on the grid.  The
@@ -666,10 +650,9 @@ def min_delta(
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
         raise PreconditionError(f"grid_points must be odd and >= 3, got {grid_points}")
-    tail_tol = _check_tail_tol(tail_tol)
 
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = _sweep_rows(w, omegas, tail_tol, mirror=w.even_modulus)
+    rows = _sweep_rows(w, omegas, mirror=w.even_modulus)
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
@@ -687,7 +670,7 @@ def min_delta(
     order = np.argsort(omg, kind="stable")
     omg = omg[order]
     deltas, lows, highs, num_tails, den_tails = np.concatenate(
-        [rows, _sweep_rows(w, stencil, tail_tol)], axis=1
+        [rows, _sweep_rows(w, stencil)], axis=1
     )[:, order]
     finite_mask = np.isfinite(deltas)
     degenerate = not bool(np.all(finite_mask))
@@ -702,7 +685,6 @@ def min_delta(
         min_value=float(np.min(lows[finite_mask])),
         argmin=int(np.nanargmin(deltas)),
         grid_points=grid_points,
-        tail_tol=tail_tol,
         rigorous=w.envelope is not None and not degenerate,
         non_certifying=degenerate,
     )
@@ -723,24 +705,18 @@ class CriterionVerdict:
     margin: float
     rigorous: bool
     grid_points: int
-    tail_tol: float
 
     @property
     def certified(self) -> bool:
         return self.status == "Certified"
 
 
-def certify(
-    w: Window,
-    delta: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> CriterionVerdict:
+def certify(w: Window, delta: float, grid_points: int = DEFAULT_GRID_POINTS) -> CriterionVerdict:
     """Certify the square-lattice system with co-volume delta, if possible."""
     delta = float(delta)
     if not (delta > 0 and math.isfinite(delta)):
         raise PreconditionError(f"co-volume delta must be positive and finite, got {delta!r}")
-    profile = min_delta(w, grid_points, tail_tol)
+    profile = min_delta(w, grid_points)
     margin = profile.min_value - delta
     certified = margin > 0 and not profile.non_certifying
     return CriterionVerdict(
@@ -751,16 +727,11 @@ def certify(
         margin=margin,
         rigorous=profile.rigorous,
         grid_points=grid_points,
-        tail_tol=profile.tail_tol,
     )
 
 
 def certify_rect(
-    w: Window,
-    a: float,
-    b: float,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    w: Window, a: float, b: float, grid_points: int = DEFAULT_GRID_POINTS
 ) -> CriterionVerdict:
     """Certify the rectangular lattice a*Z x b*Z via dilation reduction.
 
@@ -770,4 +741,4 @@ def certify_rect(
     a, b = float(a), float(b)
     if not (a > 0 and math.isfinite(a)) or not (b > 0 and math.isfinite(b)):
         raise PreconditionError(f"lattice steps must be positive, got a={a!r}, b={b!r}")
-    return certify(dilate(w, b), a * b, grid_points, tail_tol)
+    return certify(dilate(w, b), a * b, grid_points)

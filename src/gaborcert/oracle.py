@@ -124,16 +124,19 @@ def _wrap_defect(w: Window, n: int, spacing: float) -> float:
 
     Probe mass beyond the covered interval against the mass of the central
     samples: it measures how faithful the periodization at this spacing is.
+    One time_eval call covers the grid j*spacing for |j| <= n//2 +
+    ceil(16/spacing).  The central samples are the n points from j = -n//2,
+    the outside mass is at |j| > n//2, so for even n the point j = n//2 is
+    in neither.
     """
-    m = (np.arange(n) - n // 2) * spacing
-    central = np.asarray(w.time_eval(m), dtype=complex)
-    inside = float(np.linalg.norm(central))
+    half = n // 2
+    reach = half + int(math.ceil(16.0 / spacing))
+    j = np.arange(-reach, reach + 1)
+    values = np.asarray(w.time_eval(j * spacing), dtype=complex)
+    inside = float(np.linalg.norm(values[reach - half : reach - half + n]))
     if inside == 0.0:
         raise PreconditionError("window vanishes on the sampling grid")
-    half = n // 2 * spacing
-    probe = half + spacing * np.arange(1, int(math.ceil(16.0 / spacing)) + 1)
-    outside_sq = float(np.sum(np.abs(np.asarray(w.time_eval(probe), dtype=complex)) ** 2))
-    outside_sq += float(np.sum(np.abs(np.asarray(w.time_eval(-probe), dtype=complex)) ** 2))
+    outside_sq = float(np.sum(np.abs(values[np.abs(j) > half]) ** 2))
     return math.sqrt(outside_sq) / inside
 
 

@@ -12,6 +12,7 @@ from gaborcert import (
     Parity,
     PreconditionError,
     barrier,
+    criterion,
     delta_at_zero,
     dilate,
     gaussian,
@@ -20,7 +21,7 @@ from gaborcert import (
 )
 from gaborcert.barrier import BarrierScan, BarrierScanRow
 from gaborcert.cli import main
-from gaborcert.criterion import _check_tail_tol, one_sided_gauss_tail_log
+from gaborcert.criterion import one_sided_gauss_tail_log
 from gaborcert.errors import DivergentSeriesError
 
 
@@ -117,8 +118,6 @@ def test_scan_validates_input():
         h1_barrier_scan(0.0, 1.0, 5)
     with pytest.raises(PreconditionError):
         h1_barrier_scan(1.0, 2.0, 1)
-    with pytest.raises(PreconditionError):
-        h1_barrier_scan(1.0, 2.0, 5, tail_tol=0.0)
 
 
 def test_odd_suite_reports_all_strict(odd_corpus):
@@ -166,8 +165,9 @@ def test_termwise_gap_validates(h1):
 # --- the (b x k) sweep against the row-by-row loop ------------------------------
 
 
-def _loop_scaled_sums(c, tail_tol):
-    """Reference: the row-by-row loop the sweep replaced, one c at a time.
+def _loop_scaled_sums(c, tol):
+    """Reference: the row-by-row loop the sweep replaced, one c at a time, at
+    truncation tolerance tol.
 
     Its tails take the scan's path, one_sided_gauss_tail_log on arrays,
     evaluated for 256 tail starts at a time: elementwise arithmetic, so the
@@ -191,7 +191,7 @@ def _loop_scaled_sums(c, tail_tol):
         log_t2, log_t4 = (c + side for side in tails[k])
         if math.isnan(log_t2) or math.isnan(log_t4):
             one_sided_gauss_tail_log(c, (1, 2), float(k + 1))  # a NaN marks where the float call raises
-        if math.exp(log_t4) <= tail_tol * sigma4 and math.exp(log_t2) <= tail_tol * sigma2:
+        if math.exp(log_t4) <= tol * sigma4 and math.exp(log_t2) <= tol * sigma2:
             break
         if k > 10_000:
             raise PreconditionError("scan sums did not settle; c is too small")
@@ -204,18 +204,17 @@ def _loop_scaled_sums(c, tail_tol):
     return sigma2, sigma4, log_t2, log_t4, log_e_lb
 
 
-def loop_scan(b_min, b_max, steps, tail_tol=1e-12):
+def loop_scan(b_min, b_max, steps, tol=1e-12):
     """Reference: h1_barrier_scan as one _loop_scaled_sums call per row."""
     if not (0.0 < b_min < b_max) or not math.isfinite(b_max):
         raise PreconditionError(f"need 0 < b_min < b_max, got {b_min!r}, {b_max!r}")
     if not isinstance(steps, int) or steps < 2:
         raise PreconditionError(f"steps must be an integer >= 2, got {steps!r}")
-    _check_tail_tol(tail_tol)
     rows = []
     for b in np.geomspace(b_min, b_max, steps):
         b = float(b)
         c = 2.0 * math.pi * b * b
-        sigma2, sigma4, log_t2, log_t4, log_e_lb = _loop_scaled_sums(c, tail_tol)
+        sigma2, sigma4, log_t2, log_t4, log_e_lb = _loop_scaled_sums(c, tol)
         t2 = math.exp(log_t2)
         t4 = math.exp(log_t4)
         strict = log_t2 < log_e_lb
@@ -249,29 +248,32 @@ BENCH_SCANS = [
 SCAN_SHAPES = [(1e-3, 100.0, 250), (0.01, 100.0, 2026), (1e-3, 2e-3, 7), (0.3, 3.0, 50), (40.0, 100.0, 2)]
 
 
+# The scan runs at the fixed tolerance criterion.TAIL_TOL = 1e-12; the cases
+# below patch that constant, since the sweep must stop where the loop stops
+# whatever its value.
+
+
 @pytest.mark.parametrize(
-    "b_min, b_max, steps, tail_tol",
+    "b_min, b_max, steps, tol",
     [(*shape, tol) for shape in SCAN_SHAPES for tol in (1e-2, 1e-8, 1e-12, 1e-14)],
 )
-def test_scan_rows_bit_identical_to_loop(b_min, b_max, steps, tail_tol):
+def test_scan_rows_bit_identical_to_loop(monkeypatch, b_min, b_max, steps, tol):
     # dataclass == compares every float with ==, so this is bitwise up to
     # the sign of zero, which no row field can carry
-    assert h1_barrier_scan(b_min, b_max, steps, tail_tol=tail_tol) == loop_scan(
-        b_min, b_max, steps, tail_tol
-    )
+    monkeypatch.setattr(criterion, "TAIL_TOL", tol)
+    assert h1_barrier_scan(b_min, b_max, steps) == loop_scan(b_min, b_max, steps, tol)
 
 
-def test_scan_stops_where_loop_stops_at_subnormal_threshold():
-    # at tail_tol = 5e-324 the loop's test exp(log_tail) <= tail_tol * sigma
+def test_scan_stops_where_loop_stops_at_subnormal_threshold(monkeypatch):
+    # at tolerance 5e-324 the loop's test exp(log_tail) <= tol * sigma
     # rounds in the subnormal range: for this b it stops at k = 4 with
-    # log_tail4 0.4 above log(tail_tol * sigma4), where a log-scale filter
+    # log_tail4 0.4 above log(tol * sigma4), where a log-scale filter
     # alone would go on to k = 5.  The rows cannot show that (every later
     # term underflows), the log tails at the stopping k can.
     b = 2.2308654327163584
     c = 2.0 * math.pi * b * b
-    sums, fail_at, _ = barrier._scaled_sums(np.array([c]), 5e-324)
-    assert fail_at == 1
-    sigma2, sigma4, _, log_t2, log_t4 = (float(col[0]) for col in sums)
+    monkeypatch.setattr(criterion, "TAIL_TOL", 5e-324)
+    sigma2, sigma4, _, log_t2, log_t4 = (float(col[0]) for col in barrier._scaled_sums(np.array([c])))
     assert (sigma2, sigma4, log_t2, log_t4) == _loop_scaled_sums(c, 5e-324)[:4]
 
 
@@ -291,6 +293,9 @@ def test_scan_cli_csv_identical_to_loop(capsys, b_min, b_max, steps):
         (1e-4, 1e160, PreconditionError, "did not settle"),
         (1e-170, 1.0, DivergentSeriesError, "decay rate"),  # row 0's c underflows to 0
         (1e-9, 1.0, DivergentSeriesError, "geometric ratio"),  # row 0's tail ratio rounds to 1
+        # the last row's c overflows to inf after the earlier rows settle
+        (1.0, 1e160, DivergentSeriesError, "decay rate"),
+        (0.5, 1e200, DivergentSeriesError, "decay rate"),
     ],
 )
 def test_scan_failing_rows_raise_like_loop(b_min, b_max, error, match):

@@ -16,7 +16,7 @@ import pytest
 import gaborcert
 from gaborcert import TruncationRiskWarning, cli, gaussian, hermite, sample_grid
 from gaborcert.cli import main
-from gaborcert.criterion import DensityProfile
+from gaborcert.criterion import TAIL_TOL, DensityProfile
 from gaborcert.window import read_sampled_csv, write_sampled_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -48,6 +48,7 @@ def test_certify_json_is_schema_valid(capsys):
     assert payload["status"] == "Certified"
     assert payload["margin"] > 0
     assert payload["rigorous"] is True
+    assert payload["tail_tol"] == 1e-12
 
 
 def test_certify_rect_route(capsys):
@@ -223,6 +224,8 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli(capsys, "certify", "--delta", "0.5")[0] == 64  # missing --window
     assert run_cli(capsys, "certify", "--window", "gaussian", "--delta", "-1")[0] == 64
     assert run_cli(capsys, "oracle", "--window", "gaussian", "--a", "0.5")[0] == 64
+    certify_with_tol = ("certify", "--window", "gaussian", "--delta", "0.5", "--tail-tol", "1e-8")
+    assert run_cli(capsys, *certify_with_tol)[0] == 64  # the tolerance is fixed
 
 
 def test_precondition_errors_exit_2(capsys, tmp_path):
@@ -329,19 +332,17 @@ def test_overflowing_hermite_orders_exit_3(capsys, order):
 
 
 def test_tail_tol_flag(capsys):
+    # the truncation tolerance is the constant TAIL_TOL: the verdict reports
+    # it, and no subcommand takes a flag that would change it
     payload = run_json(capsys, "certify", "--window", "gaussian", "--delta", "0.5")
-    assert payload["tail_tol"] == 1e-12
-    payload = run_json(
-        capsys,
-        "certify",
-        "--window",
-        "gaussian",
-        "--delta",
-        "0.5",
-        "--tail-tol",
-        "1e-8",
-    )
-    assert payload["tail_tol"] == 1e-8
+    assert payload["tail_tol"] == TAIL_TOL == 1e-12
+    for args in (
+        ("certify", "--window", "gaussian", "--delta", "0.5"),
+        ("profile", "--window", "gaussian", "--grid-points", "11"),
+        ("barrier-scan", "--b-min", "0.5", "--b-max", "2", "--steps", "3"),
+    ):
+        code, out, err = run_cli(capsys, *args, "--tail-tol", "1e-8")
+        assert code == 64 and out == "" and "--tail-tol" in err, err
 
 
 def test_dilation_flag_matches_rect_route(capsys):

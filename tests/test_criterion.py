@@ -186,8 +186,6 @@ def test_input_validation(gauss):
     with pytest.raises(PreconditionError):
         lattice_sum(gauss, 0.5, 3)
     with pytest.raises(PreconditionError):
-        lattice_sum(gauss, 0.5, 0, tail_tol=0.0)
-    with pytest.raises(PreconditionError):
         certify(gauss, -1.0)
 
 

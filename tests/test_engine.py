@@ -162,9 +162,9 @@ def test_halving_for_every_window_with_an_even_modulus(monkeypatch):
     calls = []
     sweep = criterion._sweep
 
-    def spy(w, omegas, tail_tol, mirror=False):
+    def spy(w, omegas, mirror=False):
         calls.append((omegas.size, mirror))
-        return sweep(w, omegas, tail_tol, mirror)
+        return sweep(w, omegas, mirror)
 
     monkeypatch.setattr(criterion, "_sweep", spy)
     grid = sample_grid()
@@ -201,8 +201,8 @@ def test_mirror_follows_each_rows_own_cutoff():
     # rows by 1e-11)
     grid = np.linspace(0.0, 1.0, 101)
     for w in (gaussian(), dilate(hermite(1), 0.3)):
-        mirrored = criterion._sweep(w, grid, 1e-12, mirror=True)
-        direct = criterion._sweep(w, grid, 1e-12)
+        mirrored = criterion._sweep(w, grid, mirror=True)
+        direct = criterion._sweep(w, grid)
         np.testing.assert_allclose(mirrored, direct, rtol=1e-14, atol=0.0)
 
 
@@ -212,15 +212,15 @@ def test_mirror_follows_each_rows_own_cutoff():
 def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
     w = dilate(corpus_window(spec), b)
     grid = np.linspace(0.0, 1.0, 1001)
-    full = criterion._sweep(w, grid, 1e-12)
+    full = criterion._sweep(w, grid)
     rng = np.random.default_rng(7)
     for size in list(range(1, 41, 3)) + [40]:
         subset = np.sort(rng.choice(grid.size, size, replace=False))
-        rows = criterion._sweep(w, grid[subset], 1e-12)
+        rows = criterion._sweep(w, grid[subset])
         np.testing.assert_array_equal(rows, full[:, :, subset])
     # the evaluated half of a mirrored sweep sums exactly as an unmirrored one
     own = grid <= 0.5
-    mirrored = criterion._sweep(w, grid, 1e-12, mirror=True)
+    mirrored = criterion._sweep(w, grid, mirror=True)
     np.testing.assert_array_equal(mirrored[:, :, own], full[:, :, own])
 
 
@@ -252,11 +252,11 @@ def test_shared_tail_pass_gives_each_weights_tails():
                 np.testing.assert_array_equal(tails[p], old_envelope_tail_rows(1.7, rate, p, m, omegas))
 
 
-def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
+def sequential_refinement(w, grid_points=1001):
     """The profile of three bisection passes on the grid minimum's bracket, one
     sweep call per pass: the rows min_delta's refinement stencil extends."""
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = criterion._sweep_rows(w, omegas, tail_tol, mirror=w.even_modulus)
+    rows = criterion._sweep_rows(w, omegas, mirror=w.even_modulus)
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
     refined, refined_rows = [], []
     idx = int(np.nanargmin(rows[0]))
@@ -267,7 +267,7 @@ def sequential_refinement(w, grid_points=1001, tail_tol=1e-12):
         candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
         new = [om for om in dict.fromkeys(candidates) if om not in value_at]
         if new:
-            extra = criterion._sweep_rows(w, np.array(new), tail_tol)
+            extra = criterion._sweep_rows(w, np.array(new))
             value_at.update(zip(new, extra[0].tolist()))
             refined.extend(new)
             refined_rows.append(extra)
@@ -417,8 +417,8 @@ def test_enclosures_contain_50_digit_sums(spec, n, b):
     mag2 = mp_mag2(n, b)
     rng = np.random.default_rng(20260518 + n)
     omegas = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 6), [0.5]]))
-    sums = criterion._sweep(w, omegas, 1e-12)
-    rows = criterion._sweep_rows(w, omegas, 1e-12)
+    sums = criterion._sweep(w, omegas)
+    rows = criterion._sweep_rows(w, omegas)
     for i, om in enumerate(omegas):
         truth = [mp_sum(mag2, om, p, b) for p in (0, 1)]
         for p in (0, 1):
@@ -462,12 +462,12 @@ def test_rows_near_the_underflow_edge_contain_50_digit_sums():
     for n, spec in enumerate(["gaussian", "hermite:1", "hermite:2", "hermite:3"]):
         for b in [*rng.uniform(10.0, 25.0, 4), 25.0]:
             w = dilate(corpus_window(spec), b)
-            sums = criterion._sweep(w, grid, 1e-12)
+            sums = criterion._sweep(w, grid)
             edge = np.flatnonzero(np.nanmin(sums[:, 0], axis=0) < 1e-290)
             if edge.size == 0:
                 continue
             omegas = np.sort(grid[rng.choice(edge, min(6, edge.size), replace=False)])
-            rows = criterion._sweep_rows(w, omegas, 1e-12)
+            rows = criterion._sweep_rows(w, omegas)
             for om, row, enc in zip(omegas, rows.T, pointwise(w, omegas)):
                 if enc is None:
                     assert np.isnan(row).all(), (spec, b, om)
@@ -491,14 +491,14 @@ def test_rounding_budget_grows_with_the_exponent():
 # --- windows without an envelope ----------------------------------------------
 
 
-def pointwise_heuristic_sum(w, omega, p, tail_tol=1e-12):
+def pointwise_heuristic_sum(w, omega, p):
     """One lattice sum of a window without an envelope, one cutoff step at a
     time: (value, tail estimate, K, truncated); value 0 where the sum still
     vanished after scanning |k| <= K.
 
     The rule: K runs through 2, 4, 6, 9, 13, ...; the tail estimate is the
     sum of the terms that the last two steps added, and the sum stops once
-    it is at most tail_tol * max(value, FLOOR_GUARD).  A sum still 0 scans
+    it is at most 1e-12 * max(value, FLOOR_GUARD).  A sum still 0 scans
     on to the first K past 10,000; one still summing at the first K past
     2,048 stops there, truncated.  ghat comes from ghat_lattice, the
     engine's own evaluation, so only the rule is under test here.
@@ -515,7 +515,7 @@ def pointwise_heuristic_sum(w, omega, p, tail_tol=1e-12):
         if value == 0.0:
             if k_cut > 10_000:
                 return 0.0, tail, k_cut, False
-        elif tail <= tail_tol * max(value, FLOOR_GUARD):
+        elif tail <= 1e-12 * max(value, FLOOR_GUARD):
             return value, tail, k_cut, False
         elif k_cut > 2048:
             return value, tail, k_cut, True
@@ -595,8 +595,8 @@ def test_heuristic_sweep_matches_pointwise_sums(name):
     truncated = any(s[3] for _, sums in want for s in sums)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sums = criterion._sweep(w, omegas, 1e-12)
-        rows = criterion._sweep_rows(w, omegas, 1e-12)
+        sums = criterion._sweep(w, omegas)
+        rows = criterion._sweep_rows(w, omegas)
     assert truncated == any(issubclass(c.category, TruncationRiskWarning) for c in caught)
     for i, (om, (error, expected)) in enumerate(zip(omegas, want)):
         for p, want_p in enumerate(expected):
@@ -661,9 +661,9 @@ def test_heuristic_profile_rows_match_one_row_calls():
     w = sampled_window(grid, hermite(1).time_eval(grid))
     assert w.envelope is None and w.quadrature is not None
     omegas = np.linspace(0.0, 1.0, 301)
-    whole = criterion._sweep_rows(w, omegas, 1e-12)
+    whole = criterion._sweep_rows(w, omegas)
     for i in (0, 127, 128, 150, 300):
-        one = criterion._sweep_rows(w, omegas[i : i + 1], 1e-12)
+        one = criterion._sweep_rows(w, omegas[i : i + 1])
         np.testing.assert_allclose(one[:3, 0], whole[:3, i], rtol=1e-13, atol=0.0)
         # the tails, at the transform's rounding noise, to 1e-13 of the sums
         np.testing.assert_allclose(one[3:, 0], whole[3:, i], rtol=0.0, atol=1e-13 * whole[0, i])

@@ -313,9 +313,9 @@ def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss
 
 
 def test_model_evaluates_the_window_once(gauss):
-    # snapping evaluates the wrap defect of the winning candidate only (the
-    # central samples and the probes past both ends); the model, the five
-    # periodized copies
+    # snapping evaluates the wrap defect of the winning candidate only, on
+    # one grid from the probes below the central samples to the probes
+    # above them; the model, the five periodized copies
     points = []
 
     def time_eval(t):
@@ -327,7 +327,7 @@ def test_model_evaluates_the_window_once(gauss):
     choice = snap_lattice(gauss, 0.5, 1.0, n)
     model = model_for(spy, 0.5, 1.0, n)
     probes = 2 * math.ceil(16.0 / choice.spacing)
-    assert sum(points) == (n + probes) + 5 * n
+    assert points == [n + 1 + probes, 5 * n]
     np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)
 
 
