@@ -20,7 +20,6 @@ from .criterion import (
     certify,
     certify_rect,
     delta_g,
-    lattice_sum,
     min_delta,
 )
 from .errors import (
@@ -100,7 +99,6 @@ __all__ = [
     "h1_barrier_scan",
     "hermite",
     "iwasawa",
-    "lattice_sum",
     "min_delta",
     "model_for",
     "odd_barrier_suite",

@@ -32,7 +32,7 @@ from .errors import (
     TruncationRiskWarning,
     ZeroSumError,
 )
-from .tables import CsvTable, read_csv
+from .tables import CsvTable
 from .window import Window, dilate, ghat_lattice
 
 # The stopping rule of every lattice sum (_converged) and barrier scan row:
@@ -246,65 +246,34 @@ class LatticeSumResult:
         return self.value + self.tail_bound + self.rounding
 
 
-def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if not 0.0 <= omega <= 1.0:
-        raise PreconditionError(f"omega must lie in [0, 1], got {omega!r}")
-    return omega
-
-
-def lattice_sum(w: Window, omega: float, p: int) -> LatticeSumResult:
-    """Sum (k+omega)^(2p) |ghat(k+omega)|^2 over k in Z with tail control, p in {0, 1}.
-
-    With an envelope the cutoff K runs through _cutoffs() until the
-    closed-form tail bound passes _converged; the result is then a
-    certified enclosure [value - rounding, value + tail_bound + rounding].
-    Without an envelope the sum is the row of a one-row _sweep, and the
-    reported tail is an estimate only.
-
-    Raises ZeroSumError when every term vanishes identically.
-    """
-    omega = _check_omega(omega)
-    if p not in (0, 1):
-        raise PreconditionError(f"weight exponent p must be 0 or 1, got {p!r}")
-
-    if w.envelope is None:
-        res = _row_sums(w, omega)[p]
-    else:
-        (res,) = _enveloped_sums(w, omega, (p,))
-    if res.value == 0.0:
-        raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
-    return res
-
-
 # the two engines below evaluate and sum terms that may overflow (a Hermite
 # order in the hundreds): they check their sums instead of warning
 @np.errstate(over="ignore", invalid="ignore")
-def _enveloped_sums(w: Window, omega: float, ps: tuple[int, ...]) -> list[LatticeSumResult]:
-    """S_p(omega) for each weight in ps from one K loop: the one-omega engine.
+def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
+    """S_0(omega) and S_1(omega) from one K loop: the one-omega engine.
 
     ghat is evaluated once per cutoff step, at the new k only, and shared by
-    every weight, as is one tail pass (envelope_tail_log); each sum stops
+    both weights, as is one tail pass (envelope_tail_log); each sum stops
     at the first cutoff where its own tail passes _converged.  Values are
     math.fsum of the terms, so exactly rounded.  A vanishing sum comes back
     with value 0; callers raise.  A sum, or the rounding weight of its terms,
     that is not finite raises NumericalError (_overflow).
     """
     amp, rate = w.envelope.amplitude, w.envelope.rate
-    terms: dict[int, list[float]] = {p: [] for p in ps}
-    weighted = dict.fromkeys(ps, 0.0)
-    results: dict[int, LatticeSumResult] = {}
+    terms: tuple[list[float], list[float]] = ([], [])
+    weighted = [0.0, 0.0]
+    results: list[LatticeSumResult | None] = [None, None]
     k_done = -1  # terms for |k| <= k_done are in hand
     for k_cut in _cutoffs():
         xi = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1] + omega
         k_done = k_cut
         mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
         e = _exponent_weight(xi, rate)
-        tails = _from_log(envelope_tail_log(amp, rate, ps, k_cut + 1, omega)).tolist()
-        for p, tail in zip(ps, tails):
-            if p in results:
+        tails = _from_log(envelope_tail_log(amp, rate, (0, 1), k_cut + 1, omega)).tolist()
+        for p, tail in enumerate(tails):
+            if results[p] is not None:
                 continue
-            t = mag2 if p == 0 else xi ** (2 * p) * mag2
+            t = mag2 if p == 0 else xi**2 * mag2
             terms[p].extend(t.tolist())
             weighted[p] += float(np.dot(e, t))
             try:
@@ -317,8 +286,8 @@ def _enveloped_sums(w: Window, omega: float, ps: tuple[int, ...]) -> list[Lattic
                 n_terms = 2 * k_cut + 1
                 rounding = _rounding_budget(value, weighted[p], n_terms, p)
                 results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
-        if len(results) == len(ps):
-            return [results[p] for p in ps]
+        if None not in results:
+            return results
     raise DivergentSeriesError(
         f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
     )
@@ -327,24 +296,6 @@ def _enveloped_sums(w: Window, omega: float, ps: tuple[int, ...]) -> list[Lattic
 def _overflow(w: Window, k_cut: int) -> NumericalError:
     """The error for a sum, or the rounding weight of its terms, past the double range."""
     return NumericalError(f"lattice sums for {w.label!r} overflow the double range by K={k_cut}")
-
-
-def _row_sums(w: Window, omega: float) -> list[LatticeSumResult]:
-    """S_0 and S_1 at one omega for a window without an envelope: the one-row _sweep.
-
-    Raises ZeroSumError when S_0 vanishes at every k scanned; a vanishing
-    S_1 comes back with value 0.
-    """
-    sums = _sweep(w, np.array([omega]))[:, :, 0]
-    if not sums[0, 0] > 0.0:
-        raise ZeroSumError(
-            f"all lattice-sum terms vanish for {w.label!r} at omega={omega} "
-            f"(scanned |k| <= {int(sums[0, 3])})"
-        )
-    return [
-        LatticeSumResult(float(v), float(t), int(k), rigorous=False, rounding=float(r))
-        for v, t, r, k in sums
-    ]
 
 
 @dataclass(frozen=True)
@@ -390,13 +341,26 @@ def delta_g(w: Window, omega: float) -> DeltaEnclosure:
     The numerator uses weight p=0, the denominator p=1.  The enclosure
     brackets the exact ratio: the true sums lie in [lower, upper], which
     accounts for the truncation tail and the rounding of the summed terms.
-    Raises DegenerateError when the denominator vanishes identically.
+    Without an envelope the sums are the row of a one-row _sweep and their
+    tails estimates only.  Raises ZeroSumError when the numerator vanishes
+    and DegenerateError when the denominator vanishes identically.
     """
-    omega = _check_omega(omega)
+    omega = float(omega)
+    if not 0.0 <= omega <= 1.0:
+        raise PreconditionError(f"omega must lie in [0, 1], got {omega!r}")
     if w.envelope is None:
-        num, den = _row_sums(w, omega)
+        sums = _sweep(w, np.array([omega]))[:, :, 0]
+        if not sums[0, 0] > 0.0:
+            raise ZeroSumError(
+                f"all lattice-sum terms vanish for {w.label!r} at omega={omega} "
+                f"(scanned |k| <= {int(sums[0, 3])})"
+            )
+        num, den = (
+            LatticeSumResult(float(v), float(t), int(k), rigorous=False, rounding=float(r))
+            for v, t, r, k in sums
+        )
     else:
-        num, den = _enveloped_sums(w, omega, (0, 1))
+        num, den = _enveloped_sums(w, omega)
         if num.value == 0.0:
             raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
@@ -424,7 +388,7 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     hold NaN; such a row is lost to delta_g (ZeroSumError or
     DegenerateError).
 
-    With an envelope each sum stops at lattice_sum's rule: the first K
+    With an envelope each sum stops at delta_g's rule: the first K
     whose closed-form tail bound passes _converged.  Without one the tail
     is an estimate, the sum of the terms that the row's last two cutoff
     steps added (at least four consecutive |k| on each side), and it must
@@ -557,16 +521,6 @@ def _sweep_rows(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarr
     return np.array([value, low, high, nt, dt])
 
 
-PROFILE_CSV_HEADER = (
-    "omega",
-    "delta_g_low",
-    "delta_g",
-    "delta_g_high",
-    "tail_bound_num",
-    "tail_bound_den",
-)
-
-
 @dataclass(frozen=True)
 class DensityProfile(CsvTable):
     """delta_g evaluated over an omega grid, plus local refinement points.
@@ -590,7 +544,7 @@ class DensityProfile(CsvTable):
     rigorous: bool
     non_certifying: bool
 
-    CSV_HEADER = PROFILE_CSV_HEADER
+    CSV_HEADER = ("omega", "delta_g_low", "delta_g", "delta_g_high", "tail_bound_num", "tail_bound_den")
 
     @property
     def argmin_omega(self) -> float:
@@ -598,27 +552,6 @@ class DensityProfile(CsvTable):
 
     def csv_columns(self):
         return (self.omegas, self.lows, self.deltas, self.highs, self.num_tails, self.den_tails)
-
-    @staticmethod
-    def read_csv(path) -> "DensityProfile":
-        omegas, lows, deltas, highs, num_tails, den_tails = read_csv(path, PROFILE_CSV_HEADER)
-        finite = np.isfinite(lows)
-        if not np.any(finite):
-            raise DegenerateError(f"profile in {path} has no finite rows")
-        argmin = int(np.nanargmin(deltas))
-        return DensityProfile(
-            omegas=omegas,
-            deltas=deltas,
-            lows=lows,
-            highs=highs,
-            num_tails=num_tails,
-            den_tails=den_tails,
-            min_value=float(np.min(lows[finite])),
-            argmin=argmin,
-            grid_points=omegas.size,
-            rigorous=False,
-            non_certifying=bool(np.any(~finite)),
-        )
 
 
 # The refinement stencil: this many rounds of midpoints between neighbours,
@@ -635,8 +568,8 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
     step on either side of it, j = 1..7 (three rounds of midpoints between
     neighbours, _REFINEMENT_ROUNDS), so at most 14 points, or 7 at a grid
     end.  Every stencil point is merged into the profile, so min_value is
-    the minimum over every evaluated point and re-reading an exported
-    profile reproduces it.
+    the minimum over every evaluated point: the least delta_g_low of the
+    exported profile.
 
     Every window goes through the sweep engine (_sweep) in two calls.  The
     first sums the grid.  For a window whose |ghat| is even (w.even_modulus:

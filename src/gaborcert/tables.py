@@ -1,4 +1,4 @@
-"""CSV tables of floats: the one writer and reader behind profile, scan and window files.
+"""CSV tables of floats: the one writer of profile, scan and window files; the window-file reader.
 
 Every value is written as repr(float(x)), so reading a file back gives the
 identical doubles, and identical tables give byte-identical files.  Lines
@@ -27,25 +27,30 @@ def read_csv(path, header: Sequence[str]) -> np.ndarray:
 
     Header cells may carry surrounding spaces; blank lines are skipped.
     Raises PreconditionError for a different header, a row of another
-    width or a cell that is not a number (naming the first such line), and
-    for a table without rows.  Cells convert as float() converts them.
+    width or a cell that is not a number (naming the first such line), for
+    a table without rows, and for a file that is not CSV text (a byte that
+    does not decode, or a cell past the csv module's field limit).  Cells
+    convert as float() converts them.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(cell.strip() for cell in first) != tuple(header):
-            raise PreconditionError(f"expected CSV header {','.join(header)!r} in {path}")
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                _raise_not_a_number(path, rows, lines)
-                raise PreconditionError(
-                    f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or tuple(cell.strip() for cell in first) != tuple(header):
+                raise PreconditionError(f"expected CSV header {','.join(header)!r} in {path}")
+            rows, lines = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    _raise_not_a_number(path, rows, lines)
+                    raise PreconditionError(
+                        f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+                lines.append(reader.line_num)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise PreconditionError(f"{path} is not CSV text: {exc}") from None
     if not rows:
         raise PreconditionError(f"no rows in {path}")
     try:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import gaborcert
 from gaborcert import TruncationRiskWarning, cli, gaussian, hermite, sample_grid
 from gaborcert.cli import main
 from gaborcert.criterion import TAIL_TOL, DensityProfile
+from gaborcert.tables import read_csv
 from gaborcert.window import read_sampled_csv, write_sampled_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -189,9 +191,9 @@ def test_profile_file_and_summary_agree(capsys, tmp_path):
     assert code == 0
     summary = json.loads(stdout)
     jsonschema.validate(summary, load_schema("profile_summary"))
-    profile = DensityProfile.read_csv(out)
-    assert profile.min_value == summary["min_value"]
-    assert profile.argmin_omega == summary["argmin_omega"]
+    omegas, lows, deltas = read_csv(out, DensityProfile.CSV_HEADER)[:3]
+    assert float(np.nanmin(lows)) == summary["min_value"]
+    assert omegas[np.nanargmin(deltas)] == summary["argmin_omega"]
 
 
 def test_barrier_scan_deterministic(capsys, tmp_path):
@@ -229,12 +231,18 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_precondition_errors_exit_2(capsys, tmp_path):
-    # window files with a cell that is not a number and with a short row
+    # window files with a cell that is not a number and with a short row;
+    # files that are not CSV text: a byte that is not UTF-8 (a Latin-1
+    # export) and a cell past the csv module's field limit (131,072 chars)
     (tmp_path / "word.csv").write_text("t,re,im\r\n-0.01,0.0,0.0\r\n0.0,x,0.0\r\n0.01,0.0,0.0\r\n")
     (tmp_path / "short.csv").write_text("t,re,im\r\n-0.01,0.0,0.0\r\n0.0,1.0\r\n0.01,0.0,0.0\r\n")
+    (tmp_path / "latin1.csv").write_bytes("t,re,im\r\n-0.01,0.0,0.0\r\n0.0,1.0,0.0 # café\r\n".encode("latin-1"))
+    (tmp_path / "huge.csv").write_text("t,re,im\r\n-0.01,0.0,0.0\r\n0.0," + "1" * 140_000 + ",0.0\r\n")
     cases = [
         ("certify", "--window", f"file:{tmp_path / 'word.csv'}", "--delta", "0.5"),
         ("certify", "--window", f"file:{tmp_path / 'short.csv'}", "--delta", "0.5"),
+        ("certify", "--window", f"file:{tmp_path / 'latin1.csv'}", "--delta", "0.5"),
+        ("certify", "--window", f"file:{tmp_path / 'huge.csv'}", "--delta", "0.5"),
         ("certify", "--window", "hermite:x", "--delta", "0.5"),
         ("certify", "--window", "gaussian"),
         ("certify", "--window", "gaussian", "--delta", "0.5", "--a", "0.5"),
@@ -250,6 +258,8 @@ def test_precondition_errors_exit_2(capsys, tmp_path):
         assert "gaborcert:" in err
         if argv[2].endswith(("word.csv", "short.csv")):
             assert "line 3" in err, err
+        if argv[2].endswith(("latin1.csv", "huge.csv")):
+            assert err.count("\n") == 1 and f"{argv[2][5:]} is not CSV text" in err, err
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -433,6 +443,34 @@ def test_project_scripts_target_resolves(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     jsonschema.validate(payload, load_schema("gaussian_certificate"))
+
+
+def readme_cli_examples():
+    """The gaborcert command lines of README's CLI code block."""
+    text = (REPO / "README.md").read_text()
+    block = text[text.index("## CLI") :].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("gaborcert ")]
+    return [shlex.split(line, comments=True) for line in lines]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # the --out and --out-window examples write into tmp_path
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert len(examples) == 9
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+    assert {path.name for path in tmp_path.iterdir()} == {"profile.csv", "reduced.csv"}
+
+
+def test_public_names_resolve():
+    assert len(set(gaborcert.__all__)) == len(gaborcert.__all__)
+    for name in gaborcert.__all__:
+        assert hasattr(gaborcert, name), name
+    namespace = {}
+    exec("from gaborcert import *", namespace)
+    assert set(gaborcert.__all__) <= set(namespace)
 
 
 @pytest.mark.skipif(

@@ -29,10 +29,10 @@ from gaborcert import (
     dilate,
     gaussian,
     hermite,
-    lattice_sum,
     min_delta,
 )
 from gaborcert.criterion import DensityProfile, _from_log, one_sided_gauss_tail_log
+from gaborcert.tables import read_csv
 from helpers import wirtinger_residual
 
 
@@ -69,7 +69,7 @@ def mp_delta(mag2, omega):
 
 
 def test_lattice_sum_h1_matches_oracle(h1):
-    res = lattice_sum(h1, 0.0, 0)
+    res = delta_g(h1, 0.0).num
     truth = mp_lattice_sum(mp_h1_mag2, 0.0, 0)
     assert res.rigorous
     assert abs(res.value - float(truth)) <= 1e-14 * float(truth)
@@ -85,7 +85,8 @@ def test_lattice_sum_h1_matches_oracle(h1):
 @pytest.mark.parametrize("p", [0, 1])
 def test_enclosure_contains_brute_force(gauss, h1, omega, p):
     for w in (gauss, h1):
-        res = lattice_sum(w, omega, p)
+        enc = delta_g(w, omega)
+        res = (enc.num, enc.den)[p]
         brute = lattice_partial_sum(w, omega, p, 100)
         assert res.value * (1.0 - 1e-15) <= brute
         assert brute <= res.upper * (1.0 + 1e-15)
@@ -159,7 +160,7 @@ def test_zero_sum_raises():
         envelope=Envelope(amplitude=1.0, rate=math.pi),
     )
     with pytest.raises(ZeroSumError):
-        lattice_sum(w, 0.0, 0)
+        delta_g(w, 0.0)
 
 
 def test_degenerate_denominator_raises():
@@ -180,11 +181,9 @@ def test_degenerate_denominator_raises():
 
 def test_input_validation(gauss):
     with pytest.raises(PreconditionError):
-        lattice_sum(gauss, -0.1, 0)
+        delta_g(gauss, -0.1)
     with pytest.raises(PreconditionError):
-        lattice_sum(gauss, 1.5, 0)
-    with pytest.raises(PreconditionError):
-        lattice_sum(gauss, 0.5, 3)
+        delta_g(gauss, 1.5)
     with pytest.raises(PreconditionError):
         certify(gauss, -1.0)
 
@@ -224,10 +223,11 @@ def test_profile_csv_roundtrip(tmp_path, h1):
     path = tmp_path / "profile.csv"
     profile.write_csv(path)
     assert path.read_bytes().decode() == profile.csv_text()
-    back = DensityProfile.read_csv(path)
-    assert back.min_value == profile.min_value
-    assert back.argmin_omega == profile.argmin_omega
-    assert back.grid_points == len(profile.omegas)
+    omegas, lows, deltas, highs, num_tails, den_tails = read_csv(path, DensityProfile.CSV_HEADER)
+    for got, want in zip((omegas, lows, deltas, highs, num_tails, den_tails), profile.csv_columns()):
+        np.testing.assert_array_equal(got, want)
+    assert float(np.nanmin(lows)) == profile.min_value
+    assert omegas[np.nanargmin(deltas)] == profile.argmin_omega
 
 
 def test_min_delta_validates_grid(gauss):

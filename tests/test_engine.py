@@ -21,7 +21,6 @@ from gaborcert import (
     Envelope,
     Lattice2D,
     Parity,
-    PreconditionError,
     TruncationRiskWarning,
     Window,
     ZeroSumError,
@@ -32,7 +31,6 @@ from gaborcert import (
     dilate,
     gaussian,
     hermite,
-    lattice_sum,
     min_delta,
     reduce_general,
     sample_grid,
@@ -421,15 +419,14 @@ def test_enclosures_contain_50_digit_sums(spec, n, b):
     rows = criterion._sweep_rows(w, omegas)
     for i, om in enumerate(omegas):
         truth = [mp_sum(mag2, om, p, b) for p in (0, 1)]
-        for p in (0, 1):
-            res = lattice_sum(w, float(om), p)
+        enc = delta_g(w, float(om))
+        for p, res in enumerate((enc.num, enc.den)):
             assert res.rounding > 0.0
             assert res.lower <= truth[p] <= res.upper, (spec, om, p)
             value, tail, rounding, _ = sums[p, :, i]
             assert value - rounding <= truth[p] <= value + tail + rounding, (spec, om, p)
         with mpmath.workdps(50):
             delta = float(mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1]))
-        enc = delta_g(w, float(om))
         assert enc.low <= delta <= enc.high, (spec, om)
         assert rows[1, i] <= delta <= rows[2, i], (spec, om)
         # the budget is a few ulps per term, not a loose pad
@@ -612,12 +609,10 @@ def test_heuristic_sweep_matches_pointwise_sums(name):
                     delta_g(w, float(om))
                 continue
             enc = delta_g(w, float(om))
-            singles = [lattice_sum(w, float(om), p) for p in (0, 1)]
         for p, res in enumerate((enc.num, enc.den)):
-            for one in (res, singles[p]):
-                assert not one.rigorous
-                got = (one.value, one.tail_bound, one.rounding, one.terms_used)
-                assert_sums_match(got, expected[p], (name, om, p), quad)
+            assert not res.rigorous
+            got = (res.value, res.tail_bound, res.rounding, res.terms_used)
+            assert_sums_match(got, expected[p], (name, om, p), quad)
         assert enc.value == pytest.approx(rows[0, i], rel=1e-12)
     if name.startswith("reduced"):
         assert not np.isnan(rows).any()
@@ -628,27 +623,25 @@ def test_heuristic_sweep_matches_pointwise_sums(name):
 def test_heuristic_lattice_sum_is_the_one_row_sweep():
     w = dataclasses.replace(sin_comb(), envelope=None)
     for om in (0.0, 0.3):
-        for p in (0, 1):
-            value, tail, k_cut, _ = pointwise_heuristic_sum(w, om, p)
-            if value == 0.0:
-                assert k_cut == 12_138
-                with pytest.raises(ZeroSumError, match=rf"scanned \|k\| <= {k_cut}\)"):
-                    lattice_sum(w, om, p)
-                continue
-            res = lattice_sum(w, om, p)
+        want = [pointwise_heuristic_sum(w, om, p) for p in (0, 1)]
+        if want[0][0] == 0.0:
+            # both sums vanish at every integer
+            assert want[0][2] == want[1][2] == 12_138 and want[1][0] == 0.0
+            with pytest.raises(ZeroSumError, match=r"scanned \|k\| <= 12138\)"):
+                delta_g(w, om)
+            continue
+        enc = delta_g(w, om)
+        for res, (value, tail, k_cut, _) in zip((enc.num, enc.den), want):
             assert not res.rigorous
             assert res.value == pytest.approx(value, rel=1e-12)
             assert res.tail_bound == pytest.approx(tail, rel=1e-12)
             assert res.terms_used == k_cut
-    with pytest.raises(PreconditionError):
-        lattice_sum(w, 0.3, 2)
     with pytest.warns(TruncationRiskWarning):
-        lattice_sum(slow_decay(), 0.25, 1)
+        delta_g(slow_decay(), 0.25)
     # narrow-band at omega = 0: S_1 vanishes, S_0 does not
     band = dataclasses.replace(narrow_band(), envelope=None)
-    assert lattice_sum(band, 0.0, 0).value == 1.0
-    with pytest.raises(ZeroSumError):
-        lattice_sum(band, 0.0, 1)
+    sums = criterion._sweep(band, np.array([0.0]))
+    assert sums[0, 0, 0] == 1.0 and sums[1, 0, 0] == 0.0
     with pytest.raises(DegenerateError):
         delta_g(band, 0.0)
 

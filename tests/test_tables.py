@@ -94,7 +94,7 @@ def test_readers_name_the_bad_line(tmp_path):
         path = tmp_path / f"{name}.csv"
         path.write_text("\r\n".join(text))
         with pytest.raises(PreconditionError, match=where):
-            DensityProfile.read_csv(path)
+            read_csv(path, DensityProfile.CSV_HEADER)
     grid = np.linspace(-1.0, 1.0, 201)
     path = tmp_path / "window.csv"
     write_sampled_csv(path, grid, np.exp(-np.pi * grid**2))
