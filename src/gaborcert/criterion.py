@@ -14,11 +14,22 @@ sums with certified truncation error (driven by the window's decay
 envelope), encloses delta_g between rigorous bounds, profiles it over an
 omega grid with local refinement, and turns the profile into a one-sided
 certification verdict.
+
+A profile sums each window on the shorter of two sides.  The frequency side
+adds the terms |k| <= K above (_sweep).  The time side, for a closed-form
+window whose Poisson dual series S_p(omega) = sum_n a_p(n) exp(2 pi i n
+omega) needs fewer terms, adds |n| <= N of those (_DualSeries); its
+truncation tails (a profile's tail_bound_num and tail_bound_den) are the
+n-tails.  The one-omega delta_g always sums on the frequency side.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +44,7 @@ from .errors import (
     ZeroSumError,
 )
 from .tables import CsvTable
-from .window import Window, dilate, ghat_lattice
+from .window import ClosedForm, Window, dilate, ghat_lattice
 
 # The stopping rule of every lattice sum (_converged) and barrier scan row:
 # the truncation tail must fall below TAIL_TOL times the sum.  A sum whose
@@ -77,6 +88,19 @@ _MAX_BLOCK = 1 << 12
 _RATIO_PAD = 4.0 * _U
 # Outward factor on the tail's peel -c*a^2 (one_sided_gauss_tail_log).
 _PEEL_PAD = 1.0 - 8.0 * _U
+
+# A warning names the first caller outside this package and numpy (whose
+# errstate wrapper sits between the engine's functions).
+_INTERNAL_DIRS = tuple(os.path.dirname(path) + os.sep for path in (__file__, np.__file__))
+
+
+def _caller_level() -> int:
+    """The stacklevel, for a warnings.warn in the calling function, of the
+    first frame outside _INTERNAL_DIRS."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_DIRS):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def one_sided_gauss_tail_log(c, p, a):
@@ -443,11 +467,14 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
         needed = summing.any(axis=0)
         live = np.flatnonzero(needed[:n_own] | needed[n_own:] if mirror else needed)
         block = max(1, _MAX_BLOCK // ks.size)
+        # a quadrature window's chirp-z transforms cost per call, not per
+        # value: one call per step for all live rows
+        ghat_live = None if w.quadrature is None else ghat_at(live, ks)
         for b in range(0, live.size, block):
             rows = live[b : b + block]
             # (k x omega) arrays, stacked as (k, summand, omega)
             xi = ks[:, None] + at[None, rows]
-            t0 = np.abs(ghat_at(rows, ks).T) ** 2
+            t0 = np.abs((ghat_at(rows, ks) if ghat_live is None else ghat_live[b : b + block]).T) ** 2
             t1 = xi**2 * t0
             if env is None:
                 terms = np.stack([t0, t1], axis=1)
@@ -500,7 +527,7 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
             f"lattice sum for {w.label!r} still active at K={_WARN_K}; "
             "truncating without decay evidence",
             TruncationRiskWarning,
-            stacklevel=4,
+            stacklevel=_caller_level(),
         )
     sums = np.full((2, 4, size), math.nan)
     sums[:, :, partner_rows] = out[:, :, n_own:]
@@ -509,16 +536,307 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
 
 
 def _sweep_rows(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
-    """Profile rows (value, low, high, num tail, den tail) from one _sweep.
+    """Profile rows (value, low, high, num tail, den tail) from the shorter side.
 
-    A row where either sum vanishes (delta_g's ZeroSumError or
-    DegenerateError) holds NaN.
+    A closed-form window whose dual series is predicted shorter than its
+    lattice sums (_dual_series) sums on the time side, every other window
+    through one _sweep (mirror applies there only).  A frequency-side tail
+    only adds to the truncated sum; a dual-side one bounds terms of either
+    sign, so it widens the enclosure both ways.  A row where either sum
+    vanishes or, on the time side, is not positive (delta_g's ZeroSumError
+    or DegenerateError) holds NaN.
     """
-    sums = _sweep(w, omegas, mirror)
+    dual = _dual_series(w)
+    sums = _sweep(w, omegas, mirror) if dual is None else dual.sums(w, omegas)
     sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
-    value, low, high = _enclose(nv, nv - nr, nv + nt + nr, dv, dv - dr, dv + dt + dr)
+    num_low, den_low = (nv - nr, dv - dr) if dual is None else (nv - nt - nr, dv - dt - dr)
+    value, low, high = _enclose(nv, num_low, nv + nt + nr, dv, den_low, dv + dt + dr)
     return np.array([value, low, high, nt, dt])
+
+
+# --- the time side: Poisson-dual sums of closed-form windows ------------------
+
+
+def _gamma(m):
+    """gamma_m = m*u / (1 - m*u): m relative roundings of at most u compound to
+    at most gamma_m (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 3)."""
+    return m * _U / (1.0 - m * _U)
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_tables(size: int):
+    """Tables on k, i < size for the Appell shift H_k(y + h) = sum_{i<=k}
+    C(k, i) (2h)^(k-i) H_i(y): C(k, i) (0 above the diagonal), the power
+    k - i (0 above the diagonal), the unit (-i)^m by m, and the Hermite
+    norms 2^i i!.  The floats are exact below 2^53 and within one rounding
+    above."""
+    k, i = np.indices((size, size))
+    binom = np.array([[math.comb(a, b) for b in range(size)] for a in range(size)], dtype=float)
+    norms = np.array([2.0**j * math.factorial(j) for j in range(size)])
+    return binom, np.maximum(k - i, 0), np.array([(-1j) ** (m % 4) for m in range(size)]), norms
+
+
+def _rescaled(f: np.ndarray, sigma: float):
+    """Coefficients e of sum_n f_n H_n(rho*x) = sum_k e_k H_k(x), rho = sqrt(1 + i*sigma),
+    by the multiplication theorem H_n(rho*x) = sum_i rho^(n-2i) (i*sigma)^i
+    n!/(i! (n-2i)!) H_(n-2i)(x) (rho^2 - 1 = i*sigma), with their moduli
+    shadow and the roundings behind them (see _DualSeries): rho carries 9
+    (one for sigma, eight for cmath.sqrt), rho^m by repeated products
+    12m, sigma^i 2i, the count 1 (exact below 2^53), the three products 5
+    and the sum deg/2."""
+    rho = cmath.sqrt(complex(1.0, sigma))
+    deg = f.size - 1
+    rho_pow, sigma_pow = [1.0 + 0j], [1.0]
+    for _ in range(deg):
+        rho_pow.append(rho_pow[-1] * rho)
+        sigma_pow.append(sigma_pow[-1] * sigma)
+    e = np.zeros(deg + 1, dtype=complex)
+    shadow = np.zeros(deg + 1)
+    for n, c in enumerate(f.tolist()):
+        for i in range(n // 2 + 1):
+            count = float(math.factorial(n) // (math.factorial(i) * math.factorial(n - 2 * i)))
+            e[n - 2 * i] += c * rho_pow[n - 2 * i] * sigma_pow[i] * (1j) ** (i % 4) * count
+            shadow[n - 2 * i] += abs(c) * abs(rho_pow[n - 2 * i]) * abs(sigma_pow[i]) * count
+    return e, shadow, 12 * deg + deg // 2 + 6
+
+
+@dataclass(frozen=True, eq=False)
+class _DualSeries:
+    """The time side of a closed-form window: S_p(omega) = sum_n a_p(n) e^(2 pi i n omega).
+
+    By Poisson summation the lattice sums are the Fourier series of
+    xi^(2p) |ghat(xi)|^2 (the Walnut form of the frame operator; Groechenig,
+    Foundations of Time-Frequency Analysis, 2001, ch. 6-8), with
+
+        a_p(n) = integral xi^(2p) |ghat(xi)|^2 exp(-2 pi i n xi) d xi.
+
+    ghat is the form F = form.transform(), F(xi) = sum_n f_n H_n(alpha xi)
+    exp(-pi w xi^2) with alpha = sqrt(2 pi w).  With beta = 2 pi Re w,
+    x = sqrt(beta) xi and rho = alpha/sqrt(beta) = sqrt(w / Re w), |ghat|^2
+    = |P(x)|^2 exp(-x^2) where P(x) = sum_n f_n H_n(rho x) = sum_k e_k H_k(x)
+    (e = f for real w, else _rescaled), and xi^2 |ghat|^2 = |x P(x)|^2
+    exp(-x^2) / beta, whose coefficients follow from x H_k = H_(k+1)/2 +
+    k H_(k-1).  With tau^2 = pi n^2 / (2 Re w), shifting the contour by
+    y = x + i tau and H_k(y - i tau) = sum_i C(k, i) (-2 i tau)^(k-i) H_i(y)
+    leaves the orthogonality of the H_i:
+
+        a_p(n) = (2 Re w)^(-1/2) beta^(-p) exp(-tau^2) sum_i 2^i i! u_i v_i,
+        u_i = sum_k E_k C(k, i) (-2 i tau)^(k-i),  v_i the same for conj(E),
+
+    E the coefficients e (p = 0) or those of x P (p = 1).  At n = 0 this is
+    sum_i 2^i i! |E_i|^2, a sum of positive terms, where the power basis of
+    |P|^2 cancels (141 times the value for H_6^2).
+
+    The n-tail: a_0(n) = <T_n g, g> and a_1(n) is the same product for
+    g'/(2 pi) (ClosedForm.derivative), so with the proven time envelope
+    |h(t)| <= A_p exp(-r_p t^2) of each, |a_p(n)| <= A_p^2 sqrt(pi/(2 r_p))
+    exp(-r_p n^2/2), and sum_{|n|>N} |a_p(n)| <= 2 A_p^2 sqrt(pi/(2 r_p))
+    exp(one_sided_gauss_tail_log(r_p/2, 0, N + 1)) (tail: five roundings,
+    padded by 8 units, plus the smallest subnormal for a product that
+    underflows).  The envelopes' 1e-12 pad covers the few ulps by which F's
+    coefficients differ from the exact transform of the form.
+
+    Rounding, against the exact sums of F's float coefficients and z with
+    exact pi.  Every computed quantity is a sum of products of inputs, and
+    each of its monomials passes at most L roundings: a real product,
+    quotient, square root or add, or exp (within 1 ulp), counts one (unit
+    roundoff u), a complex product three (|error| <= sqrt(5) u |xy|), an
+    input with relative error k u counts k per factor it enters.  Then
+    |computed - exact| <= gamma_L * shadow, the same computation on the
+    moduli of the inputs (Higham, 2002, sections 3.1 and 3.6); the float
+    shadow, a sum of positive terms along the same paths, is within 1 +
+    gamma_L of exact.  The counts, with deg the top order:
+
+    - E: none for real w (e = f); _rescaled's count for complex w; two more
+      for x P (a product and an add).
+    - u_i, n >= 1: tau^2 carries 3, tau 3, (2 tau)^m by repeated products
+      4m - 1, times C(k, i) (itself within one) 4m + 1 <= 4 deg + 1, the
+      product with E_k 3 and the sum over k deg: L_u = L_E + 5 deg + 4.  At
+      n = 0, u = E and v = conj(E) exactly.
+    - T = sum_i 2^i i! u_i v_i: L_T = 2 L_u + 3 (u_i v_i) + 2 (2^i i!, itself
+      within one) + deg, so |T - computed| <= gamma_L_T (1 + gamma_L_T) Tbar,
+      Tbar the shadow.
+    - the prefactor, P roundings: 2 for (2 Re w)^(-1/2), 3 more for the
+      division by beta; for n >= 1, 2 for exp, one for its product and
+      ceil(4 tau^2) for the argument tau^2, whose 3 roundings scale exp by
+      at most exp(3 u tau^2 (1 + 3u)) - 1 <= gamma_(4 tau^2).  With the
+      product of prefactor and T, a_p(n) errs by at most pref (1 + gamma_P)
+      (gamma_L_T (1 + gamma_L_T) Tbar + gamma_(P+1) |T|).
+    - underflow, where rounding is absolute: exp, the prefactor's products
+      and the product with T each err by at most 2^-1075 more, which
+      2^-1074 (1 + 2 (2 + (2 Re w)^(-1/2)) (|T| + Tbar)) covers.
+
+    The fold into S_p: theta = (2 pi n) omega carries 3, so cos and sin,
+    within 4 ulps (8u) of their exact values at theta, are within e_n =
+    gamma_3 2 pi n + 8u of those at 2 pi n omega, and the computed unit z =
+    cos + i sin within 2 e_n of the exact one.  With E_n the bound on
+    |a_p(n) - computed| and A_n = |Re a| + |Im a| >= |a| of the computed
+    value, the term 2 Re(a z) = 2 (Re a cos - Im a sin) errs by at most
+    2 (E_n (1 + 2 e_n) + 2 (A_n + E_n) e_n + gamma_2 A_n (1 + e_n)), and
+    adding the N + 1 terms by at most gamma_N times the sum of their moduli,
+    a_0 and 2 A_n (1 + e_n) (1 + gamma_2).  These positive bounds are
+    evaluated in floats with less than 2^-30 relative error, which the last
+    factor covers.  Unlike the frequency side's, the truncated series is not
+    one-sided: lower = value - tail - rounding.
+    """
+
+    re_w: float
+    coef: np.ndarray  # (2, size): E for p = 0 (zero-padded) and p = 1
+    shadow: np.ndarray  # (2, size): their moduli shadows
+    units: tuple[int, int]  # L_E for p = 0, 1
+    tail_scale: tuple[float, float]  # 2 A_p^2 sqrt(pi/(2 r_p))
+    tail_rate: tuple[float, float]  # r_p / 2
+
+    @staticmethod
+    def of(form) -> "_DualSeries":
+        """The series of a closed form; NumericalError or OverflowError where a time envelope overflows."""
+        freq = form.transform()
+        w = freq.z
+        f = np.array(freq.coef)
+        if w.imag == 0.0:
+            e, shadow, units = f, np.abs(f), 0
+        else:
+            e, shadow, units = _rescaled(f, w.imag / w.real)
+        deg = e.size - 1
+        coef = np.zeros((2, deg + 2), dtype=complex)
+        shadows = np.zeros((2, deg + 2))
+        coef[0, :-1], shadows[0, :-1] = e, shadow
+        # x P: x H_k = H_(k+1)/2 + k H_(k-1)
+        for row, vals in ((coef[1], e), (shadows[1], shadow)):
+            row[1:] = vals / 2.0
+            row[:deg] += np.arange(1, deg + 1) * vals[1:]
+        scale, rate = [], []
+        for env in (form.envelope(), form.derivative().envelope()):
+            scale.append(2.0 * env.amplitude**2 * math.sqrt(math.pi / (2.0 * env.rate)))
+            rate.append(0.5 * env.rate)
+        return _DualSeries(w.real, coef, shadows, (units, units + 2), tuple(scale), tuple(rate))
+
+    # like the frequency side, the time side checks its sums instead of warning
+    @np.errstate(over="ignore", invalid="ignore")
+    def coefficients(self, n: int):
+        """(a, bound): a_p(n) for p = 0, 1 (complex) and bounds on their rounding errors."""
+        size = self.coef.shape[1]
+        deg = size - 1
+        binom, power, unit, norms = _shift_tables(size)
+        tau2 = math.pi * n * n / (2.0 * self.re_w)
+        if n == 0:
+            u, v, u_bar, shift_units, p_units = self.coef, self.coef.conj(), self.shadow, 0, 0
+        else:  # u = E @ shift and v = conj(E) @ shift
+            steps = np.cumprod(np.r_[1.0, np.full(deg, 2.0 * math.sqrt(tau2))])
+            shift_bar = binom * steps[power]
+            shift = shift_bar * unit[power]
+            u, v, u_bar = self.coef @ shift, self.coef.conj() @ shift, self.shadow @ shift_bar
+            shift_units, p_units = 5 * deg + 4, 3 + math.ceil(4.0 * tau2)
+        total = (u * v) @ norms
+        total_bar = ((u_bar * u_bar) @ norms).tolist()
+        root = 1.0 / math.sqrt(2.0 * self.re_w)
+        decay = math.exp(-tau2)
+        pref = [root * decay, root / (2.0 * math.pi * self.re_w) * decay]
+        bound = []
+        for p, units in enumerate(self.units):
+            gamma_t = _gamma(2 * (units + shift_units) + 5 + deg)
+            gamma_p = _gamma(p_units + (2, 5)[p])
+            relative = pref[p] * (1.0 + gamma_p) * (gamma_t * (1.0 + gamma_t) * total_bar[p] + (gamma_p + _U) * abs(total[p]))
+            underflow = _MIN_SUBNORMAL * (1.0 + 2.0 * (2.0 + root) * (abs(total[p]) + total_bar[p]))
+            bound.append(relative + underflow)
+        return np.array(pref) * total, np.array(bound)
+
+    def tail(self, p: int, n: int) -> float:
+        """Upper bound on sum over |m| > n of |a_p(m)|."""
+        log_bound = one_sided_gauss_tail_log(self.tail_rate[p], 0, n + 1.0)
+        factor = _TINY if log_bound < _LOG_TINY else math.exp(log_bound) * (1.0 + 4e-16)  # _from_log, on a float
+        return self.tail_scale[p] * factor * (1.0 + 8.0 * _U) + _TINY
+
+    def terms(self):
+        """(n, a, rounding) for n = 0, 1, 2, ...: a_p(n) for p = 0, 1 and the
+        bound on the rounding of S_p summed through n (the fold above).  Its
+        callers, sums and _shorter_dual, check the values it yields instead
+        of warning."""
+        for n in range(_MAX_CUTOFF + 1):
+            a, bound = self.coefficients(n)
+            if n == 0:
+                err, mass = bound, np.abs(a.real)
+            else:
+                e = _gamma(3) * 2.0 * math.pi * n + 8.0 * _U
+                size = np.abs(a.real) + np.abs(a.imag)
+                err = err + 2.0 * (bound * (1.0 + 2.0 * e) + 2.0 * (size + bound) * e + _gamma(2) * size * (1.0 + e))
+                mass = mass + 2.0 * size * (1.0 + e) * (1.0 + _gamma(2))
+            yield n, a, (err + _gamma(n) * mass) * (1.0 + 2.0**-30)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def sums(self, w: Window, omegas: np.ndarray) -> np.ndarray:
+        """S_0 and S_1 at every omega, in _sweep's layout: sums[p] = (value,
+        n-tail, rounding, N) of S_p.  Each (omega, p) adds the terms n = 0,
+        1, 2, ... and stops at the first N whose tail passes _converged; a row
+        depends on its own omega only.  Values or rounding bounds that are not
+        finite raise NumericalError."""
+        out = np.full((2, 4, omegas.size), math.nan)
+        summing = np.ones((2, omegas.size), dtype=bool)
+        for n, a, rounding in self.terms():
+            if n == 0:
+                acc = np.repeat(a.real[:, None], omegas.size, axis=1)
+            else:
+                theta = (2.0 * math.pi * n) * omegas
+                acc += 2.0 * (np.outer(a.real, np.cos(theta)) - np.outer(a.imag, np.sin(theta)))
+            if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(rounding))):
+                raise NumericalError(f"dual lattice sums for {w.label!r} overflow the double range by N={n}")
+            for p in (0, 1):
+                tail = self.tail(p, n)
+                done = summing[p] & _converged(tail, acc[p])
+                out[p, 0, done], out[p, 1, done], out[p, 2, done], out[p, 3, done] = acc[p, done], tail, rounding[p], n
+                summing[p, done] = False
+            if not summing.any():
+                return out
+        raise DivergentSeriesError(f"dual series for {w.label!r} did not reach tolerance by N={_MAX_CUTOFF}")
+
+
+def _dual_series(w: Window) -> _DualSeries | None:
+    """The time side for w, or None for the frequency side (_shorter_dual):
+    windows without a form or an envelope, and sampled windows, stay on
+    the frequency side."""
+    if w.form is None or w.envelope is None:
+        return None
+    return _shorter_dual(w.form, w.envelope.amplitude, w.envelope.rate)
+
+
+# min_delta's two sweeps of one window share one prediction
+@functools.lru_cache(maxsize=16)
+@np.errstate(over="ignore", invalid="ignore")
+def _shorter_dual(form: ClosedForm, amplitude: float, rate: float) -> _DualSeries | None:
+    """The dual series of a closed form when it is predicted shorter than
+    the frequency side and as tight, else None.
+
+    Both sides are predicted against the means a_p(0) of S_p over omega: K
+    is the first cutoff whose two envelope tails pass _converged at omega =
+    1/2 (envelope_tail_log, the one-omega rule), N the first n whose two
+    n-tails do.  The time side needs N < K (a tie stays on the frequency
+    side) and a rounding bound through N that passes the same test as the
+    tails: where the terms n >= 1 cancel (high orders at moderate tau), the
+    bound can exceed the frequency side's by orders of magnitude.  None
+    also where a time envelope or a mean is past the double range, or no
+    cutoff passes, which the frequency side reports.
+    """
+    try:
+        series = _DualSeries.of(form)
+    except (NumericalError, OverflowError):
+        return None
+    for n, a, rounding in series.terms():
+        if n == 0:
+            scale = a.real
+            if not np.all((scale > 0.0) & (scale < math.inf)):
+                return None
+            for k_pred in _cutoffs():
+                if np.all(_converged(_from_log(envelope_tail_log(amplitude, rate, (0, 1), k_pred + 1, 0.5)), scale)):
+                    break
+            else:
+                return None
+        if n == k_pred or not np.all(_converged(rounding, scale)):
+            return None
+        if np.all(_converged(np.array([series.tail(0, n), series.tail(1, n)]), scale)):
+            return series
+    return None
 
 
 @dataclass(frozen=True)
@@ -529,7 +847,11 @@ class DensityProfile(CsvTable):
     refinement stencil, in increasing omega.  min_value is the minimum of
     the certified lower enclosures over all of them, so it is a lower bound
     for the grid minimum.  Degenerate grid points are recorded as NaN rows
-    and force non_certifying.
+    and force non_certifying.  num_tails and den_tails (the tail_bound_num
+    and tail_bound_den columns) are the truncation tails of S_0 and S_1:
+    beyond the cutoff K on the frequency side, beyond the last dual term N
+    on the time side (_DualSeries), where they widen the enclosure both
+    ways.
     """
 
     omegas: np.ndarray
@@ -571,14 +893,16 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
     the minimum over every evaluated point: the least delta_g_low of the
     exported profile.
 
-    Every window goes through the sweep engine (_sweep) in two calls.  The
-    first sums the grid.  For a window whose |ghat| is even (w.even_modulus:
-    even, odd, or real up to a constant phase), ghat is evaluated for the
-    grid points in [0, 1/2] only and each partner point 1 - omega reuses
-    those values with the columns reflected, keeping its own cutoff, tail
-    and stopping decision (the two points of a pair add up to 1 within 1.5
-    ulp, an argument error the rounding budget covers).  The second sums
-    the stencil, unmirrored.
+    Every window goes through _sweep_rows in two calls, the grid and then
+    the stencil, each on the shorter side: a closed form whose dual series
+    is predicted shorter sums it on the time side (_DualSeries), every
+    other window through the sweep engine (_sweep).  There, for a window
+    whose |ghat| is even (w.even_modulus: even, odd, or real up to a
+    constant phase), ghat is evaluated for the grid points in [0, 1/2] only
+    and each partner point 1 - omega reuses those values with the columns
+    reflected, keeping its own cutoff, tail and stopping decision (the two
+    points of a pair add up to 1 within 1.5 ulp, an argument error the
+    rounding budget covers); the stencil is summed unmirrored.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:

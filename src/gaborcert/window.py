@@ -292,6 +292,18 @@ class ClosedForm:
         cot, csc, amplitude = kernel
         return self.chirp(cot).transform().scaled(csc, amplitude).chirp(cot)
 
+    def derivative(self) -> "ClosedForm":
+        """g'/(2*pi): with x = alpha*t, alpha = sqrt(2*pi*z), g' = alpha * sum_n c_n
+        (2n H_(n-1)(x) - x H_n(x)) exp(-pi*z*t^2), and x H_n = H_(n+1)/2 + n H_(n-1)
+        gives coef[n-1] += alpha*n*c_n/(2*pi) and coef[n+1] -= alpha*c_n/(4*pi)."""
+        alpha = cmath.sqrt(2.0 * math.pi * self.z)
+        coef = [0j] * (len(self.coef) + 1)
+        for n, c in enumerate(self.coef):
+            if n:
+                coef[n - 1] += alpha * n * c / (2.0 * math.pi)
+            coef[n + 1] -= alpha * c / (4.0 * math.pi)
+        return ClosedForm(tuple(coef), self.z)
+
     def envelope(self) -> Envelope:
         """|g(t)| <= amplitude * exp(-rate * t^2): rate pi Re z for a constant
         polynomial, else (pi/2) Re z with each |H_n| bounded by its

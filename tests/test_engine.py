@@ -120,13 +120,32 @@ def assert_rows_match_pointwise(w, profile):
     return encl
 
 
+def assert_dual_rows_match_pointwise(w, profile, rng):
+    """Time-side rows: the value of every row to ENGINE_REL of delta_g's, and
+    both enclosures of the argmin and of three seeded rows around the 50-digit
+    delta_g.  Their tails are the n-tails of the dual series, not delta_g's
+    frequency tails, so they are not compared."""
+    encl = pointwise(w, profile.omegas)
+    for om, value, e in zip(profile.omegas, profile.deltas, encl):
+        assert e is not None and abs(value - e.value) <= ENGINE_REL * e.value, (w.label, om)
+    for i in {profile.argmin, *rng.choice(profile.omegas.size, 3, replace=False).tolist()}:
+        truth = mp_form_delta(w.form, profile.omegas[i])
+        assert profile.lows[i] <= truth <= profile.highs[i], (w.label, profile.omegas[i])
+        assert encl[i].low <= truth <= encl[i].high, (w.label, profile.omegas[i])
+    return encl
+
+
 @pytest.mark.parametrize("spec", ["gaussian"] + [f"hermite:{n}" for n in range(7)] + sorted(COMBOS))
 def test_engine_matches_pointwise_delta_g(spec):
     base = corpus_window(spec)
+    rng = np.random.default_rng(20261019)
     for b in DILATIONS:
         w = dilate(base, b)
         profile = min_delta(w, grid_points=101)
-        encl = assert_rows_match_pointwise(w, profile)
+        if criterion._dual_series(w) is None:
+            encl = assert_rows_match_pointwise(w, profile)
+        else:
+            encl = assert_dual_rows_match_pointwise(w, profile, rng)
         # the verdict the one-omega path would give on the same points
         lows = [e.low for e in encl if e is not None]
         degenerate = len(lows) < len(encl)
@@ -337,16 +356,19 @@ def test_sampled_refinement_extends_sequential_passes(spec, grid_points):
 
 def test_sweep_memory_stays_bounded():
     # rows are summed for blocks of at most 4,096 (omega, k) values, not for
-    # the whole grid at once
+    # the whole grid at once; certify sums this window on the time side, so
+    # its frequency sweep (K = 94) is measured directly as well
     w = dilate(hermite(5), 0.05)
-    certify(w, 0.1)
-    tracemalloc.start()
-    try:
-        certify(w, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6, peak
+    grid = np.linspace(0.0, 1.0, 1001)
+    for run in (lambda: certify(w, 0.1), lambda: criterion._sweep(w, grid, mirror=True)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
 
 
 def test_vanishing_envelope_rate_is_divergent():
@@ -714,6 +736,23 @@ def mp_form_mag2(form):
     return mag2
 
 
+def mp_form_sums(form, omega):
+    """S_0 and S_1 at omega of the window of a closed form, in 50-digit mpmath."""
+    freq = form.transform()
+    mag2 = mp_form_mag2(freq)
+    k_max = int(12 / math.sqrt(freq.z.real)) + 12
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(omega))
+        terms = [(k + x, mag2(k + x)) for k in range(-k_max, k_max + 1)]
+        return [mpmath.fsum(xi ** (2 * p) * m for xi, m in terms) for p in (0, 1)]
+
+
+def mp_form_delta(form, omega):
+    s0, s1 = mp_form_sums(form, omega)
+    with mpmath.workdps(50):
+        return float(mpmath.mpf("0.5") * mpmath.sqrt(s0 / s1))
+
+
 @pytest.mark.parametrize("spec", ["gaussian", "hermite:1", "hermite:3"])
 def test_reduced_enclosures_contain_50_digit_sums(spec):
     # the reduced windows are enveloped closed forms with complex z; their
@@ -721,12 +760,9 @@ def test_reduced_enclosures_contain_50_digit_sums(spec):
     rng = np.random.default_rng(11)
     for basis in REDUCED_BASES:
         w = reduced(spec, basis)
-        mag2 = mp_form_mag2(w.form.transform())
-        k_max = int(12 / math.sqrt(w.form.transform().z.real)) + 12
         for om in np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, 2)]):
+            truth = mp_form_sums(w.form, om)
             with mpmath.workdps(50):
-                x = mpmath.mpf(float(om))
-                truth = [mpmath.fsum((k + x) ** (2 * p) * mag2(k + x) for k in range(-k_max, k_max + 1)) for p in (0, 1)]
                 delta = float(mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1]))
             enc = delta_g(w, float(om))
             assert enc.rigorous and enc.low <= delta <= enc.high, (spec, basis, om)
