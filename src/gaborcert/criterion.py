@@ -15,12 +15,13 @@ envelope), encloses delta_g between rigorous bounds, profiles it over an
 omega grid with local refinement, and turns the profile into a one-sided
 certification verdict.
 
-A profile sums each window on the shorter of two sides.  The frequency side
-adds the terms |k| <= K above (_sweep).  The time side, for a closed-form
-window whose Poisson dual series S_p(omega) = sum_n a_p(n) exp(2 pi i n
-omega) needs fewer terms, adds |n| <= N of those (_DualSeries); its
-truncation tails (a profile's tail_bound_num and tail_bound_den) are the
-n-tails.  The one-omega delta_g always sums on the frequency side.
+A profile sums each window on one of two sides, decided once per profile
+(_time_side).  The frequency side adds the terms |k| <= K above (_sweep).
+The time side, for a closed-form window whose Poisson dual series
+S_p(omega) = sum_n a_p(n) exp(2 pi i n omega) needs fewer terms, adds
+|n| <= N of those (_DualSeries); its truncation tails (a profile's
+tail_bound_num and tail_bound_den) are the n-tails.  The one-omega delta_g
+always sums on the frequency side.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,9 +41,10 @@ from .errors import (
     PreconditionError,
     TruncationRiskWarning,
     ZeroSumError,
+    _caller_level,
 )
 from .tables import CsvTable
-from .window import ClosedForm, Window, dilate, ghat_lattice
+from .window import Window, dilate, ghat_lattice
 
 # The stopping rule of every lattice sum (_converged) and barrier scan row:
 # the truncation tail must fall below TAIL_TOL times the sum.  A sum whose
@@ -88,20 +88,6 @@ _MAX_BLOCK = 1 << 12
 _RATIO_PAD = 4.0 * _U
 # Outward factor on the tail's peel -c*a^2 (one_sided_gauss_tail_log).
 _PEEL_PAD = 1.0 - 8.0 * _U
-
-# A warning names the first caller outside this package and numpy (whose
-# errstate wrapper sits between the engine's functions).
-_INTERNAL_DIRS = tuple(os.path.dirname(path) + os.sep for path in (__file__, np.__file__))
-
-
-def _caller_level() -> int:
-    """The stacklevel, for a warnings.warn in the calling function, of the
-    first frame outside _INTERNAL_DIRS."""
-    frame, level = sys._getframe(1), 1
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_DIRS):
-        frame, level = frame.f_back, level + 1
-    return level
-
 
 def one_sided_gauss_tail_log(c, p, a):
     """log of an upper bound for sum_{j>=0} (a+j)^(2p) * exp(-c*(a+j)^2), p in {0, 1, 2}.
@@ -159,22 +145,25 @@ def _tail_polys(r, a, weights):
             yield (((a / one + 4.0 * r / one**2) * a + g2) * a + g3) * a + g4
 
 
-def envelope_tail_log(amplitude: float, rate: float, p, m: int, omega: float):
+def envelope_tail_log(amplitude: float, rate: float, p, m: int, omega):
     """log upper bound for the two-sided lattice tail over |k| >= m.
 
     Bounds sum over k >= m of (k+omega)^(2p) |ghat|^2 plus the mirrored
     k <= -m side, assuming |ghat(xi)| <= amplitude * exp(-rate * xi^2).
     Needs m >= 2 so both tail starts m - omega and m + omega are >= 1.
     p may be a tuple of weights, as in one_sided_gauss_tail_log; the
-    bounds then come back as an array in that order.
+    bounds then come back stacked in that order.  omega is a float, or an
+    array whose two tail starts share one one_sided_gauss_tail_log call (one
+    exp and one log pass for every weight), NaN where a float call raises.
     """
     if m < 2:
         raise PreconditionError("tail bound needs cutoff m >= 2")
-    c = 2.0 * rate
-    log_c2 = 2.0 * math.log(amplitude)
-    side_plus = one_sided_gauss_tail_log(c, p, m + omega)
-    side_minus = one_sided_gauss_tail_log(c, p, m - omega)
-    return log_c2 + np.logaddexp(side_plus, side_minus)
+    c, starts = 2.0 * rate, (m + omega, m - omega)
+    if isinstance(omega, np.ndarray):
+        sides = np.moveaxis(np.array(one_sided_gauss_tail_log(c, p, np.stack(starts))), -2, 0)
+    else:
+        sides = [one_sided_gauss_tail_log(c, p, a) for a in starts]
+    return 2.0 * math.log(amplitude) + np.logaddexp(*sides)
 
 
 def _from_log(log_bound):
@@ -183,18 +172,6 @@ def _from_log(log_bound):
     # arrays, where an overflowing bound comes out as inf.
     with np.errstate(over="ignore"):
         return np.where(log_bound < _LOG_TINY, _TINY, np.exp(log_bound) * (1.0 + 4e-16))
-
-
-def _envelope_tails(amplitude: float, rate: float, m: int, omegas: np.ndarray) -> np.ndarray:
-    """envelope_tail_log followed by _from_log for p = 0 and p = 1, over an array of omegas.
-
-    One one_sided_gauss_tail_log call on both tail starts m + omega and
-    m - omega, so one exp and one log pass for both weights; an overflowing
-    bound comes out as inf, which simply fails the stopping rule.  Returns
-    shape (2, len(omegas)), row p the tails of S_p.
-    """
-    side = np.array(one_sided_gauss_tail_log(2.0 * rate, (0, 1), np.stack([m + omegas, m - omegas])))
-    return _from_log(2.0 * math.log(amplitude) + np.logaddexp(side[:, 0], side[:, 1]))
 
 
 def _cutoffs():
@@ -497,7 +474,8 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
         if env is None:
             tails = (recent[0] + recent[1])[:, rows]
         else:
-            tails = _envelope_tails(env.amplitude, env.rate, k_cut + 1, omegas[rows])
+            # an overflowing bound comes out as inf, which fails the stopping rule
+            tails = _from_log(envelope_tail_log(env.amplitude, env.rate, (0, 1), k_cut + 1, omegas[rows]))
         for p in (0, 1):
             sel = summing[p, rows]
             done, tail = rows[sel], tails[p, sel]
@@ -535,22 +513,20 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     return sums
 
 
-def _sweep_rows(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
-    """Profile rows (value, low, high, num tail, den tail) from the shorter side.
+def _sweep_rows(w: Window, series: _DualSeries | None, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
+    """Profile rows (value, low, high, num tail, den tail) on the side _time_side chose.
 
-    A closed-form window whose dual series is predicted shorter than its
-    lattice sums (_dual_series) sums on the time side, every other window
+    With its dual series the window sums on the time side, without one
     through one _sweep (mirror applies there only).  A frequency-side tail
     only adds to the truncated sum; a dual-side one bounds terms of either
     sign, so it widens the enclosure both ways.  A row where either sum
     vanishes or, on the time side, is not positive (delta_g's ZeroSumError
     or DegenerateError) holds NaN.
     """
-    dual = _dual_series(w)
-    sums = _sweep(w, omegas, mirror) if dual is None else dual.sums(w, omegas)
+    sums = _sweep(w, omegas, mirror) if series is None else series.sums(w, omegas)
     sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
-    num_low, den_low = (nv - nr, dv - dr) if dual is None else (nv - nt - nr, dv - dt - dr)
+    num_low, den_low = (nv - nr, dv - dr) if series is None else (nv - nt - nr, dv - dt - dr)
     value, low, high = _enclose(nv, num_low, nv + nt + nr, dv, den_low, dv + dt + dr)
     return np.array([value, low, high, nt, dt])
 
@@ -752,8 +728,8 @@ class _DualSeries:
     def terms(self):
         """(n, a, rounding) for n = 0, 1, 2, ...: a_p(n) for p = 0, 1 and the
         bound on the rounding of S_p summed through n (the fold above).  Its
-        callers, sums and _shorter_dual, check the values it yields instead
-        of warning."""
+        callers, sums and _time_side, check the values it yields instead of
+        warning."""
         for n in range(_MAX_CUTOFF + 1):
             a, bound = self.coefficients(n)
             if n == 0:
@@ -792,51 +768,51 @@ class _DualSeries:
         raise DivergentSeriesError(f"dual series for {w.label!r} did not reach tolerance by N={_MAX_CUTOFF}")
 
 
-def _dual_series(w: Window) -> _DualSeries | None:
-    """The time side for w, or None for the frequency side (_shorter_dual):
-    windows without a form or an envelope, and sampled windows, stay on
-    the frequency side."""
+@np.errstate(over="ignore", invalid="ignore")
+def _time_side(w: Window) -> _DualSeries | None:
+    """The dual series of w if a profile sums it on the time side, else None.
+
+    A closed form with an envelope takes the time side iff N < K and the
+    rounding bound of the fold through N passes _converged, against the
+    means a_p(0) of S_p.  K is the first cutoff whose envelope tails pass at
+    omega = 1/2 (the one-omega rule), or past _MAX_CUTOFF if none does or
+    the envelope is too flat for a tail bound: the frequency side cannot
+    conclude there.  N is the first n whose n-tails pass.  Cheapest bound
+    first: means, K, N (_DualSeries.tail needs no coefficient), and only if
+    N < K the coefficients 1..N, for one rounding check at N (the bound
+    only grows with n), which fails where the terms n >= 1 cancel.
+    """
     if w.form is None or w.envelope is None:
         return None
-    return _shorter_dual(w.form, w.envelope.amplitude, w.envelope.rate)
-
-
-# min_delta's two sweeps of one window share one prediction
-@functools.lru_cache(maxsize=16)
-@np.errstate(over="ignore", invalid="ignore")
-def _shorter_dual(form: ClosedForm, amplitude: float, rate: float) -> _DualSeries | None:
-    """The dual series of a closed form when it is predicted shorter than
-    the frequency side and as tight, else None.
-
-    Both sides are predicted against the means a_p(0) of S_p over omega: K
-    is the first cutoff whose two envelope tails pass _converged at omega =
-    1/2 (envelope_tail_log, the one-omega rule), N the first n whose two
-    n-tails do.  The time side needs N < K (a tie stays on the frequency
-    side) and a rounding bound through N that passes the same test as the
-    tails: where the terms n >= 1 cancel (high orders at moderate tau), the
-    bound can exceed the frequency side's by orders of magnitude.  None
-    also where a time envelope or a mean is past the double range, or no
-    cutoff passes, which the frequency side reports.
-    """
     try:
-        series = _DualSeries.of(form)
+        series = _DualSeries.of(w.form)
     except (NumericalError, OverflowError):
         return None
-    for n, a, rounding in series.terms():
-        if n == 0:
-            scale = a.real
-            if not np.all((scale > 0.0) & (scale < math.inf)):
-                return None
-            for k_pred in _cutoffs():
-                if np.all(_converged(_from_log(envelope_tail_log(amplitude, rate, (0, 1), k_pred + 1, 0.5)), scale)):
-                    break
-            else:
-                return None
-        if n == k_pred or not np.all(_converged(rounding, scale)):
-            return None
-        if np.all(_converged(np.array([series.tail(0, n), series.tail(1, n)]), scale)):
-            return series
-    return None
+    terms = series.terms()
+    _, means, rounding = next(terms)
+    scale, env = means.real, w.envelope
+    if not np.all((scale > 0.0) & (scale < math.inf)):
+        return None
+
+    def passes(bound, *args) -> bool:  # False where the bound does not exist
+        try:
+            return bool(np.all(_converged(np.asarray(bound(*args)), scale)))
+        except DivergentSeriesError:
+            return False
+
+    def envelope_tails(k):
+        return _from_log(envelope_tail_log(env.amplitude, env.rate, (0, 1), k + 1, 0.5))
+
+    def n_tails(n):
+        return [series.tail(0, n), series.tail(1, n)]
+
+    k_cut = next((k for k in _cutoffs() if passes(envelope_tails, k)), math.inf)
+    n_cut = next((n for n in range(min(k_cut, _MAX_CUTOFF + 1)) if passes(n_tails, n)), None)
+    if n_cut is None:
+        return None
+    for _ in range(n_cut):
+        _, _, rounding = next(terms)
+    return series if passes(lambda: rounding) else None
 
 
 @dataclass(frozen=True)
@@ -893,23 +869,24 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
     the minimum over every evaluated point: the least delta_g_low of the
     exported profile.
 
-    Every window goes through _sweep_rows in two calls, the grid and then
-    the stencil, each on the shorter side: a closed form whose dual series
-    is predicted shorter sums it on the time side (_DualSeries), every
-    other window through the sweep engine (_sweep).  There, for a window
-    whose |ghat| is even (w.even_modulus: even, odd, or real up to a
-    constant phase), ghat is evaluated for the grid points in [0, 1/2] only
-    and each partner point 1 - omega reuses those values with the columns
-    reflected, keeping its own cutoff, tail and stopping decision (the two
-    points of a pair add up to 1 within 1.5 ulp, an argument error the
-    rounding budget covers); the stencil is summed unmirrored.
+    One side decision (_time_side) serves both _sweep_rows calls, the grid
+    and then the stencil: a closed form whose dual series is shorter and as
+    tight sums it on the time side (_DualSeries), every other window through
+    the sweep engine (_sweep).  There, for a window whose |ghat| is even
+    (w.even_modulus: even, odd, or real up to a constant phase), ghat is
+    evaluated for the grid points in [0, 1/2] only and each partner point
+    1 - omega reuses those values with the columns reflected, keeping its
+    own cutoff, tail and stopping decision (the two points of a pair add up
+    to 1 within 1.5 ulp, an argument error the rounding budget covers); the
+    stencil is summed unmirrored.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
         raise PreconditionError(f"grid_points must be odd and >= 3, got {grid_points}")
 
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = _sweep_rows(w, omegas, mirror=w.even_modulus)
+    series = _time_side(w)
+    rows = _sweep_rows(w, series, omegas, mirror=w.even_modulus)
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
@@ -927,7 +904,7 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
     order = np.argsort(omg, kind="stable")
     omg = omg[order]
     deltas, lows, highs, num_tails, den_tails = np.concatenate(
-        [rows, _sweep_rows(w, stencil)], axis=1
+        [rows, _sweep_rows(w, series, stencil)], axis=1
     )[:, order]
     finite_mask = np.isfinite(deltas)
     degenerate = not bool(np.all(finite_mask))

@@ -1,10 +1,16 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the stack
+level at which a warning names its caller.
 
 Two error families matter for exit-code mapping in the CLI: precondition
 violations (caller passed something the operation does not accept) and
 numerical degeneracies discovered while computing (vanishing sums, kernel
 singularities, parameters that cannot be snapped to a finite grid).
 """
+
+import os
+import sys
+
+import numpy as np
 
 
 class GaborcertError(Exception):
@@ -45,3 +51,16 @@ class DivergentSeriesError(NumericalError):
 
 class TruncationRiskWarning(UserWarning):
     """Input decay is too weak for the requested truncated computation."""
+
+
+_INTERNAL_DIRS = tuple(os.path.dirname(path) + os.sep for path in (__file__, np.__file__))
+
+
+def _caller_level() -> int:
+    """The stacklevel, for a warnings.warn in the calling function, of the
+    first frame outside this package and numpy (whose errstate wrapper sits
+    between the engine's functions): a warning names that caller."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_DIRS):
+        frame, level = frame.f_back, level + 1
+    return level

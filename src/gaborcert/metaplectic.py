@@ -41,7 +41,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateAngleError, PreconditionError, TruncationRiskWarning
+from .errors import DegenerateAngleError, PreconditionError, TruncationRiskWarning, _caller_level
 from .window import (
     Window,
     _chirp_z,
@@ -75,7 +75,7 @@ def _warn_end_decay(values: np.ndarray) -> None:
         warnings.warn(
             f"samples still {edge:.3e} at the grid ends; quadrature tails are uncontrolled",
             TruncationRiskWarning,
-            stacklevel=3,
+            stacklevel=_caller_level(),
         )
 
 
@@ -87,7 +87,7 @@ def _warn_aliasing(bandwidth: float, spacing: float) -> None:
             f"chirped integrand reaches {bandwidth:.1f} cycles against a grid "
             f"Nyquist of {nyquist:.1f}; expect aliasing",
             TruncationRiskWarning,
-            stacklevel=3,
+            stacklevel=_caller_level(),
         )
 
 

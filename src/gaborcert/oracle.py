@@ -48,6 +48,7 @@ _WRAP_TOL = 1e-8  # relative l2 mass allowed outside the covered interval
 _LENIENT_LOG_RHO = math.log(1.25)
 _EQUIV_RHO_TOL = 0.01
 _PERIODIZE_COPIES = 2
+_MAX_PROBE = 1 << 20  # points of one _wrap_defect probe
 MAX_DENSE_DIM = 512
 DEFAULT_DIM = 240
 
@@ -127,8 +128,11 @@ def _wrap_defect(w: Window, n: int, spacing: float) -> float:
     One time_eval call covers the grid j*spacing for |j| <= n//2 +
     ceil(16/spacing).  The central samples are the n points from j = -n//2,
     the outside mass is at |j| > n//2, so for even n the point j = n//2 is
-    in neither.
+    in neither.  A spacing below 32/_MAX_PROBE, whose probe would pass
+    _MAX_PROBE points, counts as not covering: the defect is then inf.
     """
+    if spacing * _MAX_PROBE < 32.0:
+        return math.inf
     half = n // 2
     reach = half + int(math.ceil(16.0 / spacing))
     j = np.arange(-reach, reach + 1)
@@ -248,9 +252,7 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
     candidates = []
     for p in divisors:
         for q in divisors:
-            if p * q > n:
-                continue
-            if subcritical and p * q == n:
+            if p * q > n or (subcritical and p * q == n):
                 continue
             spacing = math.sqrt(a * q / (b * p * n))
             rho = math.sqrt(p * q / (n * a * b))

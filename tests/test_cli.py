@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import runpy
 import shlex
 import shutil
 import subprocess
@@ -400,6 +401,30 @@ def test_console_entry_point(capsys):
     code, out, _ = run_cli(capsys, "gaussian-cert")
     assert code == 0
     assert stdout == out.encode()
+
+
+def test_module_entry_point_prints_what_main_prints(capsys, monkeypatch):
+    # __main__.py run in this process (runpy) and in a child, against cli.main
+    argv = ["certify", "--window", "hermite:1", "--delta", "0.4"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(sys, "argv", ["gaborcert", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("gaborcert", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == out
+    child = subprocess.run([sys.executable, "-m", "gaborcert", *argv], capture_output=True, timeout=120, env=child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == out.encode()
+
+
+@pytest.mark.parametrize("window, b", [("hermite:3", "1e-5"), ("hermite:1", "3e-5"), ("gaussian", "1e-9")])
+def test_windows_wider_than_the_cutoff_cap_certify(capsys, window, b):
+    # no lattice-sum cutoff up to 100,000 reaches these; the time side sums
+    # them with one dual term
+    verdict = run_json(capsys, "certify", "--window", window, "--dilation", b, "--delta", "0.1")
+    assert verdict["rigorous"] is True
+    assert verdict["status"] == "Inconclusive" and 0.0 < verdict["min_delta_g"] < 1e-4
 
 
 # a child in which any import of scipy fails

@@ -1,14 +1,16 @@
 """The time side of the criterion engine: Poisson-dual sums of closed forms.
 
 min_delta sums a closed-form window on the time side when its dual series is
-predicted shorter than its lattice sums (criterion._dual_series).  These
-tests hold the dual coefficients to a 50-digit power-basis evaluation, which
-shares no code with the engine's Hermite-basis one, hold the dual sums and
-their enclosures to 50-digit lattice sums, and pin which side each (window,
-b) pair of the analytic-sweep benchmark takes.
+shorter than its lattice sums and as tight (criterion._time_side, one
+decision per profile).  These tests hold the dual coefficients to a 50-digit
+power-basis evaluation, which shares no code with the engine's Hermite-basis
+one, hold the dual sums and their enclosures to 50-digit lattice sums, pin
+which side each (window, b) pair of the analytic-sweep benchmark takes, and
+hold the decision to the rule it evaluates in a cheaper order.
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import mpmath
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from gaborcert import (
+    Lattice2D,
     Parity,
     TruncationRiskWarning,
     certify,
@@ -25,11 +28,15 @@ from gaborcert import (
     gaussian,
     hermite,
     min_delta,
+    reduce_general,
     sample_grid,
+    sample_window,
     sampled_window,
 )
 from gaborcert import criterion
 from gaborcert import window as window_module
+from gaborcert.errors import DivergentSeriesError, NumericalError
+from gaborcert.window import ClosedForm, from_form
 
 from test_engine import BASES, B_GRID, CLI_SPECS, COMBOS, corpus_window, mp_form_sums, reduced, slow_decay
 
@@ -97,7 +104,7 @@ def test_derivative_form_is_g_prime_over_2_pi(name):
 @pytest.mark.parametrize("name", sorted(DUAL_WINDOWS))
 def test_dual_sums_contain_50_digit_values(name):
     w = DUAL_WINDOWS[name]()
-    series = criterion._dual_series(w)
+    series = criterion._time_side(w)
     assert series is not None, name
     assert (w.form.z.imag != 0.0) == (name in ("chirped", "reduced"))
     means = series.coefficients(0)[0].real
@@ -114,7 +121,7 @@ def test_dual_sums_contain_50_digit_values(name):
     # lattice sums
     omegas = np.sort(np.random.default_rng(20261019).uniform(0.0, 1.0, 3))
     sums = series.sums(w, omegas)
-    rows = criterion._sweep_rows(w, omegas)
+    rows = criterion._sweep_rows(w, series, omegas)
     for i, om in enumerate(omegas):
         truth = mp_form_sums(w.form, om)
         for p in (0, 1):
@@ -131,7 +138,7 @@ def test_dual_enclosures_need_their_rounding_term():
     # the n-tail of dilate(hermite:5, 0.05) is below 1e-130 of the sums, so
     # the enclosure is its rounding term alone
     w = dilate(hermite(5), 0.05)
-    sums = criterion._dual_series(w).sums(w, np.array([0.3]))
+    sums = criterion._time_side(w).sums(w, np.array([0.3]))
     truth = mp_form_sums(w.form, 0.3)
     for p in (0, 1):
         value, tail, rounding, n_cut = sums[p, :, 0]
@@ -147,8 +154,9 @@ def test_dual_enclosures_need_their_n_tail():
     # bound 1000 times over, so each end of the enclosure needs the tail
     w = dilate(gaussian(), 0.235)
     omegas = np.array([0.0, 0.5])
-    sums = criterion._dual_series(w).sums(w, omegas)
-    rows = criterion._sweep_rows(w, omegas)
+    series = criterion._time_side(w)
+    sums = series.sums(w, omegas)
+    rows = criterion._sweep_rows(w, series, omegas)
     for i, om in enumerate(omegas):
         value, tail, rounding, n_cut = sums[0, :, i]
         truth = mp_form_sums(w.form, om)
@@ -167,25 +175,32 @@ ANALYTIC_PAIRS += [(name, B_GRID[5 * k + 2]) for k, name in enumerate(sorted(COM
 
 def test_narrow_windows_take_the_time_side(monkeypatch):
     # every pair with b < 1 (seven dilations and a combination) sums on the
-    # time side, every pair with b >= 1 through the frequency sweep; on
-    # either side no Gaussian certifies at ab >= 1 (Lyubarskii; Seip and
-    # Wallsten) and no odd window at delta >= 1/2
-    calls = []
-    sweep = criterion._sweep
+    # time side, every pair with b >= 1 through the frequency sweep, after
+    # one side decision per profile; on either side no Gaussian certifies at
+    # ab >= 1 (Lyubarskii; Seip and Wallsten) and no odd window at delta >= 1/2
+    calls, decisions = [], []
+    sweep, time_side = criterion._sweep, criterion._time_side
 
     def spy(w, omegas, mirror=False):
         calls.append(omegas.size)
         return sweep(w, omegas, mirror)
 
+    def decide(w):
+        decisions.append(w.label)
+        return time_side(w)
+
     monkeypatch.setattr(criterion, "_sweep", spy)
+    monkeypatch.setattr(criterion, "_time_side", decide)
     assert sum(b < 1.0 for _, b in ANALYTIC_PAIRS) == 8
     for spec, b in ANALYTIC_PAIRS:
         calls.clear()
+        decisions.clear()
         w = dilate(corpus_window(spec), b)
         profile = min_delta(w)
+        assert decisions == [w.label], (spec, b)
         assert profile.rigorous or profile.non_certifying
         assert (calls == []) == (b < 1.0), (spec, b, calls)
-        assert (criterion._dual_series(w) is None) == (b >= 1.0), (spec, b)
+        assert (criterion._time_side(w) is None) == (b >= 1.0), (spec, b)
         # a profile with degenerate rows certifies nothing
         if spec in ("gaussian", "hermite:0"):
             assert profile.non_certifying or profile.min_value < 1.0, (spec, b)
@@ -205,26 +220,168 @@ def test_cancelling_dual_series_stay_on_the_frequency_side():
     means = terms[0][1].real
     assert all(series.tail(p, 5) <= 1e-12 * means[p] for p in (0, 1))
     assert terms[5][2][1] > 1e-9 * means[1]
-    assert criterion._dual_series(w) is None
+    assert criterion._time_side(w) is None
     assert np.max(criterion._sweep(w, np.linspace(0.0, 1.0, 101))[:, 3]) == 6
+
+
+def reference_side(w):
+    """The side rule as the first time-side engine evaluated it, term after
+    term: "time", "frequency", or "beyond" where no cutoff up to 100,000
+    passes or the envelope admits no tail bound (it then chose the frequency
+    side, or raised)."""
+    if w.form is None or w.envelope is None:
+        return "frequency"
+    try:
+        series = criterion._DualSeries.of(w.form)
+    except (NumericalError, OverflowError):
+        return "frequency"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, a, rounding in series.terms():
+            if n == 0:
+                scale = a.real
+                if not np.all((scale > 0.0) & (scale < math.inf)):
+                    return "frequency"
+                try:
+                    for k_pred in criterion._cutoffs():
+                        tails = criterion.envelope_tail_log(w.envelope.amplitude, w.envelope.rate, (0, 1), k_pred + 1, 0.5)
+                        if np.all(criterion._converged(criterion._from_log(tails), scale)):
+                            break
+                    else:
+                        return "beyond"
+                except DivergentSeriesError:
+                    return "beyond"
+            if n == k_pred or not np.all(criterion._converged(rounding, scale)):
+                return "frequency"
+            if np.all(criterion._converged(np.array([series.tail(0, n), series.tail(1, n)]), scale)):
+                return "time"
+    return "frequency"
+
+
+def random_closed_forms(count, seed=20261019):
+    """Seeded closed forms: orders up to 12 with sparse random coefficients,
+    30% of them chirped, dilated by b log-uniform in [0.02, 3]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        order = int(rng.integers(0, 13))
+        coef = rng.normal(size=order + 1) * (rng.uniform(size=order + 1) < 0.6)
+        coef[order] = 1.0
+        w = from_form(ClosedForm(tuple(coef), 1.0), f"random{i}")
+        if rng.uniform() < 0.3:
+            w = chirp_window(w, float(rng.uniform(-2.0, 2.0)))
+        yield dilate(w, float(np.exp(rng.uniform(np.log(0.02), np.log(3.0)))))
+
+
+# the widest windows no cutoff up to 100,000 reaches: the rule as
+# reference_side evaluates it sent the Hermite ones to the frequency side,
+# which raised DivergentSeriesError after 12 to 15 s, and raised from the
+# side decision itself on the Gaussian
+BEYOND_CAP = [("hermite:3", 1e-5), ("hermite:1", 3e-5), ("gaussian", 1e-9)]
+
+
+def test_side_matches_the_reference_rule():
+    windows = [dilate(corpus_window(spec), b) for spec, b in ANALYTIC_PAIRS]
+    windows += [dilate(corpus_window(name), b) for name in sorted(COMBOS) for b in B_GRID]
+    windows += [factory() for factory in DUAL_WINDOWS.values()]
+    windows += list(random_closed_forms(300))
+    sides = {"time": 0, "frequency": 0}
+    for w in windows:
+        side = "frequency" if criterion._time_side(w) is None else "time"
+        assert reference_side(w) == side, w.label
+        sides[side] += 1
+    # both sides well represented
+    assert min(sides.values()) >= 100, sides
+    for spec, b in BEYOND_CAP:
+        w = dilate(corpus_window(spec), b)
+        assert reference_side(w) == "beyond"
+        assert criterion._time_side(w) is not None, spec
+
+
+def test_frequency_side_decisions_compute_only_the_means(monkeypatch):
+    # the bounds come cheapest first: a window whose n-tails do not pass
+    # below its cutoff K never computes a coefficient past n = 0
+    calls = []
+    coefficients = criterion._DualSeries.coefficients
+
+    def spy(self, n):
+        calls.append(n)
+        return coefficients(self, n)
+
+    monkeypatch.setattr(criterion._DualSeries, "coefficients", spy)
+    for spec, b in ANALYTIC_PAIRS:
+        if b >= 1.0:
+            calls.clear()
+            assert criterion._time_side(dilate(corpus_window(spec), b)) is None
+            assert calls == [0], (spec, b, calls)
+
+
+def mp_dual_sums(form, omega, terms=3):
+    """S_0 and S_1 at omega from the 50-digit dual coefficients a_p(n), |n| <
+    terms: for the windows of BEYOND_CAP the first omitted term is below
+    exp(-10^9) of the means."""
+    with mpmath.workdps(50):
+        z = mpmath.expjpi(2 * mpmath.mpf(float(omega)))
+        return [mpmath.re(mp_dual_coefficient(form, p, 0) + 2 * mpmath.fsum(
+            mp_dual_coefficient(form, p, n) * z**n for n in range(1, terms))) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("spec, b", BEYOND_CAP)
+def test_windows_no_cutoff_reaches_certify_on_the_time_side(spec, b):
+    w = dilate(corpus_window(spec), b)
+    verdict = certify(w, 0.1)
+    assert verdict.rigorous and verdict.status == "Inconclusive"
+    profile = min_delta(w)
+    assert profile.rigorous and not profile.non_certifying
+    # the time side stops at N = 0, its rounding about 1e-15 of the sums
+    series = criterion._time_side(w)
+    sums = series.sums(w, profile.omegas)
+    assert np.all(sums[:, 3] == 0)
+    assert np.all(sums[:, 2] <= 1e-14 * sums[:, 0])
+    # every grid row and stencil row around the 50-digit delta_g, which the
+    # terms n != 0 leave constant in omega far below double precision
+    truth = mp_dual_sums(w.form, 0.5)
+    with mpmath.workdps(50):
+        delta = float(mpmath.mpf("0.5") * mpmath.sqrt(truth[0] / truth[1]))
+    assert np.all(profile.lows <= delta) and np.all(delta <= profile.highs)
+    assert profile.min_value == pytest.approx(delta, rel=1e-13)
+    # the sums at seeded omegas, each against its own 50-digit value
+    omegas = np.random.default_rng(20261019).uniform(0.0, 1.0, 3)
+    for om, row in zip(omegas, series.sums(w, omegas).transpose(2, 0, 1)):
+        for p, (value, tail, rounding, _) in enumerate(row):
+            assert value - tail - rounding <= mp_dual_sums(w.form, om)[p] <= value + tail + rounding, (om, p)
 
 
 def test_sampled_and_formless_windows_stay_on_the_frequency_side():
     grid = sample_grid()
     narrow = dilate(hermite(1), 0.1)
-    assert criterion._dual_series(narrow) is not None
-    assert criterion._dual_series(sampled_window(grid, narrow.time_eval(grid))) is None
-    assert criterion._dual_series(slow_decay()) is None
+    assert criterion._time_side(narrow) is not None
+    assert criterion._time_side(sampled_window(grid, narrow.time_eval(grid))) is None
+    assert criterion._time_side(slow_decay()) is None
 
 
 def test_truncation_warnings_name_the_caller():
     # the first frame outside the package (and numpy's errstate wrapper),
-    # however deep the engine's call chain
+    # however deep the engine's or the reduction's call chain: a sampled
+    # window not decayed at the grid ends, reduced on a rotated lattice and
+    # on one rotated by 0.05 rad (an aliasing chirp), or sampled as it is
     w = slow_decay()
-    for call in (lambda: min_delta(w, grid_points=3), lambda: certify(w, 0.1, grid_points=3), lambda: delta_g(w, 0.25)):
+    grid = sample_grid()
+    wide = sampled_window(grid, dilate(hermite(1), 4.0).time_eval(grid))
+    turn = [[math.cos(0.05), -math.sin(0.05)], [math.sin(0.05), math.cos(0.05)]]
+    calls = (
+        lambda: min_delta(w, grid_points=3),
+        lambda: certify(w, 0.1, grid_points=3),
+        lambda: delta_g(w, 0.25),
+        lambda: reduce_general(wide, Lattice2D(BASES[0])),
+        lambda: reduce_general(sampled_window(grid, hermite(1).time_eval(grid)), Lattice2D(turn)),
+        lambda: sample_window(wide),
+    )
+    messages = []
+    for call in calls:
         with pytest.warns(TruncationRiskWarning) as caught:
             call()
         assert {Path(record.filename).name for record in caught} == {Path(__file__).name}
+        messages += [str(record.message) for record in caught]
+    assert any("aliasing" in m for m in messages) and any("grid ends" in m for m in messages)
 
 
 def test_quadrature_steps_transform_each_stretch_once(monkeypatch):

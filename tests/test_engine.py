@@ -37,7 +37,7 @@ from gaborcert import (
     sampled_window,
 )
 from gaborcert import criterion
-from gaborcert.criterion import FLOOR_GUARD, _envelope_tails, _from_log, envelope_tail_log
+from gaborcert.criterion import FLOOR_GUARD, _from_log, envelope_tail_log
 from gaborcert import window as window_module
 from gaborcert.window import ghat_lattice, window_from_csv, write_sampled_csv
 
@@ -142,7 +142,7 @@ def test_engine_matches_pointwise_delta_g(spec):
     for b in DILATIONS:
         w = dilate(base, b)
         profile = min_delta(w, grid_points=101)
-        if criterion._dual_series(w) is None:
+        if criterion._time_side(w) is None:
             encl = assert_rows_match_pointwise(w, profile)
         else:
             encl = assert_dual_rows_match_pointwise(w, profile, rng)
@@ -242,7 +242,7 @@ def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
 
 
 def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
-    """The per-weight numpy tail bound the shared pass of _envelope_tails replaced
+    """The per-weight numpy tail bound that envelope_tail_log's shared pass over arrays replaced
     (with the peel -c*a^2 padded outward by 8 units of roundoff)."""
     c = 2.0 * rate
 
@@ -264,7 +264,7 @@ def test_shared_tail_pass_gives_each_weights_tails():
     omegas = np.random.default_rng(3).uniform(0.0, 1.0, 257)
     for rate in (1e-4, 0.004, 0.5, math.pi, 600.0):
         for m in (3, 5, 10, 64, 1000):
-            tails = criterion._envelope_tails(1.7, rate, m, omegas)
+            tails = _from_log(envelope_tail_log(1.7, rate, (0, 1), m, omegas))
             for p in (0, 1):
                 np.testing.assert_array_equal(tails[p], old_envelope_tail_rows(1.7, rate, p, m, omegas))
 
@@ -273,7 +273,8 @@ def sequential_refinement(w, grid_points=1001):
     """The profile of three bisection passes on the grid minimum's bracket, one
     sweep call per pass: the rows min_delta's refinement stencil extends."""
     omegas = np.linspace(0.0, 1.0, grid_points)
-    rows = criterion._sweep_rows(w, omegas, mirror=w.even_modulus)
+    series = criterion._time_side(w)
+    rows = criterion._sweep_rows(w, series, omegas, mirror=w.even_modulus)
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
     refined, refined_rows = [], []
     idx = int(np.nanargmin(rows[0]))
@@ -284,7 +285,7 @@ def sequential_refinement(w, grid_points=1001):
         candidates = [0.5 * (lo + mid), 0.5 * (mid + hi)]
         new = [om for om in dict.fromkeys(candidates) if om not in value_at]
         if new:
-            extra = criterion._sweep_rows(w, np.array(new))
+            extra = criterion._sweep_rows(w, series, np.array(new))
             value_at.update(zip(new, extra[0].tolist()))
             refined.extend(new)
             refined_rows.append(extra)
@@ -388,7 +389,7 @@ def test_vanishing_envelope_rate_is_divergent():
 def test_tail_rows_match_scalar_bound(rate, p):
     omegas = np.linspace(0.0, 1.0, 9)
     for m in (3, 5, 10, 64):
-        rows = _envelope_tails(1.7, rate, m, omegas)[p]
+        rows = _from_log(envelope_tail_log(1.7, rate, (0, 1), m, omegas))[p]
         for om, row in zip(omegas, rows):
             scalar = _from_log(envelope_tail_log(1.7, rate, p, m, float(om)))
             assert row == pytest.approx(scalar, rel=1e-13, abs=0.0)
@@ -438,7 +439,7 @@ def test_enclosures_contain_50_digit_sums(spec, n, b):
     rng = np.random.default_rng(20260518 + n)
     omegas = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 6), [0.5]]))
     sums = criterion._sweep(w, omegas)
-    rows = criterion._sweep_rows(w, omegas)
+    rows = criterion._sweep_rows(w, criterion._time_side(w), omegas)
     for i, om in enumerate(omegas):
         truth = [mp_sum(mag2, om, p, b) for p in (0, 1)]
         enc = delta_g(w, float(om))
@@ -486,7 +487,7 @@ def test_rows_near_the_underflow_edge_contain_50_digit_sums():
             if edge.size == 0:
                 continue
             omegas = np.sort(grid[rng.choice(edge, min(6, edge.size), replace=False)])
-            rows = criterion._sweep_rows(w, omegas)
+            rows = criterion._sweep_rows(w, criterion._time_side(w), omegas)
             for om, row, enc in zip(omegas, rows.T, pointwise(w, omegas)):
                 if enc is None:
                     assert np.isnan(row).all(), (spec, b, om)
@@ -615,7 +616,7 @@ def test_heuristic_sweep_matches_pointwise_sums(name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sums = criterion._sweep(w, omegas)
-        rows = criterion._sweep_rows(w, omegas)
+        rows = criterion._sweep_rows(w, criterion._time_side(w), omegas)
     assert truncated == any(issubclass(c.category, TruncationRiskWarning) for c in caught)
     for i, (om, (error, expected)) in enumerate(zip(omegas, want)):
         for p, want_p in enumerate(expected):
@@ -676,9 +677,9 @@ def test_heuristic_profile_rows_match_one_row_calls():
     w = sampled_window(grid, hermite(1).time_eval(grid))
     assert w.envelope is None and w.quadrature is not None
     omegas = np.linspace(0.0, 1.0, 301)
-    whole = criterion._sweep_rows(w, omegas)
+    whole = criterion._sweep_rows(w, criterion._time_side(w), omegas)
     for i in (0, 127, 128, 150, 300):
-        one = criterion._sweep_rows(w, omegas[i : i + 1])
+        one = criterion._sweep_rows(w, criterion._time_side(w), omegas[i : i + 1])
         np.testing.assert_allclose(one[:3, 0], whole[:3, i], rtol=1e-13, atol=0.0)
         # the tails, at the transform's rounding noise, to 1e-13 of the sums
         np.testing.assert_allclose(one[3:, 0], whole[3:, i], rtol=0.0, atol=1e-13 * whole[0, i])

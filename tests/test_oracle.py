@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaborcert
 from gaborcert import (
     DegenerateError,
     ParameterNotRepresentable,
@@ -96,6 +102,28 @@ def test_snap_rejects_unrepresentable(gauss):
         snap_lattice(gauss, -1.0, 1.0, 240)
     with pytest.raises(PreconditionError):
         snap_lattice(gauss, 0.5, 1.0, 1024)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("a, b", [("1e-5", "1e5"), ("1e-9", "1e9")])
+def test_spacings_too_fine_to_probe_are_not_representable(a, b):
+    # every candidate spacing is at most 1e-5 (1e-9), where a probe reaching
+    # 16 past the covered interval takes at least 3e6 (3e10) points: the
+    # capped probe refuses them at once.  The child runs under a 3 GiB
+    # address-space limit, so an unbounded probe fails there, fast, and does
+    # not exhaust the machine.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    package_root = str(Path(gaborcert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "gaborcert", "oracle", "--window", "hermite:1", "--a", a, "--b", b],
+        capture_output=True, timeout=120, env=env, preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 3, result.stderr
+    assert b"no divisor pair" in result.stderr
 
 
 def test_build_model_validation(gauss):
