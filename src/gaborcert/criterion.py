@@ -30,7 +30,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -664,6 +664,8 @@ class _DualSeries:
     units: tuple[int, int]  # L_E for p = 0, 1
     tail_scale: tuple[float, float]  # 2 A_p^2 sqrt(pi/(2 r_p))
     tail_rate: tuple[float, float]  # r_p / 2
+    # (a, rounding, err, mass) of each term computed so far (terms)
+    computed: list = field(default_factory=list, init=False, repr=False)
 
     @staticmethod
     def of(form) -> "_DualSeries":
@@ -727,19 +729,25 @@ class _DualSeries:
 
     def terms(self):
         """(n, a, rounding) for n = 0, 1, 2, ...: a_p(n) for p = 0, 1 and the
-        bound on the rounding of S_p summed through n (the fold above).  Its
-        callers, sums and _time_side, check the values it yields instead of
-        warning."""
+        bound on the rounding of S_p summed through n (the fold above).  Each
+        term is computed once per series and kept (computed), so a profile's
+        side decision and both its sums read one run, grown as far as any of
+        them reads.  Its callers, sums and _time_side, check the values it
+        yields instead of warning."""
+        computed = self.computed
         for n in range(_MAX_CUTOFF + 1):
-            a, bound = self.coefficients(n)
-            if n == 0:
-                err, mass = bound, np.abs(a.real)
-            else:
-                e = _gamma(3) * 2.0 * math.pi * n + 8.0 * _U
-                size = np.abs(a.real) + np.abs(a.imag)
-                err = err + 2.0 * (bound * (1.0 + 2.0 * e) + 2.0 * (size + bound) * e + _gamma(2) * size * (1.0 + e))
-                mass = mass + 2.0 * size * (1.0 + e) * (1.0 + _gamma(2))
-            yield n, a, (err + _gamma(n) * mass) * (1.0 + 2.0**-30)
+            if n == len(computed):
+                a, bound = self.coefficients(n)
+                if n == 0:
+                    err, mass = bound, np.abs(a.real)
+                else:
+                    err, mass = computed[-1][2:]
+                    e = _gamma(3) * 2.0 * math.pi * n + 8.0 * _U
+                    size = np.abs(a.real) + np.abs(a.imag)
+                    err = err + 2.0 * (bound * (1.0 + 2.0 * e) + 2.0 * (size + bound) * e + _gamma(2) * size * (1.0 + e))
+                    mass = mass + 2.0 * size * (1.0 + e) * (1.0 + _gamma(2))
+                computed.append((a, (err + _gamma(n) * mass) * (1.0 + 2.0**-30), err, mass))
+            yield n, *computed[n][:2]
 
     @np.errstate(over="ignore", invalid="ignore")
     def sums(self, w: Window, omegas: np.ndarray) -> np.ndarray:

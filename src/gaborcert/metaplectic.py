@@ -114,7 +114,10 @@ def _chirped_kernel_apply(
     n = values.size
     nodes = h * (np.arange(n) - 0.5 * (n - 1))
     weighted = values * _chirp(cot, n, h) * trapezoid_weights(n, h)
-    return amplitude * _chirp(out_rate, n, h) * _chirp_z(nodes, weighted, csc * nodes[0], csc * h, n)
+    # the middle output point: 0 up to these roundings, which the kernel's
+    # samples (and every window file written from them) carry
+    mid = csc * nodes[0] + 0.5 * (n - 1) * (csc * h)
+    return amplitude * _chirp(out_rate, n, h) * _chirp_z(nodes, weighted, mid, csc * h, n)
 
 
 def reduce_samples(w: Window, angle: float, rate: float, stretch: float) -> np.ndarray:

@@ -52,11 +52,11 @@ _GRID_ULPS = 16
 # ghat_lattice evaluates a quadrature window's transform on at most
 # _STRETCH_POINTS lattice points per chirp-z transform (its rounding grows
 # with the length: on the 1001-omega grid, 1e-14 of the peak with 32,768
-# points, 2.2e-15 with 8,192), and off a grid forms at most _FACTOR_VALUES
-# column factors exp(-2*pi*i*k*t_m) at once (a zero sum scans some 8,000 new
-# k in one cutoff step: 400 MB of them on the standard grid).
+# points, 2.2e-15 with 8,192), and off a grid takes the columns k
+# _SPLIT_COLUMNS at a time (a zero sum scans some 8,000 new k in one cutoff
+# step; a block's arrays hold rows x 57 x 128 values on the standard grid).
 _STRETCH_POINTS = 1 << 13
-_FACTOR_VALUES = 1 << 18
+_SPLIT_COLUMNS = 1 << 7
 
 # Relative symmetry residual below which a sampled window counts as even or odd.
 PARITY_TOL = 1e-10
@@ -170,8 +170,8 @@ class Quadrature:
         # second rule's nodes are exactly the points the first one evaluated
         df = float(np.float32(1.0 / (m * h)))
         freqs = (np.arange(m) - 0.5 * (m - 1)) * df
-        rule = Quadrature.of(freqs, _chirp_z(nodes, self.weighted, freqs[0], df, m))
-        out = _chirp_z(rule.nodes, rule.weighted, -pts[0], -step, pts.size)
+        rule = Quadrature.of(freqs, _chirp_z(nodes, self.weighted, 0.0, df, m))
+        out = _chirp_z(rule.nodes, rule.weighted, -pts[0] + 0.5 * (pts.size - 1) * -step, -step, pts.size)
         return out[0] if t.ndim == 0 else out
 
 
@@ -517,16 +517,12 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
     Closed-form windows evaluate freq_eval on the flattened lattice.  A
     quadrature-backed window on omegas that form a uniform grid of step 1/L,
     L a positive integer (_grid_steps), sees every xi = k + omega on one grid
-    of step 1/L: each call evaluates the stretches of that grid it needs by
-    chirp-z transforms (_chirp_z), O((n + points) log) in place of
-    (rows + columns) x n exponentials.  Off such a grid (min_delta's at most
-    14 stencil points, one omega) it factors each node's phase,
-
-        ghat(k + omega) = sum_m (c_m exp(-2 pi i omega t_m)) exp(-2 pi i k t_m),
-
-    so the row factors (computed here, once: omegas.size x n values) and the
-    column factors of each call (in blocks of at most _FACTOR_VALUES) meet
-    in one matrix product.
+    of step 1/L, which chirp-z transforms evaluate a stretch at a time
+    (_grid_lattice, which holds what it transformed: a sweep's cutoff steps
+    transform each point once).  Off such a grid (min_delta's at most 14
+    stencil points, one omega) it splits the nodes into baby and giant
+    steps (_split_lattice): about 2 sqrt(n) phases per omega and per k in
+    place of n.
     """
     quad = w.quadrature
     if quad is None:
@@ -539,25 +535,8 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
 
     steps = _grid_steps(omegas)
     if steps is not None:
-        return functools.partial(_grid_lattice, quad, omegas[0], steps)
-
-    nodes = quad.nodes
-    row_factor = _unit_phase(np.outer(omegas, nodes))
-    row_factor *= quad.weighted
-    block = max(1, _FACTOR_VALUES // nodes.size)
-
-    def at(rows, ks):
-        lhs = row_factor[rows]
-        # numpy takes a vector kernel for one row, whose rounding is not the
-        # matrix kernel's: a lone row goes twice, so a row's value does not
-        # depend on how many rows its call holds
-        lhs = np.concatenate([lhs, lhs]) if lhs.shape[0] == 1 else lhs
-        out = np.empty((lhs.shape[0], ks.size), dtype=complex)
-        for c in range(0, ks.size, block):
-            out[:, c : c + block] = lhs @ _unit_phase(np.outer(nodes, ks[c : c + block]))
-        return out[: len(rows)]
-
-    return at
+        return _grid_lattice(quad, omegas[0], steps)
+    return _split_lattice(quad, omegas)
 
 
 def _grid_steps(omegas: np.ndarray) -> int | None:
@@ -575,36 +554,121 @@ def _grid_steps(omegas: np.ndarray) -> int | None:
     return steps if bool(np.all(np.abs(omegas - grid) <= tol)) else None
 
 
-def _grid_lattice(quad: Quadrature, origin: float, steps: int, rows, ks) -> np.ndarray:
-    """ghat(ks[None, :] + omegas[rows, None]) for omegas[j] = origin + j/steps.
+def _grid_lattice(quad: Quadrature, origin: float, steps: int):
+    """at(rows, ks) for omegas[j] = origin + j/steps, holding what it transformed.
 
     Lattice point (row, k) is point k*steps + row of the grid origin + i/steps.
-    The points needed are cut into stretches, one chirp-z transform each: a
-    stretch ends before a gap longer than the node count, whose points would
-    cost more than a second transform, and after at most _STRETCH_POINTS
-    points.
+    A call looks up the points it holds and cuts the others into stretches,
+    one chirp-z transform each: a stretch ends before a gap longer than the
+    node count n, whose points would cost more than a second transform, and
+    after at most _STRETCH_POINTS points.  A transform costs about its FFT
+    length, the 11-smooth length at or above n + size, so a stretch shorter
+    than n/2 widens to n, and every stretch to the size that fills its FFT
+    length, away from grid point 0 (both ways if it holds that point), where
+    a sweep's later cutoff steps ask.  After the call the evaluator drops
+    every stretch within the span of the points it served: a sweep asks
+    next for points farther out and the outermost columns again, which
+    only a stretch reaching past that span can hold.
     """
-    index = ks.astype(np.int64)[None, :] * steps + np.asarray(rows, dtype=np.int64)[:, None]
-    points, where = np.unique(index, return_inverse=True)
-    values = np.empty(points.size, dtype=complex)
-    starts = np.flatnonzero(np.diff(points) > quad.nodes.size) + 1
-    for lo, hi in zip(np.r_[0, starts], np.r_[starts, points.size]):
-        while lo < hi:
-            first = points[lo]
-            end = min(hi, lo + int(np.searchsorted(points[lo:hi], first + _STRETCH_POINTS)))
-            size = int(points[end - 1] - first) + 1
-            stretch = _chirp_z(quad.nodes, quad.weighted, origin + first / steps, 1.0 / steps, size)
-            values[lo:end] = stretch[points[lo:end] - first]
-            lo = end
-    return values[where.reshape(index.shape)]
+    n = quad.nodes.size
+    held: list[tuple[int, np.ndarray]] = []  # (first grid point, values) of each stretch kept
+
+    def at(rows, ks):
+        index = ks.astype(np.int64)[None, :] * steps + np.asarray(rows, dtype=np.int64)[:, None]
+        points, where = np.unique(index, return_inverse=True)
+        values = np.empty(points.size, dtype=complex)
+        missing = np.ones(points.size, dtype=bool)
+        for first, stretch in held:
+            lo, hi = np.searchsorted(points, (first, first + stretch.size))
+            values[lo:hi] = stretch[points[lo:hi] - first]
+            missing[lo:hi] = False
+        todo = np.flatnonzero(missing)
+        need = points[todo]
+        starts = np.flatnonzero(np.diff(need) > n) + 1
+        for lo, hi in zip(np.r_[0, starts], np.r_[starts, need.size]):
+            while lo < hi:
+                first = int(need[lo])
+                end = min(hi, lo + int(np.searchsorted(need[lo:hi], first + _STRETCH_POINTS)))
+                size = int(need[end - 1]) + 1 - first
+                wide = min(_fast_length(n + (n if 2 * size < n else size)) - n, _STRETCH_POINTS)
+                extra = wide - size
+                below = extra if first + size <= 0 else 0 if first > 0 else extra // 2
+                start = first - below
+                mid = origin + (2 * start + wide - 1) / (2 * steps)
+                stretch = _chirp_z(quad.nodes, quad.weighted, mid, 1.0 / steps, wide)
+                values[todo[lo:end]] = stretch[need[lo:end] - start]
+                held.append((start, stretch))
+                lo = end
+        if points.size:
+            held[:] = [(first, v) for first, v in held if first < points[0] or first + v.size > points[-1] + 1]
+        return values[where.reshape(index.shape)]
+
+    return at
 
 
-def _chirp_z(nodes: np.ndarray, weighted: np.ndarray, start: float, step: float, size: int) -> np.ndarray:
+def _split_lattice(quad: Quadrature, omegas: np.ndarray):
+    """at(rows, ks) for any omegas, by a baby-step/giant-step split of the nodes.
+
+    With the nodes t_m = c + h*u_m (u centred) and m = q*B + r, B = ceil(sqrt(n))
+    and Q = ceil(n/B) (weights past n are zero), u_m = g_q + b_r with
+    g_q = q*B - (n - B)/2 and b_r = r - (B - 1)/2, so
+
+        ghat(k + omega) = exp(-2 pi i (k + omega) c)
+                          * sum_q G(omega, q) G(k, q) sum_r B(omega, r) B(k, r) c_rq,
+
+    G(x, q) = exp(-2 pi i x h g_q) and B(x, r) = exp(-2 pi i x h b_r): B + Q
+    phases for each omega (once) and each k.  The products B(omega, r) B(k, r)
+    of a call's (omega, k) pairs, one row each, meet the (B x Q) weights in
+    one matrix product, and a sum over q finishes.  Twice g_q and b_r are
+    integers, so the phases of an integer k are reduced modulo 2*pi exactly
+    (_half_turns).  The ks go in blocks of _SPLIT_COLUMNS.
+
+    A row's values depend on its own omega and the ks only, however many
+    rows a call holds: numpy's matrix kernel computes each row of a product
+    alike wherever it sits, but takes a vector kernel for a lone row, so a
+    lone (omega, k) pair goes twice; and the sum over q runs down the first
+    axis, q after q, where a sum along the last one is split into pieces
+    that depend on the array's size.
+    """
+    nodes = quad.nodes
+    n = nodes.size
+    h = (nodes[-1] - nodes[0]) / (n - 1)
+    centre = 0.5 * (nodes[0] + nodes[-1])
+    baby = math.isqrt(n - 1) + 1
+    giant = -(-n // baby)
+    twice_b = 2.0 * np.arange(baby) - (baby - 1)
+    twice_g = 2.0 * baby * np.arange(giant) - (n - baby)
+    weights = np.pad(quad.weighted, (0, giant * baby - n)).reshape(giant, baby).T.copy()
+    omega_b = _unit_phase(np.outer(omegas, 0.5 * h * twice_b))
+    omega_g = _unit_phase(np.outer(omegas, 0.5 * h * twice_g))
+
+    def at(rows, ks):
+        out = np.empty((len(rows), ks.size), dtype=complex)
+        row_b, row_g = omega_b[rows][:, None, :], omega_g[rows][:, None, :]
+        for c in range(0, ks.size, _SPLIT_COLUMNS):
+            k = ks[c : c + _SPLIT_COLUMNS]
+            k_b = _unit_phase(0.5 * _half_turns(h, np.outer(k, twice_b)))
+            k_g = _unit_phase(0.5 * _half_turns(h, np.outer(k, twice_g)))
+            babies = (row_b * k_b).reshape(-1, baby)
+            giants = (row_g * k_g).reshape(-1, giant)
+            if babies.shape[0] == 1:
+                babies, giants = np.tile(babies, (2, 1)), np.tile(giants, (2, 1))
+            terms = np.ascontiguousarray(((babies @ weights) * giants).T)
+            out[:, c : c + _SPLIT_COLUMNS] = terms.sum(axis=0)[: len(rows) * k.size].reshape(len(rows), k.size)
+        if centre != 0.0:
+            out *= _unit_phase((ks[None, :] + omegas[rows, None]) * centre)
+        return out
+
+    return at
+
+
+def _chirp_z(nodes: np.ndarray, weighted: np.ndarray, mid: float, step: float, size: int) -> np.ndarray:
     """sum_m weighted[m] exp(-2 pi i xi nodes[m]), the transform ghat of a
-    quadrature, at xi = start + j*step for j < size, by one chirp-z transform.
+    quadrature, at the size points xi = mid + v*step, v = j - (size - 1)/2
+    centred, by one chirp-z transform.  Every point inherits the rounding
+    of mid, so a caller passes mid itself, not a far end point.
 
-    On the nodes t_m = c + h*u_m (u centred) and the points xi = mid + v*step
-    (v centred, mid the middle point), 2*u*v = u^2 + v^2 - (v - u)^2 gives
+    On the nodes t_m = c + h*u_m (u centred), 2*u*v = u^2 + v^2 - (v - u)^2 gives
     (Bluestein's factoring)
 
         ghat(xi) = exp(-2 pi i xi c) exp(-i pi a v^2)
@@ -620,7 +684,6 @@ def _chirp_z(nodes: np.ndarray, weighted: np.ndarray, start: float, step: float,
     h = (nodes[-1] - nodes[0]) / (n - 1)
     centre = 0.5 * (nodes[0] + nodes[-1])
     quarter = 0.25 * h * step  # a/4, the phase per squared doubled index
-    mid = start + 0.5 * (size - 1) * step
     twice_u = np.arange(n) * 2.0 - (n - 1)
     twice_v = np.arange(size) * 2.0 - (size - 1)
     twice_d = np.arange(n + size - 1) * 2.0 - 2.0 * (n - 1) + (n - size)
@@ -634,7 +697,7 @@ def _chirp_z(nodes: np.ndarray, weighted: np.ndarray, start: float, step: float,
     out = np.fft.ifft(np.fft.fft(weighted, length) * np.fft.fft(kernel, length))[n - 1 : kernel.size]
     out *= _unit_phase(0.5 * _half_turns(quarter, twice_v * twice_v))
     if centre != 0.0:
-        out *= _unit_phase((start + step * np.arange(size)) * centre)
+        out *= _unit_phase((mid + 0.5 * step * twice_v) * centre)
     return out
 
 

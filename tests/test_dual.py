@@ -387,18 +387,66 @@ def test_truncation_warnings_name_the_caller():
 def test_quadrature_steps_transform_each_stretch_once(monkeypatch):
     # a complex sampled window on 1001 omegas: the first cutoff step (|k| <= 2,
     # 5,005 values, more than one block of 4,096) is one chirp-z transform of
-    # the 5,001 grid points it needs, where a call per block transformed
-    # 4,819 + 4,182; the whole sweep transforms 17,493 points, not 21,493
+    # the 5,001 grid points it needs, widened to the 5,031 that fill its FFT
+    # length (8,232), where a call per block transformed 4,819 + 4,182; the
+    # whole sweep transforms 17,505 points in 7 transforms, not 21,493, and
+    # its FFT lengths sum to 39,912, where transforming only the points each
+    # step needs took 17,493 points and 40,122
     grid = sample_grid()
     w = sampled_window(grid, hermite(1).time_eval(grid) * np.exp(0.7j * grid))
     sizes = []
     chirp_z = window_module._chirp_z
 
-    def spy(nodes, weighted, start, step, size):
+    def spy(nodes, weighted, mid, step, size):
         sizes.append(size)
-        return chirp_z(nodes, weighted, start, step, size)
+        return chirp_z(nodes, weighted, mid, step, size)
 
     monkeypatch.setattr(window_module, "_chirp_z", spy)
     criterion._sweep(w, np.linspace(0.0, 1.0, 1001))
-    assert sizes[0] == 5001
-    assert sum(sizes) == 17_493, sizes
+    assert sizes[0] == 5031
+    assert len(sizes) == 7 and sum(sizes) == 17_505, sizes
+    assert sum(window_module._fast_length(grid.size + s) for s in sizes) == 39_912
+
+
+def test_reduced_grid_sweep_makes_one_or_two_transforms(monkeypatch):
+    # a real sampled window on min_delta's 101-omega mirrored grid: the first
+    # cutoff step needs 551 grid points, far fewer than the 3,201 nodes, so
+    # its transform widens toward the nodes' count and holds the later steps'
+    # points too (four transforms of 551, 951, 1,351 and 1,948 points before)
+    grid = sample_grid()
+    w = sampled_window(grid, reduced("hermite:1", BASES[0]).time_eval(grid))
+    assert w.even_modulus
+    sizes = []
+    chirp_z = window_module._chirp_z
+
+    def spy(nodes, weighted, mid, step, size):
+        sizes.append(size)
+        return chirp_z(nodes, weighted, mid, step, size)
+
+    monkeypatch.setattr(window_module, "_chirp_z", spy)
+    sums = criterion._sweep(w, np.linspace(0.0, 1.0, 101), mirror=True)
+    assert np.max(sums[:, 3]) >= 9
+    assert len(sizes) <= 2, sizes
+
+
+def test_time_side_profiles_compute_each_dual_term_once(monkeypatch):
+    # the side decision and the grid and stencil sums of one profile read one
+    # run of the dual terms: n = 0..4 once each, where each of the three
+    # computed them again (15 calls)
+    calls = []
+    coefficients = criterion._DualSeries.coefficients
+
+    def spy(self, n):
+        calls.append(n)
+        return coefficients(self, n)
+
+    w = dilate(hermite(3), 0.651836)
+    grid = np.linspace(0.0, 1.0, 1001)
+    # the grid rows of a series of its own, which computes its terms afresh
+    want = criterion._sweep_rows(w, criterion._DualSeries.of(w.form), grid)
+    monkeypatch.setattr(criterion._DualSeries, "coefficients", spy)
+    profile = min_delta(w)
+    assert calls == [0, 1, 2, 3, 4]
+    on_grid = np.isin(profile.omegas, grid)
+    got = np.array([profile.deltas, profile.lows, profile.highs, profile.num_tails, profile.den_tails])
+    np.testing.assert_array_equal(got[:, on_grid], want)

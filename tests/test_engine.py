@@ -349,7 +349,7 @@ def test_batched_refinement_equals_sequential_passes(spec, b):
 @pytest.mark.parametrize("spec", ["gaussian", "hermite:1"])
 def test_sampled_refinement_extends_sequential_passes(spec, grid_points):
     # a coarse argmin inside the grid (the Gaussian, at 1/2) and at its end
-    # (hermite:1, at 0): both stencils sum by the factorized product
+    # (hermite:1, at 0): both stencils sum by the baby-step/giant-step split
     grid = sample_grid()
     w = dilate(corpus_window(spec), 0.7)
     assert_profile_extends_sequential_passes(sampled_window(grid, w.time_eval(grid)), grid_points)
@@ -818,14 +818,19 @@ def shifted_csv_window(tmp_path):
     return w
 
 
-def mp_quadrature(w, xi):
-    """The window's quadrature sum at xi in 30-digit mpmath, on the ideal
-    nodes t_0 + m*h between its end nodes, the phases by recurrence."""
+def mp_quadrature(w, xi, omega=0.0):
+    """The window's quadrature sum at xi + omega (added in 30 digits, not
+    rounded to a float) in 30-digit mpmath, the phases by recurrence, on the
+    nodes c + h*u_m of ghat_lattice's kernels: c and h the float centre and
+    spacing of the ideal nodes, u the centred index.  (The exact spacing of
+    the end nodes differs from h by up to an ulp, which moves ghat at
+    k = 2,000 by 1e-13 of its peak.)"""
     nodes = w.quadrature.nodes
+    n = nodes.size
     with mpmath.workdps(30):
-        t0 = mpmath.mpf(float(nodes[0]))
-        h = (mpmath.mpf(float(nodes[-1])) - t0) / (nodes.size - 1)
-        x = mpmath.mpf(float(xi))
+        h = mpmath.mpf(float((nodes[-1] - nodes[0]) / (n - 1)))
+        t0 = mpmath.mpf(float(0.5 * (nodes[0] + nodes[-1]))) - h * (n - 1) / 2
+        x = mpmath.mpf(float(xi)) + mpmath.mpf(float(omega))
         phase, ratio, total = mpmath.expjpi(-2 * x * t0), mpmath.expjpi(-2 * x * h), mpmath.mpc(0)
         for c in w.quadrature.weighted.tolist():
             total += c * phase
@@ -867,32 +872,87 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
         want = w.freq_eval((long_ks[None, :] + grid[::100, None]).ravel()).reshape(got.shape)
         err = float(np.max(np.abs(got - want)))
         assert err <= 1e-14 * float(np.max(np.abs(want))), (name, err)
-        # off a grid (bisection points, one omega) the factorized product
+        # off a grid (bisection points, one omega) the baby-step/giant-step split
         omegas = rng.uniform(0.0, 1.0, 14)
         got = ghat_lattice(w, omegas)(np.arange(14), ks)
         want = w.freq_eval((ks[None, :] + omegas[:, None]).ravel()).reshape(got.shape)
         assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want))), name
+        # the same long run of k off a grid: 14 seeded stencil-like omegas, and
+        # the one omega of a sampled window's delta_g, whose phases of k are
+        # reduced exactly too
+        for omegas in (rng.uniform(0.0, 1.0, 14), np.array([rng.uniform(0.0, 1.0)])):
+            rows = np.arange(omegas.size)
+            got = ghat_lattice(w, omegas)(rows, long_ks)
+            want = w.freq_eval((long_ks[None, :] + omegas[:, None]).ravel()).reshape(got.shape)
+            scale = float(np.max(np.abs(want)))
+            err = float(np.max(np.abs(got - want)))
+            assert err <= 1e-14 * scale, (name, omegas.size, err / scale)
+            for r, c in zip(rng.integers(omegas.size, size=3), rng.integers(long_ks.size, size=3)):
+                truth = mp_quadrature(w, long_ks[c] + omegas[r])
+                assert abs(got[r, c] - truth) <= 1e-14 * scale, (name, omegas.size, r, c)
+        # and far out, as a slowly decaying window's truncated sum runs (to
+        # K = 2,398), where the transform has repeated ten times over and a
+        # direct product k * t_m would carry 2e-12 of a turn: against the
+        # mpmath sum at k + omega exactly (the float k + omega is up to 1.1e-13 off)
+        far_ks = np.array([-2001.0, 1999.0, 2000.0])
+        got = ghat_lattice(w, omegas)(np.array([0]), far_ks)[0]
+        for value, k in zip(got, far_ks):
+            assert abs(value - mp_quadrature(w, k, omegas[0])) <= 1e-14 * scale, (name, k)
+
+
+@pytest.mark.parametrize("columns", [1, 5, 129])
+def test_off_grid_rows_do_not_depend_on_their_neighbours(columns):
+    # the stencil's rows must equal those of sequential bisection passes bit
+    # for bit: a row's values off the grid depend on its omega and the ks
+    # only, whether it comes alone, first, last or among 14 (129 columns:
+    # a block of 128 and a lone column)
+    w = QUADRATURE_WINDOWS["sampled"]()
+    omegas = np.random.default_rng(7).uniform(0.0, 1.0, 14)
+    ks = np.arange(columns, dtype=float) - columns // 2
+    full = ghat_lattice(w, omegas)(np.arange(14), ks)
+    for i in range(14):
+        others = np.delete(np.arange(14), i)[:3]
+        for got in (
+            ghat_lattice(w, omegas[i : i + 1])(np.array([0]), ks)[0],
+            ghat_lattice(w, omegas)(np.array([i]), ks)[0],
+            ghat_lattice(w, omegas)(np.r_[others, i], ks)[-1],
+            ghat_lattice(w, omegas)(np.r_[i, others], ks)[0],
+        ):
+            np.testing.assert_array_equal(got, full[i])
 
 
 def test_sampled_grids_build_no_row_table(monkeypatch):
     # min_delta evaluates a quadrature window's grid by chirp-z transforms;
-    # only the at most 14 bisection points factor the quadrature, whose row
-    # table holds one row of node phases per omega
+    # only the at most 14 bisection points, and the one omega of delta_g,
+    # go off the grid, where no phase array holds n entries per omega (or
+    # per k): every axis of each one is shorter than the n nodes
     w = QUADRATURE_WINDOWS["sampled"]()
-    calls = []
+    n = w.quadrature.nodes.size
+    calls, phases = [], []
     grid_steps = window_module._grid_steps
+    unit_phase = window_module._unit_phase
 
     def spy(omegas):
         steps = grid_steps(omegas)
         calls.append((omegas.size, steps))
         return steps
 
+    def phase_spy(x):
+        if calls and calls[-1][1] is None:  # built or called off the grid
+            phases.append(np.shape(x))
+        return unit_phase(x)
+
     monkeypatch.setattr(window_module, "_grid_steps", spy)
+    monkeypatch.setattr(window_module, "_unit_phase", phase_spy)
     for grid_points in (101, 1001):
         calls.clear()
         min_delta(w, grid_points=grid_points)
         assert calls[0] == (grid_points, grid_points - 1)
-        assert len(calls) == 2 and calls[1][0] <= 14, calls
+        assert len(calls) == 2 and calls[1][0] <= 14 and calls[1][1] is None, calls
+    calls.clear()
+    delta_g(w, 0.3)
+    assert calls == [(1, None)]
+    assert phases and all(max(shape) < n for shape in phases), phases
 
 
 def sampled_of(w):
