@@ -899,8 +899,12 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
     # local refinement: rounds of midpoints between neighbours from the coarse
-    # argmin and its grid neighbours, which end up at every 8th point
+    # argmin and its grid neighbours, which end up at every 8th point; with
+    # delta_g(omega) = delta_g(1 - omega) the stencil goes around the member
+    # in [0, 1/2], so an ulp-level tie within a mirrored pair cannot move it
     idx = int(np.nanargmin(rows[0]))
+    if w.even_modulus:
+        idx = min(idx, grid_points - 1 - idx)
     points = omegas[max(idx - 1, 0) : idx + 2]
     for _ in range(_REFINEMENT_ROUNDS):
         refined = np.empty(2 * points.size - 1)

@@ -165,9 +165,9 @@ def test_termwise_gap_validates(h1):
 # --- the (b x k) sweep against the row-by-row loop ------------------------------
 
 
-def _loop_scaled_sums(c, tol):
+def _loop_scaled_sums(c, tol, k_max=10_000):
     """Reference: the row-by-row loop the sweep replaced, one c at a time, at
-    truncation tolerance tol.
+    truncation tolerance tol, raising if the sums are still open past k_max.
 
     Its tails take the scan's path, one_sided_gauss_tail_log on arrays,
     evaluated for 256 tail starts at a time: elementwise arithmetic, so the
@@ -193,7 +193,7 @@ def _loop_scaled_sums(c, tol):
             one_sided_gauss_tail_log(c, (1, 2), float(k + 1))  # a NaN marks where the float call raises
         if math.exp(log_t4) <= tol * sigma4 and math.exp(log_t2) <= tol * sigma2:
             break
-        if k > 10_000:
+        if k > k_max:
             raise PreconditionError("scan sums did not settle; c is too small")
         k += 1
     pad = 1e-13 + 1e-12 * c
@@ -204,7 +204,7 @@ def _loop_scaled_sums(c, tol):
     return sigma2, sigma4, log_t2, log_t4, log_e_lb
 
 
-def loop_scan(b_min, b_max, steps, tol=1e-12):
+def loop_scan(b_min, b_max, steps, tol=1e-12, k_max=10_000):
     """Reference: h1_barrier_scan as one _loop_scaled_sums call per row."""
     if not (0.0 < b_min < b_max) or not math.isfinite(b_max):
         raise PreconditionError(f"need 0 < b_min < b_max, got {b_min!r}, {b_max!r}")
@@ -214,7 +214,7 @@ def loop_scan(b_min, b_max, steps, tol=1e-12):
     for b in np.geomspace(b_min, b_max, steps):
         b = float(b)
         c = 2.0 * math.pi * b * b
-        sigma2, sigma4, log_t2, log_t4, log_e_lb = _loop_scaled_sums(c, tol)
+        sigma2, sigma4, log_t2, log_t4, log_e_lb = _loop_scaled_sums(c, tol, k_max)
         t2 = math.exp(log_t2)
         t4 = math.exp(log_t4)
         strict = log_t2 < log_e_lb
@@ -296,6 +296,9 @@ def test_scan_cli_csv_identical_to_loop(capsys, b_min, b_max, steps):
         # the last row's c overflows to inf after the earlier rows settle
         (1.0, 1e160, DivergentSeriesError, "decay rate"),
         (0.5, 1e200, DivergentSeriesError, "decay rate"),
+        # the last row's c is finite but c * (k^2 - 1) and 3c overflow to inf,
+        # with no numpy overflow warning, so its strictness margin is -inf
+        (1.0, 5e153, PreconditionError, "swamped"),
     ],
 )
 def test_scan_failing_rows_raise_like_loop(b_min, b_max, error, match):
@@ -307,21 +310,44 @@ def test_scan_failing_rows_raise_like_loop(b_min, b_max, error, match):
     assert str(sweep_err.value) == str(loop_err.value)
 
 
-def test_scan_calls_tail_at_most_twice_per_k_step(monkeypatch):
+# Row 0 of this scan, b = 0.05, settles at k = 46, row 1 (b = 0.1) at k = 23.
+# Two active rows give a first block of k = 2..2049 unless it is cut at
+# k = _K_MAX + 1, where the loop raises for a row still summing.
+@pytest.mark.parametrize("k_max, settles", [(45, True), (44, False), (30, False), (2, False)])
+def test_scan_stops_at_k_max_inside_a_block(monkeypatch, k_max, settles):
+    monkeypatch.setattr(barrier, "_K_MAX", k_max)
+    if settles:
+        assert h1_barrier_scan(0.05, 0.1, 2) == loop_scan(0.05, 0.1, 2, k_max=k_max)
+        return
+    with pytest.raises(PreconditionError, match="did not settle") as loop_err:
+        loop_scan(0.05, 0.1, 2, k_max=k_max)
+    with pytest.raises(PreconditionError, match="did not settle") as sweep_err:
+        h1_barrier_scan(0.05, 0.1, 2)
+    assert type(sweep_err.value) is type(loop_err.value)
+    assert str(sweep_err.value) == str(loop_err.value)
+
+
+def test_scan_calls_tail_once_per_block(monkeypatch):
     steps = 2026
     expected = h1_barrier_scan(0.01, 100.0, steps)
-    starts = []
+    calls = []
     tail = barrier.one_sided_gauss_tail_log
 
     def spy(c, p, a):
-        starts.append(a)
+        calls.append(list(zip(*(x.ravel().tolist() for x in np.broadcast_arrays(c, a)))))
         return tail(c, p, a)
 
     monkeypatch.setattr(barrier, "one_sided_gauss_tail_log", spy)
     assert h1_barrier_scan(0.01, 100.0, steps) == expected
-    # each k step calls it on every active row at once, from tail start k + 1;
-    # the row-by-row loop made 99,134 calls here (two per k per row)
-    assert max(collections.Counter(starts).values()) <= 2
+    # one float call checks row 0 from tail start 3, then one array call per
+    # block evaluates every (c, k + 1) of its active rows; only that first
+    # pair is seen twice.  One call per k step made 228 calls here, and the
+    # row-by-row loop 99,134 (two per k per row)
+    counts = collections.Counter(pair for call in calls for pair in call)
+    assert len(calls[0]) == 1
+    assert [pair for pair, n in counts.items() if n > 1] == calls[0]
+    assert counts[calls[0][0]] == 2
+    assert len(calls) == 16
 
 
 def test_scan_memory_is_linear_in_rows():

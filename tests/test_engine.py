@@ -278,6 +278,8 @@ def sequential_refinement(w, grid_points=1001):
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
     refined, refined_rows = [], []
     idx = int(np.nanargmin(rows[0]))
+    if w.even_modulus:  # the member of a mirrored pair in [0, 1/2]
+        idx = min(idx, grid_points - 1 - idx)
     lo = float(omegas[max(idx - 1, 0)])
     hi = float(omegas[min(idx + 1, grid_points - 1)])
     mid = float(omegas[idx])
@@ -329,7 +331,10 @@ def assert_profile_extends_sequential_passes(w, grid_points):
     # the stencil: j/8 of a grid step on either side of the coarse argmin
     grid = np.linspace(0.0, 1.0, grid_points)
     on_grid = np.isin(omegas, grid)
-    mid = omegas[on_grid][np.nanargmin(table[0, on_grid])]
+    idx = int(np.nanargmin(table[0, on_grid]))
+    if w.even_modulus:
+        idx = min(idx, grid_points - 1 - idx)
+    mid = grid[idx]
     step = 1.0 / (grid_points - 1)
     stencil = [mid + j * step / 8 for j in range(-7, 8) if j and 0.0 <= mid + j * step / 8 <= 1.0]
     refined = profile.omegas[~np.isin(profile.omegas, grid)]
@@ -343,6 +348,38 @@ def assert_profile_extends_sequential_passes(w, grid_points):
 @pytest.mark.parametrize("spec, b", REFINEMENT_CASES)
 def test_batched_refinement_equals_sequential_passes(spec, b):
     assert_profile_extends_sequential_passes(dilate(corpus_window(spec), b), 1001)
+
+
+@pytest.mark.parametrize("spec, b", [("hermite:2", 1.0), ("hermite:4", 2.35355), ("hermite:6", 2.35355)])
+def test_refinement_stencil_ignores_ties_within_a_mirrored_pair(monkeypatch, spec, b):
+    # delta_g(omega) = delta_g(1 - omega) when |ghat| is even, but the two
+    # members of a mirrored grid pair keep their own cutoffs and can tie
+    # within an ulp either way; the stencil goes around the member in
+    # [0, 1/2] whichever of them the grid minimum lands on
+    w = dilate(corpus_window(spec), b)
+    grid_points = 1001
+    sweep_rows = criterion._sweep_rows
+    stencils, nudged = [], []
+
+    def spy(w, series, omegas, mirror=False):
+        rows = sweep_rows(w, series, omegas, mirror)
+        if omegas.size != grid_points:
+            stencils.append(omegas)
+        elif nudged:
+            idx = int(np.nanargmin(rows[0]))
+            partner = grid_points - 1 - idx
+            rows[0, partner] = np.nextafter(rows[0, idx], -math.inf)
+            nudged.append(omegas[partner])
+        return rows
+
+    monkeypatch.setattr(criterion, "_sweep_rows", spy)
+    plain = min_delta(w, grid_points)
+    nudged.append(None)
+    tied = min_delta(w, grid_points)
+    # the nudge moved the grid minimum from below 1/2 to its partner above
+    assert plain.omegas[plain.argmin] < 0.5 < nudged[1]
+    np.testing.assert_array_equal(stencils[1], stencils[0])
+    assert stencils[0].max() < 0.5
 
 
 @pytest.mark.parametrize("grid_points", [101, 1001])
