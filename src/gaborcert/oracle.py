@@ -14,8 +14,9 @@ structure of Zibulski and Zeevi), one per residue r:
 
     B_r = (n/q) * G_r^T conj(G_r),    G_r[k, j] = g(r + (n/q) j - p k).
 
-Building the blocks takes n^2 q/p complex multiply-adds, against n^3/p
-for the dense S, and their eigenvalues cost about n q^2 against n^3.
+Building the blocks takes n^2 q/p multiply-adds against n^3/p for the
+dense S, and their eigenvalues about n q^2 against n^3: real multiply-adds
+and a real symmetric eigensolve for real windows, complex ones otherwise.
 
 The model represents the continuous system over a*Z x b*Z when a = p*h
 and b = q/(n*h); given targets (a, b), `snap_lattice` picks divisors p, q
@@ -85,8 +86,7 @@ class FiniteGaborModel:
     label: str
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.n > MAX_DENSE_DIM:
-            raise PreconditionError(f"dimension must be in 1..{MAX_DENSE_DIM}, got {self.n!r}")
+        _check_dimension(self.n)
         if self.p <= 0 or self.q <= 0 or self.n % self.p or self.n % self.q:
             raise PreconditionError(
                 f"steps must be positive divisors of n = {self.n}, got p = {self.p}, q = {self.q}"
@@ -109,6 +109,11 @@ class FiniteGaborModel:
     @property
     def rho(self) -> float:
         return self.snapped_a / self.target_a
+
+
+def _check_dimension(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or not 0 < n <= MAX_DENSE_DIM:
+        raise PreconditionError(f"dimension must be an integer in 1..{MAX_DENSE_DIM}, got {n!r}")
 
 
 def _periodized(w: Window, n: int, spacing: float) -> np.ndarray:
@@ -154,6 +159,7 @@ def build_model(
     target_b: float | None = None,
 ) -> FiniteGaborModel:
     """Assemble a model at explicit steps; snapped values follow from the grid."""
+    _check_dimension(n)
     if not (spacing > 0 and math.isfinite(spacing)):
         raise PreconditionError(f"spacing must be positive, got {spacing!r}")
     samples = _periodized(w, n, spacing)
@@ -188,7 +194,8 @@ def _frame_blocks(model: FiniteGaborModel) -> np.ndarray:
     r = np.arange(N)[:, None, None]
     k = np.arange(n // p)[None, :, None]
     j = np.arange(q)[None, None, :]
-    G = model.window[(r + N * j - p * k) % n]
+    g = model.window if model.window.imag.any() else model.window.real  # real windows: real blocks
+    G = g[(r + N * j - p * k) % n]
     return (n / q) * np.matmul(G.transpose(0, 2, 1), G.conj())
 
 
@@ -227,10 +234,6 @@ class SnapChoice:
     coverage: float
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapChoice:
     """Pick divisor steps (p, q) and a spacing representing a*Z x b*Z on n points.
 
@@ -240,31 +243,28 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
     interval (relative defect <= 1e-8) and, for subcritical targets,
     stay strictly below the critical product p*q = n.  Preference order:
     smallest |log rho|, then circumference nearest 16, then smallest p.
-    The defect test runs in that order and stops at the first candidate
-    that passes, the same choice as testing every candidate.
+    All pairs are scored in one array pass; the defect test then runs in
+    that order up to the first pass, the choice testing every pair makes.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"lattice sides must be positive, got {a!r}, {b!r}")
-    if n <= 0 or n > MAX_DENSE_DIM:
-        raise PreconditionError(f"dimension must be in 1..{MAX_DENSE_DIM}, got {n!r}")
-    subcritical = a * b < 1.0 - 1e-12
-    divisors = _divisors(n)
-    candidates = []
-    for p in divisors:
-        for q in divisors:
-            if p * q > n or (subcritical and p * q == n):
-                continue
-            spacing = math.sqrt(a * q / (b * p * n))
-            rho = math.sqrt(p * q / (n * a * b))
-            if abs(math.log(rho)) > _LENIENT_LOG_RHO:
-                continue
-            coverage = n * spacing
-            score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p)
-            candidates.append((score, SnapChoice(p=p, q=q, spacing=spacing, rho=rho, coverage=coverage)))
-    candidates.sort(key=lambda item: item[0])
-    for _, choice in candidates:
-        if _wrap_defect(w, n, choice.spacing) <= _WRAP_TOL:
-            return choice
+    _check_dimension(n)
+    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+    products = divisors[:, None] * divisors  # a subcritical target refuses p*q = n
+    p, q = divisors[np.argwhere(products < n if a * b < 1.0 - 1e-12 else products <= n)].T
+    with np.errstate(divide="ignore", over="ignore"):
+        spacing = np.sqrt(a * q / (b * p * n))
+        rho = np.sqrt(p * q / (n * a * b))
+        # np.log screens the pairs, math.log (whose rounding ties hang on) decides
+        screen = (np.abs(np.log(rho)) < _LENIENT_LOG_RHO + 1e-9) & (0.0 < spacing) & (spacing < math.inf)
+    near = np.flatnonzero(screen)
+    coverage = n * spacing
+    log_rho = np.abs(np.fromiter(map(math.log, rho[near].tolist()), float))
+    near, log_rho = near[log_rho <= _LENIENT_LOG_RHO], log_rho[log_rho <= _LENIENT_LOG_RHO]
+    log_cover = np.abs(np.fromiter(map(math.log, (coverage[near] / 16.0).tolist()), float))
+    for i in near[np.lexsort((p[near], log_cover, log_rho))].tolist():
+        if _wrap_defect(w, n, float(spacing[i])) <= _WRAP_TOL:
+            return SnapChoice(int(p[i]), int(q[i]), float(spacing[i]), float(rho[i]), float(coverage[i]))
     raise ParameterNotRepresentable(
         f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "
         f"within {math.exp(_LENIENT_LOG_RHO):.3g}x while covering the window"

@@ -85,6 +85,8 @@ def test_snap_hits_exact_divisors(gauss, h1):
     choice = snap_lattice(h1, 0.3, 1.0, 240)
     assert abs(choice.rho - 1.0) <= 1e-12
     assert choice.p * choice.q == 72
+    # a numpy integer is an integer dimension
+    assert snap_lattice(h1, 0.3, 1.0, np.int64(240)) == choice
 
 
 def test_subcritical_never_snaps_critical(gauss):
@@ -102,6 +104,22 @@ def test_snap_rejects_unrepresentable(gauss):
         snap_lattice(gauss, -1.0, 1.0, 240)
     with pytest.raises(PreconditionError):
         snap_lattice(gauss, 0.5, 1.0, 1024)
+
+
+@pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (1e200, 1e200), (1e-300, 1e300), (1e300, 1e-300)])
+def test_extreme_lattices_are_not_representable(gauss, a, b):
+    # n*a*b underflows to 0 or overflows, or the spacing does: no divisor
+    # pair comes near, and no float error escapes the scoring
+    with pytest.raises(ParameterNotRepresentable):
+        snap_lattice(gauss, a, b, 240)
+
+
+@pytest.mark.parametrize("n", [240.0, 240.5, "240"])
+def test_non_integer_dimension_is_a_precondition(gauss, n):
+    with pytest.raises(PreconditionError, match="integer"):
+        snap_lattice(gauss, 0.5, 1.0, n)
+    with pytest.raises(PreconditionError, match="integer"):
+        build_model(gauss, n, 2, 60, 0.1)
 
 
 def _limit_address_space():
@@ -217,6 +235,42 @@ def test_block_bounds_match_dense_eigensolve(name, n):
     assert abs(bounds.A - max(float(eigenvalues[0]), 0.0)) <= 1e-12 * B
 
 
+def complex_block_bounds(model: FiniteGaborModel) -> tuple[float, float]:
+    """Smallest and largest block eigenvalue in complex arithmetic, whatever the window.
+
+    The blocks of B_r = (n/q) G_r^T conj(G_r) from the samples as complex
+    numbers, symmetrized and solved as complex Hermitian matrices."""
+    n, p, q = model.n, model.p, model.q
+    N = n // q
+    index = np.arange(N)[:, None, None] + N * np.arange(q)[None, None, :] - p * np.arange(n // p)[None, :, None]
+    G = model.window.astype(complex)[index % n]
+    blocks = (n / q) * np.matmul(G.transpose(0, 2, 1), G.conj())
+    eigenvalues = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+    return float(np.min(eigenvalues[:, 0])), float(np.max(eigenvalues[:, -1]))
+
+
+REAL_WINDOWS = {"gaussian": gaussian(), "hermite:1": hermite(1)}
+
+
+def test_real_windows_get_real_blocks():
+    for w in REAL_WINDOWS.values():
+        assert oracle._frame_blocks(model_for(w, 0.5, 1.0, 240)).dtype == np.float64
+    chirp = model_for(BLOCK_WINDOWS["chirp(hermite:1)"], 0.5, 1.0, 240)
+    assert oracle._frame_blocks(chirp).dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", sorted(REAL_WINDOWS))
+@pytest.mark.parametrize("n", [240, 360, 480, 512])
+@pytest.mark.parametrize("a,b", [(0.5, 1.0), (0.8, 0.5)])
+def test_real_block_bounds_match_complex_arithmetic(name, n, a, b):
+    model = model_for(REAL_WINDOWS[name], a, b, n)
+    low, B = complex_block_bounds(model)
+    bounds = finite_frame_bounds(model)
+    tol = n * np.finfo(float).eps * B
+    assert abs(bounds.B - B) <= tol
+    assert abs(bounds.A - max(low, 0.0)) <= tol
+
+
 @pytest.mark.parametrize(
     "low,A",
     [(-1e-11, 0.0), (0.0, 0.0), (5e-15, 0.0), (1e-14, 1e-14), (0.25, 0.25)],
@@ -248,12 +302,18 @@ def test_singular_models_report_zero(h1, n, p, q):
 # --- the score-ordered snap search against the exhaustive rule ----------------
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _exhaustive_snap(w, a, b, n):
-    """Every candidate's wrap defect, best score kept; returns (choice, scores)."""
+    """Every candidate's wrap defect, best score kept; returns (choice, scores).
+
+    The reference rule as a loop over divisor pairs, with math.log."""
     subcritical = a * b < 1.0 - 1e-12
     best, best_score, scores = None, None, []
-    for p in oracle._divisors(n):
-        for q in oracle._divisors(n):
+    for p in _divisors(n):
+        for q in _divisors(n):
             if p * q > n:
                 continue
             if subcritical and p * q == n:
@@ -273,6 +333,23 @@ def _exhaustive_snap(w, a, b, n):
     return best, sorted(scores)
 
 
+def _tie_prone_targets(n):
+    """Targets whose scores tie, or nearly, in their leading keys.
+
+    n*a*b an integer; n*a*b the geometric mean (equal |log rho|) and the
+    arithmetic mean of two neighbouring divisor-pair products; and (4, q) at
+    coverage 8, so that (1, 4q) of the same product sits at coverage 32."""
+    products = sorted({p * q for p in _divisors(n) for q in _divisors(n) if p * q <= n})
+    lo, hi = products[len(products) // 2 - 1 : len(products) // 2 + 1]
+    q = max(d for d in _divisors(n // 4) if 16 * d <= n)
+    return [
+        (0.4, (n // 3) / (0.4 * n)),
+        (1.0, math.sqrt(lo * hi) / n),
+        (1.0, (lo + hi) / (2.0 * n)),
+        (32.0 / n, q / 8.0),
+    ]
+
+
 SNAP_WINDOWS = {
     "gaussian": gaussian(),
     "hermite:1": hermite(1),
@@ -282,8 +359,9 @@ SNAP_WINDOWS = {
 SNAP_GRID = [
     (name, a, b, n)
     for name in SNAP_WINDOWS
-    for n in (36, 48, 240)
+    for n in (36, 48, 240, 360, 480, 512)
     for a, b in [(0.5, 1.0), (1.0, 0.5), (2.0, 0.25), (0.3, 1.0), (0.75, 0.75), (0.9985, 1.0), (0.001, 0.001)]
+    + _tie_prone_targets(n)
 ]
 
 
@@ -311,13 +389,15 @@ def _ordered_snap(monkeypatch, w, a, b, n):
 
 
 def test_ordered_snap_matches_exhaustive_rule(monkeypatch):
-    fallthrough = ties = refused_after_wrap = refused_outright = 0
+    fallthrough = ties = cover_ties = refused_after_wrap = refused_outright = 0
     for name, a, b, n in SNAP_GRID:
         w = SNAP_WINDOWS[name]
         expected, scores = _exhaustive_snap(w, a, b, n)
         got, evaluations = _ordered_snap(monkeypatch, w, a, b, n)
         assert got == expected, (name, a, b, n)
         if got is not None:
+            # Python scalars, not numpy ones: reports pass them to json.dumps
+            assert [type(v) for v in dataclasses.astuple(got)] == [int, int, float, float, float]
             fallthrough += evaluations > 1
         elif scores:
             assert evaluations == len(scores)
@@ -326,9 +406,12 @@ def test_ordered_snap_matches_exhaustive_rule(monkeypatch):
             assert evaluations == 0
             refused_outright += 1
         ties += any(s[:2] == t[:2] for s, t in zip(scores, scores[1:]))
+        # coverage 8 against 32 at one |log rho|: only p orders them
+        cover_ties += any(s[:2] == t[:2] and s[1] == math.log(2.0) for s, t in zip(scores, scores[1:]))
     # the grid exercises every branch of the rule
     assert fallthrough >= 3
     assert ties >= 3
+    assert cover_ties >= 1
     assert refused_after_wrap >= 1
     assert refused_outright >= 1
 
