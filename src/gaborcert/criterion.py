@@ -266,7 +266,8 @@ def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
     results: list[LatticeSumResult | None] = [None, None]
     k_done = -1  # terms for |k| <= k_done are in hand
     for k_cut in _cutoffs():
-        xi = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1] + omega
+        new_k = (np.arange(-k_cut, min(-k_done, 0)), np.arange(k_done + 1, k_cut + 1))
+        xi = np.concatenate(new_k) + omega
         k_done = k_cut
         mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
         e = _exponent_weight(xi, rate)
