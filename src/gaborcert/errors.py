@@ -4,7 +4,8 @@ level at which a warning names its caller.
 Two error families matter for exit-code mapping in the CLI: precondition
 violations (caller passed something the operation does not accept) and
 numerical degeneracies discovered while computing (vanishing sums, kernel
-singularities, parameters that cannot be snapped to a finite grid).
+singularities, parameters that cannot be snapped to a finite grid or
+leave the double range).
 """
 
 import os
@@ -42,7 +43,8 @@ class DegenerateAngleError(NumericalError):
 
 
 class ParameterNotRepresentable(NumericalError):
-    """Lattice parameters cannot be snapped onto the discrete model grid."""
+    """Lattice parameters cannot be snapped onto the discrete model grid, or a
+    lattice's co-volume leaves the double range."""
 
 
 class DivergentSeriesError(NumericalError):

@@ -19,11 +19,12 @@ delta*Z x delta*Z, i.e. a rectangular system with co-volume delta^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ParameterNotRepresentable, PreconditionError
 from .metaplectic import _angle_kernel, reduce_samples
 from .window import Parity, Window, dilate, from_form, sample_grid, sampled_window
 
@@ -40,10 +41,16 @@ class Lattice2D:
         basis = np.asarray(self.basis, dtype=float)
         if basis.shape != (2, 2) or not np.all(np.isfinite(basis)):
             raise PreconditionError("basis must be a finite 2x2 matrix")
-        det = float(np.linalg.det(basis))
+        # the test runs on the basis scaled by 2^-e, an exact scaling, so its
+        # verdict is the unscaled one wherever that stays in the double range
         scale = float(np.max(np.abs(basis)))
-        if scale == 0.0 or abs(det) <= 1e-12 * scale * scale:
+        e = math.frexp(scale)[1]
+        det, scale = float(np.linalg.det(np.ldexp(basis, -e))), math.ldexp(scale, -e)
+        if abs(det) <= 1e-12 * scale * scale:
             raise PreconditionError("basis is singular")
+        # |det B| = |det| * 2^(2e) is a normal double iff its binary exponent is
+        if not sys.float_info.min_exp <= math.frexp(det)[1] + 2 * e <= sys.float_info.max_exp:
+            raise ParameterNotRepresentable(f"the co-volume of basis {basis.tolist()} is outside the double range")
         object.__setattr__(self, "basis", basis)
 
     @property

@@ -3,6 +3,10 @@
 Every value is written as repr(float(x)), so reading a file back gives the
 identical doubles, and identical tables give byte-identical files.  Lines
 end in \\r\\n, as the csv module writes them.
+
+The reader parses a plain table, as the writer makes, in one np.loadtxt
+pass.  Any other file, and any that fails, goes through the csv module: the
+reference reader, and the one source of the reader's errors.
 """
 
 from __future__ import annotations
@@ -31,7 +35,53 @@ def read_csv(path, header: Sequence[str]) -> np.ndarray:
     a table without rows, and for a file that is not CSV text (a byte that
     does not decode, or a cell past the csv module's field limit).  Cells
     convert as float() converts them.
+
+    A plain table takes one np.loadtxt pass, whose strtod is float()'s.  A
+    quote, NUL, ASCII separator (\\x1c to \\x1f), lone CR or overlong line,
+    or any failure, sends the file through the csv module
+    (_read_csv_module), which raises every error above.
     """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # the csv-module reader decodes lazily, so a bad header ahead of the
+        # bad byte is still the error it reports
+        return _read_csv_module(path, header)
+    table = _read_plain(text, header)
+    return _read_csv_module(path, header) if table is None else table
+
+
+def _read_plain(text: str, header: Sequence[str]) -> np.ndarray | None:
+    """The columns of a plain table by one np.loadtxt call, or None where the
+    csv-module reader must decide."""
+    # quotes and NULs are the csv module's to read; loadtxt also strips the
+    # ASCII separators \x1c to \x1f around a number, which float() refuses
+    if any(c in text for c in '"\0\x1c\x1d\x1e\x1f'):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # the csv module ends a row at any CR; loadtxt takes a CR that ends a
+    # body line as its end and refuses one before it, so only the header
+    # is checked here
+    head = lines[0].removesuffix("\r")
+    if "\r" in head or tuple(cell.strip() for cell in head.split(",")) != tuple(header):
+        return None
+    body = list(filter(None, lines[1:]))
+    # loadtxt warns on a body of no rows, and of blank CRLF lines ("\r") only
+    if not body or "\r" in body:
+        return None
+    try:
+        # comments=None: loadtxt would otherwise cut cells at '#'
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return table.T if table.shape == (len(body), len(header)) else None
+
+
+def _read_csv_module(path, header: Sequence[str]) -> np.ndarray:
+    """read_csv through csv.reader: the reference reader and its error path."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -331,6 +331,16 @@ def test_numerical_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["iwasawa", "reduce"])
+@pytest.mark.parametrize("d", ["1e200", "1e-200"])
+def test_covolume_outside_the_double_range_exits_3(capsys, command, d):
+    argv = [command, "--basis", f"{d},0,0,{d}"] + (["--window", "hermite:1"] if command == "reduce" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"gaborcert: numerical failure: the co-volume of basis [[{float(d)!r}, 0.0], [0.0, {float(d)!r}]] is outside the double range"]
+
+
 @pytest.mark.parametrize("order", [150, 300, 1000])
 def test_overflowing_hermite_orders_exit_3(capsys, order):
     # hermite:150 overflows the rounding weight of its sums, hermite:300 and

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gaborcert import (
     IwasawaFactors,
     Lattice2D,
+    ParameterNotRepresentable,
     Parity,
     PreconditionError,
     certify,
@@ -90,6 +91,32 @@ def test_lattice_validation():
         IwasawaFactors(scale=1.0, r=4.0, q=0.0, a=1.0)
     with pytest.raises(PreconditionError):
         IwasawaFactors(scale=-1.0, r=0.0, q=0.0, a=1.0)
+
+
+@pytest.mark.parametrize("d", [1e200, 1e-200, 1.35e154, 1e-154])
+def test_covolume_outside_the_double_range_is_not_representable(d):
+    # det overflows to inf or underflows below the normal range: no numpy
+    # warning (the suite turns one into an error) and no false "singular"
+    with pytest.raises(ParameterNotRepresentable, match="outside the double range"):
+        Lattice2D(basis=np.diag([d, d]))
+    with pytest.raises(PreconditionError, match="singular"):
+        Lattice2D(basis=np.full((2, 2), d))
+
+
+def test_scaled_singularity_test_keeps_covolume_and_verdicts():
+    # the last bases on either side of the range, and bases whose det sits
+    # at the singularity threshold, keep today's covolume bytes and verdicts
+    for d in (1.3e154, 1.5e-154):
+        L = Lattice2D(basis=np.diag([d, d]))
+        assert L.covolume == abs(float(np.linalg.det(L.basis)))
+    for eps, singular in ((1e-13, True), (1e-11, False)):
+        for s in (1.0, 2.0**-300, 2.0**300):
+            basis = s * np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+            if singular:
+                with pytest.raises(PreconditionError, match="singular"):
+                    Lattice2D(basis=basis)
+            else:
+                assert Lattice2D(basis=basis).covolume == abs(float(np.linalg.det(basis)))
 
 
 def lattice_to_json(L: Lattice2D) -> dict:
