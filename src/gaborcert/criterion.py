@@ -148,8 +148,8 @@ def _tail_polys(r, a, weights):
 def envelope_tail_log(amplitude: float, rate: float, p, m: int, omega):
     """log upper bound for the two-sided lattice tail over |k| >= m.
 
-    Bounds sum over k >= m of (k+omega)^(2p) |ghat|^2 plus the mirrored
-    k <= -m side, assuming |ghat(xi)| <= amplitude * exp(-rate * xi^2).
+    Bounds sum over k >= m of (k+omega)^(2p) |ghat|^2 plus the side
+    k <= -m, assuming |ghat(xi)| <= amplitude * exp(-rate * xi^2).
     Needs m >= 2 so both tail starts m - omega and m + omega are >= 1.
     p may be a tuple of weights, as in one_sided_gauss_tail_log; the
     bounds then come back stacked in that order.  omega is a float, or an
@@ -379,7 +379,7 @@ def delta_g(w: Window, omega: float) -> DeltaEnclosure:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
+def _sweep(w: Window, omegas: np.ndarray) -> np.ndarray:
     """S_0 and S_1 at every omega, summed as (omega x k) arrays.
 
     Each (omega, p) sum runs through the cutoffs of _cutoffs(), but ghat is
@@ -401,28 +401,16 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     summation and the per-term constant only.  Partial sums that are not
     finite raise NumericalError (_overflow).
 
-    A row adds each step's new terms as one group, whatever other rows the
-    call holds, so with a closed-form ghat (freq_eval elementwise) its sums
-    depend on its own omega only: any subset of a grid gives the grid's
-    rows bit for bit.
-
-    mirror=True needs |ghat| even and a grid whose points pair up as
-    omegas[i] + omegas[-1 - i] = 1: ghat is then evaluated for the first
-    half only, since |ghat(k + omega')| = |ghat(-k - 1 + omega)| for
-    omega' = 1 - omega.  The partner rows still keep their own cutoffs,
-    tails and stopping decisions; the first-half rows equal unmirrored ones.
+    Every row is summed at its own omega.  A row adds each step's new
+    terms, the runs -K..-k_done-1 and k_done+1..K, as one group, whatever
+    other rows the call holds, so with a closed-form ghat (freq_eval
+    elementwise) its sums depend on its own omega only: any subset of a
+    grid gives the grid's rows bit for bit.
     """
     env = w.envelope
     if env is not None and not math.exp(-8.0 * env.rate) < 1.0:  # the tail's ratio check at a >= 2
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
-    n_own = (omegas.size + 1) // 2 if mirror else omegas.size
-    own_rows = np.arange(n_own)
-    partner_rows = omegas.size - 1 - own_rows if mirror else own_rows[:0]
-    size = omegas.size
-    # ghat is evaluated for the own rows; their partners follow in the same order
-    omegas = omegas[np.concatenate([own_rows, partner_rows])]
-    at = omegas[:n_own]
-    ghat_at = ghat_lattice(w, at)
+    ghat_at = ghat_lattice(w, omegas)
     out = np.full((2, 4, omegas.size), math.nan)
     # partial sums of the terms of S_0 and S_1, then, with an envelope, of
     # E(xi) * term for each
@@ -434,16 +422,9 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
     truncated = False
     k_done = -1  # terms for |k| <= k_done are summed
     for step, k_cut in enumerate(_cutoffs()):
-        # columns k holding new terms of an own row (k_done < |k| <= k_cut)
-        # or, reflected to -k - 1, of its partner
-        ks = np.arange(-k_cut - 1, k_cut + 1)
-        own = (np.abs(ks) > k_done) & (np.abs(ks) <= k_cut)
-        partner = (np.abs(ks + 1) > k_done) & (np.abs(ks + 1) <= k_cut) & mirror
-        keep = own | partner
-        ks, own, partner = ks[keep].astype(float), own[keep], partner[keep]
-        groups = [(np.flatnonzero(own), 0), (np.flatnonzero(partner), n_own)] if mirror else [(None, 0)]
-        needed = summing.any(axis=0)
-        live = np.flatnonzero(needed[:n_own] | needed[n_own:] if mirror else needed)
+        # the new terms k_done < |k| <= k_cut, as two runs in increasing k
+        ks = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1].astype(float)
+        live = np.flatnonzero(summing.any(axis=0))
         block = max(1, _MAX_BLOCK // ks.size)
         # a quadrature window's chirp-z transforms cost per call, not per
         # value: one call per step for all live rows
@@ -451,7 +432,7 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
         for b in range(0, live.size, block):
             rows = live[b : b + block]
             # (k x omega) arrays, stacked as (k, summand, omega)
-            xi = ks[:, None] + at[None, rows]
+            xi = ks[:, None] + omegas[None, rows]
             t0 = np.abs((ghat_at(rows, ks) if ghat_live is None else ghat_live[b : b + block]).T) ** 2
             t1 = xi**2 * t0
             if env is None:
@@ -459,27 +440,24 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
             else:
                 e = _exponent_weight(xi, env.rate)
                 terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
-            for cols, offset in groups:
-                # each row's new terms as one group, added k by k in column
-                # order: numpy sums pairwise along the fastest axis only, and
-                # the k axis is never that, whatever the number of rows
-                group = terms if cols is None else terms[cols]
-                added = np.add.reduce(group, axis=0)
-                acc[:, rows + offset] += added
-                if recent is not None:
-                    recent[step % 2][:, rows + offset] = added
+            # each row's new terms as one group, added k by k in column
+            # order: numpy sums pairwise along the fastest axis only, and
+            # the k axis is never that, whatever the number of rows
+            added = np.add.reduce(terms, axis=0)
+            acc[:, rows] += added
+            if recent is not None:
+                recent[step % 2][:, rows] = added
         if not np.all(np.isfinite(acc)):
             raise _overflow(w, k_cut)
         k_done = k_cut
-        rows = np.flatnonzero(summing.any(axis=0))
         if env is None:
-            tails = (recent[0] + recent[1])[:, rows]
+            tails = (recent[0] + recent[1])[:, live]
         else:
             # an overflowing bound comes out as inf, which fails the stopping rule
-            tails = _from_log(envelope_tail_log(env.amplitude, env.rate, (0, 1), k_cut + 1, omegas[rows]))
+            tails = _from_log(envelope_tail_log(env.amplitude, env.rate, (0, 1), k_cut + 1, omegas[live]))
         for p in (0, 1):
-            sel = summing[p, rows]
-            done, tail = rows[sel], tails[p, sel]
+            sel = summing[p, live]
+            done, tail = live[sel], tails[p, sel]
             stop = _converged(tail, acc[p, done])
             if env is None:
                 zero = acc[p, done] == 0.0
@@ -508,23 +486,20 @@ def _sweep(w: Window, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
             TruncationRiskWarning,
             stacklevel=_caller_level(),
         )
-    sums = np.full((2, 4, size), math.nan)
-    sums[:, :, partner_rows] = out[:, :, n_own:]
-    sums[:, :, own_rows] = out[:, :, :n_own]  # the middle row is its own partner
-    return sums
+    return out
 
 
-def _sweep_rows(w: Window, series: _DualSeries | None, omegas: np.ndarray, mirror: bool = False) -> np.ndarray:
+def _sweep_rows(w: Window, series: _DualSeries | None, omegas: np.ndarray) -> np.ndarray:
     """Profile rows (value, low, high, num tail, den tail) on the side _time_side chose.
 
     With its dual series the window sums on the time side, without one
-    through one _sweep (mirror applies there only).  A frequency-side tail
-    only adds to the truncated sum; a dual-side one bounds terms of either
-    sign, so it widens the enclosure both ways.  A row where either sum
-    vanishes or, on the time side, is not positive (delta_g's ZeroSumError
-    or DegenerateError) holds NaN.
+    through one _sweep.  A frequency-side tail only adds to the truncated
+    sum; a dual-side one bounds terms of either sign, so it widens the
+    enclosure both ways.  A row where either sum vanishes or, on the time
+    side, is not positive (delta_g's ZeroSumError or DegenerateError) holds
+    NaN.
     """
-    sums = _sweep(w, omegas, mirror) if series is None else series.sums(w, omegas)
+    sums = _sweep(w, omegas) if series is None else series.sums(w, omegas)
     sums[:, :, ~((sums[0, 0] > 0.0) & (sums[1, 0] > 0.0))] = math.nan
     (nv, nt, nr, _), (dv, dt, dr, _) = sums
     num_low, den_low = (nv - nr, dv - dr) if series is None else (nv - nt - nr, dv - dt - dr)
@@ -881,13 +856,13 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
     One side decision (_time_side) serves both _sweep_rows calls, the grid
     and then the stencil: a closed form whose dual series is shorter and as
     tight sums it on the time side (_DualSeries), every other window through
-    the sweep engine (_sweep).  There, for a window whose |ghat| is even
-    (w.even_modulus: even, odd, or real up to a constant phase), ghat is
-    evaluated for the grid points in [0, 1/2] only and each partner point
-    1 - omega reuses those values with the columns reflected, keeping its
-    own cutoff, tail and stopping decision (the two points of a pair add up
-    to 1 within 1.5 ulp, an argument error the rounding budget covers); the
-    stencil is summed unmirrored.
+    the sweep engine (_sweep).  Either way every row is summed at the omega
+    it prints.  For a window whose |ghat| is even (w.even_modulus: even,
+    odd, or real up to a constant phase) delta_g(omega) = delta_g(1 - omega),
+    but the grid points omega and 1 - omega of a pair add up to 1 only
+    within 1.5 ulp and stop at their own cutoffs, so their rows can tie
+    within an ulp either way; the stencil goes around the member of the
+    grid minimum's pair in [0, 1/2], whichever of them the minimum lands on.
     """
     grid_points = int(grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
@@ -895,14 +870,14 @@ def min_delta(w: Window, grid_points: int = DEFAULT_GRID_POINTS) -> DensityProfi
 
     omegas = np.linspace(0.0, 1.0, grid_points)
     series = _time_side(w)
-    rows = _sweep_rows(w, series, omegas, mirror=w.even_modulus)
+    rows = _sweep_rows(w, series, omegas)
     if not np.any(np.isfinite(rows[0])):
         raise DegenerateError(f"delta_g degenerate at every grid point for {w.label!r}")
 
     # local refinement: rounds of midpoints between neighbours from the coarse
     # argmin and its grid neighbours, which end up at every 8th point; with
     # delta_g(omega) = delta_g(1 - omega) the stencil goes around the member
-    # in [0, 1/2], so an ulp-level tie within a mirrored pair cannot move it
+    # in [0, 1/2], so an ulp-level tie within a pair cannot move it
     idx = int(np.nanargmin(rows[0]))
     if w.even_modulus:
         idx = min(idx, grid_points - 1 - idx)

@@ -41,15 +41,17 @@ class Lattice2D:
         basis = np.asarray(self.basis, dtype=float)
         if basis.shape != (2, 2) or not np.all(np.isfinite(basis)):
             raise PreconditionError("basis must be a finite 2x2 matrix")
-        # the test runs on the basis scaled by 2^-e, an exact scaling, so its
-        # verdict is the unscaled one wherever that stays in the double range
-        scale = float(np.max(np.abs(basis)))
-        e = math.frexp(scale)[1]
-        det, scale = float(np.linalg.det(np.ldexp(basis, -e))), math.ldexp(scale, -e)
-        if abs(det) <= 1e-12 * scale * scale:
+        # the test runs on the basis with column j scaled by 2^-e_j, an exact
+        # scaling, so its verdict is the unscaled one wherever that stays in
+        # the double range: singular iff the columns are parallel to within
+        # 1e-12, |det| <= 1e-12 |c_1| |c_2|, whatever their lengths
+        e = np.frexp(np.max(np.abs(basis), axis=0))[1]  # one exponent per column
+        scaled = np.ldexp(basis, -e)
+        det = float(np.linalg.det(scaled))
+        if abs(det) <= 1e-12 * math.hypot(*scaled[:, 0]) * math.hypot(*scaled[:, 1]):
             raise PreconditionError("basis is singular")
-        # |det B| = |det| * 2^(2e) is a normal double iff its binary exponent is
-        if not sys.float_info.min_exp <= math.frexp(det)[1] + 2 * e <= sys.float_info.max_exp:
+        # |det B| = |det| * 2^(e_1 + e_2) is a normal double iff its binary exponent is
+        if not sys.float_info.min_exp <= math.frexp(det)[1] + int(e.sum()) <= sys.float_info.max_exp:
             raise ParameterNotRepresentable(f"the co-volume of basis {basis.tolist()} is outside the double range")
         object.__setattr__(self, "basis", basis)
 
@@ -116,15 +118,19 @@ def iwasawa(L: Lattice2D) -> IwasawaFactors:
         basis = basis[:, ::-1]
     det = float(np.linalg.det(basis))
     scale = math.sqrt(det)
-    S = basis / scale
-    r = math.atan2(S[0, 1], S[1, 1])
-    if r <= -math.pi:
-        r = math.pi
-    T = rotation_matrix(-r) @ S
-    a = float(T[0, 0])
+    with np.errstate(all="ignore"):
+        S = basis / scale
+        r = math.atan2(S[0, 1], S[1, 1])
+        if r <= -math.pi:
+            r = math.pi
+        T = rotation_matrix(-r) @ S
+        a, q = float(T[0, 0]), float(T[1, 0] / T[0, 0])
+    # columns whose lengths differ by more than the double range holds
+    if not (np.all(np.isfinite(T)) and math.isfinite(q)):
+        raise ParameterNotRepresentable(f"the Iwasawa factors of basis {L.basis.tolist()} are outside the double range")
     if a <= 0:
         raise PreconditionError("factorization produced a nonpositive dilation")
-    return IwasawaFactors(scale=scale, r=r, q=float(T[1, 0]) / a, a=a)
+    return IwasawaFactors(scale=scale, r=r, q=q, a=a)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,12 @@ def test_iwasawa_schema(capsys):
     assert abs(payload["a"] - 0.8) <= 1e-12
 
 
+def test_iwasawa_of_unbalanced_columns(capsys):
+    # det exactly 1, columns 1e12 apart in length: not singular, exit 0
+    payload = run_json(capsys, "iwasawa", "--basis", "1e6,0,0,1e-6")
+    assert payload["scale"] == 1.0 and payload["a"] == 1e6
+
+
 def test_reduce_schema_and_window_export(capsys, tmp_path):
     out_window = tmp_path / "reduced.csv"
     payload = run_json(

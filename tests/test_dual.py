@@ -181,9 +181,9 @@ def test_narrow_windows_take_the_time_side(monkeypatch):
     calls, decisions = [], []
     sweep, time_side = criterion._sweep, criterion._time_side
 
-    def spy(w, omegas, mirror=False):
+    def spy(w, omegas):
         calls.append(omegas.size)
-        return sweep(w, omegas, mirror)
+        return sweep(w, omegas)
 
     def decide(w):
         decisions.append(w.label)
@@ -409,10 +409,11 @@ def test_quadrature_steps_transform_each_stretch_once(monkeypatch):
 
 
 def test_reduced_grid_sweep_makes_one_or_two_transforms(monkeypatch):
-    # a real sampled window on min_delta's 101-omega mirrored grid: the first
-    # cutoff step needs 551 grid points, far fewer than the 3,201 nodes, so
-    # its transform widens toward the nodes' count and holds the later steps'
-    # points too (four transforms of 551, 951, 1,351 and 1,948 points before)
+    # a real sampled window on min_delta's 101-omega grid: the first cutoff
+    # step needs 501 grid points, far fewer than the 3,201 nodes, so its
+    # transform widens toward the nodes' count (3,267 points) and holds the
+    # later steps' points too (four transforms of 551 to 1,948 points, on
+    # half the grid, before it widened)
     grid = sample_grid()
     w = sampled_window(grid, reduced("hermite:1", BASES[0]).time_eval(grid))
     assert w.even_modulus
@@ -424,7 +425,7 @@ def test_reduced_grid_sweep_makes_one_or_two_transforms(monkeypatch):
         return chirp_z(nodes, weighted, mid, step, size)
 
     monkeypatch.setattr(window_module, "_chirp_z", spy)
-    sums = criterion._sweep(w, np.linspace(0.0, 1.0, 101), mirror=True)
+    sums = criterion._sweep(w, np.linspace(0.0, 1.0, 101))
     assert np.max(sums[:, 3]) >= 9
     assert len(sizes) <= 2, sizes
 

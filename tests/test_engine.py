@@ -173,15 +173,17 @@ def test_engine_loses_vanishing_rows_like_delta_g(make):
     assert profile.non_certifying
 
 
-def test_halving_for_every_window_with_an_even_modulus(monkeypatch):
+def test_every_grid_row_is_summed_at_its_own_omega(monkeypatch):
     # |ghat| is even for even and odd windows and for every window that is
-    # real up to a constant phase, whatever its parity
+    # real up to a constant phase, whatever its parity; each grid row of a
+    # profile is still the row of its own omega alone, not one rebuilt from
+    # its partner 1 - omega (a sum at 1 - (1 - omega), up to 1.5 ulp away)
     calls = []
     sweep = criterion._sweep
 
-    def spy(w, omegas, mirror=False):
-        calls.append((omegas.size, mirror))
-        return sweep(w, omegas, mirror)
+    def spy(w, omegas):
+        calls.append(omegas.size)
+        return sweep(w, omegas)
 
     monkeypatch.setattr(criterion, "_sweep", spy)
     grid = sample_grid()
@@ -194,33 +196,23 @@ def test_halving_for_every_window_with_an_even_modulus(monkeypatch):
         (sampled_window(grid, real_neither.time_eval(grid)), True),
         (sampled_window(grid, real_neither.time_eval(grid) * np.exp(0.7j * grid)), False),
     )
-    for w, mirrored in cases:
-        assert w.even_modulus == mirrored, w.label
+    for w, even in cases:
+        assert w.even_modulus == even, w.label
         calls.clear()
         grid_points = 1001 if w.quadrature is None else 101
         profile = min_delta(w, grid_points=grid_points)
-        assert calls[0] == (grid_points, mirrored), w.label
-        # the refinement stencil: one call, never mirrored
-        assert len(calls) <= 2 and all(size <= 14 and not mirror for size, mirror in calls[1:])
-        if w.quadrature is not None and mirrored:
-            # a real sampled window mirrors its rows to the rounding of its transform
-            for i in (1, 30, 70, 99):
-                enc = delta_g(w, float(profile.omegas[i]))
-                got = (profile.deltas[i], profile.lows[i], profile.highs[i])
-                for g, want in zip(got, (enc.value, enc.low, enc.high)):
-                    assert abs(g - want) <= ENGINE_REL * want, (w.label, i)
-
-
-def test_mirror_follows_each_rows_own_cutoff():
-    # with the halving, mirrored rows must still sum their own window |k| <= K
-    # (gaussian rows near omega = 0 stop at K = 2 and their partners near 1 at
-    # K = 4; copying a partner's sums, a window shifted by one, moves some
-    # rows by 1e-11)
-    grid = np.linspace(0.0, 1.0, 101)
-    for w in (gaussian(), dilate(hermite(1), 0.3)):
-        mirrored = criterion._sweep(w, grid, mirror=True)
-        direct = criterion._sweep(w, grid)
-        np.testing.assert_allclose(mirrored, direct, rtol=1e-14, atol=0.0)
+        # the grid, then the refinement stencil: one call of at most 14 points
+        assert calls[0] == grid_points and len(calls) <= 2 and all(size <= 14 for size in calls[1:]), w.label
+        omegas = np.linspace(0.0, 1.0, grid_points)
+        at = np.searchsorted(profile.omegas, omegas)
+        rows = np.array([profile.deltas, profile.lows, profile.highs, profile.num_tails, profile.den_tails])[:, at]
+        alone = np.concatenate([criterion._sweep_rows(w, None, omegas[i : i + 1]) for i in range(grid_points)], axis=1)
+        if w.quadrature is None:
+            np.testing.assert_array_equal(rows, alone, err_msg=w.label)
+        else:
+            # a sampled grid takes ghat from chirp-z transforms, one omega from
+            # the baby-step/giant-step split: equal to their rounding
+            np.testing.assert_allclose(rows[:3], alone[:3], rtol=ENGINE_REL, atol=0.0, err_msg=w.label)
 
 
 # hermite:5 at b = 0.05 and hermite:1 at b = 0.01 reach K = 100 to 300, where
@@ -235,10 +227,6 @@ def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
         subset = np.sort(rng.choice(grid.size, size, replace=False))
         rows = criterion._sweep(w, grid[subset])
         np.testing.assert_array_equal(rows, full[:, :, subset])
-    # the evaluated half of a mirrored sweep sums exactly as an unmirrored one
-    own = grid <= 0.5
-    mirrored = criterion._sweep(w, grid, mirror=True)
-    np.testing.assert_array_equal(mirrored[:, :, own], full[:, :, own])
 
 
 def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
@@ -274,11 +262,11 @@ def sequential_refinement(w, grid_points=1001):
     sweep call per pass: the rows min_delta's refinement stencil extends."""
     omegas = np.linspace(0.0, 1.0, grid_points)
     series = criterion._time_side(w)
-    rows = criterion._sweep_rows(w, series, omegas, mirror=w.even_modulus)
+    rows = criterion._sweep_rows(w, series, omegas)
     value_at = dict(zip(omegas.tolist(), rows[0].tolist()))
     refined, refined_rows = [], []
     idx = int(np.nanargmin(rows[0]))
-    if w.even_modulus:  # the member of a mirrored pair in [0, 1/2]
+    if w.even_modulus:  # the member of an (omega, 1 - omega) pair in [0, 1/2]
         idx = min(idx, grid_points - 1 - idx)
     lo = float(omegas[max(idx - 1, 0)])
     hi = float(omegas[min(idx + 1, grid_points - 1)])
@@ -353,31 +341,32 @@ def test_batched_refinement_equals_sequential_passes(spec, b):
 @pytest.mark.parametrize("spec, b", [("hermite:2", 1.0), ("hermite:4", 2.35355), ("hermite:6", 2.35355)])
 def test_refinement_stencil_ignores_ties_within_a_mirrored_pair(monkeypatch, spec, b):
     # delta_g(omega) = delta_g(1 - omega) when |ghat| is even, but the two
-    # members of a mirrored grid pair keep their own cutoffs and can tie
-    # within an ulp either way; the stencil goes around the member in
-    # [0, 1/2] whichever of them the grid minimum lands on
+    # members of a grid pair sum at their own omegas, which add up to 1 only
+    # within an ulp, and keep their own cutoffs, so they can tie within an
+    # ulp either way; the stencil goes around the member in [0, 1/2]
+    # whichever of them the grid minimum lands on
     w = dilate(corpus_window(spec), b)
     grid_points = 1001
     sweep_rows = criterion._sweep_rows
-    stencils, nudged = [], []
+    stencils, argmins, nudge = [], [], []
 
-    def spy(w, series, omegas, mirror=False):
-        rows = sweep_rows(w, series, omegas, mirror)
+    def spy(w, series, omegas):
+        rows = sweep_rows(w, series, omegas)
         if omegas.size != grid_points:
             stencils.append(omegas)
-        elif nudged:
+            return rows
+        if nudge:
             idx = int(np.nanargmin(rows[0]))
-            partner = grid_points - 1 - idx
-            rows[0, partner] = np.nextafter(rows[0, idx], -math.inf)
-            nudged.append(omegas[partner])
+            rows[0, grid_points - 1 - idx] = np.nextafter(rows[0, idx], -math.inf)
+        argmins.append(int(np.nanargmin(rows[0])))
         return rows
 
     monkeypatch.setattr(criterion, "_sweep_rows", spy)
-    plain = min_delta(w, grid_points)
-    nudged.append(None)
-    tied = min_delta(w, grid_points)
-    # the nudge moved the grid minimum from below 1/2 to its partner above
-    assert plain.omegas[plain.argmin] < 0.5 < nudged[1]
+    min_delta(w, grid_points)
+    nudge.append(True)
+    min_delta(w, grid_points)
+    # the nudge moved the grid minimum to the other member of its pair
+    assert argmins[1] == grid_points - 1 - argmins[0] != argmins[0]
     np.testing.assert_array_equal(stencils[1], stencils[0])
     assert stencils[0].max() < 0.5
 
@@ -398,7 +387,7 @@ def test_sweep_memory_stays_bounded():
     # its frequency sweep (K = 94) is measured directly as well
     w = dilate(hermite(5), 0.05)
     grid = np.linspace(0.0, 1.0, 1001)
-    for run in (lambda: certify(w, 0.1), lambda: criterion._sweep(w, grid, mirror=True)):
+    for run in (lambda: certify(w, 0.1), lambda: criterion._sweep(w, grid)):
         run()
         tracemalloc.start()
         try:
@@ -491,6 +480,25 @@ def test_enclosures_contain_50_digit_sums(spec, n, b):
         assert rows[1, i] <= delta <= rows[2, i], (spec, om)
         # the budget is a few ulps per term, not a loose pad
         assert enc.high - enc.low <= 1e-11 * delta
+
+
+@pytest.mark.parametrize("b", [2.35355, 3.0])
+def test_every_profile_row_encloses_the_40_digit_delta_g(b):
+    # every row of a default profile, grid and stencil, is summed at the
+    # omega it prints; rows at omega > 1/2 that reused the terms of their
+    # partner 1 - omega, summed 1.5 ulp away, missed here by up to 8e-14
+    # (4 rows near 0.926 at b = 2.35355, 2 at 0.688 and 0.942 at b = 3);
+    # |k| <= 6 suffices, the terms falling as exp(-2 pi b^2 xi^2)
+    profile = min_delta(dilate(hermite(6), b))
+    mag2 = mp_mag2(6, b)
+    ks = range(-6, 7)
+    with mpmath.workdps(40):
+        for om, low, high in zip(profile.omegas.tolist(), profile.lows.tolist(), profile.highs.tolist()):
+            xi = [k + mpmath.mpf(om) for k in ks]
+            terms = [mag2(x) for x in xi]
+            s0 = mpmath.fsum(terms)
+            s1 = mpmath.fsum(x * x * t for x, t in zip(xi, terms))
+            assert low <= mpmath.sqrt(s0 / s1) / 2 <= high, om
 
 
 def mp_delta(n, b, omega):
@@ -887,7 +895,7 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
     for name, w in windows.items():
         for grid_points in (3, 101, 1001):
             grid = np.linspace(0.0, 1.0, grid_points)
-            # the whole grid, and the first half that a mirrored sweep evaluates
+            # the whole grid, and its first half, which fills half a unit interval
             for omegas in (grid, grid[: (grid_points + 1) // 2]):
                 rows = np.arange(omegas.size)
                 got = ghat_lattice(w, omegas)(rows, ks)
@@ -1005,11 +1013,11 @@ SAMPLED_PROFILE_WINDOWS = {
 @pytest.mark.parametrize("name", sorted(SAMPLED_PROFILE_WINDOWS))
 @pytest.mark.parametrize("grid_points", [101, 1001])
 def test_sampled_profile_matches_pointwise_delta_g(name, grid_points):
-    # grid rows (mirrored for the real window) and bisection rows of a
-    # sampled window without an envelope against the one-omega delta_g
-    make, mirrored = SAMPLED_PROFILE_WINDOWS[name]
+    # grid rows and bisection rows of a sampled window without an envelope,
+    # real or complex, against the one-omega delta_g
+    make, even = SAMPLED_PROFILE_WINDOWS[name]
     w = make()
-    assert w.envelope is None and w.even_modulus == mirrored
+    assert w.envelope is None and w.even_modulus == even
     profile = min_delta(w, grid_points=grid_points)
     assert profile.omegas.size > grid_points  # the bisection points are in
     assert_rows_match_pointwise(w, profile)

@@ -119,6 +119,17 @@ def test_scaled_singularity_test_keeps_covolume_and_verdicts():
                 assert Lattice2D(basis=basis).covolume == abs(float(np.linalg.det(basis)))
 
 
+def test_unbalanced_columns_are_not_singular():
+    # det = 1 exactly, with a condition number of 1e12: the test bounds the
+    # angle between the columns, not the ratio of their lengths
+    L = rect(1e6, 1e-6)
+    assert L.covolume == 1.0
+    assert iwasawa(L).scale == 1.0
+    # a representable co-volume whose factors are not: a = 1e-310 and 1/a
+    with pytest.raises(ParameterNotRepresentable, match="Iwasawa factors"):
+        iwasawa(rect(1e-320, 1e300))
+
+
 def lattice_to_json(L: Lattice2D) -> dict:
     return {"basis": [[float(v) for v in row] for row in L.basis]}
 

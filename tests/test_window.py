@@ -162,7 +162,7 @@ def test_combine_of_mixed_parity_is_neither(gauss, h1):
 
 def test_window_asymmetric_beyond_five_is_neither():
     # 0 on |t| <= 5.5, complex beyond: the samples see the asymmetry, and
-    # |ghat| is not even, so min_delta must not mirror the profile
+    # |ghat| is not even, so the profile row at 0.8 must not read 0.2's
     t = sample_grid()
     bumps = np.exp(-20.0 * (t - 6.8) ** 2) * np.exp(2.0j * t) + 0.5 * np.exp(-20.0 * (t + 6.8) ** 2)
     values = np.where(np.abs(t) > 5.5, bumps, 0.0)
@@ -171,7 +171,7 @@ def test_window_asymmetric_beyond_five_is_neither():
     assert w.parity is Parity.NEITHER and not w.even_modulus
     profile = min_delta(w, grid_points=21)
     at = int(np.argmin(np.abs(profile.omegas - 0.8)))
-    # mirrored, the row read delta_g(0.2) = 0.5177 against delta_g(0.8) = 0.8165
+    # read off its partner, the row held delta_g(0.2) = 0.5177 against delta_g(0.8) = 0.8165
     assert profile.deltas[at] == pytest.approx(delta_g(w, profile.omegas[at]).value, rel=1e-9)
 
 
