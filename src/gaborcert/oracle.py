@@ -14,9 +14,16 @@ structure of Zibulski and Zeevi), one per residue r:
 
     B_r = (n/q) * G_r^T conj(G_r),    G_r[k, j] = g(r + (n/q) j - p k).
 
-Building the blocks takes n^2 q/p multiply-adds against n^3/p for the
-dense S, and their eigenvalues about n q^2 against n^3: real multiply-adds
-and a real symmetric eigensolve for real windows, complex ones otherwise.
+S commutes with the time shift by p samples, which maps residue r to
+r + p mod n/q: G_{r+p} is G_r with its rows k cycled, and with its
+columns j cycled where r + p passes n/q, so B_{r+p} is B_r or a cyclic
+permutation of it, with the same eigenvalues.  The orbits of r -> r + p
+are the residues mod gcd(p, n/q), so only the blocks r < gcd(p, n/q)
+are built and solved: gcd(p, n/q) (n/p) q^2 multiply-adds and
+gcd(p, n/q) eigensolves of q x q blocks, against n^2 q/p and n/q for all
+the blocks and n^3/p and n^3 for the dense S.  Real windows get real
+multiply-adds and a real symmetric eigensolve, complex ones complex
+arithmetic.
 
 The model represents the continuous system over a*Z x b*Z when a = p*h
 and b = q/(n*h); given targets (a, b), `snap_lattice` picks divisors p, q
@@ -182,16 +189,16 @@ def build_model(
     )
 
 
-def _frame_blocks(model: FiniteGaborModel) -> np.ndarray:
-    """The n/q diagonal blocks of the frame operator, shape (n/q, q, q).
+def _frame_blocks(model: FiniteGaborModel, residues: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of the frame operator at the given residues r < n/q.
 
-    Block r acts on the indices m = r + (n/q)*j, j = 0..q-1, which the
-    collapsed operator couples only among themselves:
+    Shape (len(residues), q, q).  Block r acts on the indices m = r + (n/q)*j,
+    j = 0..q-1, which the collapsed operator couples only among themselves:
     B_r[j, j'] = (n/q) * sum_k g(r + (n/q) j - p k) conj(g(r + (n/q) j' - p k)).
     """
     n, p, q = model.n, model.p, model.q
     N = n // q
-    r = np.arange(N)[:, None, None]
+    r = residues[:, None, None]
     k = np.arange(n // p)[None, :, None]
     j = np.arange(q)[None, None, :]
     g = model.window if model.window.imag.any() else model.window.real  # real windows: real blocks
@@ -202,13 +209,14 @@ def _frame_blocks(model: FiniteGaborModel) -> np.ndarray:
 def finite_frame_bounds(model: FiniteGaborModel) -> FrameBounds:
     """Smallest and largest eigenvalues of the (symmetrized) frame operator.
 
-    The eigenvalues are those of the n/q diagonal blocks, solved in one
-    batched call.  Zero floor: with `low` the smallest eigenvalue and B
-    the largest, `low < -1e-10*B` raises `DegenerateError`, `low <=
-    n*eps*B` reports A = 0 (an exactly singular operator comes out as
-    rounding noise of either sign at that scale), and otherwise A = low.
+    The eigenvalues are those of the gcd(p, n/q) blocks r < gcd(p, n/q),
+    one per time-shift orbit, solved in one batched call.  Zero floor:
+    with `low` the smallest eigenvalue and B the largest, `low <
+    -1e-10*B` raises `DegenerateError`, `low <= n*eps*B` reports A = 0
+    (an exactly singular operator comes out as rounding noise of either
+    sign at that scale), and otherwise A = low.
     """
-    blocks = _frame_blocks(model)
+    blocks = _frame_blocks(model, np.arange(math.gcd(model.p, model.n // model.q)))
     upper_scale = float(np.max(np.abs(blocks)))
     adjoint = blocks.conj().transpose(0, 2, 1)
     asym = float(np.max(np.abs(blocks - adjoint)))

@@ -28,26 +28,23 @@ from gaborcert.window import chirp_window, dilate, gaussian, hermite
 
 
 def frame_operator(model: FiniteGaborModel) -> np.ndarray:
-    """Dense frame operator: the oracle's diagonal blocks scattered back to (m, m')."""
+    """Dense frame operator: the oracle's diagonal blocks at every residue scattered back to (m, m')."""
     n, q = model.n, model.q
     N = n // q
     rows = np.arange(N)[:, None] + N * np.arange(q)[None, :]
     S = np.zeros((n, n), dtype=complex)
-    S[rows[:, :, None], rows[:, None, :]] = oracle._frame_blocks(model)
+    S[rows[:, :, None], rows[:, None, :]] = oracle._frame_blocks(model, np.arange(N))
     return S
 
 
 def brute_frame_operator(model: FiniteGaborModel) -> np.ndarray:
-    """The frame operator as a literal sum of atom outer products, over every lattice shift."""
+    """The frame operator as A A^H, A holding one column per atom M_{lq} T_{pk} g of the lattice."""
     n, p, q = model.n, model.p, model.q
     idx = np.arange(n)
-    S = np.zeros((n, n), dtype=complex)
-    for k in range(n // p):
-        shifted = np.roll(model.window, p * k)
-        for ell in range(n // q):
-            atom = np.exp(2j * np.pi * q * ell * idx / n) * shifted
-            S += np.outer(atom, atom.conj())
-    return S
+    shifted = model.window[(idx[:, None] - p * np.arange(n // p)[None, :]) % n]  # column k: T_{pk} g
+    phases = np.exp(2j * np.pi * q * np.arange(n // q)[None, :] * idx[:, None] / n)  # column l: M_{lq}
+    atoms = (phases[:, :, None] * shifted[:, None, :]).reshape(n, -1)
+    return atoms @ atoms.conj().T
 
 
 def test_full_lattice_resolves_identity(gauss):
@@ -254,9 +251,9 @@ REAL_WINDOWS = {"gaussian": gaussian(), "hermite:1": hermite(1)}
 
 def test_real_windows_get_real_blocks():
     for w in REAL_WINDOWS.values():
-        assert oracle._frame_blocks(model_for(w, 0.5, 1.0, 240)).dtype == np.float64
+        assert oracle._frame_blocks(model_for(w, 0.5, 1.0, 240), np.arange(2)).dtype == np.float64
     chirp = model_for(BLOCK_WINDOWS["chirp(hermite:1)"], 0.5, 1.0, 240)
-    assert oracle._frame_blocks(chirp).dtype == np.complex128
+    assert oracle._frame_blocks(chirp, np.arange(2)).dtype == np.complex128
 
 
 @pytest.mark.parametrize("name", sorted(REAL_WINDOWS))
@@ -271,6 +268,45 @@ def test_real_block_bounds_match_complex_arithmetic(name, n, a, b):
     assert abs(bounds.A - max(low, 0.0)) <= tol
 
 
+# --- one block per time-shift orbit --------------------------------------------
+
+ORBIT_WINDOWS = {
+    "gaussian": gaussian(),
+    "hermite:3": hermite(3),
+    "chirp(hermite:1)": chirp_window(hermite(1), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_WINDOWS))
+@pytest.mark.parametrize(
+    # gcd(p, n/q) = 1, = n/q (p*q <= n keeps p <= n/q), and 3, 4, 3 of 6, 12, 45
+    "n,p,q", [(36, 1, 6), (36, 12, 3), (48, 3, 8), (60, 4, 5), (360, 12, 8)]
+)
+def test_blocks_share_the_spectrum_of_their_time_shift_orbit(monkeypatch, name, n, p, q):
+    # the time shift by p maps residue r to r + p mod n/q, so block r has the
+    # eigenvalues of block r mod gcd(p, n/q), and the bounds solve only those
+    model = build_model(ORBIT_WINDOWS[name], n, p, q, 0.3)
+    N = n // q
+    orbits = math.gcd(p, N)
+    blocks = oracle._frame_blocks(model, np.arange(N))
+    eigenvalues = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+    B = float(np.max(eigenvalues))
+    tol = n * np.finfo(float).eps * B
+    assert float(np.max(np.abs(eigenvalues - eigenvalues[np.arange(N) % orbits]))) <= tol
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        solved.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    bounds = finite_frame_bounds(model)
+    assert solved == [orbits]
+    assert abs(bounds.B - B) <= tol
+    assert abs(bounds.A - max(float(np.min(eigenvalues)), 0.0)) <= tol
+
+
 @pytest.mark.parametrize(
     "low,A",
     [(-1e-11, 0.0), (0.0, 0.0), (5e-15, 0.0), (1e-14, 1e-14), (0.25, 0.25)],
@@ -278,14 +314,14 @@ def test_real_block_bounds_match_complex_arithmetic(name, n, a, b):
 def test_zero_floor_rule(monkeypatch, gauss, low, A):
     # n = 36: eigenvalues up to 36 * eps * B = 8.0e-15 * B read as A = 0
     model = build_model(gauss, 36, 2, 3, 0.3)
-    monkeypatch.setattr(oracle, "_frame_blocks", lambda m: np.array([np.diag([low, 1.0])], dtype=complex))
+    monkeypatch.setattr(oracle, "_frame_blocks", lambda m, residues: np.array([np.diag([low, 1.0])], dtype=complex))
     bounds = finite_frame_bounds(model)
     assert (bounds.A, bounds.B) == (A, 1.0)
 
 
 def test_zero_floor_rejects_negative_spectrum(monkeypatch, gauss):
     model = build_model(gauss, 36, 2, 3, 0.3)
-    monkeypatch.setattr(oracle, "_frame_blocks", lambda m: np.array([np.diag([-1e-9, 1.0])], dtype=complex))
+    monkeypatch.setattr(oracle, "_frame_blocks", lambda m, residues: np.array([np.diag([-1e-9, 1.0])], dtype=complex))
     with pytest.raises(DegenerateError):
         finite_frame_bounds(model)
 
