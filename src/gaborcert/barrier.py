@@ -16,18 +16,32 @@ stored quantity near 1 for any b, and the strictness margin
 surviving term, k = 2) stays certifiable in log scale long after the
 terms themselves underflow.
 
-The scan sums every dilation row at once, outward in k, one block of k
-columns per step for all active rows (at most criterion._MAX_BLOCK =
-4,096 (row, k) values): one math.exp per value, and one np.cumsum along
-k over the three sums stacked, from each row's carried sums, so every row
-is still summed left to right.  A row retires at the first k where the
-closed-form tails of both sums pass the criterion's stopping rule,
-tail <= 1e-12 * value, the rule a row-by-row loop stops on.  A next-term
-screen keeps rows that cannot stop in a block (their first term past the
-block already fails the rule) out of the block's one
-one_sided_gauss_tail_log call.  Rows, and the CSV written from them, are
-bit-identical to that loop's, with memory proportional to the row count;
-the scan keeps them as columns and makes row objects only on request.
+Each row is summed on the shorter of two sides.  The k side sums
+k = 1..K outward; the dual side sums the Poisson dual of the same sums,
+sigma_p = (e^c/2) sqrt(pi/c) sum_n exp(-pi^2 n^2/c) P_p(n), over
+|n| <= N, which converges fast exactly where the k side is slow (c
+below about 2.4 at the default tolerance, where the k side needs up to
+K = 228 at b = 0.01 and the dual N <= 2).  A row takes the dual side iff
+its N is below its K and the dual's derived rounding bound passes the
+criterion's stopping rule, as criterion._time_side decides for profiles;
+there is no crossover constant.  Dual rows carry that bound, so their
+enclosures are two-sided and contain the exact value; k rows keep the
+bits of the row-by-row loop, which carries none.
+
+The scan sums every dilation row at once in one sweep over columns
+(n = j - 1 paired with k = j), one block of k columns per step for all
+active rows (blocks double from 2 columns, and hold at most
+criterion._MAX_BLOCK = 4,096 (row, k) values): one
+math.exp per value, and one np.cumsum along k over the three sums
+stacked, from each row's carried sums, so every row is still summed left
+to right.  A row retires at the first column where either side's
+closed-form tails pass the criterion's stopping rule, tail <= 1e-12 *
+value, the rule a row-by-row loop stops on.  Next-term screens keep rows
+that cannot stop in a block (their first term past the block already
+fails the rule) out of the block's one one_sided_gauss_tail_log call per
+side.  Rows, and the CSV written from them, are bit-identical to that
+loop's, with memory proportional to the row count; the scan keeps them
+as columns and makes row objects only on request.
 """
 
 from __future__ import annotations
@@ -39,8 +53,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .criterion import _MAX_BLOCK, _converged, delta_g, one_sided_gauss_tail_log
-from .errors import PreconditionError
+from .criterion import (
+    _MAX_BLOCK,
+    _MAX_DOUBLE,
+    _MIN_SUBNORMAL,
+    _TINY,
+    _U,
+    _converged,
+    _enclose,
+    _gamma,
+    delta_g,
+    one_sided_gauss_tail_log,
+)
+from .errors import NumericalError, PreconditionError
 from .tables import CsvTable
 from .window import Parity, Window
 
@@ -48,6 +73,12 @@ _GHAT_ZERO_TOL = 1e-20
 _LOG12 = math.log(12.0)
 _MIN_NORMAL = 2.0**-1022
 _K_MAX = 10_000  # a row whose sums have not settled past this k raises
+# The dual side (_dual_sums): pi^2, and the rounding units of a term n >= 1
+# of T_1 and T_2 and of the prefactors s_1 and s_2 (less ceil(9 x_n) and
+# ceil(4c), which depend on the row).
+_PI2 = math.pi * math.pi
+_TERM_UNITS = np.array([[12.0], [22.0]])
+_PREFACTOR_UNITS = np.array([[13.0], [17.0]])
 
 
 @dataclass(frozen=True)
@@ -111,7 +142,10 @@ class BarrierScanRow:
     """One dilation step of the closed-form scan.
 
     log_gap_lb is a certified log lower bound on 1/2 - delta0; strict
-    records that the enclosure's upper end is provably below 1/2.
+    records that delta0 < 1/2 is proven for the row: on the k side its
+    enclosure's upper end is below 1/2, on the dual side E has a positive
+    certified lower bound.  side is "k" or "dual", the series that summed
+    the row, and terms its cutoff there: K (terms k = 1..K) or N (|n| <= N).
     """
 
     b: float
@@ -120,6 +154,8 @@ class BarrierScanRow:
     delta0_high: float
     strict: bool
     log_gap_lb: float
+    side: str
+    terms: int
 
 
 SCAN_CSV_HEADER = ("b", "delta0_low", "delta0", "delta0_high")
@@ -167,52 +203,206 @@ class BarrierScan(CsvTable):
         return [self.columns[name] for name in self.CSV_HEADER]
 
 
-def _scaled_sums(cs: np.ndarray):
-    """Partial sums of k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 plus log tails, per finite c.
+def _per_element(f, xs):
+    """f on every element of a float array, one Python float call each."""
+    return np.fromiter(map(f, xs.tolist()), float, xs.size)
 
-    A sweep outward in k over every row at once, one block of k columns
-    per step for all active rows: at most _MAX_BLOCK (row, k) values (one
-    column while more rows are active), and never past k = _K_MAX + 1,
-    where a row still summing raises as in the loop.  A block's terms are
-    one math.exp per value of the float product -c*(k^2-1), and one
-    np.cumsum along k over sigma2, sigma4 and E stacked, each row started
-    from its carried sums in column 0, adds them in k order: the
-    left-to-right sum of a row-by-row loop.
 
-    A row stops at the first k where exp(log_t4) and exp(log_t2) pass
-    _converged against sigma4 and sigma2 (both at least 1), with
-    log_tp = c + one_sided_gauss_tail_log(c, p, k + 1).  Before the
-    tails, a next-term screen: the first term past the block, at
-    a = k_last + 1, is a lower bound on every tail of the block, and the
-    thresholds rise along k, so a row whose next term fails the rule at
-    the block's last column cannot stop in this block.  Its exp is shaved
-    by 1e-9 in log scale, more than its own rounding while it is a normal
-    double; a subnormal one screens nothing.  One one_sided_gauss_tail_log
-    call per block then gives both tails at every k of the rows left.  A
-    2,026-row scan from b = 0.01 to 100 takes 15 blocks, with 16,780
-    (row, k) tails where unscreened blocks took 58,561.  The caller has
-    checked the smallest c with a scalar tail call; every larger c and
-    later start has a smaller tail ratio, so no array tail here fails.
+def _dual_tails(g1, g2, rate, a2):
+    """The n-tails of _dual_sums from G_q >= sum_{m>=a} m^(2q) exp(-rate m^2), q = 1, 2, a^2 = a2.
 
-    Returns (sigma2, sigma4, e_partial, log_t2, log_t4) as arrays over the
-    rows: the true sums lie in [sigma_p, sigma_p + exp(log_t_p)] and
-    E = sum k^2 (k^2-1) exp(-c*(k^2-1)) >= e_partial.  Raises if a row is
-    still summing past _K_MAX.
+    The tail of T_1 is 2 sum_{m>=a} exp(-x_m) (1/2 + x_m), x_m = rate m^2, and
+    m^0 <= m^2/a^2 bounds it by 2 G_1 (1/(2a^2) + rate); the tail of T_2 by
+    2 G_2 ((3/(4a^2) + 3 rate)/a^2 + rate^2) the same way.
+    """
+    return 2.0 * g1 * (0.5 / a2 + rate), 2.0 * g2 * ((0.75 / a2 + 3.0 * rate) / a2 + rate * rate)
+
+
+def _dual_stops(rate, ns):
+    """(first, logs): per row, the first column of ns where both dual n-tails pass _converged
+    against the means 1/2 and 3/4, -1 where none does (a NaN log never passes), and the
+    logs of G_1 and G_2 from that column's tail start.
+
+    A next-term screen as on the k side: every n-tail of the block is at
+    least _dual_tails with each G_q at its first term past the block,
+    a^(2q) exp(-rate a^2) with a = ns[-1] + 1, and the thresholds are
+    constant, so a row whose next term fails cannot stop in the block.  Its
+    exp is shaved by 1e-9 in log scale; a subnormal one screens nothing.
+    The rows left share one one_sided_gauss_tail_log call.
+    """
+    a2 = float(ns[-1] + 1) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = np.exp(-rate * a2 - 1e-9)
+        next2, next4 = _dual_tails(a2 * nxt, a2 * a2 * nxt, rate, a2)
+        hopeless = (nxt >= _MIN_NORMAL) & ~(_converged(next2, 0.5) & _converged(next4, 0.75))
+    live = np.flatnonzero(~hopeless)
+    first, logs = np.full(rate.size, -1), np.empty((2, rate.size))
+    if live.size:
+        starts = ns + 1.0
+        lg = np.array(one_sided_gauss_tail_log(rate[live, None], (1, 2), starts))
+        tail2, tail4 = _dual_tails(*np.exp(lg), rate[live, None], starts * starts)
+        ok = _converged(tail2, 0.5) & _converged(tail4, 0.75)
+        hit = ok.any(axis=1)
+        col = ok.argmax(axis=1)[hit]
+        first[live[hit]] = col
+        logs[:, live[hit]] = lg[:, hit, col]
+    return first, logs
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _dual_sums(cs, rate, ns, logs):
+    """The dual side of rows with decay rates cs, summed through n = ns.
+
+    Poisson summation turns sigma_p = sum_{k>=1} k^(2p) exp(-c (k^2 - 1))
+    into sigma_p = s_p * T_p, with s_p = (e^c / 2) sqrt(pi/c) / c^p and
+
+        T_1 = sum_n exp(-x_n) (1/2 - x_n),  T_2 = sum_n exp(-x_n) (3/4 - 3 x_n + x_n^2),
+
+    x_n = (pi^2/c) n^2, summed over |n| <= N as the n = 0 term (the mean,
+    1/2 or 3/4) plus 2 exp(-x_n) q(x_n) for n = 1..N, each one math.exp.
+    The n-tails are _dual_tails, with G_q from logs (one math.exp each,
+    within 2^-1074 where it underflows) at rate r, the caller's pi^2/c
+    shrunk by 16 units: below the exact rate, which only widens the tail.
+
+    Rounding, against the exact sums at the exact c = 2 pi b^2, in the
+    style of criterion._DualSeries (|computed - exact| <= gamma_L times the
+    shadow, the same sums on moduli; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sections 3.1 and 3.6).  c carries 3 units
+    (pi and two products), pi^2/c 7 and x_n 8; q(x) then 9 (p = 1) or 19
+    (p = 2), exp 2 more and the product 1, so the term n carries 12 or 22
+    units, plus ceil(9 x_n) for its exponent's error (exp(gamma_8 x) - 1 <=
+    gamma_ceil(9x)).  A term that underflows errs by at most 2^-1074 q
+    absolute.  Adding N + 1 terms costs gamma_N times their moduli.  The
+    prefactor s_p carries P = ceil(4c) + 13 or 17 units: exp(c) 2 and
+    ceil(4c) for c's error, sqrt(pi/c) 6, a product 1 and 4 per division
+    by c.  The product s_p T_p and each end's add or subtract take 3 more,
+    and s_p's error scales the tail and the rest by 1 + gamma_P.  The
+    bounds are evaluated in floats with less than 2^-29 relative error,
+    which the last factor covers; with the rate's 16-unit shrink it also
+    covers the tail's coefficients r and r^2 (within 50 units of the exact
+    ones).
+
+    Returns (sigma2, sigma4, width2, width4, settled): the true sums lie
+    in sigma_p -+ width_p, and settled is the rule's rounding check, the
+    rounding bound of T_p passing _converged against the mean.  A prefactor
+    past the double range gives inf or NaN sums, which the caller reports.
+    """
+    d = _PI2 / cs
+    sums = np.array([np.full(cs.size, 0.5), np.full(cs.size, 0.75)])
+    shadow, err = sums.copy(), np.zeros((2, cs.size))
+    for m in range(1, int(ns.max(initial=0)) + 1):
+        on = np.flatnonzero(ns >= m)
+        x = d[on] * float(m * m)
+        e2 = 2.0 * _per_element(math.exp, -x)
+        bracket = np.array([0.5 + x, (x + 3.0) * x + 0.75])
+        sums[:, on] += e2 * np.array([0.5 - x, (x - 3.0) * x + 0.75])
+        term_bar = e2 * bracket
+        shadow[:, on] += term_bar
+        err[:, on] += _gamma(np.ceil(9.0 * x) + _TERM_UNITS) * term_bar + 4.0 * _MIN_SUBNORMAL * bracket
+    units = np.ceil(4.0 * cs) + _PREFACTOR_UNITS
+    grow = (1.0 + _gamma(units)) * (1.0 + 2.0**-29)
+    rounding = grow * (_gamma(ns.astype(float)) * shadow + err + _gamma(units + 3.0) * np.abs(sums))
+    settled = _converged(rounding[0], 0.5) & _converged(rounding[1], 0.75)
+    g1, g2 = (_per_element(math.exp, lg) + _TINY for lg in logs)
+    a = ns + 1.0
+    tails = np.array(_dual_tails(g1, g2, rate, a * a))
+    scale2 = 0.5 * _per_element(math.exp, cs) * np.sqrt(math.pi / cs) / cs
+    scales = np.array([scale2, scale2 / cs])
+    sigma2, sigma4 = scales * sums
+    width2, width4 = scales * (grow * tails + rounding)
+    return sigma2, sigma4, width2, width4, settled
+
+
+def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
+    """Each row's sums on the side the rule picks, per finite positive c, as columns over the rows.
+
+    The k side sums k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 outward in k;
+    the dual side sums the Poisson dual of the same sums (_dual_sums).  A
+    row takes the dual side iff its N is below its K and its rounding
+    passes: N and K are where each series stops, the first n (k >= 2) whose
+    closed-form tails pass _converged, the dual's against its means (as
+    criterion._time_side), the k side's against its partial sums.  Both run
+    in one sweep over columns j = 1, 2, ..., pairing n = j - 1 with k = j;
+    a row retires at the first column where either stops, the dual on a
+    tie.  A dual row whose rounding fails goes on with its k sums alone.
+
+    Column 1 is the dual's n = 0 alone.  Then the sweep covers every row at
+    once, one block of k columns per step for all active rows.  Blocks
+    double in width from 2 columns, so a block spans at most as many
+    columns past a row's stop as the sweep has already summed; they hold at
+    most _MAX_BLOCK (row, k) values (one column while more rows are
+    active), and never run past k = _K_MAX + 1, where a row still summing
+    raises as in the loop.  A block's k terms are one math.exp per value of
+    the float product -c*(k^2-1), and one np.cumsum along k over sigma2,
+    sigma4 and E stacked, each row started from its carried sums in column
+    0, adds them in k order: the left-to-right sum of a row-by-row loop.
+
+    The k side stops at the first k where exp(log_t4) and exp(log_t2) pass
+    _converged against sigma4 and sigma2 (both at least 1), with log_tp =
+    c + one_sided_gauss_tail_log(c, p, k + 1).  Before the tails, a
+    next-term screen: the first term past the block, at a = k_last + 1, is
+    a lower bound on every tail of the block, and the thresholds rise along
+    k, so a row whose next term fails the rule at the block's last column
+    cannot stop in this block.  Its exp is shaved by 1e-9 in log scale,
+    more than its own rounding while it is a normal double; a subnormal one
+    screens nothing.  One one_sided_gauss_tail_log call per block then
+    gives both tails at every k of the rows left, and one more the dual's
+    n-tails (_dual_stops, with its own screen).  After column 1 one float
+    tail call on the first row left (the smallest c) raises where the
+    loop's first k tail would; every larger c and later start has a
+    smaller tail ratio, so no array tail here fails.  A dual row whose
+    sums leave the double range raises, naming its b.
+
+    Returns columns over the rows: dual (bool) and terms (K or N); sigma2,
+    sigma4, e_partial, log_t2 and log_t4 on k rows, where the true sums
+    lie in [sigma_p, sigma_p + exp(log_t_p)] and E = sum k^2 (k^2-1)
+    exp(-c*(k^2-1)) >= e_partial; sigma2, sigma4, width2 and width4 on
+    dual rows (_dual_sums).
     """
     n = cs.size
-    sigma2, sigma4, e_partial = np.ones(n), np.ones(n), np.zeros(n)
-    log_t2, log_t4 = np.empty(n), np.empty(n)
+    out = {name: np.zeros(n) for name in ("sigma2", "sigma4", "e_partial", "log_t2", "log_t4", "width2", "width4")}
+    out["dual"], out["terms"] = np.zeros(n, bool), np.zeros(n, int)
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = np.minimum(_PI2 / cs * (1.0 - 16.0 * _U), _MAX_DOUBLE)
     idx = np.arange(n)
-    c, carry = cs[:, None], np.array([np.ones(n), np.ones(n), np.zeros(n)])
-    k = 2
+    dual_open = np.ones(n, bool)
+
+    def settle(rows, ns, logs) -> np.ndarray:
+        """Records the dual rows among rows (positions in idx) whose rounding passes; returns that mask."""
+        at = idx[rows]
+        sigma2, sigma4, width2, width4, settled = _dual_sums(cs[at], rate[at], ns, logs)
+        with np.errstate(over="ignore", invalid="ignore"):  # _scan_columns forms 4 * (sigma4 + width4)
+            finite = np.isfinite(sigma2 + width2) & np.isfinite(4.0 * (sigma4 + width4))
+        if not finite[settled].all():
+            b = float(bs[at[settled & ~finite][0]])
+            raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
+        at = at[settled]
+        out["sigma2"][at], out["sigma4"][at] = sigma2[settled], sigma4[settled]
+        out["width2"][at], out["width4"][at] = width2[settled], width4[settled]
+        out["dual"][at], out["terms"][at] = True, ns[settled]
+        return settled
+
+    # column 1: the dual's n = 0
+    first, logs = _dual_stops(rate, np.zeros(1, int))
+    wins = np.flatnonzero(first == 0)
+    settled = settle(wins, np.zeros(wins.size, int), logs[:, wins])
+    dual_open[wins[~settled]] = False
+    keep = np.ones(n, bool)
+    keep[wins[settled]] = False
+    idx, dual_open = idx[keep], dual_open[keep]
+    if idx.size:
+        one_sided_gauss_tail_log(float(cs[idx[0]]), (1, 2), 3.0)
+    c, carry = cs[idx, None], np.array([np.ones(idx.size), np.ones(idx.size), np.zeros(idx.size)])
+    k, width = 2, 2
     while idx.size:
-        ks = np.arange(k, min(k + max(1, _MAX_BLOCK // idx.size), _K_MAX + 2))
+        ks = np.arange(k, min(k + min(width, max(1, _MAX_BLOCK // idx.size)), _K_MAX + 2))
+        width *= 2
         k2 = (ks * ks).astype(float)
         # the same float product c * (k^2 - 1) and math.exp as the scalar loop;
         # a product past the largest double is inf, and exp(-inf) = 0
         with np.errstate(over="ignore"):
             x = -c * (ks * ks - 1)
-        w = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        w = _per_element(math.exp, x.ravel()).reshape(x.shape)
         # sigma2, sigma4 and E stacked, each row's carried sums in column 0
         sums = np.empty((3, idx.size, 1 + ks.size))
         sums[:, :, 0] = carry
@@ -230,52 +420,87 @@ def _scaled_sums(cs: np.ndarray):
         lt = c[live] + np.array(one_sided_gauss_tail_log(c[live], (1, 2), ks + 1.0))
         t2, t4 = np.exp(lt)
         done = _converged(t4, sums[1, live]) & _converged(t2, sums[0, live])
-        hit = done.any(axis=1)
-        first = done.argmax(axis=1)[hit]
-        rows = live[hit]
-        out = idx[rows]
-        sigma2[out], sigma4[out], e_partial[out] = sums[:, rows, first]
-        log_t2[out], log_t4[out] = lt[:, hit, first]
-        keep = np.ones(idx.size, bool)
-        keep[rows] = False
-        idx, c, carry = idx[keep], c[keep], sums[:, keep, -1]
+        k_first = np.full(idx.size, ks.size)
+        k_first[live] = np.where(done.any(axis=1), done.argmax(axis=1), ks.size)
+        # the dual's columns n = k - 1, for the rows it may still win
+        d_first, d_logs = np.full(idx.size, ks.size), np.empty((2, idx.size))
+        rows = np.flatnonzero(dual_open)
+        if rows.size:
+            first, d_logs[:, rows] = _dual_stops(rate[idx[rows]], ks - 1)
+            d_first[rows] = np.where(first >= 0, first, ks.size)
+        wins = np.flatnonzero((d_first < ks.size) & (d_first <= k_first))
+        settled = settle(wins, ks[d_first[wins]] - 1, d_logs[:, wins])
+        dual_open[wins[~settled]] = False
+        stops = k_first < ks.size
+        stops[wins[settled]] = False
+        rows = np.flatnonzero(stops)
+        at, col = idx[rows], k_first[rows]
+        out["sigma2"][at], out["sigma4"][at], out["e_partial"][at] = sums[:, rows, col]
+        out["log_t2"][at], out["log_t4"][at] = lt[:, np.searchsorted(live, rows), col]  # stopping rows are live
+        out["terms"][at] = ks[col]
+        keep = ~stops
+        keep[wins[settled]] = False
+        idx, dual_open, c, carry = idx[keep], dual_open[keep], c[keep], sums[:, keep, -1]
         k = int(ks[-1]) + 1
         if idx.size and k > _K_MAX + 1:
             raise PreconditionError("scan sums did not settle; c is too small")
-    return sigma2, sigma4, e_partial, log_t2, log_t4
+    return out
 
 
-def _scan_columns(bs, cs, sigma2, sigma4, e_partial, log_t2, log_t4) -> dict[str, np.ndarray]:
+def _scan_columns(bs, cs, s) -> dict[str, np.ndarray]:
     """The scan's columns from _scaled_sums, with the float operations of a per-row loop.
 
     math.log and math.exp go per element, np.sqrt and np.minimum are
     correctly rounded like math.sqrt and min; the first non-strict row in
     b order raises.
     """
+    n = cs.size
+    low, delta0, high, log_gap_lb = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    strict = np.empty(n, bool)
+    k, dual = np.flatnonzero(~s["dual"]), np.flatnonzero(s["dual"])
 
-    def per_element(f, xs):
-        return np.fromiter(map(f, xs.tolist()), float, xs.size)
-
+    # k rows: the sums are lower bounds, and exp(log_t_p) bounds what they miss
+    c, sigma2, sigma4, e_partial = cs[k], s["sigma2"][k], s["sigma4"][k], s["e_partial"][k]
+    log_t2, log_t4 = s["log_t2"][k], s["log_t4"][k]
     # haircut: exponent arguments c*(k^2-1) round before exp, so the float
     # path can overstate E by ~ulp(c); shaving a c-proportional sliver in
     # log scale keeps the bound one-sided for any dilation
-    pad = 1e-13 + 1e-12 * cs
+    pad = 1e-13 + 1e-12 * c
     positive = e_partial > 0.0
     with np.errstate(over="ignore"):  # 3c overflows to inf like a float product
-        log_e_lb = _LOG12 - 3.0 * cs - pad  # first term, k = 2, survives any underflow
-    log_e_lb[positive] = per_element(math.log, e_partial[positive]) - pad[positive]
-    t2 = per_element(math.exp, log_t2)
-    t4 = per_element(math.exp, log_t4)
-    delta0 = 0.5 * np.sqrt(sigma2 / sigma4)
-    low = 0.5 * np.sqrt(sigma2 / (sigma4 + t4))
-    high = 0.5 * np.sqrt((sigma2 + t2) / sigma4)
+        log_e_lb = _LOG12 - 3.0 * c - pad  # first term, k = 2, survives any underflow
+    log_e_lb[positive] = _per_element(math.log, e_partial[positive]) - pad[positive]
+    t2 = _per_element(math.exp, log_t2)
+    t4 = _per_element(math.exp, log_t4)
+    delta0[k] = 0.5 * np.sqrt(sigma2 / sigma4)
+    low[k] = 0.5 * np.sqrt(sigma2 / (sigma4 + t4))
+    high[k] = np.minimum(0.5 * np.sqrt((sigma2 + t2) / sigma4), 0.5)
     # 1/2 - delta >= (1/4 - delta^2) = E / (4 S_2') at the true sums
-    log_gap_lb = log_e_lb - per_element(math.log, 4.0 * (sigma4 + t4))
-    strict = log_t2 < log_e_lb
+    log_gap_lb[k] = log_e_lb - _per_element(math.log, 4.0 * (sigma4 + t4))
+    strict[k] = log_t2 < log_e_lb
+
+    # dual rows: the sums lie within -+ width, and E = S_2' - S_1' >= both
+    # the gap of their ends and its first term 12 exp(-3c)
+    c, sigma2, sigma4, width2, width4 = cs[dual], s["sigma2"][dual], s["sigma4"][dual], s["width2"][dual], s["width4"][dual]
+    sigma4_high = sigma4 + width4
+    delta0[dual], low[dual], high[dual] = _enclose(sigma2, sigma2 - width2, sigma2 + width2, sigma4, sigma4 - width4, sigma4_high)
+    high[dual] = np.minimum(high[dual], 0.5)
+    # (S_2' - S_1') / (4 S_2') from below: three roundings, each within u
+    ratio = ((sigma4 - width4) - (sigma2 + width2)) / (4.0 * sigma4_high) * (1.0 - 4.0 * _U)
+    from_ends = np.full(dual.size, -math.inf)
+    positive = ratio > 0.0
+    log_ratio = _per_element(math.log, ratio[positive])  # within one ulp, 2u |log|
+    from_ends[positive] = log_ratio - 4.0 * _U * np.abs(log_ratio)
+    log_s4 = _per_element(math.log, 4.0 * sigma4_high)
+    from_first = _LOG12 - 3.0 * c - log_s4 - (1e-13 + 1e-12 * c + 4.0 * _U * np.abs(log_s4))
+    log_gap_lb[dual] = np.maximum(from_ends, from_first)
+    strict[dual] = log_gap_lb[dual] > -math.inf
+
     if not strict.all():
         b = float(bs[np.argmin(strict)])
         raise PreconditionError(f"tail bound swamped the strictness margin at b = {b!r}")
-    columns = (bs, low, delta0, np.minimum(high, 0.5), strict, log_gap_lb)
+    side = np.where(s["dual"], "dual", "k")
+    columns = (bs, low, delta0, high, strict, log_gap_lb, side, s["terms"])
     return dict(zip(_ROW_FIELDS, columns))
 
 
@@ -295,12 +520,14 @@ def h1_barrier_scan(b_min: float, b_max: float, steps: int) -> BarrierScan:
     bs = np.geomspace(b_min, b_max, steps)
     with np.errstate(over="ignore"):  # c = inf past b ~ 1e154; such rows raise below
         cs = 2.0 * math.pi * bs * bs
-    # c grows with b and the tail ratio exp(-2*c*a) shrinks with c and a, so
-    # the first tail of row 0 raises where a row-by-row loop would, and no
-    # later tail of a finite c can
-    one_sided_gauss_tail_log(float(cs[0]), (1, 2), 3.0)
+    # c rounds to 0 below b ~ 1e-162 and to inf above b ~ 1e154, and neither
+    # side can sum such a row; c grows with b, so the first row with c = 0
+    # comes first and raises the float tail call's error, and the first row
+    # with c = inf raises it after the finite rows
+    if cs[0] == 0.0:
+        one_sided_gauss_tail_log(0.0, (1, 2), 3.0)
     finite = int(np.searchsorted(cs, math.inf))
-    columns = _scan_columns(bs[:finite], cs[:finite], *_scaled_sums(cs[:finite]))
+    columns = _scan_columns(bs[:finite], cs[:finite], _scaled_sums(bs[:finite], cs[:finite]))
     if finite < steps:
-        one_sided_gauss_tail_log(math.inf, (1, 2), 3.0)  # raises for the first row with c = inf
+        one_sided_gauss_tail_log(math.inf, (1, 2), 3.0)
     return BarrierScan(columns=columns)
