@@ -28,18 +28,14 @@ there is no crossover constant.  Dual rows carry that bound, so their
 enclosures are two-sided and contain the exact value; k rows keep the
 bits of the row-by-row loop, which carries none.
 
-The scan sums every dilation row at once in one sweep over columns
-(n = j - 1 paired with k = j), one block of k columns per step for all
-active rows (blocks double from 2 columns, and hold at most
-criterion._MAX_BLOCK = 4,096 (row, k) values): one
-math.exp per value, and one np.cumsum along k over the three sums
-stacked, from each row's carried sums, so every row is still summed left
-to right.  A row retires at the first column where either side's
-closed-form tails pass the criterion's stopping rule, tail <= 1e-12 *
-value, the rule a row-by-row loop stops on.  Next-term screens keep rows
-that cannot stop in a block (their first term past the block already
-fails the rule) out of the block's one one_sided_gauss_tail_log call per
-side.  Rows, and the CSV written from them, are bit-identical to that
+The scan sums every dilation row at once, one column per step (n = j - 1
+paired with k = j) for all active rows: one math.exp per row and one
+add per sum, so every row is still summed left to right, and one
+one_sided_gauss_tail_log call per side for the column's tails.  A row
+retires at the first column where either side's closed-form tails pass
+the criterion's stopping rule, tail <= 1e-12 * value, the rule a
+row-by-row loop stops on; at that tolerance every row stops by the third
+column.  Rows, and the CSV written from them, are bit-identical to that
 loop's, with memory proportional to the row count; the scan keeps them
 as columns and makes row objects only on request.
 """
@@ -54,7 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from .criterion import (
-    _MAX_BLOCK,
     _MAX_DOUBLE,
     _MIN_SUBNORMAL,
     _TINY,
@@ -71,7 +66,6 @@ from .window import Parity, Window
 
 _GHAT_ZERO_TOL = 1e-20
 _LOG12 = math.log(12.0)
-_MIN_NORMAL = 2.0**-1022
 _K_MAX = 10_000  # a row whose sums have not settled past this k raises
 # The dual side (_dual_sums): pi^2, and the rounding units of a term n >= 1
 # of T_1 and T_2 and of the prefactors s_1 and s_2 (less ceil(9 x_n) and
@@ -218,40 +212,9 @@ def _dual_tails(g1, g2, rate, a2):
     return 2.0 * g1 * (0.5 / a2 + rate), 2.0 * g2 * ((0.75 / a2 + 3.0 * rate) / a2 + rate * rate)
 
 
-def _dual_stops(rate, ns):
-    """(first, logs): per row, the first column of ns where both dual n-tails pass _converged
-    against the means 1/2 and 3/4, -1 where none does (a NaN log never passes), and the
-    logs of G_1 and G_2 from that column's tail start.
-
-    A next-term screen as on the k side: every n-tail of the block is at
-    least _dual_tails with each G_q at its first term past the block,
-    a^(2q) exp(-rate a^2) with a = ns[-1] + 1, and the thresholds are
-    constant, so a row whose next term fails cannot stop in the block.  Its
-    exp is shaved by 1e-9 in log scale; a subnormal one screens nothing.
-    The rows left share one one_sided_gauss_tail_log call.
-    """
-    a2 = float(ns[-1] + 1) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        nxt = np.exp(-rate * a2 - 1e-9)
-        next2, next4 = _dual_tails(a2 * nxt, a2 * a2 * nxt, rate, a2)
-        hopeless = (nxt >= _MIN_NORMAL) & ~(_converged(next2, 0.5) & _converged(next4, 0.75))
-    live = np.flatnonzero(~hopeless)
-    first, logs = np.full(rate.size, -1), np.empty((2, rate.size))
-    if live.size:
-        starts = ns + 1.0
-        lg = np.array(one_sided_gauss_tail_log(rate[live, None], (1, 2), starts))
-        tail2, tail4 = _dual_tails(*np.exp(lg), rate[live, None], starts * starts)
-        ok = _converged(tail2, 0.5) & _converged(tail4, 0.75)
-        hit = ok.any(axis=1)
-        col = ok.argmax(axis=1)[hit]
-        first[live[hit]] = col
-        logs[:, live[hit]] = lg[:, hit, col]
-    return first, logs
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _dual_sums(cs, rate, ns, logs):
-    """The dual side of rows with decay rates cs, summed through n = ns.
+def _dual_sums(cs, rate, n_cut, logs):
+    """The dual side of rows with decay rates cs, each summed over |n| <= N = n_cut.
 
     Poisson summation turns sigma_p = sum_{k>=1} k^(2p) exp(-c (k^2 - 1))
     into sigma_p = s_p * T_p, with s_p = (e^c / 2) sqrt(pi/c) / c^p and
@@ -290,21 +253,20 @@ def _dual_sums(cs, rate, ns, logs):
     d = _PI2 / cs
     sums = np.array([np.full(cs.size, 0.5), np.full(cs.size, 0.75)])
     shadow, err = sums.copy(), np.zeros((2, cs.size))
-    for m in range(1, int(ns.max(initial=0)) + 1):
-        on = np.flatnonzero(ns >= m)
-        x = d[on] * float(m * m)
+    for m in range(1, n_cut + 1):
+        x = d * float(m * m)
         e2 = 2.0 * _per_element(math.exp, -x)
         bracket = np.array([0.5 + x, (x + 3.0) * x + 0.75])
-        sums[:, on] += e2 * np.array([0.5 - x, (x - 3.0) * x + 0.75])
+        sums += e2 * np.array([0.5 - x, (x - 3.0) * x + 0.75])
         term_bar = e2 * bracket
-        shadow[:, on] += term_bar
-        err[:, on] += _gamma(np.ceil(9.0 * x) + _TERM_UNITS) * term_bar + 4.0 * _MIN_SUBNORMAL * bracket
+        shadow += term_bar
+        err += _gamma(np.ceil(9.0 * x) + _TERM_UNITS) * term_bar + 4.0 * _MIN_SUBNORMAL * bracket
     units = np.ceil(4.0 * cs) + _PREFACTOR_UNITS
     grow = (1.0 + _gamma(units)) * (1.0 + 2.0**-29)
-    rounding = grow * (_gamma(ns.astype(float)) * shadow + err + _gamma(units + 3.0) * np.abs(sums))
+    rounding = grow * (_gamma(float(n_cut)) * shadow + err + _gamma(units + 3.0) * np.abs(sums))
     settled = _converged(rounding[0], 0.5) & _converged(rounding[1], 0.75)
     g1, g2 = (_per_element(math.exp, lg) + _TINY for lg in logs)
-    a = ns + 1.0
+    a = n_cut + 1.0
     tails = np.array(_dual_tails(g1, g2, rate, a * a))
     scale2 = 0.5 * _per_element(math.exp, cs) * np.sqrt(math.pi / cs) / cs
     scales = np.array([scale2, scale2 / cs])
@@ -321,37 +283,22 @@ def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
     row takes the dual side iff its N is below its K and its rounding
     passes: N and K are where each series stops, the first n (k >= 2) whose
     closed-form tails pass _converged, the dual's against its means (as
-    criterion._time_side), the k side's against its partial sums.  Both run
-    in one sweep over columns j = 1, 2, ..., pairing n = j - 1 with k = j;
-    a row retires at the first column where either stops, the dual on a
-    tie.  A dual row whose rounding fails goes on with its k sums alone.
+    criterion._time_side), the k side's against its partial sums.
 
-    Column 1 is the dual's n = 0 alone.  Then the sweep covers every row at
-    once, one block of k columns per step for all active rows.  Blocks
-    double in width from 2 columns, so a block spans at most as many
-    columns past a row's stop as the sweep has already summed; they hold at
-    most _MAX_BLOCK (row, k) values (one column while more rows are
-    active), and never run past k = _K_MAX + 1, where a row still summing
-    raises as in the loop.  A block's k terms are one math.exp per value of
-    the float product -c*(k^2-1), and one np.cumsum along k over sigma2,
-    sigma4 and E stacked, each row started from its carried sums in column
-    0, adds them in k order: the left-to-right sum of a row-by-row loop.
-
-    The k side stops at the first k where exp(log_t4) and exp(log_t2) pass
-    _converged against sigma4 and sigma2 (both at least 1), with log_tp =
-    c + one_sided_gauss_tail_log(c, p, k + 1).  Before the tails, a
-    next-term screen: the first term past the block, at a = k_last + 1, is
-    a lower bound on every tail of the block, and the thresholds rise along
-    k, so a row whose next term fails the rule at the block's last column
-    cannot stop in this block.  Its exp is shaved by 1e-9 in log scale,
-    more than its own rounding while it is a normal double; a subnormal one
-    screens nothing.  One one_sided_gauss_tail_log call per block then
-    gives both tails at every k of the rows left, and one more the dual's
-    n-tails (_dual_stops, with its own screen).  After column 1 one float
-    tail call on the first row left (the smallest c) raises where the
-    loop's first k tail would; every larger c and later start has a
-    smaller tail ratio, so no array tail here fails.  A dual row whose
-    sums leave the double range raises, naming its b.
+    One loop over columns j = 1, 2, ... pairs n = j - 1 with k = j (column
+    1 is the dual's n = 0 alone) and runs on every active row.  Each
+    column adds the k = j term to sigma2, sigma4 and E, one math.exp of the
+    float product -c*(k^2-1) per row, as a row-by-row loop does; the k side
+    stops where exp(log_t4) and exp(log_t2) pass _converged against sigma4
+    and sigma2 (both at least 1), with log_tp = c +
+    one_sided_gauss_tail_log(c, p, k + 1), one array call for the column.
+    The dual's n-tails from n + 1 take one more call, on the rows it may
+    still win.  A row retires at the first column where either side stops,
+    the dual on a tie; a dual row whose rounding fails goes on with its k
+    sums alone, and one whose sums leave the double range raises, naming
+    its b.  A NaN k tail (the array call's mark where a float call raises)
+    never passes the rule, so it raises at once, as a row still summing
+    past k = _K_MAX + 1 does.
 
     Returns columns over the rows: dual (bool) and terms (K or N); sigma2,
     sigma4, e_partial, log_t2 and log_t4 on k rows, where the true sums
@@ -364,86 +311,54 @@ def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
     out["dual"], out["terms"] = np.zeros(n, bool), np.zeros(n, int)
     with np.errstate(over="ignore", divide="ignore"):
         rate = np.minimum(_PI2 / cs * (1.0 - 16.0 * _U), _MAX_DOUBLE)
-    idx = np.arange(n)
-    dual_open = np.ones(n, bool)
-
-    def settle(rows, ns, logs) -> np.ndarray:
-        """Records the dual rows among rows (positions in idx) whose rounding passes; returns that mask."""
-        at = idx[rows]
-        sigma2, sigma4, width2, width4, settled = _dual_sums(cs[at], rate[at], ns, logs)
-        with np.errstate(over="ignore", invalid="ignore"):  # _scan_columns forms 4 * (sigma4 + width4)
-            finite = np.isfinite(sigma2 + width2) & np.isfinite(4.0 * (sigma4 + width4))
-        if not finite[settled].all():
-            b = float(bs[at[settled & ~finite][0]])
-            raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
-        at = at[settled]
-        out["sigma2"][at], out["sigma4"][at] = sigma2[settled], sigma4[settled]
-        out["width2"][at], out["width4"][at] = width2[settled], width4[settled]
-        out["dual"][at], out["terms"][at] = True, ns[settled]
-        return settled
-
-    # column 1: the dual's n = 0
-    first, logs = _dual_stops(rate, np.zeros(1, int))
-    wins = np.flatnonzero(first == 0)
-    settled = settle(wins, np.zeros(wins.size, int), logs[:, wins])
-    dual_open[wins[~settled]] = False
-    keep = np.ones(n, bool)
-    keep[wins[settled]] = False
-    idx, dual_open = idx[keep], dual_open[keep]
-    if idx.size:
-        one_sided_gauss_tail_log(float(cs[idx[0]]), (1, 2), 3.0)
-    c, carry = cs[idx, None], np.array([np.ones(idx.size), np.ones(idx.size), np.zeros(idx.size)])
-    k, width = 2, 2
-    while idx.size:
-        ks = np.arange(k, min(k + min(width, max(1, _MAX_BLOCK // idx.size)), _K_MAX + 2))
-        width *= 2
-        k2 = (ks * ks).astype(float)
-        # the same float product c * (k^2 - 1) and math.exp as the scalar loop;
-        # a product past the largest double is inf, and exp(-inf) = 0
-        with np.errstate(over="ignore"):
-            x = -c * (ks * ks - 1)
-        w = _per_element(math.exp, x.ravel()).reshape(x.shape)
-        # sigma2, sigma4 and E stacked, each row's carried sums in column 0
-        sums = np.empty((3, idx.size, 1 + ks.size))
-        sums[:, :, 0] = carry
-        np.multiply(np.array([k2, k2 * k2, k2 * (k2 - 1.0)])[:, None, :], w, out=sums[:, :, 1:])
-        sums = np.cumsum(sums, axis=2, out=sums)[:, :, 1:]
-        # next-term screen: rows that cannot stop in this block skip the tails
-        a = float(ks[-1] + 1)
-        with np.errstate(over="ignore"):
-            nxt = np.exp(-c[:, 0] * (a * a - 1.0) - 1e-9)
-        hopeless = (nxt >= _MIN_NORMAL) & ~(
-            _converged(a * a * nxt, sums[0, :, -1]) & _converged(a**4 * nxt, sums[1, :, -1])
-        )
-        live = np.flatnonzero(~hopeless)
-        # one-sided tails of k^(2p) exp(-c k^2) from k+1, rescaled by e^c
-        lt = c[live] + np.array(one_sided_gauss_tail_log(c[live], (1, 2), ks + 1.0))
-        t2, t4 = np.exp(lt)
-        done = _converged(t4, sums[1, live]) & _converged(t2, sums[0, live])
-        k_first = np.full(idx.size, ks.size)
-        k_first[live] = np.where(done.any(axis=1), done.argmax(axis=1), ks.size)
-        # the dual's columns n = k - 1, for the rows it may still win
-        d_first, d_logs = np.full(idx.size, ks.size), np.empty((2, idx.size))
+    idx, dual_open = np.arange(n), np.ones(n, bool)
+    sums = np.array([np.ones(n), np.ones(n), np.zeros(n)])  # sigma2, sigma4 and E
+    for j in range(1, _K_MAX + 2):
+        if not idx.size:
+            break
+        k_stops, lt = np.zeros(idx.size, bool), np.zeros((2, idx.size))
+        if j > 1:
+            c = cs[idx]
+            k2 = float(j * j)
+            # a product past the largest double is inf, and exp(-inf) = 0
+            with np.errstate(over="ignore"):
+                w = _per_element(math.exp, -c * (j * j - 1))
+            sums += np.array([[k2], [k2 * k2], [k2 * (k2 - 1.0)]]) * w
+            # one-sided tails of k^(2p) exp(-c k^2) from k + 1, rescaled by e^c
+            lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), j + 1.0))
+            if np.isnan(lt).any():
+                raise PreconditionError("scan sums did not settle; c is too small")
+            t2, t4 = np.exp(lt)
+            k_stops = _converged(t4, sums[1]) & _converged(t2, sums[0])
+        dual_stops = np.zeros(idx.size, bool)
         rows = np.flatnonzero(dual_open)
         if rows.size:
-            first, d_logs[:, rows] = _dual_stops(rate[idx[rows]], ks - 1)
-            d_first[rows] = np.where(first >= 0, first, ks.size)
-        wins = np.flatnonzero((d_first < ks.size) & (d_first <= k_first))
-        settled = settle(wins, ks[d_first[wins]] - 1, d_logs[:, wins])
-        dual_open[wins[~settled]] = False
-        stops = k_first < ks.size
-        stops[wins[settled]] = False
-        rows = np.flatnonzero(stops)
-        at, col = idx[rows], k_first[rows]
-        out["sigma2"][at], out["sigma4"][at], out["e_partial"][at] = sums[:, rows, col]
-        out["log_t2"][at], out["log_t4"][at] = lt[:, np.searchsorted(live, rows), col]  # stopping rows are live
-        out["terms"][at] = ks[col]
-        keep = ~stops
-        keep[wins[settled]] = False
-        idx, dual_open, c, carry = idx[keep], dual_open[keep], c[keep], sums[:, keep, -1]
-        k = int(ks[-1]) + 1
-        if idx.size and k > _K_MAX + 1:
-            raise PreconditionError("scan sums did not settle; c is too small")
+            at = idx[rows]
+            logs = np.array(one_sided_gauss_tail_log(rate[at], (1, 2), float(j)))
+            tail2, tail4 = _dual_tails(*np.exp(logs), rate[at], float(j * j))
+            wins = _converged(tail2, 0.5) & _converged(tail4, 0.75)
+            rows, at, logs = rows[wins], at[wins], logs[:, wins]
+            sigma2, sigma4, width2, width4, settled = _dual_sums(cs[at], rate[at], j - 1, logs)
+            with np.errstate(over="ignore", invalid="ignore"):  # _scan_columns forms 4 * (sigma4 + width4)
+                finite = np.isfinite(sigma2 + width2) & np.isfinite(4.0 * (sigma4 + width4))
+            if not finite[settled].all():
+                b = float(bs[at[settled & ~finite][0]])
+                raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
+            dual_open[rows[~settled]] = False
+            dual_stops[rows[settled]] = True
+            at = at[settled]
+            out["sigma2"][at], out["sigma4"][at] = sigma2[settled], sigma4[settled]
+            out["width2"][at], out["width4"][at] = width2[settled], width4[settled]
+            out["dual"][at], out["terms"][at] = True, j - 1
+        k_stops &= ~dual_stops
+        at = idx[k_stops]
+        out["sigma2"][at], out["sigma4"][at], out["e_partial"][at] = sums[:, k_stops]
+        out["log_t2"][at], out["log_t4"][at] = lt[:, k_stops]
+        out["terms"][at] = j
+        keep = ~(k_stops | dual_stops)
+        idx, dual_open, sums = idx[keep], dual_open[keep], sums[:, keep]
+    if idx.size:
+        raise PreconditionError("scan sums did not settle; c is too small")
     return out
 
 

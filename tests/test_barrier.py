@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gaborcert import (
@@ -269,8 +269,8 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
     evaluated for 256 k-tail starts at a time: elementwise arithmetic, so
     the same bits as one call per k.
     """
-    if not c > 0.0:
-        one_sided_gauss_tail_log(c, (1, 2), 3.0)  # raises: no side sums c = 0
+    if not 0.0 < c < math.inf:
+        one_sided_gauss_tail_log(c, (1, 2), 3.0)  # raises: no side sums c = 0 or inf
     rate = min(PI2 / c * (1.0 - 16.0 * U), MAX_DOUBLE)
     dual_open = True
     sigma2 = 1.0
@@ -291,7 +291,8 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
                 tails.update(zip(ks, zip(*(side.tolist() for side in block))))
             log_t2, log_t4 = (c + side for side in tails[k])
             if math.isnan(log_t2) or math.isnan(log_t4):
-                one_sided_gauss_tail_log(c, (1, 2), float(k + 1))  # a NaN marks where the float call raises
+                # a NaN marks where a float call raises: the row cannot settle
+                raise PreconditionError("scan sums did not settle; c is too small")
         if dual_open:
             logs = _dual_logs(rate, k - 1)
             if _dual_stops(rate, k - 1, logs, tol):
@@ -380,7 +381,7 @@ SCAN_SHAPES = [(1e-3, 100.0, 250), (0.01, 100.0, 2026), (1e-3, 2e-3, 7), (0.3, 3
 
 @pytest.mark.parametrize(
     "b_min, b_max, steps, tol",
-    [(*shape, tol) for shape in SCAN_SHAPES for tol in (1e-2, 1e-8, 1e-12, 1e-14)],
+    [(*shape, tol) for shape in SCAN_SHAPES for tol in (1e-2, 1e-8, 1e-12, 1e-14, 1e-16)],
 )
 def test_scan_rows_bit_identical_to_loop(monkeypatch, b_min, b_max, steps, tol):
     # dataclass == compares every float with ==, so this is bitwise up to
@@ -439,8 +440,8 @@ def test_scan_failing_rows_raise_like_loop(b_min, b_max, error, match):
 
 # At tolerance 1e-16 the dual's rounding fails the rule, so both rows stay on
 # the k side: row 0, b = 0.056, settles at k = 46, row 1 (b = 0.112) at k = 23.
-# The blocks double from 2 columns: k = 2..3, 4..7, ..., 32..63, unless one is
-# cut at k = _K_MAX + 1, where the loop raises for a row still summing.
+# A row still summing past k = _K_MAX + 1 raises, as in the loop, so one that
+# stops at k = _K_MAX + 1 still settles.
 @pytest.mark.parametrize("k_max, settles", [(45, True), (44, False), (30, False), (2, False)])
 def test_scan_stops_at_k_max_inside_a_block(monkeypatch, k_max, settles):
     monkeypatch.setattr(barrier, "_K_MAX", k_max)
@@ -458,7 +459,29 @@ def test_scan_stops_at_k_max_inside_a_block(monkeypatch, k_max, settles):
     assert str(sweep_err.value) == str(loop_err.value)
 
 
-def test_scan_calls_tail_once_per_block(monkeypatch):
+def test_scan_raises_at_a_nan_k_tail(monkeypatch):
+    # at tolerance 1e-16 the dual's rounding fails, so row 0 (b = 1e-9, c =
+    # 6.3e-18) goes on with k, where the ratio exp(-6c) rounds to 1: its k
+    # tail from 3 is NaN, and the row raises in column 2 as the loop does,
+    # not after 10,000 futile columns
+    monkeypatch.setattr(criterion, "TAIL_TOL", 1e-16)
+    with pytest.raises(PreconditionError, match="did not settle") as loop_err:
+        loop_scan(1e-9, 1.0, 5, tol=1e-16)
+    starts = []
+    tail = barrier.one_sided_gauss_tail_log
+
+    def spy(c, p, a):
+        starts.append(a)
+        return tail(c, p, a)
+
+    monkeypatch.setattr(barrier, "one_sided_gauss_tail_log", spy)
+    with pytest.raises(PreconditionError, match="did not settle") as sweep_err:
+        h1_barrier_scan(1e-9, 1.0, 5)
+    assert str(sweep_err.value) == str(loop_err.value)
+    assert starts == [1.0, 3.0]
+
+
+def test_scan_calls_tail_once_per_column(monkeypatch):
     # at tolerance 1e-16 the dual's rounding fails the rule, so every row of
     # this scan sums on the k side, out to K = 259 at b = 0.01
     monkeypatch.setattr(criterion, "TAIL_TOL", 1e-16)
@@ -475,26 +498,28 @@ def test_scan_calls_tail_once_per_block(monkeypatch):
 
     monkeypatch.setattr(barrier, "one_sided_gauss_tail_log", spy)
     assert h1_barrier_scan(0.01, 100.0, steps) == expected
-    # k tails, at the rows' c: one float call checks the first row left after
-    # the dual's column n = 0 from tail start 3, then one array call per
-    # block evaluates every (c, k + 1) of the block's rows that pass the
-    # next-term screen; no pair but that first one is seen twice.  The screen
-    # takes this scan from 67,817 pairs to 19,805, where the row-by-row loop
-    # takes 56,383 (one per k per row).  The dual's tails, at the rates
-    # pi^2/c, take at most one call per block more, on pairs of their own
+    # k tails are at the rows' c from k + 1 in column j = k, the dual's at the
+    # rates pi^2/c from n + 1 = j; the k call comes first in its column
     bs = np.geomspace(0.01, 100.0, steps)
     cs = set((2.0 * math.pi * bs * bs).tolist())
-    k_calls = [call for call in calls if all(c in cs for c, _ in call)]
-    dual_calls = [call for call in calls if not any(c in cs for c, _ in call)]
-    assert len(k_calls) + len(dual_calls) == len(calls)
-    counts = collections.Counter(pair for call in k_calls for pair in call)
-    assert len(k_calls[0]) == 1
-    assert [pair for pair, n in counts.items() if n > 1] in ([], k_calls[0])
-    assert counts[k_calls[0][0]] <= 2
-    assert len(k_calls) <= 18
-    assert sum(map(len, k_calls)) <= 20_000
-    dual_pairs = [pair for call in dual_calls for pair in call]
-    assert len(dual_calls) <= len(k_calls) and len(set(dual_pairs)) == len(dual_pairs)
+    columns = []
+    for call in calls:
+        (start,) = {a for _, a in call}
+        if all(c in cs for c, _ in call):
+            columns.append((int(start) - 1, "k"))
+        else:
+            assert not any(c in cs for c, _ in call)
+            columns.append((int(start), "dual"))
+    assert columns == sorted(columns, key=lambda col: (col[0], col[1] == "dual"))
+    per_column = collections.Counter(columns)
+    k_max = int(expected.columns["terms"].max())
+    assert [per_column[(j, "k")] for j in range(1, k_max + 1)] == [0] + [1] * (k_max - 1)
+    assert max(per_column[(j, "dual")] for j in range(1, k_max + 1)) == 1
+    # every active row takes one k pair per column, none twice: the
+    # row-by-row loop's count, one per k >= 2 per row
+    counts = collections.Counter(pair for call in calls for pair in call if pair[0] in cs)
+    assert set(counts.values()) == {1}
+    assert len(counts) == int((expected.columns["terms"] - 1).sum())
 
 
 def test_scan_cli_builds_no_row_objects(monkeypatch, capsys):
@@ -529,22 +554,19 @@ def _scan_outcome(scan, *args):
     log_ratio=st.floats(min_value=0.0, max_value=6.0),
     steps=st.integers(min_value=2, max_value=20),
     tol=st.sampled_from([1e-2, 1e-8, 1e-12, 1e-14, 5e-324]),
-    max_block=st.sampled_from([barrier._MAX_BLOCK, 64, 20, 3]),
 )
-def test_scan_screen_matches_loop(b_exp, log_ratio, steps, tol, max_block):
-    # the next-term screens skip the tails of rows that cannot stop in a
-    # block.  They are least sure at small c, where a row's terms barely
-    # fall over a block, and most often tried where rows stop at a block's
-    # edge, which short blocks make common: every row must still take the
-    # loop's side and stop where the loop stops.  b_min spans the dual rows
-    # (c below about 2.4 at the default tolerance), the crossover and the
-    # k rows
+# c = 7.55e-18: math.exp(-6c) rounds to 1, where numpy's exp may not; scan and
+# loop share the array tails, and a row that cannot settle raises one error
+@example(b_exp=4, log_ratio=1.0, steps=2, tol=5e-324)
+def test_scan_screen_matches_loop(b_exp, log_ratio, steps, tol):
+    # every row must take the loop's side and stop where the loop stops, at
+    # any tolerance.  b_min spans the dual rows (c below about 2.4 at the
+    # default tolerance), the crossover and the k rows
     b_min = 1e-9 * 10.0 ** (b_exp / 100)  # log-uniform over [1e-9, 10]
     b_max = b_min * 10.0**log_ratio
     assume(b_min < b_max)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(criterion, "TAIL_TOL", tol)
-        mp.setattr(barrier, "_MAX_BLOCK", max_block)
         sweep = _scan_outcome(h1_barrier_scan, b_min, b_max, steps)
         assert sweep == _scan_outcome(loop_scan, b_min, b_max, steps, tol)
 
@@ -598,7 +620,7 @@ def test_dual_formulas_match_mpmath(c):
     # the float dual side through N = 4 encloses both sums at this c
     rate = math.pi * math.pi / c * (1.0 - 16.0 * U)
     logs = np.array(one_sided_gauss_tail_log(np.array([rate]), (1, 2), np.array([5.0])))
-    sigma2, sigma4, width2, width4, settled = barrier._dual_sums(np.array([c]), np.array([rate]), np.array([4]), logs)
+    sigma2, sigma4, width2, width4, settled = barrier._dual_sums(np.array([c]), np.array([rate]), 4, logs)
     assert settled[0]
     for value, width, truth in ((sigma2[0], width2[0], direct[0]), (sigma4[0], width4[0], direct[1])):
         assert value - width <= truth <= value + width
@@ -673,3 +695,13 @@ def test_scan_records_side_and_terms():
     assert terms[dual].max() == 2 and terms[~dual].max() == 3
     assert [(row.side, row.terms) for row in scan.rows[909:913]] == [("dual", 2), ("dual", 2), ("k", 3), ("k", 3)]
     assert scan.csv_text().splitlines()[0] == "b,delta0_low,delta0,delta0_high"
+    # from b = 1e-60 to 1e150 every row stops by the third column: a dual row
+    # N in column N + 1, a k row K in column K
+    for b_min, b_max, steps, sides in [
+        (1e-60, 0.1, 5000, {"dual"}),
+        (0.01, 100.0, 20000, {"dual", "k"}),
+        (1.0, 1e150, 5000, {"k"}),
+    ]:
+        columns = h1_barrier_scan(b_min, b_max, steps).columns
+        assert set(columns["side"].tolist()) == sides
+        assert np.where(columns["side"] == "dual", columns["terms"] + 1, columns["terms"]).max() <= 3
