@@ -21,14 +21,23 @@ permutation of it, with the same eigenvalues.  The orbits of r -> r + p
 are the residues mod gcd(p, n/q), so only the blocks r < gcd(p, n/q)
 are built and solved: gcd(p, n/q) (n/p) q^2 multiply-adds and
 gcd(p, n/q) eigensolves of q x q blocks, against n^2 q/p and n/q for all
-the blocks and n^3/p and n^3 for the dense S.  Real windows get real
+the blocks and n^3/p and n^3 for the dense S.  Samples that are exactly
+even or odd about index n//2, g[(c - i) mod n] = +-g[i] with c =
+2*(n//2), halve that again: under the reflection t -> -t, G_r[k, j] =
++-G_{r'}[-k, s - j] (k mod n/p, j mod q) where c - r = r' + (n/q) s with
+r' < n/q, so B_r is B_{r'} with its rows and columns permuted.  Blocks r
+and (c - r) mod gcd(p, n/q) form a mirror pair with one spectrum, and
+only the smaller of each pair is solved.  Real windows get real
 multiply-adds and a real symmetric eigensolve, complex ones complex
 arithmetic.
 
 The model represents the continuous system over a*Z x b*Z when a = p*h
 and b = q/(n*h); given targets (a, b), `snap_lattice` picks divisors p, q
 of n and the spacing h that spreads the snap error evenly over both
-axes, so both are scaled by the same factor rho = sqrt(p*q/(n*a*b)).
+axes, so both are scaled by the same factor rho = sqrt(p*q/(n*a*b)),
+and whose interval of n samples holds the window: a closed form's time
+envelope bounds the mass outside it, and only where that bound does not
+settle the question is the window probed there.
 
 The model is evidence, not proof: bounds carry the snapped lattice (and
 n) and never override the criterion.  Snapping deliberately refuses to
@@ -44,15 +53,22 @@ what the evidence speaks about.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, ParameterNotRepresentable, PreconditionError
+from .criterion import one_sided_gauss_tail_log
+from .errors import DegenerateError, GaborcertError, ParameterNotRepresentable, PreconditionError
 from .window import Window, dilate
 
 _WRAP_TOL = 1e-8  # relative l2 mass allowed outside the covered interval
+# the factor that pads an envelope bound on that mass outward: more than the
+# relative rounding of the samples (a few ulps times an exponent below 746)
+# and of the probe's sums, so a probe whose squares stay normal never reads
+# above a passing bound
+_WRAP_PAD = 1.0 + 1e-9
 _LENIENT_LOG_RHO = math.log(1.25)
 _EQUIV_RHO_TOL = 0.01
 _PERIODIZE_COPIES = 2
@@ -135,25 +151,46 @@ def _periodized(w: Window, n: int, spacing: float) -> np.ndarray:
 def _wrap_defect(w: Window, n: int, spacing: float) -> float:
     """The relative l2 mass the window carries outside the interval of n samples.
 
-    Probe mass beyond the covered interval against the mass of the central
+    Mass beyond the covered interval against the mass of the central
     samples: it measures how faithful the periodization at this spacing is.
-    One time_eval call covers the grid j*spacing for |j| <= n//2 +
-    ceil(16/spacing).  The central samples are the n points from j = -n//2,
-    the outside mass is at |j| > n//2, so for even n the point j = n//2 is
-    in neither.  A spacing below 32/_MAX_PROBE, whose probe would pass
-    _MAX_PROBE points, counts as not covering: the defect is then inf.
+    The central samples are the n points j*spacing from j = -n//2, the
+    outside mass is at |j| > n//2, so for even n the point j = n//2 is in
+    neither.  A closed form evaluates only the central samples and bounds
+    the outside mass by its time envelope |g(t)| <= A exp(-r t^2): twice
+    A^2 sum_(j > n//2) exp(-2 r h^2 j^2), by one_sided_gauss_tail_log,
+    padded outward by _WRAP_PAD.  Where that bound exceeds _WRAP_TOL, where
+    the envelope or the tail raises, and for sampled windows, one time_eval
+    call probes the grid for |j| <= n//2 + ceil(16/spacing) instead.  A
+    spacing below 32/_MAX_PROBE, whose probe would pass _MAX_PROBE points,
+    counts as not covering: the defect is then inf.
     """
     if spacing * _MAX_PROBE < 32.0:
         return math.inf
     half = n // 2
+    if w.form is not None:
+        inside = _inside_norm(w.time_eval(np.arange(-half, n - half) * spacing))
+        try:
+            envelope = w.form.envelope()
+            tail = one_sided_gauss_tail_log(2.0 * envelope.rate * spacing * spacing, 0, float(half + 1))
+        except GaborcertError:
+            pass
+        else:
+            bound = math.sqrt(2.0) * envelope.amplitude * math.exp(0.5 * tail) * _WRAP_PAD / inside
+            if bound <= _WRAP_TOL:
+                return bound
     reach = half + int(math.ceil(16.0 / spacing))
     j = np.arange(-reach, reach + 1)
     values = np.asarray(w.time_eval(j * spacing), dtype=complex)
-    inside = float(np.linalg.norm(values[reach - half : reach - half + n]))
-    if inside == 0.0:
-        raise PreconditionError("window vanishes on the sampling grid")
+    inside = _inside_norm(values[reach - half : reach - half + n])
     outside_sq = float(np.sum(np.abs(values[np.abs(j) > half]) ** 2))
     return math.sqrt(outside_sq) / inside
+
+
+def _inside_norm(values) -> float:
+    inside = float(np.linalg.norm(values))
+    if inside == 0.0:
+        raise PreconditionError("window vanishes on the sampling grid")
+    return inside
 
 
 def build_model(
@@ -209,14 +246,28 @@ def _frame_blocks(model: FiniteGaborModel, residues: np.ndarray) -> np.ndarray:
 def finite_frame_bounds(model: FiniteGaborModel) -> FrameBounds:
     """Smallest and largest eigenvalues of the (symmetrized) frame operator.
 
-    The eigenvalues are those of the gcd(p, n/q) blocks r < gcd(p, n/q),
-    one per time-shift orbit, solved in one batched call.  Zero floor:
+    The eigenvalues are those of the G = gcd(p, n/q) blocks r < G, one per
+    time-shift orbit.  When the samples are exactly even or odd about
+    index n//2, g[(c - i) % n] = +-g[i] with c = 2*(n//2), the reflection
+    t -> -t maps block r to a row and column permutation of block
+    (c - r) mod G, so only the representatives r <= (c - r) mod G are
+    solved; any other window solves all G.  One batched call.  Zero floor:
     with `low` the smallest eigenvalue and B the largest, `low <
     -1e-10*B` raises `DegenerateError`, `low <= n*eps*B` reports A = 0
     (an exactly singular operator comes out as rounding noise of either
     sign at that scale), and otherwise A = low.
     """
-    blocks = _frame_blocks(model, np.arange(math.gcd(model.p, model.n // model.q)))
+    n, g = model.n, model.window
+    c = 2 * (n // 2)
+    residues = np.arange(math.gcd(model.p, n // model.q))
+    # (c - i) mod n keeps sample 0 and reverses the others for even n, and
+    # reverses all of them for odd n; up to two orbits are their own mirrors
+    rest = g[1 - n % 2 :]
+    if len(residues) > 2 and (
+        (rest == rest[::-1]).all() or ((rest == -rest[::-1]).all() and (n % 2 or g[0] == 0))
+    ):
+        residues = residues[residues <= (c - residues) % len(residues)]
+    blocks = _frame_blocks(model, residues)
     upper_scale = float(np.max(np.abs(blocks)))
     adjoint = blocks.conj().transpose(0, 2, 1)
     asym = float(np.max(np.abs(blocks - adjoint)))
@@ -242,6 +293,17 @@ class SnapChoice:
     coverage: float
 
 
+@functools.lru_cache(maxsize=2 * MAX_DENSE_DIM)
+def _divisor_pairs(n: int, subcritical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The steps (p, q), divisors of n with p*q <= n, or p*q < n when subcritical."""
+    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+    products = divisors[:, None] * divisors
+    p, q = divisors[np.argwhere(products < n if subcritical else products <= n)].T
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
 def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapChoice:
     """Pick divisor steps (p, q) and a spacing representing a*Z x b*Z on n points.
 
@@ -251,28 +313,37 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
     interval (relative defect <= 1e-8) and, for subcritical targets,
     stay strictly below the critical product p*q = n.  Preference order:
     smallest |log rho|, then circumference nearest 16, then smallest p.
-    All pairs are scored in one array pass; the defect test then runs in
-    that order up to the first pass, the choice testing every pair makes.
+    The divisor pairs of each n are found once (_divisor_pairs).  One
+    array pass screens every pair by np.log and sorts them into groups
+    split where the screen gaps by more than 1e-9, far more than np.log
+    and math.log differ.  Group by group, best first, math.log orders the
+    pairs and the defect test runs in that order up to the first pass:
+    the choice testing every pair makes, near-ties included.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"lattice sides must be positive, got {a!r}, {b!r}")
     _check_dimension(n)
-    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
-    products = divisors[:, None] * divisors  # a subcritical target refuses p*q = n
-    p, q = divisors[np.argwhere(products < n if a * b < 1.0 - 1e-12 else products <= n)].T
+    p, q = _divisor_pairs(n, a * b < 1.0 - 1e-12)
     with np.errstate(divide="ignore", over="ignore"):
         spacing = np.sqrt(a * q / (b * p * n))
         rho = np.sqrt(p * q / (n * a * b))
-        # np.log screens the pairs, math.log (whose rounding ties hang on) decides
-        screen = (np.abs(np.log(rho)) < _LENIENT_LOG_RHO + 1e-9) & (0.0 < spacing) & (spacing < math.inf)
-    near = np.flatnonzero(screen)
+        # np.log screens and groups the pairs, math.log (whose rounding ties hang on) decides
+        screen = np.abs(np.log(rho))
+        near = np.flatnonzero((screen < _LENIENT_LOG_RHO + 1e-9) & (0.0 < spacing) & (spacing < math.inf))
     coverage = n * spacing
-    log_rho = np.abs(np.fromiter(map(math.log, rho[near].tolist()), float))
-    near, log_rho = near[log_rho <= _LENIENT_LOG_RHO], log_rho[log_rho <= _LENIENT_LOG_RHO]
-    log_cover = np.abs(np.fromiter(map(math.log, (coverage[near] / 16.0).tolist()), float))
-    for i in near[np.lexsort((p[near], log_cover, log_rho))].tolist():
-        if _wrap_defect(w, n, float(spacing[i])) <= _WRAP_TOL:
-            return SnapChoice(int(p[i]), int(q[i]), float(spacing[i]), float(rho[i]), float(coverage[i]))
+    near = near[np.argsort(screen[near])]
+    # a gap of 1e-9 in the screen is far more than np.log and math.log
+    # differ by, so no pair of a later group can score below one of this
+    edges = [0, *(np.flatnonzero(np.diff(screen[near]) > 1e-9) + 1).tolist(), len(near)]
+    for start, stop in zip(edges, edges[1:]):
+        scores = []
+        for i in near[start:stop].tolist():
+            log_rho = abs(math.log(rho[i]))
+            if log_rho <= _LENIENT_LOG_RHO:
+                scores.append((log_rho, abs(math.log(coverage[i] / 16.0)), p[i], i))
+        for *_, i in sorted(scores):
+            if _wrap_defect(w, n, float(spacing[i])) <= _WRAP_TOL:
+                return SnapChoice(int(p[i]), int(q[i]), float(spacing[i]), float(rho[i]), float(coverage[i]))
     raise ParameterNotRepresentable(
         f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "
         f"within {math.exp(_LENIENT_LOG_RHO):.3g}x while covering the window"

@@ -24,7 +24,7 @@ from gaborcert import (
 )
 from gaborcert import oracle
 from gaborcert.oracle import FiniteGaborModel, SnapChoice
-from gaborcert.window import chirp_window, dilate, gaussian, hermite
+from gaborcert.window import chirp_window, combine, dilate, gaussian, hermite, sample_grid, sampled_window
 
 
 def frame_operator(model: FiniteGaborModel) -> np.ndarray:
@@ -268,31 +268,29 @@ def test_real_block_bounds_match_complex_arithmetic(name, n, a, b):
     assert abs(bounds.A - max(low, 0.0)) <= tol
 
 
-# --- one block per time-shift orbit --------------------------------------------
+# --- one block per time-shift orbit, one per mirror pair ------------------------
 
 ORBIT_WINDOWS = {
     "gaussian": gaussian(),
     "hermite:3": hermite(3),
     "chirp(hermite:1)": chirp_window(hermite(1), 0.7),
 }
+# gcd(p, n/q) = 1, = n/q (p*q <= n keeps p <= n/q), and 3, 4, 3 of 6, 12, 45;
+# at odd n, 3 of 9, 9 of 9, 5 of 35 and 15 of 15
+ORBIT_STEPS = [
+    (36, 1, 6), (36, 12, 3), (48, 3, 8), (60, 4, 5), (360, 12, 8),
+    (45, 3, 5), (45, 9, 5), (105, 5, 3), (105, 15, 7),
+]
 
 
-@pytest.mark.parametrize("name", sorted(ORBIT_WINDOWS))
-@pytest.mark.parametrize(
-    # gcd(p, n/q) = 1, = n/q (p*q <= n keeps p <= n/q), and 3, 4, 3 of 6, 12, 45
-    "n,p,q", [(36, 1, 6), (36, 12, 3), (48, 3, 8), (60, 4, 5), (360, 12, 8)]
-)
-def test_blocks_share_the_spectrum_of_their_time_shift_orbit(monkeypatch, name, n, p, q):
-    # the time shift by p maps residue r to r + p mod n/q, so block r has the
-    # eigenvalues of block r mod gcd(p, n/q), and the bounds solve only those
-    model = build_model(ORBIT_WINDOWS[name], n, p, q, 0.3)
-    N = n // q
-    orbits = math.gcd(p, N)
-    blocks = oracle._frame_blocks(model, np.arange(N))
-    eigenvalues = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
-    B = float(np.max(eigenvalues))
-    tol = n * np.finfo(float).eps * B
-    assert float(np.max(np.abs(eigenvalues - eigenvalues[np.arange(N) % orbits]))) <= tol
+def _block_spectra(model):
+    """The eigenvalues of every block r < n/q, one row per block."""
+    blocks = oracle._frame_blocks(model, np.arange(model.n // model.q))
+    return np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().transpose(0, 2, 1)))
+
+
+def _solved_blocks(monkeypatch, model):
+    """finite_frame_bounds of the model, with the number of blocks it solved."""
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -301,8 +299,64 @@ def test_blocks_share_the_spectrum_of_their_time_shift_orbit(monkeypatch, name, 
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    bounds = finite_frame_bounds(model)
-    assert solved == [orbits]
+    try:
+        return finite_frame_bounds(model), solved
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_WINDOWS))
+@pytest.mark.parametrize("n,p,q", ORBIT_STEPS)
+def test_blocks_share_the_spectrum_of_their_time_shift_orbit(monkeypatch, name, n, p, q):
+    # the time shift by p maps residue r to r + p mod n/q, so block r has the
+    # eigenvalues of block r mod G, G = gcd(p, n/q); the reflection of these
+    # even or odd samples maps it to block (c - r) mod G, c = 2*(n//2), and
+    # the bounds solve one block per pair of orbits
+    model = build_model(ORBIT_WINDOWS[name], n, p, q, 0.3)
+    c = 2 * (n // 2)
+    mirror = model.window[(c - np.arange(n)) % n]
+    assert np.array_equal(mirror, model.window) or np.array_equal(mirror, -model.window)
+    N = n // q
+    orbits = math.gcd(p, N)
+    eigenvalues = _block_spectra(model)
+    B = float(np.max(eigenvalues))
+    tol = n * np.finfo(float).eps * B
+    assert float(np.max(np.abs(eigenvalues - eigenvalues[np.arange(N) % orbits]))) <= tol
+    assert float(np.max(np.abs(eigenvalues - eigenvalues[(c - np.arange(N)) % orbits]))) <= tol
+    bounds, solved = _solved_blocks(monkeypatch, model)
+    residues = np.arange(orbits)
+    assert solved == [int(np.sum(residues <= (c - residues) % orbits))]
+    assert solved[0] < orbits or orbits <= 2
+    assert abs(bounds.B - B) <= tol
+    assert abs(bounds.A - max(float(np.min(eigenvalues)), 0.0)) <= tol
+
+
+def _asymmetric_sampled():
+    t = sample_grid()
+    return sampled_window(t, np.exp(-math.pi * (t - 0.2) ** 2) * (1.0 + 0.5 * t))
+
+
+def _odd_but_for_sample_0(n, p, q):
+    """hermite:1 samples with sample 0, which t -> -t maps to itself for even n, not 0."""
+    model = build_model(hermite(1), n, p, q, 0.3)
+    samples = model.window.copy()
+    samples[0] = 0.3 * np.max(np.abs(samples))
+    return dataclasses.replace(model, window=samples / np.linalg.norm(samples))
+
+
+@pytest.mark.parametrize("name", ["combo:h0+0.4h1", "sampled, off centre", "odd but for sample 0"])
+@pytest.mark.parametrize("n,p,q", [(36, 12, 3), (45, 9, 5), (60, 4, 5)])
+def test_windows_without_mirror_symmetry_solve_every_orbit(monkeypatch, name, n, p, q):
+    if name.startswith("odd"):
+        model = _odd_but_for_sample_0(n, p, q)
+    else:
+        w = combine([(1.0, hermite(0)), (0.4, hermite(1))]) if name.startswith("combo") else _asymmetric_sampled()
+        model = build_model(w, n, p, q, 0.3)
+    eigenvalues = _block_spectra(model)
+    bounds, solved = _solved_blocks(monkeypatch, model)
+    assert solved == [math.gcd(p, n // q)]
+    B = float(np.max(eigenvalues))
+    tol = n * np.finfo(float).eps * B
     assert abs(bounds.B - B) <= tol
     assert abs(bounds.A - max(float(np.min(eigenvalues)), 0.0)) <= tol
 
@@ -345,7 +399,8 @@ def _divisors(n):
 def _exhaustive_snap(w, a, b, n):
     """Every candidate's wrap defect, best score kept; returns (choice, scores).
 
-    The reference rule as a loop over divisor pairs, with math.log."""
+    The reference rule as a loop over divisor pairs, with math.log.  A
+    score is (|log rho|, |log coverage/16|, p, spacing); p fixes the pair."""
     subcritical = a * b < 1.0 - 1e-12
     best, best_score, scores = None, None, []
     for p in _divisors(n):
@@ -359,7 +414,7 @@ def _exhaustive_snap(w, a, b, n):
             if abs(math.log(rho)) > oracle._LENIENT_LOG_RHO:
                 continue
             coverage = n * spacing
-            score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p)
+            score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p, spacing)
             scores.append(score)
             if oracle._wrap_defect(w, n, spacing) > oracle._WRAP_TOL:
                 continue
@@ -373,16 +428,20 @@ def _tie_prone_targets(n):
     """Targets whose scores tie, or nearly, in their leading keys.
 
     n*a*b an integer; n*a*b the geometric mean (equal |log rho|) and the
-    arithmetic mean of two neighbouring divisor-pair products; and (4, q) at
-    coverage 8, so that (1, 4q) of the same product sits at coverage 32."""
+    arithmetic mean of two neighbouring divisor-pair products; (4, q) at
+    coverage 8, so that (1, 4q) of the same product sits at coverage 32;
+    and a square target whose one pair within reach, (1, 1), sits 1e-12
+    past |log rho| = log 1.25, inside the np.log screen's slack."""
     products = sorted({p * q for p in _divisors(n) for q in _divisors(n) if p * q <= n})
     lo, hi = products[len(products) // 2 - 1 : len(products) // 2 + 1]
     q = max(d for d in _divisors(n // 4) if 16 * d <= n)
+    edge = (n * 1.5625 * (1.0 + 2e-12)) ** -0.5
     return [
         (0.4, (n // 3) / (0.4 * n)),
         (1.0, math.sqrt(lo * hi) / n),
         (1.0, (lo + hi) / (2.0 * n)),
         (32.0 / n, q / 8.0),
+        (edge, edge),
     ]
 
 
@@ -395,7 +454,7 @@ SNAP_WINDOWS = {
 SNAP_GRID = [
     (name, a, b, n)
     for name in SNAP_WINDOWS
-    for n in (36, 48, 240, 360, 480, 512)
+    for n in (36, 45, 48, 105, 240, 360, 480, 512)
     for a, b in [(0.5, 1.0), (1.0, 0.5), (2.0, 0.25), (0.3, 1.0), (0.75, 0.75), (0.9985, 1.0), (0.001, 0.001)]
     + _tie_prone_targets(n)
 ]
@@ -414,23 +473,27 @@ def _spy_defects(monkeypatch):
 
 
 def _ordered_snap(monkeypatch, w, a, b, n):
-    """The library search, with its number of defect evaluations."""
+    """The library search, with the spacings of its defect evaluations."""
     calls = _spy_defects(monkeypatch)
     try:
-        return snap_lattice(w, a, b, n), len(calls)
+        return snap_lattice(w, a, b, n), calls
     except ParameterNotRepresentable:
-        return None, len(calls)
+        return None, calls
     finally:
         monkeypatch.undo()
 
 
 def test_ordered_snap_matches_exhaustive_rule(monkeypatch):
-    fallthrough = ties = cover_ties = refused_after_wrap = refused_outright = 0
+    fallthrough = later_groups = ties = cover_ties = refused_after_wrap = refused_outright = 0
     for name, a, b, n in SNAP_GRID:
         w = SNAP_WINDOWS[name]
         expected, scores = _exhaustive_snap(w, a, b, n)
-        got, evaluations = _ordered_snap(monkeypatch, w, a, b, n)
+        got, calls = _ordered_snap(monkeypatch, w, a, b, n)
         assert got == expected, (name, a, b, n)
+        # the wrap tests run in the exhaustive rule's order, group after group
+        assert calls == [s[3] for s in scores[: len(calls)]], (name, a, b, n)
+        evaluations = len(calls)
+        later_groups += evaluations > 0 and scores[evaluations - 1][0] - scores[0][0] > 1e-9
         if got is not None:
             # Python scalars, not numpy ones: reports pass them to json.dumps
             assert [type(v) for v in dataclasses.astuple(got)] == [int, int, float, float, float]
@@ -446,10 +509,38 @@ def test_ordered_snap_matches_exhaustive_rule(monkeypatch):
         cover_ties += any(s[:2] == t[:2] and s[1] == math.log(2.0) for s, t in zip(scores, scores[1:]))
     # the grid exercises every branch of the rule
     assert fallthrough >= 3
+    assert later_groups >= 3
     assert ties >= 3
     assert cover_ties >= 1
     assert refused_after_wrap >= 1
     assert refused_outright >= 1
+
+
+class _NoisyLog:
+    """numpy, with np.log off by up to 1e-10 either way."""
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        out = np.log(x)
+        return out + self._rng.uniform(-1e-10, 1e-10, np.shape(out))
+
+
+def test_snap_groups_absorb_screen_rounding(monkeypatch):
+    # the groups split where the np.log screen jumps by more than 1e-9, so
+    # screen errors far above the ulps np.log and math.log differ by still
+    # leave every choice, and every wrap test's turn, to math.log
+    for name, a, b, n in SNAP_GRID:
+        w = SNAP_WINDOWS[name]
+        expected, scores = _exhaustive_snap(w, a, b, n)
+        monkeypatch.setattr(oracle, "np", _NoisyLog())
+        got, calls = _ordered_snap(monkeypatch, w, a, b, n)
+        assert got == expected, (name, a, b, n)
+        assert calls == [s[3] for s in scores[: len(calls)]], (name, a, b, n)
 
 
 def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss):
@@ -460,9 +551,9 @@ def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss
 
 
 def test_model_evaluates_the_window_once(gauss):
-    # snapping evaluates the wrap defect of the winning candidate only, on
-    # one grid from the probes below the central samples to the probes
-    # above them; the model, the five periodized copies
+    # snapping evaluates the wrap defect of the winning candidate only, and
+    # the gaussian's time envelope decides it from the n central samples;
+    # the model, the five periodized copies
     points = []
 
     def time_eval(t):
@@ -471,11 +562,58 @@ def test_model_evaluates_the_window_once(gauss):
 
     spy = dataclasses.replace(gauss, time_eval=time_eval)
     n = 240
-    choice = snap_lattice(gauss, 0.5, 1.0, n)
     model = model_for(spy, 0.5, 1.0, n)
-    probes = 2 * math.ceil(16.0 / choice.spacing)
-    assert points == [n + 1 + probes, 5 * n]
+    assert points == [n, 5 * n]
     np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)
+
+
+def _counted_defect(w, n, spacing):
+    """_wrap_defect of the window, with the sizes of its time_eval calls."""
+    points = []
+
+    def time_eval(t):
+        points.append(np.size(t))
+        return w.time_eval(t)
+
+    return oracle._wrap_defect(dataclasses.replace(w, time_eval=time_eval), n, spacing), points
+
+
+def _probe(w, n, spacing):
+    """The sampled probe alone: _wrap_defect of the window without its closed form."""
+    return oracle._wrap_defect(dataclasses.replace(w, form=None), n, spacing)
+
+
+def test_envelope_bound_passes_only_where_the_probe_passes():
+    # on every candidate spacing of the snap grid: where the envelope bound
+    # decides (one time_eval of the n central samples), the probe passes too
+    # and reads at most the bound; elsewhere the result is the probe's
+    decided = probed = 0
+    for name, a, b, n in SNAP_GRID:
+        w = SNAP_WINDOWS[name]
+        for score in _exhaustive_snap(w, a, b, n)[1]:
+            spacing = score[3]
+            defect, points = _counted_defect(w, n, spacing)
+            probe = _probe(w, n, spacing)
+            if points == [n]:
+                # a probe below 1e-150 sums subnormal squares, which lose digits
+                assert probe <= max(defect, 1e-150) and defect <= oracle._WRAP_TOL, (name, n, spacing)
+                decided += 1
+            else:
+                assert defect == probe, (name, n, spacing)
+                probed += 1
+    assert decided >= 1000
+    assert probed >= 10
+
+
+def test_window_whose_bound_fails_runs_the_probe():
+    # the envelope of a wide sixth Hermite function overstates its tail:
+    # at n = 36, spacing 1 the bound reads above 1e-8 and the probe below
+    w = dilate(hermite(6), 6.0)
+    n, spacing = 36, 1.0
+    defect, points = _counted_defect(w, n, spacing)
+    assert points == [n, n + 1 + 2 * math.ceil(16.0 / spacing)]
+    assert defect == _probe(w, n, spacing)
+    assert defect <= oracle._WRAP_TOL
 
 
 def test_periodized_copies_sum_as_a_loop_does(gauss, h1):
