@@ -24,20 +24,19 @@ below about 2.4 at the default tolerance, where the k side needs up to
 K = 228 at b = 0.01 and the dual N <= 2).  A row takes the dual side iff
 its N is below its K and the dual's derived rounding bound passes the
 criterion's stopping rule, as criterion._time_side decides for profiles;
-there is no crossover constant.  Dual rows carry that bound, so their
-enclosures are two-sided and contain the exact value; k rows keep the
-bits of the row-by-row loop, which carries none.
+there is no crossover constant.  Both sides carry a derived rounding
+bound, and every row's enclosure goes through one rule, so each contains
+the exact value.
 
 The scan sums every dilation row at once, one column per step (n = j - 1
 paired with k = j) for all active rows: one math.exp per row and one
 add per sum, so every row is still summed left to right, and one
 one_sided_gauss_tail_log call per side for the column's tails.  A row
 retires at the first column where either side's closed-form tails pass
-the criterion's stopping rule, tail <= 1e-12 * value, the rule a
-row-by-row loop stops on; at that tolerance every row stops by the third
-column.  Rows, and the CSV written from them, are bit-identical to that
-loop's, with memory proportional to the row count; the scan keeps them
-as columns and makes row objects only on request.
+the criterion's stopping rule, tail <= 1e-12 * value; at that tolerance
+every row stops by the third column.  The scan keeps its rows as
+columns, with memory proportional to the row count, and makes row
+objects only on request.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ import numpy as np
 
 from .criterion import (
     _MAX_DOUBLE,
-    _MIN_SUBNORMAL,
     _TINY,
     _U,
     _converged,
     _enclose,
+    _from_log,
     _gamma,
     delta_g,
     one_sided_gauss_tail_log,
@@ -73,6 +72,9 @@ _K_MAX = 10_000  # a row whose sums have not settled past this k raises
 _PI2 = math.pi * math.pi
 _TERM_UNITS = np.array([[12.0], [22.0]])
 _PREFACTOR_UNITS = np.array([[13.0], [17.0]])
+# The k side (_scaled_sums): the rounding units of a term k >= 2 of sigma_1
+# and sigma_2, less ceil(5 x) for its exponent x = c (k^2 - 1).
+_K_TERM_UNITS = np.array([[4.0], [5.0]])
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,9 @@ class BarrierScanRow:
     """One dilation step of the closed-form scan.
 
     log_gap_lb is a certified log lower bound on 1/2 - delta0; strict
-    records that delta0 < 1/2 is proven for the row: on the k side its
-    enclosure's upper end is below 1/2, on the dual side E has a positive
-    certified lower bound.  side is "k" or "dual", the series that summed
-    the row, and terms its cutoff there: K (terms k = 1..K) or N (|n| <= N).
+    records that delta0 < 1/2 is proven for the row, log_gap_lb > -inf.
+    side is "k" or "dual", the series that summed the row, and terms its
+    cutoff there: K (terms k = 1..K) or N (|n| <= N).
     """
 
     b: float
@@ -260,7 +261,7 @@ def _dual_sums(cs, rate, n_cut, logs):
         sums += e2 * np.array([0.5 - x, (x - 3.0) * x + 0.75])
         term_bar = e2 * bracket
         shadow += term_bar
-        err += _gamma(np.ceil(9.0 * x) + _TERM_UNITS) * term_bar + 4.0 * _MIN_SUBNORMAL * bracket
+        err += _gamma(np.ceil(9.0 * x) + _TERM_UNITS) * term_bar + 4.0 * _TINY * bracket
     units = np.ceil(4.0 * cs) + _PREFACTOR_UNITS
     grow = (1.0 + _gamma(units)) * (1.0 + 2.0**-29)
     rounding = grow * (_gamma(float(n_cut)) * shadow + err + _gamma(units + 3.0) * np.abs(sums))
@@ -275,61 +276,75 @@ def _dual_sums(cs, rate, n_cut, logs):
     return sigma2, sigma4, width2, width4, settled
 
 
+# c (k^2 - 1), pi^2/c (for a subnormal c) and a dual row's sums may pass the
+# largest double: exp(-inf) = 0, and the column loop checks the dual sums
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
     """Each row's sums on the side the rule picks, per finite positive c, as columns over the rows.
 
-    The k side sums k^(2p) * exp(-c*(k^2-1)) for p = 1, 2 outward in k;
-    the dual side sums the Poisson dual of the same sums (_dual_sums).  A
-    row takes the dual side iff its N is below its K and its rounding
-    passes: N and K are where each series stops, the first n (k >= 2) whose
-    closed-form tails pass _converged, the dual's against its means (as
-    criterion._time_side), the k side's against its partial sums.
+    The k side sums k^(2p) exp(-c (k^2 - 1)), p = 1, 2, outward in k; the
+    dual side sums their Poisson dual (_dual_sums).  N and K are where each
+    series stops, the first n (k >= 2) whose closed-form tails pass
+    _converged, the dual's against its means (as criterion._time_side), the
+    k side's against its partial sums; a row takes the dual iff its N is
+    below its K and its rounding passes.
 
     One loop over columns j = 1, 2, ... pairs n = j - 1 with k = j (column
-    1 is the dual's n = 0 alone) and runs on every active row.  Each
-    column adds the k = j term to sigma2, sigma4 and E, one math.exp of the
-    float product -c*(k^2-1) per row, as a row-by-row loop does; the k side
-    stops where exp(log_t4) and exp(log_t2) pass _converged against sigma4
-    and sigma2 (both at least 1), with log_tp = c +
-    one_sided_gauss_tail_log(c, p, k + 1), one array call for the column.
-    The dual's n-tails from n + 1 take one more call, on the rows it may
-    still win.  A row retires at the first column where either side stops,
-    the dual on a tie; a dual row whose rounding fails goes on with its k
-    sums alone, and one whose sums leave the double range raises, naming
-    its b.  A NaN k tail (the array call's mark where a float call raises)
-    never passes the rule, so it raises at once, as a row still summing
-    past k = _K_MAX + 1 does.
+    1 is the dual's n = 0 alone) on every active row: one math.exp of the
+    float product x = c (k^2 - 1) per row adds the k = j term, and one
+    array call one_sided_gauss_tail_log(c, p, k + 1) gives the k tails,
+    log_tp once rescaled by e^c; the dual's n-tails from n + 1 take one
+    more call, on the rows it may still win.  A row retires at the first
+    column where either side stops, the dual on a tie; a dual row whose
+    rounding fails goes on with k alone, and one whose sums leave the
+    double range raises, naming its b.  A NaN k tail (where a float call
+    raises) raises at once, as a row summing past k = _K_MAX + 1 does.
 
-    Returns columns over the rows: dual (bool) and terms (K or N); sigma2,
-    sigma4, e_partial, log_t2 and log_t4 on k rows, where the true sums
-    lie in [sigma_p, sigma_p + exp(log_t_p)] and E = sum k^2 (k^2-1)
-    exp(-c*(k^2-1)) >= e_partial; sigma2, sigma4, width2 and width4 on
-    dual rows (_dual_sums).
+    k-side rounding, against the exact sums at the exact c = 2 pi b^2, as in
+    _dual_sums: c carries 3 units (pi, two products) and x one more, which
+    moves exp(-x) by exp(gamma_4 x) - 1 <= gamma_ceil(5x) (x <= 746; past
+    it exp(-x) is 0).  math.exp adds 2 units, the product by k^(2p) 1 or 2
+    (k^4 rounds past 2^53), and one more reads the bound off the computed
+    term; a term that underflows errs by at most 2 * 2^-1074 k^(2p).  The
+    first term is exactly 1.  At the stop K, rounding_p = gamma_(K+2)
+    sigma_p plus the term errors: gamma_(K-1) for the adds, one unit for
+    reading it off the computed sigma_p, one for the end's add or subtract
+    and the bound's own (second-order) rounding.  The true tail is at most
+    exp(log_tp) padded by gamma_3 c (a^2 + 1), a = K + 1, for c's rounding
+    (in the peel -c a^2 and the rescale e^c; (a + j)^2 >= a^2 + 2aj leaves
+    c j^2 to absorb it in the geometric ratio) and by 4u |log_tp| for the
+    adds, through criterion._from_log.  Only up_p is padded: the stopping
+    rule reads the logs as they are.
+
+    Returns columns over the rows: dual (bool), terms (K or N), and sigma,
+    down and up, one row each for p = 1, 2, where the true sums lie in
+    [sigma_p - down_p, sigma_p + up_p].  down_p is the rounding and up_p
+    the rounding plus the tail on k rows; both are _dual_sums' width_p on
+    dual rows.
     """
     n = cs.size
-    out = {name: np.zeros(n) for name in ("sigma2", "sigma4", "e_partial", "log_t2", "log_t4", "width2", "width4")}
+    out = {name: np.zeros((2, n)) for name in ("sigma", "down", "up")}
     out["dual"], out["terms"] = np.zeros(n, bool), np.zeros(n, int)
-    with np.errstate(over="ignore", divide="ignore"):
-        rate = np.minimum(_PI2 / cs * (1.0 - 16.0 * _U), _MAX_DOUBLE)
+    rate = np.minimum(_PI2 / cs * (1.0 - 16.0 * _U), _MAX_DOUBLE)
     idx, dual_open = np.arange(n), np.ones(n, bool)
-    sums = np.array([np.ones(n), np.ones(n), np.zeros(n)])  # sigma2, sigma4 and E
+    sums, err = np.ones((2, n)), np.zeros((2, n))  # sigma2 and sigma4, and their term roundings
     for j in range(1, _K_MAX + 2):
         if not idx.size:
             break
+        c = cs[idx]
         k_stops, lt = np.zeros(idx.size, bool), np.zeros((2, idx.size))
         if j > 1:
-            c = cs[idx]
             k2 = float(j * j)
-            # a product past the largest double is inf, and exp(-inf) = 0
-            with np.errstate(over="ignore"):
-                w = _per_element(math.exp, -c * (j * j - 1))
-            sums += np.array([[k2], [k2 * k2], [k2 * (k2 - 1.0)]]) * w
+            powers = np.array([[k2], [k2 * k2]])
+            x = c * (j * j - 1)
+            terms = powers * _per_element(math.exp, -x)
+            sums += terms
+            err += _gamma(np.ceil(5.0 * np.minimum(x, 746.0)) + _K_TERM_UNITS) * terms + 2.0 * _TINY * powers
             # one-sided tails of k^(2p) exp(-c k^2) from k + 1, rescaled by e^c
             lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), j + 1.0))
             if np.isnan(lt).any():
                 raise PreconditionError("scan sums did not settle; c is too small")
-            t2, t4 = np.exp(lt)
-            k_stops = _converged(t4, sums[1]) & _converged(t2, sums[0])
+            k_stops = _converged(np.exp(lt), sums).all(axis=0)
         dual_stops = np.zeros(idx.size, bool)
         rows = np.flatnonzero(dual_open)
         if rows.size:
@@ -339,78 +354,54 @@ def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
             wins = _converged(tail2, 0.5) & _converged(tail4, 0.75)
             rows, at, logs = rows[wins], at[wins], logs[:, wins]
             sigma2, sigma4, width2, width4, settled = _dual_sums(cs[at], rate[at], j - 1, logs)
-            with np.errstate(over="ignore", invalid="ignore"):  # _scan_columns forms 4 * (sigma4 + width4)
-                finite = np.isfinite(sigma2 + width2) & np.isfinite(4.0 * (sigma4 + width4))
+            finite = np.isfinite(sigma2 + width2) & np.isfinite(4.0 * (sigma4 + width4))  # as _scan_columns forms them
             if not finite[settled].all():
                 b = float(bs[at[settled & ~finite][0]])
                 raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
             dual_open[rows[~settled]] = False
             dual_stops[rows[settled]] = True
             at = at[settled]
-            out["sigma2"][at], out["sigma4"][at] = sigma2[settled], sigma4[settled]
-            out["width2"][at], out["width4"][at] = width2[settled], width4[settled]
+            out["sigma"][:, at] = sigma2[settled], sigma4[settled]
+            out["down"][:, at] = out["up"][:, at] = width2[settled], width4[settled]
             out["dual"][at], out["terms"][at] = True, j - 1
         k_stops &= ~dual_stops
         at = idx[k_stops]
-        out["sigma2"][at], out["sigma4"][at], out["e_partial"][at] = sums[:, k_stops]
-        out["log_t2"][at], out["log_t4"][at] = lt[:, k_stops]
-        out["terms"][at] = j
+        out["sigma"][:, at], out["terms"][at] = sums[:, k_stops], j
+        out["down"][:, at] = rounding = _gamma(j + 2.0) * sums[:, k_stops] + err[:, k_stops]
+        lt = lt[:, k_stops]
+        lt_up = np.maximum(lt * (1.0 - 4.0 * _U), lt * (1.0 + 4.0 * _U)) + _gamma(4.0) * c[k_stops] * ((j + 1.0) ** 2 + 1.0)
+        out["up"][:, at] = rounding + _from_log(lt_up)
         keep = ~(k_stops | dual_stops)
-        idx, dual_open, sums = idx[keep], dual_open[keep], sums[:, keep]
+        idx, dual_open, sums, err = idx[keep], dual_open[keep], sums[:, keep], err[:, keep]
     if idx.size:
         raise PreconditionError("scan sums did not settle; c is too small")
     return out
 
 
 def _scan_columns(bs, cs, s) -> dict[str, np.ndarray]:
-    """The scan's columns from _scaled_sums, with the float operations of a per-row loop.
+    """The scan's columns from _scaled_sums, one rule for every row.
 
-    math.log and math.exp go per element, np.sqrt and np.minimum are
-    correctly rounded like math.sqrt and min; the first non-strict row in
-    b order raises.
+    _enclose turns the ends of the sums into delta0's enclosure, clamped at
+    1/2.  1/2 - delta0 >= E / (4 S_2'), and E = S_2' - S_1' is at least the
+    gap of the ends and its first term 12 exp(-3c): log_gap_lb takes the
+    larger, and a row is strict where it is finite; the first non-strict row
+    in b order raises.  math.log goes per element, as in a per-row loop.
     """
-    n = cs.size
-    low, delta0, high, log_gap_lb = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    strict = np.empty(n, bool)
-    k, dual = np.flatnonzero(~s["dual"]), np.flatnonzero(s["dual"])
-
-    # k rows: the sums are lower bounds, and exp(log_t_p) bounds what they miss
-    c, sigma2, sigma4, e_partial = cs[k], s["sigma2"][k], s["sigma4"][k], s["e_partial"][k]
-    log_t2, log_t4 = s["log_t2"][k], s["log_t4"][k]
-    # haircut: exponent arguments c*(k^2-1) round before exp, so the float
-    # path can overstate E by ~ulp(c); shaving a c-proportional sliver in
-    # log scale keeps the bound one-sided for any dilation
-    pad = 1e-13 + 1e-12 * c
-    positive = e_partial > 0.0
-    with np.errstate(over="ignore"):  # 3c overflows to inf like a float product
-        log_e_lb = _LOG12 - 3.0 * c - pad  # first term, k = 2, survives any underflow
-    log_e_lb[positive] = _per_element(math.log, e_partial[positive]) - pad[positive]
-    t2 = _per_element(math.exp, log_t2)
-    t4 = _per_element(math.exp, log_t4)
-    delta0[k] = 0.5 * np.sqrt(sigma2 / sigma4)
-    low[k] = 0.5 * np.sqrt(sigma2 / (sigma4 + t4))
-    high[k] = np.minimum(0.5 * np.sqrt((sigma2 + t2) / sigma4), 0.5)
-    # 1/2 - delta >= (1/4 - delta^2) = E / (4 S_2') at the true sums
-    log_gap_lb[k] = log_e_lb - _per_element(math.log, 4.0 * (sigma4 + t4))
-    strict[k] = log_t2 < log_e_lb
-
-    # dual rows: the sums lie within -+ width, and E = S_2' - S_1' >= both
-    # the gap of their ends and its first term 12 exp(-3c)
-    c, sigma2, sigma4, width2, width4 = cs[dual], s["sigma2"][dual], s["sigma4"][dual], s["width2"][dual], s["width4"][dual]
-    sigma4_high = sigma4 + width4
-    delta0[dual], low[dual], high[dual] = _enclose(sigma2, sigma2 - width2, sigma2 + width2, sigma4, sigma4 - width4, sigma4_high)
-    high[dual] = np.minimum(high[dual], 0.5)
+    (sigma2, sigma4), (down2, down4), (up2, up4) = s["sigma"], s["down"], s["up"]
+    sigma4_high = sigma4 + up4
+    delta0, low, high = _enclose(sigma2, sigma2 - down2, sigma2 + up2, sigma4, sigma4 - down4, sigma4_high)
+    high = np.minimum(high, 0.5)
     # (S_2' - S_1') / (4 S_2') from below: three roundings, each within u
-    ratio = ((sigma4 - width4) - (sigma2 + width2)) / (4.0 * sigma4_high) * (1.0 - 4.0 * _U)
-    from_ends = np.full(dual.size, -math.inf)
+    ratio = ((sigma4 - down4) - (sigma2 + up2)) / (4.0 * sigma4_high) * (1.0 - 4.0 * _U)
+    from_ends = np.full(cs.size, -math.inf)
     positive = ratio > 0.0
     log_ratio = _per_element(math.log, ratio[positive])  # within one ulp, 2u |log|
     from_ends[positive] = log_ratio - 4.0 * _U * np.abs(log_ratio)
     log_s4 = _per_element(math.log, 4.0 * sigma4_high)
-    from_first = _LOG12 - 3.0 * c - log_s4 - (1e-13 + 1e-12 * c + 4.0 * _U * np.abs(log_s4))
-    log_gap_lb[dual] = np.maximum(from_ends, from_first)
-    strict[dual] = log_gap_lb[dual] > -math.inf
-
+    with np.errstate(over="ignore"):  # 3c overflows to inf like a float product
+        from_first = _LOG12 - 3.0 * cs - log_s4 - (1e-13 + 1e-12 * cs + 4.0 * _U * np.abs(log_s4))
+    log_gap_lb = np.maximum(from_ends, from_first)
+    strict = log_gap_lb > -math.inf
     if not strict.all():
         b = float(bs[np.argmin(strict)])
         raise PreconditionError(f"tail bound swamped the strictness margin at b = {b!r}")
@@ -435,10 +426,9 @@ def h1_barrier_scan(b_min: float, b_max: float, steps: int) -> BarrierScan:
     bs = np.geomspace(b_min, b_max, steps)
     with np.errstate(over="ignore"):  # c = inf past b ~ 1e154; such rows raise below
         cs = 2.0 * math.pi * bs * bs
-    # c rounds to 0 below b ~ 1e-162 and to inf above b ~ 1e154, and neither
-    # side can sum such a row; c grows with b, so the first row with c = 0
-    # comes first and raises the float tail call's error, and the first row
-    # with c = inf raises it after the finite rows
+    # c rounds to 0 below b ~ 1e-162 and to inf above b ~ 1e154, where no
+    # side can sum the row; c grows with b, so a row with c = 0 comes first
+    # and raises the float tail call's error, and c = inf after the others
     if cs[0] == 0.0:
         one_sided_gauss_tail_log(0.0, (1, 2), 3.0)
     finite = int(np.searchsorted(cs, math.inf))

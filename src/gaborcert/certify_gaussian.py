@@ -22,7 +22,7 @@ safely below the criterion's actual minimum but above 0.9985.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DivergentSeriesError, PreconditionError
 
@@ -61,14 +61,7 @@ class GaussianCertificate:
     certified_delta: float
 
     def as_dict(self) -> dict:
-        return {
-            "tail0": self.tail0,
-            "tail1": self.tail1,
-            "numerator_lb": self.numerator_lb,
-            "denominator_ub": self.denominator_ub,
-            "ratio_lb": self.ratio_lb,
-            "certified_delta": self.certified_delta,
-        }
+        return asdict(self)
 
 
 def gaussian_certificate() -> GaussianCertificate:

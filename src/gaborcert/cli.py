@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -141,17 +142,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         verdict = certify_rect(w, args.a, args.b, grid_points=args.grid_points)
     else:
         raise PreconditionError("certify needs --delta, or both --a and --b")
-    payload = {
-        "schema": SCHEMA_VERDICT,
-        "status": verdict.status,
-        "window": verdict.window,
-        "delta": verdict.delta,
-        "min_delta_g": verdict.min_delta_g,
-        "margin": verdict.margin,
-        "rigorous": verdict.rigorous,
-        "grid_points": verdict.grid_points,
-        "tail_tol": TAIL_TOL,
-    }
+    payload = {"schema": SCHEMA_VERDICT, **dataclasses.asdict(verdict), "tail_tol": TAIL_TOL}
     _emit_json(payload, args.out)
     return EXIT_OK
 

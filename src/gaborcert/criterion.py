@@ -55,9 +55,10 @@ FLOOR_GUARD = 1e-30
 
 DEFAULT_GRID_POINTS = 1001
 
-# Smallest positive double; used to clamp log-space tail bounds that
-# underflow, so a reported bound is never below the true tail.
-_TINY = 5e-324
+# Smallest positive double, 2^-1074: it clamps log-space tail bounds that
+# underflow, so a reported bound is never below the true tail, and it is the
+# absolute rounding of a subnormal result.
+_TINY = 2.0**-1074
 _LOG_TINY = math.log(_TINY)
 
 # Windows without a decay envelope: a sum still 0 scans on to the first cutoff
@@ -76,7 +77,6 @@ _MAX_CUTOFF = 100_000
 _U = 2.0**-53
 _TERM_ULPS = 32
 _EXP_ULPS = 8
-_MIN_SUBNORMAL = 2.0**-1074
 _MAX_DOUBLE = float(np.finfo(float).max)
 
 # The sweep engine evaluates each cutoff step's new terms for blocks of rows
@@ -214,10 +214,9 @@ def _rounding_budget(value, weighted, n_terms: int, p: int):
     the n_terms = 2K + 1 terms; n_terms * (1 + (K + 1)^2)^p * 2^-1074 covers
     them all, with room to spare.
     """
-    gamma = n_terms * _U / (1.0 - n_terms * _U)
     reach = 0.5 * (n_terms + 1)  # K + 1
-    underflow = n_terms * (1.0 + reach * reach) ** p * _MIN_SUBNORMAL
-    return (gamma + _TERM_ULPS * _U) * value + _EXP_ULPS * _U * weighted + underflow
+    underflow = n_terms * (1.0 + reach * reach) ** p * _TINY
+    return (_gamma(n_terms) + _TERM_ULPS * _U) * value + _EXP_ULPS * _U * weighted + underflow
 
 
 @dataclass(frozen=True)
@@ -693,7 +692,7 @@ class _DualSeries:
             gamma_t = _gamma(2 * (units + shift_units) + 5 + deg)
             gamma_p = _gamma(p_units + (2, 5)[p])
             relative = pref[p] * (1.0 + gamma_p) * (gamma_t * (1.0 + gamma_t) * total_bar[p] + (gamma_p + _U) * abs(total[p]))
-            underflow = _MIN_SUBNORMAL * (1.0 + 2.0 * (2.0 + root) * (abs(total[p]) + total_bar[p]))
+            underflow = _TINY * (1.0 + 2.0 * (2.0 + root) * (abs(total[p]) + total_bar[p]))
             bound.append(relative + underflow)
         return np.array(pref) * total, np.array(bound)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class IwasawaFactors:
         return Lattice2D(basis=basis)
 
     def as_dict(self) -> dict:
-        return {"scale": self.scale, "r": self.r, "q": self.q, "a": self.a}
+        return asdict(self)
 
 
 def iwasawa(L: Lattice2D) -> IwasawaFactors:

@@ -23,7 +23,7 @@ from gaborcert import (
 )
 from gaborcert.barrier import BarrierScan, BarrierScanRow
 from gaborcert.cli import main
-from gaborcert.criterion import _enclose, one_sided_gauss_tail_log
+from gaborcert.criterion import _enclose, _from_log, one_sided_gauss_tail_log
 from gaborcert.errors import DivergentSeriesError, NumericalError
 
 
@@ -58,12 +58,15 @@ def mp_dual_sums(c):
 
 def mp_scan_truth(b):
     """(delta0, log of 1/2 - delta0) at 60 digits for the b-dilate of hermite:1, from the
-    dual sums below c = 1 (mp_dual_sums) and the k sums above."""
+    dual sums below c = 1 (mp_dual_sums) and the k sums above.  The gap is x / (2 (1 +
+    sqrt(1 - x))) with x = E / sigma_2, and above c = 1 E = sigma_2 - sigma_1 is summed
+    termwise: the difference of the sums would cancel to ~1e-8 at b = 2.5."""
     with mpmath.workdps(60):
         c = 2 * mpmath.pi * mpmath.mpf(b) ** 2
         s2, s4 = (mp_dual_sums if c < 1 else mp_direct_sums)(c)
-        delta0 = mpmath.sqrt(s2 / s4) / 2
-        return delta0, mpmath.log(mpmath.mpf("0.5") - delta0)
+        e = s4 - s2 if c < 1 else mpmath.fsum(k * k * (k * k - 1) * mpmath.exp(-c * (k * k - 1)) for k in range(2, 40))
+        x = e / s4
+        return mpmath.sqrt(s2 / s4) / 2, mpmath.log(x / (2 * (1 + mpmath.sqrt(1 - x))))
 
 
 def test_delta_at_zero_h1_matches_oracle(h1):
@@ -101,7 +104,9 @@ def test_scan_saturates_at_large_dilation():
     assert row.delta0_high <= 0.5
 
 
-@pytest.mark.parametrize("b", [1.0, 1.2, 10.0])
+# at b = 6.2866 (c = 248.3) E's first term 12 exp(-3c) is subnormal, where a
+# float partial sum of E overstated the gap by 0.53 nats
+@pytest.mark.parametrize("b", [1.0, 1.2, 6.28665912250651, 10.0])
 def test_log_gap_certifies_true_gap(b):
     row = h1_barrier_scan(b, 2.0 * b, 2).rows[0]
     # cancellation-free gap: 1/2 - delta = x / (2*(1 + sqrt(1 - x)))
@@ -262,8 +267,8 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
     Column j = 1, 2, ... pairs the dual's n = j - 1 with k = j (from j = 2):
     the row takes the first side whose tails pass, the dual on a tie, unless
     the dual's rounding fails, and then goes on with k alone.  Returns
-    ("dual", N, sigma2, sigma4, width2, width4) or ("k", K, sigma2, sigma4,
-    log_t2, log_t4, log_e_lb).
+    (side, terms, sigma2, sigma4, down2, down4, up2, up4): the true sums lie
+    in [sigma_p - down_p, sigma_p + up_p].
 
     Its tails take the scan's path, one_sided_gauss_tail_log on arrays,
     evaluated for 256 k-tail starts at a time: elementwise arithmetic, so
@@ -273,18 +278,20 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
         one_sided_gauss_tail_log(c, (1, 2), 3.0)  # raises: no side sums c = 0 or inf
     rate = min(PI2 / c * (1.0 - 16.0 * U), MAX_DOUBLE)
     dual_open = True
-    sigma2 = 1.0
-    sigma4 = 1.0
-    e_partial = 0.0
+    sigma2 = sigma4 = 1.0
+    err2 = err4 = 0.0
     tails = {}
     k = 1
     while True:
         if k > 1:
-            w = math.exp(-c * (k * k - 1))
+            x = c * (k * k - 1)
+            w = math.exp(-x)
             k2 = float(k * k)
             sigma2 += k2 * w
             sigma4 += k2 * k2 * w
-            e_partial += k2 * (k2 - 1.0) * w
+            units = math.ceil(5.0 * min(x, 746.0))
+            err2 += gamma(units + 4.0) * (k2 * w) + 2.0 * TINY * k2
+            err4 += gamma(units + 5.0) * (k2 * k2 * w) + 2.0 * TINY * (k2 * k2)
             if k not in tails:
                 ks = range(k, k + 256)
                 block = one_sided_gauss_tail_log(np.full(len(ks), c), (1, 2), np.array(ks) + 1.0)
@@ -298,7 +305,8 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
             if _dual_stops(rate, k - 1, logs, tol):
                 dual = _loop_dual(c, rate, k - 1, logs, tol)
                 if dual is not None:
-                    return ("dual", k - 1, *dual)
+                    sigma2, sigma4, width2, width4 = dual
+                    return "dual", k - 1, sigma2, sigma4, width2, width4, width2, width4
                 dual_open = False
         if k > 1:
             if math.exp(log_t4) <= tol * sigma4 and math.exp(log_t2) <= tol * sigma2:
@@ -306,40 +314,29 @@ def _loop_scaled_sums(c, tol, k_max=10_000):
             if k > k_max:
                 raise PreconditionError("scan sums did not settle; c is too small")
         k += 1
-    pad = 1e-13 + 1e-12 * c
-    if e_partial > 0.0:
-        log_e_lb = math.log(e_partial) - pad
-    else:
-        log_e_lb = LOG12 - 3.0 * c - pad
-    return "k", k, sigma2, sigma4, log_t2, log_t4, log_e_lb
+    # rounding: gamma_(K+2) of the sum plus each term's; the tail's logs
+    # padded for c's 3 units and for their adds
+    down2, down4 = gamma(k + 2.0) * sigma2 + err2, gamma(k + 2.0) * sigma4 + err4
+    pad = gamma(4.0) * c * ((k + 1.0) ** 2 + 1.0)
+    tail2, tail4 = (float(_from_log(np.array([max(lt * (1.0 - 4.0 * U), lt * (1.0 + 4.0 * U)) + pad]))[0])
+                    for lt in (log_t2, log_t4))
+    return "k", k, sigma2, sigma4, down2, down4, down2 + tail2, down4 + tail4
 
 
 def _loop_row(b, c, tol, k_max):
     """One BarrierScanRow from _loop_scaled_sums, or the error its row raises."""
-    side, terms, sigma2, sigma4, *rest = _loop_scaled_sums(c, tol, k_max)
-    if side == "k":
-        log_t2, log_t4, log_e_lb = rest
-        t2 = math.exp(log_t2)
-        t4 = math.exp(log_t4)
-        strict = log_t2 < log_e_lb
-        low = 0.5 * math.sqrt(sigma2 / (sigma4 + t4))
-        delta0 = 0.5 * math.sqrt(sigma2 / sigma4)
-        high = min(0.5 * math.sqrt((sigma2 + t2) / sigma4), 0.5)
-        log_gap_lb = log_e_lb - math.log(4.0 * (sigma4 + t4))
-    else:
-        width2, width4 = rest
-        if not (math.isfinite(sigma2 + width2) and math.isfinite(4.0 * (sigma4 + width4))):
-            raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
-        delta0, low, high = _enclose(sigma2, sigma2 - width2, sigma2 + width2, sigma4, sigma4 - width4, sigma4 + width4)
-        high = min(high, 0.5)
-        # E = S_2' - S_1' from the ends of the sums, or from its first term 12 exp(-3c)
-        ratio = ((sigma4 - width4) - (sigma2 + width2)) / (4.0 * (sigma4 + width4)) * (1.0 - 4.0 * U)
-        from_ends = math.log(ratio) - 4.0 * U * abs(math.log(ratio)) if ratio > 0.0 else -math.inf
-        log_s4 = math.log(4.0 * (sigma4 + width4))
-        from_first = LOG12 - 3.0 * c - log_s4 - (1e-13 + 1e-12 * c + 4.0 * U * abs(log_s4))
-        log_gap_lb = max(from_ends, from_first)
-        strict = log_gap_lb > -math.inf
-    return BarrierScanRow(b, low, delta0, high, strict, log_gap_lb, side, terms)
+    side, terms, sigma2, sigma4, down2, down4, up2, up4 = _loop_scaled_sums(c, tol, k_max)
+    if side == "dual" and not (math.isfinite(sigma2 + up2) and math.isfinite(4.0 * (sigma4 + up4))):
+        raise NumericalError(f"dual scan sums at b = {b!r} leave the double range")
+    delta0, low, high = _enclose(sigma2, sigma2 - down2, sigma2 + up2, sigma4, sigma4 - down4, sigma4 + up4)
+    high = min(high, 0.5)
+    # E = S_2' - S_1' from the ends of the sums, or from its first term 12 exp(-3c)
+    ratio = ((sigma4 - down4) - (sigma2 + up2)) / (4.0 * (sigma4 + up4)) * (1.0 - 4.0 * U)
+    from_ends = math.log(ratio) - 4.0 * U * abs(math.log(ratio)) if ratio > 0.0 else -math.inf
+    log_s4 = math.log(4.0 * (sigma4 + up4))
+    from_first = LOG12 - 3.0 * c - log_s4 - (1e-13 + 1e-12 * c + 4.0 * U * abs(log_s4))
+    log_gap_lb = max(from_ends, from_first)
+    return BarrierScanRow(b, low, delta0, high, log_gap_lb > -math.inf, log_gap_lb, side, terms)
 
 
 def loop_scan(b_min, b_max, steps, tol=1e-12, k_max=10_000):
@@ -395,15 +392,16 @@ def test_scan_stops_where_loop_stops_at_subnormal_threshold(monkeypatch):
     # rounds in the subnormal range: for this b it stops at k = 4 with
     # log_tail4 0.4 above log(tol * sigma4), where a log-scale filter
     # alone would go on to k = 5.  The rows cannot show that (every later
-    # term underflows), the log tails at the stopping k can.
+    # term underflows), the stopping k and the sums' ends can.
     # The rule sends this row to the k side (its dual would need N ~ 48).
     b = 2.2308654327163584
     c = 2.0 * math.pi * b * b
     monkeypatch.setattr(criterion, "TAIL_TOL", 5e-324)
     sums = barrier._scaled_sums(np.array([b]), np.array([c]))
     got = ("dual" if sums["dual"][0] else "k", int(sums["terms"][0]))
-    got += tuple(float(sums[name][0]) for name in ("sigma2", "sigma4", "log_t2", "log_t4"))
-    assert got == _loop_scaled_sums(c, 5e-324)[:6] == ("k", 4, *got[2:])
+    got += tuple(sums[name][:, 0].tolist() for name in ("sigma", "down", "up"))
+    side, terms, sigma2, sigma4, down2, down4, up2, up4 = _loop_scaled_sums(c, 5e-324)
+    assert got == (side, terms, [sigma2, sigma4], [down2, down4], [up2, up4]) == ("k", 4, *got[2:])
 
 
 @pytest.mark.parametrize("b_min, b_max, steps", BENCH_SCANS)
@@ -627,36 +625,71 @@ def test_dual_formulas_match_mpmath(c):
         assert width <= 1e-13 * value
 
 
-def _dual_rows_against_mpmath(rows):
+def _rows_against_mpmath(rows, side):
     for row in rows:
-        assert row.side == "dual"
+        assert row.side == side
         delta0, log_gap = mp_scan_truth(row.b)
         assert row.delta0_low <= delta0 <= row.delta0_high, row
         assert log_gap - 5.0 < row.log_gap_lb <= log_gap, row
 
 
+def _scan_side(scan, side):
+    return [row for row in scan.rows if row.side == side]
+
+
+def _sample_side(scan, side, size):
+    """A seeded sample of size rows of scan on side, and the count of rows there."""
+    at = np.flatnonzero(scan.columns["side"] == side)
+    pick = np.random.default_rng(2026).choice(at, size, replace=False)
+    return [scan.rows[i] for i in sorted(pick)], at.size
+
+
 def test_dual_rows_enclose_mpmath_near_the_crossover():
-    scan = h1_barrier_scan(0.3, 3.0, 200)
-    rows = [row for row in scan.rows if row.side == "dual"]
+    rows = _scan_side(h1_barrier_scan(0.3, 3.0, 200), "dual")
     assert len(rows) == 64
-    _dual_rows_against_mpmath(rows)
+    _rows_against_mpmath(rows, "dual")
+
+
+def test_k_rows_enclose_mpmath_near_the_crossover():
+    rows = _scan_side(h1_barrier_scan(0.3, 3.0, 200), "k")
+    assert len(rows) == 136
+    _rows_against_mpmath(rows, "k")
 
 
 def test_dual_rows_enclose_mpmath_down_to_b_1e_4():
-    scan = h1_barrier_scan(1e-4, 100.0, 2026)
-    dual = np.flatnonzero(scan.columns["side"] == "dual")
-    assert dual.size == 1282
-    pick = np.random.default_rng(2026).choice(dual, 40, replace=False)
-    _dual_rows_against_mpmath([scan.rows[i] for i in sorted(pick)])
+    rows, count = _sample_side(h1_barrier_scan(1e-4, 100.0, 2026), "dual", 40)
+    assert count == 1282
+    _rows_against_mpmath(rows, "dual")
 
 
-@pytest.mark.xfail(strict=True, reason="k-side rows still miss by an ulp: their ends carry no rounding bound")
-def test_k_rows_enclose_mpmath_near_the_crossover():
-    scan = h1_barrier_scan(0.3, 3.0, 200)
-    rows = [row for row in scan.rows if row.side == "k"]
-    assert len(rows) == 136
-    # 112 of them miss today, by at most 1.1e-16 relative
-    assert all(row.delta0_low <= mp_scan_truth(row.b)[0] <= row.delta0_high for row in rows)
+def test_k_rows_enclose_mpmath_down_to_b_1e_4():
+    rows, count = _sample_side(h1_barrier_scan(1e-4, 100.0, 2026), "k", 40)
+    assert count == 744
+    _rows_against_mpmath(rows, "k")
+
+
+def _k_sums_missing_mpmath(bs):
+    """The (b, p) whose k-side [sigma_p - down_p, sigma_p + up_p] misses the
+    60-digit sigma_p at the exact c = 2 pi b^2, compared at 60 digits (at
+    the default precision the ends themselves would round)."""
+    s = barrier._scaled_sums(bs, 2.0 * math.pi * bs * bs)
+    misses = []
+    with mpmath.workdps(60):
+        for i in np.flatnonzero(~s["dual"]):
+            truth = mp_direct_sums(2 * mpmath.pi * mpmath.mpf(bs[i]) ** 2)
+            for p, exact in enumerate(truth):
+                sigma, down, up = (mpmath.mpf(s[name][p, i]) for name in ("sigma", "down", "up"))
+                if not sigma - down <= exact <= sigma + up:
+                    misses.append((float(bs[i]), p + 1))
+    return misses
+
+
+def test_k_sums_enclose_mpmath_near_the_crossover(monkeypatch):
+    bs = np.geomspace(0.3, 3.0, 200)
+    assert _k_sums_missing_mpmath(bs) == []
+    # the rounding term is what encloses them: without it most rows miss
+    monkeypatch.setattr(barrier, "_gamma", lambda m: 0.0 * m)
+    assert len(_k_sums_missing_mpmath(bs)) > 100
 
 
 @pytest.mark.parametrize("b_min", [1e-4, 1e-9])
@@ -669,13 +702,11 @@ def test_scan_reaches_small_dilations(capsys, b_min):
     assert lines[0] == "b,delta0_low,delta0,delta0_high" and len(lines) == 6
     sides = h1_barrier_scan(b_min, 1.0, 5).columns["side"].tolist()
     assert sides == ["dual"] * 4 + ["k"]
-    for line, side in zip(lines[1:], sides):
+    for line in lines[1:]:
         b, low, value, high = map(float, line.split(","))
         truth = mp_scan_truth(b)[0]
         assert low <= value <= high <= 0.5
-        # the k row at b = 1 keeps the k side's ulp miss (see the xfail above)
-        slack = 0.0 if side == "dual" else 2.0 * U * truth
-        assert low - slack <= truth <= high + slack
+        assert low <= truth <= high
 
 
 def test_scan_past_the_double_range_names_b(capsys):
