@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,6 +71,9 @@ _ZERO_SCAN_K = 10_000
 # The enveloped cutoff K grows through 2, 4, 6, 9, 13, ... and gives up past
 # this; an envelope that weak never engaged.
 _MAX_CUTOFF = 100_000
+# The one-omega engine takes the cutoffs this many steps at a time: the first
+# batch, K = 2, 4, 6, 9, is where most sums stop.
+_BATCH_STEPS = 4
 
 # Rounding model of the summed terms (see _rounding_budget): unit roundoff,
 # ulps per term for the polynomial and constant factors, ulps per unit of
@@ -182,6 +186,13 @@ def _cutoffs():
         k_cut += max(2, k_cut // 2)
 
 
+def _cutoff_batches():
+    """_cutoffs() in runs of _BATCH_STEPS steps: (2, 4, 6, 9), (13, 19, 28, 42), ..."""
+    cutoffs = _cutoffs()
+    while batch := list(itertools.islice(cutoffs, _BATCH_STEPS)):
+        yield batch
+
+
 def _converged(tail, value):
     """The stopping rule: tail <= TAIL_TOL * max(value, FLOOR_GUARD); elementwise on arrays."""
     return tail <= TAIL_TOL * np.maximum(value, FLOOR_GUARD)
@@ -250,45 +261,61 @@ class LatticeSumResult:
 # order in the hundreds): they check their sums instead of warning
 @np.errstate(over="ignore", invalid="ignore")
 def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
-    """S_0(omega) and S_1(omega) from one K loop: the one-omega engine.
+    """S_0(omega) and S_1(omega) from one walk over the cutoffs: the one-omega engine.
 
-    ghat is evaluated once per cutoff step, at the new k only, and shared by
-    both weights, as is one tail pass (envelope_tail_log); each sum stops
-    at the first cutoff where its own tail passes _converged.  Values are
-    math.fsum of the terms, so exactly rounded.  A vanishing sum comes back
-    with value 0; callers raise.  A sum, or the rounding weight of its terms,
-    that is not finite raises NumericalError (_overflow).
+    The cutoffs come in batches (_cutoff_batches), so numpy's per-call cost
+    is paid once per batch, not once per step.  Each batch evaluates ghat
+    once, at its new k in step order (both weights share it), and makes one
+    tail pass: the float one_sided_gauss_tail_log at both tail starts of
+    each of its cutoffs, then one logaddexp and one _from_log for all of
+    them, as envelope_tail_log would per cutoff.  The batch's steps are
+    then walked in order: each adds its own slice of the terms, and each sum
+    stops at the first cutoff where its own tail passes _converged; the
+    batch's later cutoffs are discarded.  A sum's bits depend on its
+    cutoffs only, not on the batches.  Values are math.fsum of the terms,
+    so exactly rounded; the rounding weight adds one dot product per step.
+    A vanishing sum comes back with value 0; callers raise.  A sum, or the
+    rounding weight of its terms, that is not finite raises NumericalError
+    (_overflow) at the step that made it so.
     """
     amp, rate = w.envelope.amplitude, w.envelope.rate
     terms: tuple[list[float], list[float]] = ([], [])
     weighted = [0.0, 0.0]
     results: list[LatticeSumResult | None] = [None, None]
     k_done = -1  # terms for |k| <= k_done are in hand
-    for k_cut in _cutoffs():
-        new_k = (np.arange(-k_cut, min(-k_done, 0)), np.arange(k_done + 1, k_cut + 1))
-        xi = np.concatenate(new_k) + omega
-        k_done = k_cut
+    for batch in _cutoff_batches():
+        # each step's new k, -K..-k_done-1 then k_done+1..K, step after step
+        runs, edges = [], [0]
+        for k_cut in batch:
+            runs += [np.arange(-k_cut, min(-k_done, 0)), np.arange(k_done + 1, k_cut + 1)]
+            edges.append(edges[-1] + runs[-2].size + runs[-1].size)
+            k_done = k_cut
+        xi = np.concatenate(runs) + omega
         mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+        step_terms = (mag2, xi**2 * mag2)
         e = _exponent_weight(xi, rate)
-        tails = _from_log(envelope_tail_log(amp, rate, (0, 1), k_cut + 1, omega)).tolist()
-        for p, tail in enumerate(tails):
-            if results[p] is not None:
-                continue
-            t = mag2 if p == 0 else xi**2 * mag2
-            terms[p].extend(t.tolist())
-            weighted[p] += float(np.dot(e, t))
-            try:
-                value = math.fsum(terms[p])
-            except OverflowError:
-                value = math.inf
-            if not (math.isfinite(value) and math.isfinite(weighted[p])):
-                raise _overflow(w, k_cut)
-            if _converged(tail, value):
-                n_terms = 2 * k_cut + 1
-                rounding = _rounding_budget(value, weighted[p], n_terms, p)
-                results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
-        if None not in results:
-            return results
+        starts = [a for k_cut in batch for a in (k_cut + 1 + omega, k_cut + 1 - omega)]
+        sides = [one_sided_gauss_tail_log(2.0 * rate, (0, 1), a) for a in starts]
+        tails = _from_log(2.0 * math.log(amp) + np.logaddexp(sides[0::2], sides[1::2])).tolist()
+        for k_cut, lo, hi, step_tails in zip(batch, edges, edges[1:], tails):
+            for p, tail in enumerate(step_tails):
+                if results[p] is not None:
+                    continue
+                t = step_terms[p][lo:hi]
+                terms[p].extend(t.tolist())
+                weighted[p] += float(np.dot(e[lo:hi], t))
+                try:
+                    value = math.fsum(terms[p])
+                except OverflowError:
+                    value = math.inf
+                if not (math.isfinite(value) and math.isfinite(weighted[p])):
+                    raise _overflow(w, k_cut)
+                if tail <= TAIL_TOL * max(value, FLOOR_GUARD):  # _converged, on floats
+                    n_terms = 2 * k_cut + 1
+                    rounding = _rounding_budget(value, weighted[p], n_terms, p)
+                    results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
+            if None not in results:
+                return results
     raise DivergentSeriesError(
         f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
     )
@@ -761,9 +788,13 @@ def _time_side(w: Window) -> _DualSeries | None:
     omega = 1/2 (the one-omega rule), or past _MAX_CUTOFF if none does or
     the envelope is too flat for a tail bound: the frequency side cannot
     conclude there.  N is the first n whose n-tails pass.  Cheapest bound
-    first: means, K, N (_DualSeries.tail needs no coefficient), and only if
-    N < K the coefficients 1..N, for one rounding check at N (the bound
-    only grows with n), which fails where the terms n >= 1 cancel.
+    first: the means, then one walk over n = 0, 1, 2, ... that checks, where
+    n is the next cutoff, its envelope tails (a pass is K <= n, so the
+    frequency side), then the n-tails (a pass is N = n < K); neither tail
+    needs a coefficient.  N < K holds iff no cutoff up to N passes, so the
+    walk stops at the smaller of the two.  Only then the coefficients 1..N,
+    for one rounding check at N (the bound only grows with n), which fails
+    where the terms n >= 1 cancel.
     """
     if w.form is None or w.envelope is None:
         return None
@@ -789,9 +820,16 @@ def _time_side(w: Window) -> _DualSeries | None:
     def n_tails(n):
         return [series.tail(0, n), series.tail(1, n)]
 
-    k_cut = next((k for k in _cutoffs() if passes(envelope_tails, k)), math.inf)
-    n_cut = next((n for n in range(min(k_cut, _MAX_CUTOFF + 1)) if passes(n_tails, n)), None)
-    if n_cut is None:
+    cutoffs = _cutoffs()
+    k_next = next(cutoffs)
+    for n_cut in range(_MAX_CUTOFF + 1):
+        if n_cut == k_next:
+            if passes(envelope_tails, n_cut):
+                return None
+            k_next = next(cutoffs, None)
+        if passes(n_tails, n_cut):
+            break
+    else:
         return None
     for _ in range(n_cut):
         _, _, rounding = next(terms)

@@ -1,12 +1,14 @@
 """Checks shared by several test modules: the Wirtinger inequality on samples,
-the parity defect of the sampled reduction's operators, and how far a window's
-transform exceeds its envelope."""
+the parity defect of the sampled reduction's operators, how far a window's
+transform exceeds its envelope, and reference forms of two criterion rules
+(the one-omega sums one cutoff step at a time, the side decision K then N)."""
 
 import math
 
 import numpy as np
 
-from gaborcert.errors import PreconditionError
+from gaborcert import criterion
+from gaborcert.errors import DivergentSeriesError, NumericalError, PreconditionError
 from gaborcert.metaplectic import reduce_samples
 from gaborcert.window import Window, sample_grid, sampled_window
 
@@ -94,3 +96,81 @@ def envelope_violation(w: Window) -> float:
     xi = np.concatenate([-xi[::-1], xi])
     mag = np.abs(np.asarray(w.freq_eval(xi), dtype=complex))
     return float(np.max(mag - w.envelope.bound(xi)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def enveloped_sums_per_step(w: Window, omega: float):
+    """S_0(omega) and S_1(omega) as criterion._enveloped_sums computes them,
+    but with one ghat call and one envelope_tail_log call per cutoff step:
+    the reference its batched walk must match bit for bit, errors included."""
+    amp, rate = w.envelope.amplitude, w.envelope.rate
+    terms = ([], [])
+    weighted = [0.0, 0.0]
+    results = [None, None]
+    k_done = -1
+    for k_cut in criterion._cutoffs():
+        new_k = (np.arange(-k_cut, min(-k_done, 0)), np.arange(k_done + 1, k_cut + 1))
+        xi = np.concatenate(new_k) + omega
+        k_done = k_cut
+        mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+        e = criterion._exponent_weight(xi, rate)
+        tails = criterion._from_log(criterion.envelope_tail_log(amp, rate, (0, 1), k_cut + 1, omega)).tolist()
+        for p, tail in enumerate(tails):
+            if results[p] is not None:
+                continue
+            t = mag2 if p == 0 else xi**2 * mag2
+            terms[p].extend(t.tolist())
+            weighted[p] += float(np.dot(e, t))
+            try:
+                value = math.fsum(terms[p])
+            except OverflowError:
+                value = math.inf
+            if not (math.isfinite(value) and math.isfinite(weighted[p])):
+                raise criterion._overflow(w, k_cut)
+            if criterion._converged(tail, value):
+                rounding = criterion._rounding_budget(value, weighted[p], 2 * k_cut + 1, p)
+                results[p] = criterion.LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
+        if None not in results:
+            return results
+    raise DivergentSeriesError(
+        f"tail bound for {w.label!r} did not reach tolerance by K={criterion._MAX_CUTOFF}"
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def time_side_k_then_n(w: Window):
+    """criterion._time_side's decision taken in two walks: K, the first cutoff
+    whose envelope tails pass at omega = 1/2, then N, the first n < K whose
+    n-tails pass; the dual series if N exists and its rounding through N
+    passes, else None."""
+    if w.form is None or w.envelope is None:
+        return None
+    try:
+        series = criterion._DualSeries.of(w.form)
+    except (NumericalError, OverflowError):
+        return None
+    terms = series.terms()
+    _, means, rounding = next(terms)
+    scale, env = means.real, w.envelope
+    if not np.all((scale > 0.0) & (scale < math.inf)):
+        return None
+
+    def passes(bound, *args) -> bool:
+        try:
+            return bool(np.all(criterion._converged(np.asarray(bound(*args)), scale)))
+        except DivergentSeriesError:
+            return False
+
+    def envelope_tails(k):
+        return criterion._from_log(criterion.envelope_tail_log(env.amplitude, env.rate, (0, 1), k + 1, 0.5))
+
+    def n_tails(n):
+        return [series.tail(0, n), series.tail(1, n)]
+
+    k_cut = next((k for k in criterion._cutoffs() if passes(envelope_tails, k)), math.inf)
+    n_cut = next((n for n in range(min(k_cut, criterion._MAX_CUTOFF + 1)) if passes(n_tails, n)), None)
+    if n_cut is None:
+        return None
+    for _ in range(n_cut):
+        _, _, rounding = next(terms)
+    return series if passes(lambda: rounding) else None

@@ -11,19 +11,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborcert import (
     DegenerateError,
     DivergentSeriesError,
     Envelope,
+    NumericalError,
     Parity,
     PreconditionError,
     Window,
     ZeroSumError,
     certify,
     certify_rect,
+    chirp_window,
     combine,
     delta_g,
     dilate,
@@ -31,9 +33,10 @@ from gaborcert import (
     hermite,
     min_delta,
 )
+from gaborcert import criterion
 from gaborcert.criterion import DensityProfile, _from_log, one_sided_gauss_tail_log
 from gaborcert.tables import read_csv
-from helpers import wirtinger_residual
+from helpers import enveloped_sums_per_step, wirtinger_residual
 
 
 def lattice_partial_sum(w, omega, p, k_max):
@@ -143,6 +146,77 @@ def test_partial_sums_monotone_in_cutoff(omega, k_small, extra):
     lo = lattice_partial_sum(w, omega, 1, k_small)
     hi = lattice_partial_sum(w, omega, 1, k_small + extra)
     assert hi >= lo * (1.0 - 1e-15)
+
+
+# the one-omega engine's windows: Hermite orders 0-7, three combinations
+# and a chirped form
+ONE_OMEGA_WINDOWS = {
+    **{f"hermite:{n}": hermite(n) for n in range(8)},
+    "h0+0.3h2": combine([(1.0, hermite(0)), (0.3, hermite(2))]),
+    "h1+0.5h3": combine([(1.0, hermite(1)), (0.5, hermite(3))]),
+    "h0+0.4h1": combine([(1.0, hermite(0)), (0.4, hermite(1))]),
+    "chirp(hermite:3)": chirp_window(hermite(3), 0.7),
+}
+
+
+def _sums_or_error(engine, w, omega):
+    """Every field of both sums, as reprs so -0.0 and 0.0 differ, or the error's type and message."""
+    try:
+        return [repr(dataclasses.astuple(r)) for r in engine(w, omega)]
+    except Exception as exc:  # noqa: BLE001  (the type is the point)
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200)
+@given(
+    name=st.sampled_from(sorted(ONE_OMEGA_WINDOWS)),
+    log_b=st.floats(min_value=math.log(1e-2), max_value=math.log(50.0)),
+    omega=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+# both sums underflow to 0, which the callers turn into ZeroSumError
+@example(name="hermite:7", log_b=math.log(50.0), omega=0.0)
+def test_batched_sums_match_the_per_step_engine(name, log_b, omega):
+    # the batched walk gives every field, and every error, of one numpy pass
+    # per cutoff step, bit for bit
+    w = dilate(ONE_OMEGA_WINDOWS[name], math.exp(log_b))
+    expected = _sums_or_error(enveloped_sums_per_step, w, omega)
+    assert _sums_or_error(criterion._enveloped_sums, w, omega) == expected
+
+
+def test_batched_sums_past_the_first_batch():
+    # K = 94 is the tenth cutoff, in the third batch
+    w = dilate(hermite(5), 0.05)
+    num, den = criterion._enveloped_sums(w, 0.3)
+    assert num.terms_used == den.terms_used == 94
+    assert _sums_or_error(criterion._enveloped_sums, w, 0.3) == _sums_or_error(enveloped_sums_per_step, w, 0.3)
+    enc = delta_g(w, 0.3)
+    assert (enc.num, enc.den) == (num, den)
+
+
+def test_batched_sums_overflow_at_the_same_cutoff():
+    # the sums of hermite:150 leave the double range at K = 4, the second
+    # step of the first batch, whose later points overflow too
+    w = hermite(150)
+    with pytest.raises(NumericalError, match=r"overflow the double range by K=4$"):
+        delta_g(w, 0.3)
+    error = _sums_or_error(criterion._enveloped_sums, w, 0.3)
+    assert error == _sums_or_error(enveloped_sums_per_step, w, 0.3)
+    assert error[0] == "NumericalError"
+
+
+def test_one_omega_engine_calls_ghat_once_per_batch():
+    # hermite:1 at omega = 0.3 stops at K = 4: one call on the first batch's
+    # 19 points, |k| <= 9
+    sizes = []
+    h1 = hermite(1)
+
+    def freq_eval(xi):
+        sizes.append(np.size(xi))
+        return h1.freq_eval(xi)
+
+    enc = delta_g(dataclasses.replace(h1, freq_eval=freq_eval), 0.3)
+    assert enc.num.terms_used == enc.den.terms_used == 4
+    assert sizes == [19]
 
 
 def test_zero_sum_raises():

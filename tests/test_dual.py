@@ -16,6 +16,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaborcert import (
     Lattice2D,
@@ -38,6 +40,7 @@ from gaborcert import window as window_module
 from gaborcert.errors import DivergentSeriesError, NumericalError
 from gaborcert.window import ClosedForm, from_form
 
+from helpers import time_side_k_then_n
 from test_engine import BASES, B_GRID, CLI_SPECS, COMBOS, corpus_window, mp_form_sums, reduced, slow_decay
 
 
@@ -294,6 +297,31 @@ def test_side_matches_the_reference_rule():
         w = dilate(corpus_window(spec), b)
         assert reference_side(w) == "beyond"
         assert criterion._time_side(w) is not None, spec
+
+
+SIDE_SPECS = CLI_SPECS + sorted(COMBOS)
+
+
+def _same_decision(w):
+    """_time_side against its rule taken K first, then N: both None, or both
+    the series with the same dual terms computed."""
+    got, expected = criterion._time_side(w), time_side_k_then_n(w)
+    if expected is None:
+        return got is None
+    return got is not None and len(got.computed) == len(expected.computed)
+
+
+@pytest.mark.parametrize("spec", SIDE_SPECS)
+def test_joint_walk_decides_as_k_then_n(spec):
+    # walking n and the cutoffs together stops at the smaller of N and K;
+    # the decision, and the dual terms it computed, are the two walks'
+    for b in B_GRID:
+        assert _same_decision(dilate(corpus_window(spec), b)), (spec, b)
+
+
+@given(spec=st.sampled_from(SIDE_SPECS), log_b=st.floats(min_value=math.log(1e-3), max_value=math.log(30.0)))
+def test_joint_walk_decides_as_k_then_n_at_drawn_dilations(spec, log_b):
+    assert _same_decision(dilate(corpus_window(spec), math.exp(log_b)))
 
 
 def test_frequency_side_decisions_compute_only_the_means(monkeypatch):

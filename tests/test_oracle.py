@@ -416,7 +416,7 @@ def _exhaustive_snap(w, a, b, n):
             coverage = n * spacing
             score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p, spacing)
             scores.append(score)
-            if oracle._wrap_defect(w, n, spacing) > oracle._WRAP_TOL:
+            if oracle._wrap_defect(w, n, spacing)[0] > oracle._WRAP_TOL:
                 continue
             if best_score is None or score < best_score:
                 best_score = score
@@ -553,7 +553,8 @@ def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss
 def test_model_evaluates_the_window_once(gauss):
     # snapping evaluates the wrap defect of the winning candidate only, and
     # the gaussian's time envelope decides it from the n central samples;
-    # the model, the five periodized copies
+    # the model reuses them as its copy j = 0 and evaluates the other four
+    # periodized copies
     points = []
 
     def time_eval(t):
@@ -563,8 +564,9 @@ def test_model_evaluates_the_window_once(gauss):
     spy = dataclasses.replace(gauss, time_eval=time_eval)
     n = 240
     model = model_for(spy, 0.5, 1.0, n)
-    assert points == [n, 5 * n]
+    assert points == [n, 4 * n]
     np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)
+    np.testing.assert_array_equal(model.window, build_model(gauss, n, model.p, model.q, model.spacing).window)
 
 
 def _counted_defect(w, n, spacing):
@@ -575,12 +577,12 @@ def _counted_defect(w, n, spacing):
         points.append(np.size(t))
         return w.time_eval(t)
 
-    return oracle._wrap_defect(dataclasses.replace(w, time_eval=time_eval), n, spacing), points
+    return oracle._wrap_defect(dataclasses.replace(w, time_eval=time_eval), n, spacing)[0], points
 
 
 def _probe(w, n, spacing):
     """The sampled probe alone: _wrap_defect of the window without its closed form."""
-    return oracle._wrap_defect(dataclasses.replace(w, form=None), n, spacing)
+    return oracle._wrap_defect(dataclasses.replace(w, form=None), n, spacing)[0]
 
 
 def test_envelope_bound_passes_only_where_the_probe_passes():
