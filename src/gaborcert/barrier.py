@@ -53,10 +53,11 @@ from .criterion import (
     _TINY,
     _U,
     _converged,
+    _delta_g,
     _enclose,
     _from_log,
     _gamma,
-    delta_g,
+    delta_g,  # noqa: F401  (perfbench's tracer wraps calls through barrier.delta_g)
     one_sided_gauss_tail_log,
 )
 from .errors import NumericalError, PreconditionError
@@ -102,14 +103,18 @@ def delta_at_zero(w: Window) -> BarrierReport:
     applies (ghat0_sq ~ 0).
     Past a gap of about the rounding budget (1e-14 relative; hermite:1
     dilated by b = 1.5 has 5e-18) float sums cannot show it, and strict
-    is False; h1_barrier_scan certifies such gaps in log scale.
+    is False; h1_barrier_scan certifies such gaps in log scale.  ghat(0) is
+    the value the sums' k = 0 term came from; a window without an envelope
+    evaluates it on its own.
     """
-    ghat0_sq = abs(complex(w.freq_eval(np.asarray([0.0]))[0])) ** 2
+    enc, ghat0 = _delta_g(w, 0.0)
+    if ghat0 is None:
+        ghat0 = w.freq_eval(np.asarray([0.0]))[0]
+    ghat0_sq = abs(complex(ghat0)) ** 2
     if w.parity is Parity.ODD and ghat0_sq > _GHAT_ZERO_TOL:
         raise PreconditionError(
             f"window {w.label!r} classifies as odd but |ghat(0)|^2 = {ghat0_sq!r}"
         )
-    enc = delta_g(w, 0.0)
     strict = ghat0_sq <= _GHAT_ZERO_TOL and enc.num.upper < enc.den.lower
     return BarrierReport(
         label=w.label,
@@ -341,7 +346,7 @@ def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
             sums += terms
             err += _gamma(np.ceil(5.0 * np.minimum(x, 746.0)) + _K_TERM_UNITS) * terms + 2.0 * _TINY * powers
             # one-sided tails of k^(2p) exp(-c k^2) from k + 1, rescaled by e^c
-            lt = c + np.array(one_sided_gauss_tail_log(c, (1, 2), j + 1.0))
+            lt = c + one_sided_gauss_tail_log(c, (1, 2), j + 1.0)
             if np.isnan(lt).any():
                 raise PreconditionError("scan sums did not settle; c is too small")
             k_stops = _converged(np.exp(lt), sums).all(axis=0)
@@ -349,7 +354,7 @@ def _scaled_sums(bs: np.ndarray, cs: np.ndarray) -> dict[str, np.ndarray]:
         rows = np.flatnonzero(dual_open)
         if rows.size:
             at = idx[rows]
-            logs = np.array(one_sided_gauss_tail_log(rate[at], (1, 2), float(j)))
+            logs = one_sided_gauss_tail_log(rate[at], (1, 2), float(j))
             tail2, tail4 = _dual_tails(*np.exp(logs), rate[at], float(j * j))
             wins = _converged(tail2, 0.5) & _converged(tail4, 0.75)
             rows, at, logs = rows[wins], at[wins], logs[:, wins]

@@ -84,9 +84,12 @@ _EXP_ULPS = 8
 _MAX_DOUBLE = float(np.finfo(float).max)
 
 # The sweep engine evaluates each cutoff step's new terms for blocks of rows
-# of at most _MAX_BLOCK (omega, k) values, so its working arrays stay small
-# however many omegas or terms there are.
-_MAX_BLOCK = 1 << 12
+# of at most _MAX_BLOCK (k, omega) values, so its working arrays stay small
+# however many omegas or terms there are, and a default grid's first step
+# (1001 rows, 5,005 values) is one block.
+_MAX_BLOCK = 1 << 13
+# The weight p of S_0 and S_1, as a column against the sweep's (2, rows) arrays.
+_WEIGHTS = np.array([[0], [1]])
 # Outward factor on delta enclosures: the ratio and the square root each
 # round once.
 _RATIO_PAD = 4.0 * _U
@@ -103,8 +106,8 @@ def one_sided_gauss_tail_log(c, p, a):
     of roundoff (_PEEL_PAD), more than its own roundings and that of its sum
     with the log of the polynomial move the log (at most u * c*a^2 each).
     Requires c > 0 and a > 0 so the series converges.  p may be a tuple of
-    weights, which share one exp pass; the logs then come back as a list in
-    that order.
+    weights, which share one exp pass; the logs then come back in that
+    order, as a list of floats or as one array with a leading weight axis.
 
     c and a are floats, or numpy arrays evaluated elementwise (math.exp and
     math.log on floats, np.exp and np.log on arrays).  Where a float call
@@ -119,8 +122,10 @@ def one_sided_gauss_tail_log(c, p, a):
             r = np.exp(-2.0 * c * a)
             ok = (r < 1.0) & (a < math.inf) & ((c > 0.0) & (c < math.inf))  # r < 1 needs a > 0 here
             r = np.where(ok, r, math.nan)
-            peel = -c * a * a * _PEEL_PAD
-            logs = [peel + np.log(poly) for poly in _tail_polys(r, a, weights)]
+            logs = np.empty((len(weights),) + r.shape)
+            for i, poly in enumerate(_tail_polys(r, a, weights)):
+                np.log(poly, out=logs[i, ...])
+            logs += -c * a * a * _PEEL_PAD
     else:
         if not (c > 0.0 and math.isfinite(c)):
             raise DivergentSeriesError(f"decay rate must be positive, got {c!r}")
@@ -156,15 +161,18 @@ def envelope_tail_log(amplitude: float, rate: float, p, m: int, omega):
     k <= -m, assuming |ghat(xi)| <= amplitude * exp(-rate * xi^2).
     Needs m >= 2 so both tail starts m - omega and m + omega are >= 1.
     p may be a tuple of weights, as in one_sided_gauss_tail_log; the
-    bounds then come back stacked in that order.  omega is a float, or an
-    array whose two tail starts share one one_sided_gauss_tail_log call (one
-    exp and one log pass for every weight), NaN where a float call raises.
+    bounds then come back stacked in that order.  omega is a float, or a
+    1-d array whose two tail starts, stacked, share one
+    one_sided_gauss_tail_log call (one exp and one log pass for every
+    weight), NaN where a float call raises; the two sides are then views of
+    its result, which one logaddexp reads.
     """
     if m < 2:
         raise PreconditionError("tail bound needs cutoff m >= 2")
     c, starts = 2.0 * rate, (m + omega, m - omega)
     if isinstance(omega, np.ndarray):
-        sides = np.moveaxis(np.array(one_sided_gauss_tail_log(c, p, np.stack(starts))), -2, 0)
+        logs = one_sided_gauss_tail_log(c, p, np.stack(starts))
+        sides = logs[..., 0, :], logs[..., 1, :]
     else:
         sides = [one_sided_gauss_tail_log(c, p, a) for a in starts]
     return 2.0 * math.log(amplitude) + np.logaddexp(*sides)
@@ -260,8 +268,8 @@ class LatticeSumResult:
 # the two engines below evaluate and sum terms that may overflow (a Hermite
 # order in the hundreds): they check their sums instead of warning
 @np.errstate(over="ignore", invalid="ignore")
-def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
-    """S_0(omega) and S_1(omega) from one walk over the cutoffs: the one-omega engine.
+def _enveloped_sums(w: Window, omega: float) -> tuple[LatticeSumResult, LatticeSumResult, complex]:
+    """S_0(omega), S_1(omega) and ghat(omega) from one walk over the cutoffs: the one-omega engine.
 
     The cutoffs come in batches (_cutoff_batches), so numpy's per-call cost
     is paid once per batch, not once per step.  Each batch evaluates ghat
@@ -276,12 +284,14 @@ def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
     so exactly rounded; the rounding weight adds one dot product per step.
     A vanishing sum comes back with value 0; callers raise.  A sum, or the
     rounding weight of its terms, that is not finite raises NumericalError
-    (_overflow) at the step that made it so.
+    (_overflow) at the step that made it so.  ghat(omega) is the value
+    behind the k = 0 term, as freq_eval gave it.
     """
     amp, rate = w.envelope.amplitude, w.envelope.rate
     terms: tuple[list[float], list[float]] = ([], [])
     weighted = [0.0, 0.0]
     results: list[LatticeSumResult | None] = [None, None]
+    ghat_omega = None
     k_done = -1  # terms for |k| <= k_done are in hand
     for batch in _cutoff_batches():
         # each step's new k, -K..-k_done-1 then k_done+1..K, step after step
@@ -291,7 +301,10 @@ def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
             edges.append(edges[-1] + runs[-2].size + runs[-1].size)
             k_done = k_cut
         xi = np.concatenate(runs) + omega
-        mag2 = np.abs(np.asarray(w.freq_eval(xi), dtype=complex)) ** 2
+        ghat = np.asarray(w.freq_eval(xi), dtype=complex)
+        if ghat_omega is None:  # the first batch opens with -K..-1, so k = 0 sits at K
+            ghat_omega = complex(ghat[batch[0]])
+        mag2 = np.abs(ghat) ** 2
         step_terms = (mag2, xi**2 * mag2)
         e = _exponent_weight(xi, rate)
         starts = [a for k_cut in batch for a in (k_cut + 1 + omega, k_cut + 1 - omega)]
@@ -315,7 +328,7 @@ def _enveloped_sums(w: Window, omega: float) -> list[LatticeSumResult]:
                     rounding = _rounding_budget(value, weighted[p], n_terms, p)
                     results[p] = LatticeSumResult(value, tail, k_cut, rigorous=True, rounding=rounding)
             if None not in results:
-                return results
+                return results[0], results[1], ghat_omega
     raise DivergentSeriesError(
         f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"
     )
@@ -373,6 +386,13 @@ def delta_g(w: Window, omega: float) -> DeltaEnclosure:
     tails estimates only.  Raises ZeroSumError when the numerator vanishes
     and DegenerateError when the denominator vanishes identically.
     """
+    return _delta_g(w, omega)[0]
+
+
+def _delta_g(w: Window, omega: float) -> tuple[DeltaEnclosure, complex | None]:
+    """delta_g(w, omega) and ghat(omega) as the one-omega engine evaluated it
+    for the k = 0 term; None without an envelope, whose one-row _sweep keeps
+    its terms to itself."""
     omega = float(omega)
     if not 0.0 <= omega <= 1.0:
         raise PreconditionError(f"omega must lie in [0, 1], got {omega!r}")
@@ -387,26 +407,21 @@ def delta_g(w: Window, omega: float) -> DeltaEnclosure:
             LatticeSumResult(float(v), float(t), int(k), rigorous=False, rounding=float(r))
             for v, t, r, k in sums
         )
+        ghat_omega = None
     else:
-        num, den = _enveloped_sums(w, omega)
+        num, den, ghat_omega = _enveloped_sums(w, omega)
         if num.value == 0.0:
             raise ZeroSumError(f"all lattice-sum terms vanish for {w.label!r} at omega={omega}")
     if den.value == 0.0:
         raise DegenerateError(f"denominator sum is zero for {w.label!r} at omega={omega}")
     value, low, high = _enclose(num.value, num.lower, num.upper, den.value, den.lower, den.upper)
-    return DeltaEnclosure(
-        value=value,
-        low=low,
-        high=high,
-        num=num,
-        den=den,
-        rigorous=num.rigorous and den.rigorous,
-    )
+    enclosure = DeltaEnclosure(value, low, high, num, den, rigorous=num.rigorous and den.rigorous)
+    return enclosure, ghat_omega
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep(w: Window, omegas: np.ndarray) -> np.ndarray:
-    """S_0 and S_1 at every omega, summed as (omega x k) arrays.
+    """S_0 and S_1 at every omega, summed as (k x omega) arrays.
 
     Each (omega, p) sum runs through the cutoffs of _cutoffs(), but ghat is
     evaluated once per cutoff step for both weights, only at the new k, and
@@ -427,6 +442,15 @@ def _sweep(w: Window, omegas: np.ndarray) -> np.ndarray:
     summation and the per-term constant only.  Partial sums that are not
     finite raise NumericalError (_overflow).
 
+    A cutoff step makes one term pass per block of at most _MAX_BLOCK (k,
+    omega) values: ghat_lattice's lattice xi and ghat(xi), both (k, rows),
+    fill one (k, summand, rows) array whose reduction over k gives each
+    row's new terms (a quadrature window's ghat comes from one call for all
+    live rows).  Then one tail pass (envelope_tail_log) for both weights
+    and all live rows, and one _converged test, whose passing (p, row)
+    records are copied through one mask.  The live rows' state is kept
+    compact and gathered anew only when rows retire.
+
     Every row is summed at its own omega.  A row adds each step's new
     terms, the runs -K..-k_done-1 and k_done+1..K, as one group, whatever
     other rows the call holds, so with a closed-form ghat (freq_eval
@@ -438,69 +462,83 @@ def _sweep(w: Window, omegas: np.ndarray) -> np.ndarray:
         raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
     ghat_at = ghat_lattice(w, omegas)
     out = np.full((2, 4, omegas.size), math.nan)
-    # partial sums of the terms of S_0 and S_1, then, with an envelope, of
-    # E(xi) * term for each
-    acc = np.zeros((2 if env is None else 4, omegas.size))
+    # the rows still summing, in increasing omega, and their state, kept
+    # compact as rows retire: the partial sums of the terms of S_0 and S_1,
+    # then, with an envelope, of E(xi) * term for each; which sums still
+    # run; the records (value, tail, rounding, K) of the sums, which out
+    # holds itself until the first row retires
+    live = np.arange(omegas.size)
+    acc = np.zeros((2 if env is None else 4, live.size))
+    summing = np.ones((2, live.size), dtype=bool)
+    record = out
     # without an envelope: the terms of S_0 and S_1 that each of the last
     # two cutoff steps added
-    recent = np.zeros((2, 2, omegas.size)) if env is None else None
-    summing = np.ones((2, omegas.size), dtype=bool)
+    recent = np.zeros((2, 2, live.size)) if env is None else None
     truncated = False
     k_done = -1  # terms for |k| <= k_done are summed
     for step, k_cut in enumerate(_cutoffs()):
         # the new terms k_done < |k| <= k_cut, as two runs in increasing k
-        ks = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1].astype(float)
-        live = np.flatnonzero(summing.any(axis=0))
+        ks = np.concatenate((np.arange(-k_cut, min(-k_done, 0)), np.arange(k_done + 1, k_cut + 1))).astype(float)
         block = max(1, _MAX_BLOCK // ks.size)
         # a quadrature window's chirp-z transforms cost per call, not per
         # value: one call per step for all live rows
-        ghat_live = None if w.quadrature is None else ghat_at(live, ks)
+        lattice = None if w.quadrature is None else ghat_at(live, ks)
         for b in range(0, live.size, block):
-            rows = live[b : b + block]
-            # (k x omega) arrays, stacked as (k, summand, omega)
-            xi = ks[:, None] + omegas[None, rows]
-            t0 = np.abs((ghat_at(rows, ks) if ghat_live is None else ghat_live[b : b + block]).T) ** 2
-            t1 = xi**2 * t0
-            if env is None:
-                terms = np.stack([t0, t1], axis=1)
-            else:
+            rows = slice(b, b + block)
+            xi, g = ghat_at(live[rows], ks) if lattice is None else (a[:, rows] for a in lattice)
+            # each row's new terms as one group, added k by k down the first
+            # axis: numpy sums pairwise along the fastest axis only, and the
+            # summand axis keeps k off it, even for a single row
+            terms = np.empty((ks.size, acc.shape[0], xi.shape[1]))
+            t0, t1 = terms[:, 0], terms[:, 1]
+            np.abs(g, out=t0)
+            t0 *= t0
+            np.square(xi, out=t1)
+            t1 *= t0
+            if env is not None:
                 e = _exponent_weight(xi, env.rate)
-                terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
-            # each row's new terms as one group, added k by k in column
-            # order: numpy sums pairwise along the fastest axis only, and
-            # the k axis is never that, whatever the number of rows
+                np.multiply(e, t0, out=terms[:, 2])
+                np.multiply(e, t1, out=terms[:, 3])
             added = np.add.reduce(terms, axis=0)
             acc[:, rows] += added
             if recent is not None:
                 recent[step % 2][:, rows] = added
-        if not np.all(np.isfinite(acc)):
+        if not np.isfinite(acc).all():
             raise _overflow(w, k_cut)
         k_done = k_cut
+        value = acc[:2]
         if env is None:
-            tails = (recent[0] + recent[1])[:, live]
+            tails = recent[0] + recent[1]
         else:
             # an overflowing bound comes out as inf, which fails the stopping rule
             tails = _from_log(envelope_tail_log(env.amplitude, env.rate, (0, 1), k_cut + 1, omegas[live]))
-        for p in (0, 1):
-            sel = summing[p, live]
-            done, tail = live[sel], tails[p, sel]
-            stop = _converged(tail, acc[p, done])
-            if env is None:
-                zero = acc[p, done] == 0.0
-                cut = ~stop & ~zero & (k_cut > _WARN_K)
-                truncated |= bool(cut.any())
-                stop = np.where(zero, k_cut > _ZERO_SCAN_K, stop | cut)
-            done, tail = done[stop], tail[stop]
-            value = acc[p, done]
-            out[p, 0, done] = value
-            out[p, 1, done] = tail
-            weighted = 0.0 if env is None else acc[2 + p, done]
-            out[p, 2, done] = _rounding_budget(value, weighted, 2 * k_cut + 1, p)
-            out[p, 3, done] = k_cut
-            summing[p, done] = False
-            summing[:, done[value == 0.0]] = False  # a vanishing sum already loses the row
-        if not summing.any():
-            break
+        stop = _converged(tails, value)
+        if env is None:
+            zero = value == 0.0
+            cut = ~stop & ~zero & (k_cut > _WARN_K)
+            stop = np.where(zero, k_cut > _ZERO_SCAN_K, stop | cut)
+        # a vanishing S_0 loses its row before S_1 is tested
+        summing[1] &= ~(summing[0] & stop[0] & (value[0] == 0.0))
+        stop &= summing
+        if env is None:
+            truncated |= bool((cut & summing).any())
+        if not stop.any():
+            continue
+        rounding = _rounding_budget(value, 0.0 if env is None else acc[2:], 2 * k_cut + 1, _WEIGHTS)
+        for field, entry in enumerate((value, tails, rounding, k_cut)):
+            np.copyto(record[:, field], entry, where=stop)
+        # a vanishing sum loses its row
+        vanished = stop & (value == 0.0)
+        summing &= ~(stop | vanished[0] | vanished[1])
+        keep = summing[0] | summing[1]
+        if not keep.all():
+            if record is not out:
+                out[:, :, live] = record
+            if not keep.any():
+                break
+            live, acc, summing = live[keep], acc[:, keep], summing[:, keep]
+            recent = None if recent is None else recent[:, :, keep]
+            record = out[:, :, live]
     else:
         raise DivergentSeriesError(
             f"tail bound for {w.label!r} did not reach tolerance by K={_MAX_CUTOFF}"

@@ -510,9 +510,10 @@ def check_samples(t, values) -> tuple[np.ndarray, np.ndarray]:
     return t, values
 
 
-def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """ghat on an (omega x k) lattice: returns at(rows, ks), the array
-    ghat(ks[None, :] + omegas[rows, None]) for row indices rows and integer ks.
+def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """ghat on a (k x omega) lattice: returns at(rows, ks), the lattice points
+    xi = ks[:, None] + omegas[rows] for row indices rows and integer ks and
+    ghat(xi), two (ks.size, len(rows)) arrays, built once per call.
 
     Closed-form windows evaluate freq_eval on the flattened lattice.  A
     quadrature-backed window on omegas that form a uniform grid of step 1/L,
@@ -528,14 +529,14 @@ def ghat_lattice(w: Window, omegas: np.ndarray) -> Callable[[np.ndarray, np.ndar
     if quad is None:
 
         def at(rows, ks):
-            xi = ks[None, :] + omegas[rows, None]
-            return np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
+            xi = ks[:, None] + omegas[rows]
+            return xi, np.asarray(w.freq_eval(xi.ravel()), dtype=complex).reshape(xi.shape)
 
         return at
 
     steps = _grid_steps(omegas)
     if steps is not None:
-        return _grid_lattice(quad, omegas[0], steps)
+        return _grid_lattice(quad, omegas, steps)
     return _split_lattice(quad, omegas)
 
 
@@ -554,10 +555,11 @@ def _grid_steps(omegas: np.ndarray) -> int | None:
     return steps if bool(np.all(np.abs(omegas - grid) <= tol)) else None
 
 
-def _grid_lattice(quad: Quadrature, origin: float, steps: int):
+def _grid_lattice(quad: Quadrature, omegas: np.ndarray, steps: int):
     """at(rows, ks) for omegas[j] = origin + j/steps, holding what it transformed.
 
-    Lattice point (row, k) is point k*steps + row of the grid origin + i/steps.
+    Lattice point (k, row) is point k*steps + row of the grid origin + i/steps,
+    origin = omegas[0].
     A call looks up the points it holds and cuts the others into stretches,
     one chirp-z transform each: a stretch ends before a gap longer than the
     node count n, whose points would cost more than a second transform, and
@@ -571,10 +573,11 @@ def _grid_lattice(quad: Quadrature, origin: float, steps: int):
     only a stretch reaching past that span can hold.
     """
     n = quad.nodes.size
+    origin = omegas[0]
     held: list[tuple[int, np.ndarray]] = []  # (first grid point, values) of each stretch kept
 
     def at(rows, ks):
-        index = ks.astype(np.int64)[None, :] * steps + np.asarray(rows, dtype=np.int64)[:, None]
+        index = ks.astype(np.int64)[:, None] * steps + np.asarray(rows, dtype=np.int64)
         points, where = np.unique(index, return_inverse=True)
         values = np.empty(points.size, dtype=complex)
         missing = np.ones(points.size, dtype=bool)
@@ -601,7 +604,7 @@ def _grid_lattice(quad: Quadrature, origin: float, steps: int):
                 lo = end
         if points.size:
             held[:] = [(first, v) for first, v in held if first < points[0] or first + v.size > points[-1] + 1]
-        return values[where.reshape(index.shape)]
+        return ks[:, None] + omegas[rows], values[where.reshape(index.shape)]
 
     return at
 
@@ -657,7 +660,7 @@ def _split_lattice(quad: Quadrature, omegas: np.ndarray):
             out[:, c : c + _SPLIT_COLUMNS] = terms.sum(axis=0)[: len(rows) * k.size].reshape(len(rows), k.size)
         if centre != 0.0:
             out *= _unit_phase((ks[None, :] + omegas[rows, None]) * centre)
-        return out
+        return ks[:, None] + omegas[rows], out.T
 
     return at
 

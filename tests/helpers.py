@@ -1,16 +1,24 @@
 """Checks shared by several test modules: the Wirtinger inequality on samples,
 the parity defect of the sampled reduction's operators, how far a window's
-transform exceeds its envelope, and reference forms of two criterion rules
-(the one-omega sums one cutoff step at a time, the side decision K then N)."""
+transform exceeds its envelope, and reference forms of three criterion rules
+(the one-omega sums one cutoff step at a time, the side decision K then N,
+the sweep with per-weight stopping tests)."""
 
 import math
+import warnings
 
 import numpy as np
 
 from gaborcert import criterion
-from gaborcert.errors import DivergentSeriesError, NumericalError, PreconditionError
+from gaborcert.errors import (
+    DivergentSeriesError,
+    NumericalError,
+    PreconditionError,
+    TruncationRiskWarning,
+    _caller_level,
+)
 from gaborcert.metaplectic import reduce_samples
-from gaborcert.window import Window, sample_grid, sampled_window
+from gaborcert.window import Window, ghat_lattice, sample_grid, sampled_window
 
 
 def wirtinger_residual(values):
@@ -174,3 +182,81 @@ def time_side_k_then_n(w: Window):
     for _ in range(n_cut):
         _, _, rounding = next(terms)
     return series if passes(lambda: rounding) else None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def sweep_per_weight(w: Window, omegas: np.ndarray) -> np.ndarray:
+    """criterion._sweep as it was before its one-pass cutoff step: blocks of
+    at most 4,096 values with the lattice transposed from (rows, k), a
+    stacked copy of the terms, and each weight's stopping test and records
+    in its own loop of fancy indexing.  The reference the one-pass step must
+    match bit for bit, NaN entries, errors and warnings included."""
+    env = w.envelope
+    if env is not None and not math.exp(-8.0 * env.rate) < 1.0:
+        raise DivergentSeriesError(f"envelope rate of {w.label!r} too small for a tail bound")
+    ghat_at = ghat_lattice(w, omegas)
+    out = np.full((2, 4, omegas.size), math.nan)
+    acc = np.zeros((2 if env is None else 4, omegas.size))
+    recent = np.zeros((2, 2, omegas.size)) if env is None else None
+    summing = np.ones((2, omegas.size), dtype=bool)
+    truncated = False
+    k_done = -1
+    for step, k_cut in enumerate(criterion._cutoffs()):
+        ks = np.r_[-k_cut : min(-k_done, 0), k_done + 1 : k_cut + 1].astype(float)
+        live = np.flatnonzero(summing.any(axis=0))
+        block = max(1, 4096 // ks.size)
+        ghat_live = None if w.quadrature is None else ghat_at(live, ks)[1].T
+        for b in range(0, live.size, block):
+            rows = live[b : b + block]
+            xi = ks[:, None] + omegas[None, rows]
+            t0 = np.abs((ghat_at(rows, ks)[1].T if ghat_live is None else ghat_live[b : b + block]).T) ** 2
+            t1 = xi**2 * t0
+            if env is None:
+                terms = np.stack([t0, t1], axis=1)
+            else:
+                e = criterion._exponent_weight(xi, env.rate)
+                terms = np.stack([t0, t1, e * t0, e * t1], axis=1)
+            added = np.add.reduce(terms, axis=0)
+            acc[:, rows] += added
+            if recent is not None:
+                recent[step % 2][:, rows] = added
+        if not np.all(np.isfinite(acc)):
+            raise criterion._overflow(w, k_cut)
+        k_done = k_cut
+        if env is None:
+            tails = (recent[0] + recent[1])[:, live]
+        else:
+            logs = criterion.envelope_tail_log(env.amplitude, env.rate, (0, 1), k_cut + 1, omegas[live])
+            tails = criterion._from_log(logs)
+        for p in (0, 1):
+            sel = summing[p, live]
+            done, tail = live[sel], tails[p, sel]
+            stop = criterion._converged(tail, acc[p, done])
+            if env is None:
+                zero = acc[p, done] == 0.0
+                cut = ~stop & ~zero & (k_cut > criterion._WARN_K)
+                truncated |= bool(cut.any())
+                stop = np.where(zero, k_cut > criterion._ZERO_SCAN_K, stop | cut)
+            done, tail = done[stop], tail[stop]
+            value = acc[p, done]
+            out[p, 0, done] = value
+            out[p, 1, done] = tail
+            weighted = 0.0 if env is None else acc[2 + p, done]
+            out[p, 2, done] = criterion._rounding_budget(value, weighted, 2 * k_cut + 1, p)
+            out[p, 3, done] = k_cut
+            summing[p, done] = False
+            summing[:, done[value == 0.0]] = False
+        if not summing.any():
+            break
+    else:
+        raise DivergentSeriesError(
+            f"tail bound for {w.label!r} did not reach tolerance by K={criterion._MAX_CUTOFF}"
+        )
+    if truncated:
+        warnings.warn(
+            f"lattice sum for {w.label!r} still active at K={criterion._WARN_K}; "
+            "truncating without decay evidence",
+            TruncationRiskWarning,
+            stacklevel=_caller_level(),
+        )
+    return out

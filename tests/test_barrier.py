@@ -1,6 +1,7 @@
 """Odd-window obstruction at omega = 0 and the closed-form dilation scan."""
 
 import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from gaborcert import (
     dilate,
     gaussian,
     h1_barrier_scan,
+    hermite,
     odd_barrier_suite,
 )
 from gaborcert.barrier import BarrierScan, BarrierScanRow
@@ -87,6 +89,28 @@ def test_delta_at_zero_gaussian_not_strict(gauss):
     assert report.delta0 > 0.5
     # at omega = 0 the Gaussian numerator is dominated by |ghat(0)|^2 = 1
     assert report.num0 > report.den0
+
+
+def test_delta_at_zero_takes_ghat0_from_the_sums():
+    # hermite:1 stops inside the one-omega engine's first batch (|k| <= 9),
+    # which holds xi = 0: one freq_eval call on 19 points, no call for ghat(0)
+    sizes = []
+    h1 = hermite(1)
+    spied = dataclasses.replace(h1, freq_eval=lambda xi: sizes.append(np.size(xi)) or h1.freq_eval(xi))
+    assert delta_at_zero(spied) == delta_at_zero(h1)
+    assert sizes == [19]
+
+
+@pytest.mark.parametrize("envelope", [True, False])
+def test_delta_at_zero_rejects_an_odd_label_with_visible_ghat0(envelope):
+    # ghat(0) of an enveloped window comes from the sums' k = 0 term, without
+    # an envelope from a call of its own; the message names it either way
+    w = dataclasses.replace(gaussian(), parity=Parity.ODD)
+    if not envelope:
+        w = dataclasses.replace(w, envelope=None, form=None)
+    with pytest.raises(PreconditionError) as caught:
+        delta_at_zero(w)
+    assert str(caught.value) == "window 'gaussian' classifies as odd but |ghat(0)|^2 = 1.0"
 
 
 def test_scan_endpoint_matches_oracle():

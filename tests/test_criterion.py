@@ -162,7 +162,7 @@ ONE_OMEGA_WINDOWS = {
 def _sums_or_error(engine, w, omega):
     """Every field of both sums, as reprs so -0.0 and 0.0 differ, or the error's type and message."""
     try:
-        return [repr(dataclasses.astuple(r)) for r in engine(w, omega)]
+        return [repr(dataclasses.astuple(r)) for r in engine(w, omega)[:2]]
     except Exception as exc:  # noqa: BLE001  (the type is the point)
         return type(exc).__name__, str(exc)
 
@@ -186,7 +186,7 @@ def test_batched_sums_match_the_per_step_engine(name, log_b, omega):
 def test_batched_sums_past_the_first_batch():
     # K = 94 is the tenth cutoff, in the third batch
     w = dilate(hermite(5), 0.05)
-    num, den = criterion._enveloped_sums(w, 0.3)
+    num, den, _ = criterion._enveloped_sums(w, 0.3)
     assert num.terms_used == den.terms_used == 94
     assert _sums_or_error(criterion._enveloped_sums, w, 0.3) == _sums_or_error(enveloped_sums_per_step, w, 0.3)
     enc = delta_g(w, 0.3)

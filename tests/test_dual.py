@@ -414,7 +414,7 @@ def test_truncation_warnings_name_the_caller():
 
 def test_quadrature_steps_transform_each_stretch_once(monkeypatch):
     # a complex sampled window on 1001 omegas: the first cutoff step (|k| <= 2,
-    # 5,005 values, more than one block of 4,096) is one chirp-z transform of
+    # 5,005 values) is one chirp-z transform of
     # the 5,001 grid points it needs, widened to the 5,031 that fill its FFT
     # length (8,232), where a call per block transformed 4,819 + 4,182; the
     # whole sweep transforms 17,505 points in 7 transforms, not 21,493, and

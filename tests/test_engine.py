@@ -1,6 +1,6 @@
 """The sweep engine behind min_delta, and the rounding budget of lattice sums.
 
-The engine sums whole omega grids as (omega x k) arrays; these tests hold
+The engine sums whole omega grids as (k x omega) arrays; these tests hold
 it to the one-omega path (delta_g) row by row, and hold both to 50-digit
 mpmath sums of the closed-form |ghat|^2, so enclosures are checked against
 numbers that reuse no package code.
@@ -8,18 +8,23 @@ numbers that reuse no package code.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborcert import (
     DegenerateError,
     DivergentSeriesError,
     Envelope,
     Lattice2D,
+    NumericalError,
     Parity,
     TruncationRiskWarning,
     Window,
@@ -41,7 +46,7 @@ from gaborcert.criterion import FLOOR_GUARD, _from_log, envelope_tail_log
 from gaborcert import window as window_module
 from gaborcert.window import ghat_lattice, window_from_csv, write_sampled_csv
 
-from helpers import envelope_violation
+from helpers import envelope_violation, sweep_per_weight
 
 # the combined windows of the benchmark corpus: {hermite order: coefficient}
 COMBOS = {
@@ -216,7 +221,7 @@ def test_every_grid_row_is_summed_at_its_own_omega(monkeypatch):
 
 
 # hermite:5 at b = 0.05 and hermite:1 at b = 0.01 reach K = 100 to 300, where
-# one cutoff step adds more columns than a 4,096-value block of many rows holds
+# one cutoff step adds more columns than an 8,192-value block of many rows holds
 @pytest.mark.parametrize("spec, b", [("hermite:5", 0.05), ("hermite:1", 0.01)])
 def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
     w = dilate(corpus_window(spec), b)
@@ -227,6 +232,155 @@ def test_sweep_rows_do_not_depend_on_their_batch(spec, b):
         subset = np.sort(rng.choice(grid.size, size, replace=False))
         rows = criterion._sweep(w, grid[subset])
         np.testing.assert_array_equal(rows, full[:, :, subset])
+
+
+def rational(b):
+    """ghat = 1/(1 + (b xi)^4) without an envelope, a dilation of sorts of a
+    window that decays like a power: sums that stop on their tail estimate,
+    or, for small b, run to K = 2,398 under a TruncationRiskWarning."""
+    return Window(
+        label=f"rational(b={b!r})",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=lambda xi: (1.0 / (1.0 + (b * np.asarray(xi, dtype=float)) ** 4)).astype(complex),
+        parity=Parity.EVEN,
+    )
+
+
+def sampled_h2(b):
+    """A complex sampled window (hermite:2 times a chirp-free phase ramp), dilated by b."""
+    grid = sample_grid()
+    return dilate(sampled_window(grid, hermite(2).time_eval(grid) * np.exp(0.4j * grid)), b)
+
+
+# the one-pass step against sweep_per_weight: enveloped closed forms (the
+# one-omega engine's windows), a sampled window and a window without an
+# envelope, each at dilation b
+SWEEP_WINDOWS = {
+    **{f"hermite:{n}": (lambda b, n=n: dilate(hermite(n), b)) for n in range(8)},
+    **{spec: (lambda b, spec=spec: dilate(corpus_window(spec), b)) for spec in COMBOS},
+    "chirp(hermite:3)": lambda b: dilate(chirp_window(hermite(3), 0.7), b),
+    "sampled hermite:2": sampled_h2,
+    "rational without envelope": rational,
+}
+
+
+@st.composite
+def omega_sets(draw):
+    """1001 or 101 grid points (0, 1/2 and 1 among them), or 14, 2 or 1 drawn
+    omegas in any order: 14 always with 0, 1/2 and 1, fewer with any of them."""
+    size = draw(st.sampled_from([1, 2, 14, 101, 1001]))
+    if size > 14:
+        return np.linspace(0.0, 1.0, size)
+    anchors = [0.0, 0.5, 1.0] if size == 14 else []
+    free = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    drawn = draw(st.lists(free, min_size=size - len(anchors), max_size=size - len(anchors)))
+    return np.array(draw(st.permutations(anchors + drawn)))
+
+
+def sweep_or_error(sweep, w, omegas):
+    """The sums' bytes (so NaN entries and -0.0 count) and the (category,
+    message) of each warning, or the error's type and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sums = sweep(w, omegas).tobytes()
+        except Exception as exc:  # noqa: BLE001  (the type is the point)
+            return type(exc).__name__, str(exc)
+    return sums, [(record.category, str(record.message)) for record in caught]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SWEEP_WINDOWS)),
+    log_b=st.floats(min_value=math.log(1e-2), max_value=math.log(50.0)),
+    omegas=omega_sets(),
+)
+# S_0 vanishes at omega = 0 and 1, and S_1 stays NaN
+@example(name="hermite:3", log_b=math.log(20.0), omegas=np.array([0.0]))
+@example(name="hermite:3", log_b=math.log(20.0), omegas=np.linspace(0.0, 1.0, 1001))
+# the sampled window's sums run to K = 2,398 and warn
+@example(name="sampled hermite:2", log_b=math.log(50.0), omegas=np.linspace(0.0, 1.0, 14))
+def test_one_pass_step_matches_the_per_weight_sweep(name, log_b, omegas):
+    # one term pass, one tail pass and one stopping test per cutoff step give
+    # every entry, error and warning of blocks of 4,096 values and a stopping
+    # test per weight, bit for bit
+    w = SWEEP_WINDOWS[name](math.exp(log_b))
+    expected = sweep_or_error(sweep_per_weight, w, omegas)
+    assert sweep_or_error(criterion._sweep, w, omegas) == expected
+
+
+def test_single_row_sums_keep_k_off_the_pairwise_axis():
+    # one weight's (k, 1) terms alone would be summed by numpy's pairwise
+    # rule (eight partial sums past 8 terms); the (k, summand, rows) array
+    # keeps the k axis off it: S_1 of the gaussian at b = 0.05, omega = 1/2
+    # adds 42 new terms at K = 63
+    w = dilate(gaussian(), 0.05)
+    sums = criterion._sweep(w, np.array([0.5]))
+    assert sums[1, 3, 0] == 63
+    assert sums[1, 0, 0] == 22.50790790392766
+    assert sums.tobytes() == sweep_per_weight(w, np.array([0.5])).tobytes()
+
+
+def test_vanishing_s0_leaves_s1_unsummed():
+    # at omega = 0 and 1 every term of hermite:1, 3 and 5 at b = 13.0367 and
+    # 20 underflows: S_0 stops at 0 and its row is lost, with S_1 NaN even
+    # where its own tail would pass at the same cutoff
+    omegas = np.array([0.0, 0.5, 1.0])
+    for n in (1, 3, 5):
+        for b in (13.0367, 20.0):
+            w = dilate(hermite(n), b)
+            sums = criterion._sweep(w, omegas)
+            assert sums[0, 0, 0] == sums[0, 0, 2] == 0.0, (n, b)
+            assert np.isnan(sums[1, :, [0, 2]]).all(), (n, b)
+            assert sums.tobytes() == sweep_per_weight(w, omegas).tobytes(), (n, b)
+
+
+def test_sweep_errors_match_the_per_weight_sweep():
+    # hermite:150 overflows at the second cutoff; a flat envelope has no tail bound
+    flat = Window(
+        label="flat",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float), dtype=complex),
+        freq_eval=lambda xi: np.ones_like(np.asarray(xi, dtype=float), dtype=complex),
+        parity=Parity.EVEN,
+        envelope=Envelope(amplitude=1.0, rate=1e-18),
+    )
+    omegas = np.linspace(0.0, 1.0, 14)
+    for w, error, message in (
+        (hermite(150), NumericalError, r"overflow the double range by K=4$"),
+        (flat, DivergentSeriesError, "too small for a tail bound"),
+    ):
+        with pytest.raises(error, match=message):
+            criterion._sweep(w, omegas)
+        assert sweep_or_error(criterion._sweep, w, omegas) == sweep_or_error(sweep_per_weight, w, omegas)
+
+
+def test_sweep_truncation_warning_names_the_callers_line():
+    w = rational(0.01)
+    omegas = np.linspace(0.0, 1.0, 14)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno + 1
+        sums = criterion._sweep(w, omegas)
+    assert [(record.category, Path(record.filename).name, record.lineno) for record in caught] == [
+        (TruncationRiskWarning, Path(__file__).name, line)
+    ]
+    assert np.all(sums[:, 3] == 2398)
+
+
+def test_sweep_calls_ghat_once_per_cutoff_step():
+    # certify(hermite:1, 0.3) sums on the frequency side: the grid's two
+    # cutoff steps (1001 rows, |k| <= 2 and then 2 < |k| <= 4) and the
+    # stencil's (seven rows) are one freq_eval call each
+    sizes = []
+    h1 = hermite(1)
+
+    def freq_eval(xi):
+        sizes.append(np.size(xi))
+        return h1.freq_eval(xi)
+
+    certify(dataclasses.replace(h1, freq_eval=freq_eval), 0.3)
+    assert sizes == [5005, 4004, 35, 28]
+    assert sum(sizes) == 9072
 
 
 def old_envelope_tail_rows(amplitude, rate, p, m, omegas):
@@ -382,7 +536,7 @@ def test_sampled_refinement_extends_sequential_passes(spec, grid_points):
 
 
 def test_sweep_memory_stays_bounded():
-    # rows are summed for blocks of at most 4,096 (omega, k) values, not for
+    # rows are summed for blocks of at most 8,192 (k, omega) values, not for
     # the whole grid at once; certify sums this window on the time side, so
     # its frequency sweep (K = 94) is measured directly as well
     w = dilate(hermite(5), 0.05)
@@ -619,7 +773,7 @@ def pointwise_heuristic_sum(w, omega, p):
     while True:
         ks = np.array([k for k in range(-k_cut, k_cut + 1) if abs(k) > k_done], dtype=float)
         xi = ks + omega
-        terms = xi ** (2 * p) * np.abs(at(np.array([0]), ks)[0]) ** 2
+        terms = xi ** (2 * p) * np.abs(at(np.array([0]), ks)[1][:, 0]) ** 2
         added.append(math.fsum(terms.tolist()))
         value, tail = math.fsum(added), math.fsum(added[-2:])
         if value == 0.0:
@@ -888,12 +1042,13 @@ def test_factorized_lattice_matches_freq_eval(name):
     ks = np.arange(-24, 25, dtype=float)
     at = ghat_lattice(w, omegas)
     rows = np.array([0, 3, 6, 12])
-    got = at(rows, ks)
-    want = w.freq_eval((ks[None, :] + omegas[rows, None]).ravel()).reshape(got.shape)
+    xi, got = at(rows, ks)
+    np.testing.assert_array_equal(xi, ks[:, None] + omegas[rows])
+    want = w.freq_eval(xi.ravel()).reshape(got.shape)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
     # a single column or row comes out the same
-    assert np.allclose(at(rows[:1], ks[5:6]), want[:1, 5:6], rtol=0.0, atol=1e-13 * scale)
+    assert np.allclose(at(rows[:1], ks[5:6])[1], want[5:6, :1], rtol=0.0, atol=1e-13 * scale)
 
 
 def shifted_csv_window(tmp_path):
@@ -943,7 +1098,7 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
             # the whole grid, and its first half, which fills half a unit interval
             for omegas in (grid, grid[: (grid_points + 1) // 2]):
                 rows = np.arange(omegas.size)
-                got = ghat_lattice(w, omegas)(rows, ks)
+                got = ghat_lattice(w, omegas)(rows, ks)[1].T
                 check = rows[:: max(1, omegas.size // 25)]
                 want = w.freq_eval((ks[None, :] + omegas[check, None]).ravel()).reshape(check.size, ks.size)
                 scale = float(np.max(np.abs(want)))
@@ -958,13 +1113,13 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
         # that reduction)
         grid = np.linspace(0.0, 1.0, 1001)
         long_ks = np.arange(-40.0, 41.0)
-        got = ghat_lattice(w, grid)(np.arange(1001), long_ks)[::100]
+        got = ghat_lattice(w, grid)(np.arange(1001), long_ks)[1].T[::100]
         want = w.freq_eval((long_ks[None, :] + grid[::100, None]).ravel()).reshape(got.shape)
         err = float(np.max(np.abs(got - want)))
         assert err <= 1e-14 * float(np.max(np.abs(want))), (name, err)
         # off a grid (bisection points, one omega) the baby-step/giant-step split
         omegas = rng.uniform(0.0, 1.0, 14)
-        got = ghat_lattice(w, omegas)(np.arange(14), ks)
+        got = ghat_lattice(w, omegas)(np.arange(14), ks)[1].T
         want = w.freq_eval((ks[None, :] + omegas[:, None]).ravel()).reshape(got.shape)
         assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want))), name
         # the same long run of k off a grid: 14 seeded stencil-like omegas, and
@@ -972,7 +1127,7 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
         # reduced exactly too
         for omegas in (rng.uniform(0.0, 1.0, 14), np.array([rng.uniform(0.0, 1.0)])):
             rows = np.arange(omegas.size)
-            got = ghat_lattice(w, omegas)(rows, long_ks)
+            got = ghat_lattice(w, omegas)(rows, long_ks)[1].T
             want = w.freq_eval((long_ks[None, :] + omegas[:, None]).ravel()).reshape(got.shape)
             scale = float(np.max(np.abs(want)))
             err = float(np.max(np.abs(got - want)))
@@ -985,7 +1140,7 @@ def test_chirp_z_lattice_matches_freq_eval_and_mpmath(tmp_path):
         # direct product k * t_m would carry 2e-12 of a turn: against the
         # mpmath sum at k + omega exactly (the float k + omega is up to 1.1e-13 off)
         far_ks = np.array([-2001.0, 1999.0, 2000.0])
-        got = ghat_lattice(w, omegas)(np.array([0]), far_ks)[0]
+        got = ghat_lattice(w, omegas)(np.array([0]), far_ks)[1][:, 0]
         for value, k in zip(got, far_ks):
             assert abs(value - mp_quadrature(w, k, omegas[0])) <= 1e-14 * scale, (name, k)
 
@@ -999,16 +1154,16 @@ def test_off_grid_rows_do_not_depend_on_their_neighbours(columns):
     w = QUADRATURE_WINDOWS["sampled"]()
     omegas = np.random.default_rng(7).uniform(0.0, 1.0, 14)
     ks = np.arange(columns, dtype=float) - columns // 2
-    full = ghat_lattice(w, omegas)(np.arange(14), ks)
+    full = ghat_lattice(w, omegas)(np.arange(14), ks)[1]
     for i in range(14):
         others = np.delete(np.arange(14), i)[:3]
         for got in (
-            ghat_lattice(w, omegas[i : i + 1])(np.array([0]), ks)[0],
-            ghat_lattice(w, omegas)(np.array([i]), ks)[0],
-            ghat_lattice(w, omegas)(np.r_[others, i], ks)[-1],
-            ghat_lattice(w, omegas)(np.r_[i, others], ks)[0],
+            ghat_lattice(w, omegas[i : i + 1])(np.array([0]), ks)[1][:, 0],
+            ghat_lattice(w, omegas)(np.array([i]), ks)[1][:, 0],
+            ghat_lattice(w, omegas)(np.r_[others, i], ks)[1][:, -1],
+            ghat_lattice(w, omegas)(np.r_[i, others], ks)[1][:, 0],
         ):
-            np.testing.assert_array_equal(got, full[i])
+            np.testing.assert_array_equal(got, full[:, i])
 
 
 def test_sampled_grids_build_no_row_table(monkeypatch):

@@ -126,8 +126,8 @@ def test_dilate_keeps_a_sampled_windows_quadrature():
         # ghat_lattice evaluates the dilated nodes and agrees with freq_eval
         omegas = np.linspace(0.0, 1.0, 5)
         ks = np.arange(-6, 7, dtype=float)
-        got = ghat_lattice(w, omegas)(np.arange(5), ks)
-        direct = np.asarray(w.freq_eval((ks[None, :] + omegas[:, None]).ravel())).reshape(got.shape)
+        got = ghat_lattice(w, omegas)(np.arange(5), ks)[1]
+        direct = np.asarray(w.freq_eval((ks[:, None] + omegas).ravel())).reshape(got.shape)
         assert float(np.max(np.abs(got - direct))) <= 1e-13
 
 
