@@ -102,8 +102,6 @@ class FiniteGaborModel:
     q: int
     spacing: float
     window: np.ndarray
-    snapped_a: float
-    snapped_b: float
     target_a: float
     target_b: float
     label: str
@@ -126,6 +124,14 @@ class FiniteGaborModel:
         object.__setattr__(self, "window", window)
 
     @property
+    def snapped_a(self) -> float:
+        return self.p * self.spacing
+
+    @property
+    def snapped_b(self) -> float:
+        return self.q / (self.n * self.spacing)
+
+    @property
     def covolume(self) -> float:
         return self.snapped_a * self.snapped_b
 
@@ -139,27 +145,17 @@ def _check_dimension(n: int) -> None:
         raise PreconditionError(f"dimension must be an integer in 1..{MAX_DENSE_DIM}, got {n!r}")
 
 
-def _periodized(w: Window, n: int, spacing: float, central: np.ndarray | None = None) -> np.ndarray:
-    """Window samples wrapped onto the circle of circumference n*spacing, unnormalized.
-
-    central, if given, holds the copy j = 0, the n central samples of a
-    closed form as _wrap_defect evaluated them; a closed form evaluates
-    pointwise, so only the other copies are evaluated, to the same bits.
-    """
+def _periodized(w: Window, n: int, spacing: float) -> np.ndarray:
+    """Window samples wrapped onto the circle of circumference n*spacing, unnormalized."""
     m = (np.arange(n) - n // 2) * spacing
     # the copies side by side are one uniform grid; the rows add in loop order
     shifts = range(-_PERIODIZE_COPIES, _PERIODIZE_COPIES + 1)
-    if central is None:
-        copies = w.time_eval(np.concatenate([m + j * n * spacing for j in shifts]))
-    else:
-        outer = w.time_eval(np.concatenate([m + j * n * spacing for j in shifts if j != 0]))
-        copies = np.concatenate([outer[: _PERIODIZE_COPIES * n], central, outer[_PERIODIZE_COPIES * n :]])
+    copies = w.time_eval(np.concatenate([m + j * n * spacing for j in shifts]))
     return np.asarray(copies, dtype=complex).reshape(len(shifts), n).sum(axis=0)
 
 
-def _wrap_defect(w: Window, n: int, spacing: float) -> tuple[float, np.ndarray | None]:
-    """The relative l2 mass the window carries outside the interval of n samples,
-    with a closed form's n central samples (None for a sampled window).
+def _wrap_defect(w: Window, n: int, spacing: float) -> float:
+    """The relative l2 mass the window carries outside the interval of n samples.
 
     Mass beyond the covered interval against the mass of the central
     samples: it measures how faithful the periodization at this spacing is.
@@ -172,16 +168,13 @@ def _wrap_defect(w: Window, n: int, spacing: float) -> tuple[float, np.ndarray |
     the envelope or the tail raises, and for sampled windows, one time_eval
     call probes the grid for |j| <= n//2 + ceil(16/spacing) instead.  A
     spacing below 32/_MAX_PROBE, whose probe would pass _MAX_PROBE points,
-    counts as not covering: the defect is then inf.  The central samples
-    are the copy j = 0 of _periodized at this spacing, bit for bit.
+    counts as not covering: the defect is then inf.
     """
     if spacing * _MAX_PROBE < 32.0:
-        return math.inf, None
+        return math.inf
     half = n // 2
-    central = None
     if w.form is not None:
-        central = w.time_eval(np.arange(-half, n - half) * spacing)
-        inside = _inside_norm(central)
+        inside = _inside_norm(w.time_eval(np.arange(-half, n - half) * spacing))
         try:
             envelope = w.form.envelope()
             tail = one_sided_gauss_tail_log(2.0 * envelope.rate * spacing * spacing, 0, float(half + 1))
@@ -190,13 +183,13 @@ def _wrap_defect(w: Window, n: int, spacing: float) -> tuple[float, np.ndarray |
         else:
             bound = math.sqrt(2.0) * envelope.amplitude * math.exp(0.5 * tail) * _WRAP_PAD / inside
             if bound <= _WRAP_TOL:
-                return bound, central
+                return bound
     reach = half + int(math.ceil(16.0 / spacing))
     j = np.arange(-reach, reach + 1)
     values = np.asarray(w.time_eval(j * spacing), dtype=complex)
     inside = _inside_norm(values[reach - half : reach - half + n])
     outside_sq = float(np.sum(np.abs(values[np.abs(j) > half]) ** 2))
-    return math.sqrt(outside_sq) / inside, central
+    return math.sqrt(outside_sq) / inside
 
 
 def _inside_norm(values) -> float:
@@ -216,39 +209,21 @@ def build_model(
     target_b: float | None = None,
 ) -> FiniteGaborModel:
     """Assemble a model at explicit steps; snapped values follow from the grid."""
-    return _build(w, n, p, q, spacing, target_a, target_b)
-
-
-def _build(
-    w: Window,
-    n: int,
-    p: int,
-    q: int,
-    spacing: float,
-    target_a: float | None,
-    target_b: float | None,
-    central: np.ndarray | None = None,
-) -> FiniteGaborModel:
-    """build_model, with the central samples of a closed form if in hand (_periodized)."""
     _check_dimension(n)
     if not (spacing > 0 and math.isfinite(spacing)):
         raise PreconditionError(f"spacing must be positive, got {spacing!r}")
-    samples = _periodized(w, n, spacing, central)
+    samples = _periodized(w, n, spacing)
     norm = float(np.linalg.norm(samples))
     if norm == 0.0:
         raise PreconditionError("periodized window is identically zero")
-    snapped_a = p * spacing
-    snapped_b = q / (n * spacing)
     return FiniteGaborModel(
         n=n,
         p=p,
         q=q,
         spacing=spacing,
         window=samples / norm,
-        snapped_a=snapped_a,
-        snapped_b=snapped_b,
-        target_a=snapped_a if target_a is None else target_a,
-        target_b=snapped_b if target_b is None else target_b,
+        target_a=p * spacing if target_a is None else target_a,
+        target_b=q / (n * spacing) if target_b is None else target_b,
         label=w.label,
     )
 
@@ -347,11 +322,6 @@ def snap_lattice(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> SnapCho
     pairs and the defect test runs in that order up to the first pass:
     the choice testing every pair makes, near-ties included.
     """
-    return _snap(w, a, b, n)[0]
-
-
-def _snap(w: Window, a: float, b: float, n: int) -> tuple[SnapChoice, np.ndarray | None]:
-    """snap_lattice, with the central samples its wrap test evaluated at the chosen spacing."""
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise PreconditionError(f"lattice sides must be positive, got {a!r}, {b!r}")
     _check_dimension(n)
@@ -374,9 +344,8 @@ def _snap(w: Window, a: float, b: float, n: int) -> tuple[SnapChoice, np.ndarray
             if log_rho <= _LENIENT_LOG_RHO:
                 scores.append((log_rho, abs(math.log(coverage[i] / 16.0)), p[i], i))
         for *_, i in sorted(scores):
-            defect, central = _wrap_defect(w, n, float(spacing[i]))
-            if defect <= _WRAP_TOL:
-                return SnapChoice(int(p[i]), int(q[i]), float(spacing[i]), float(rho[i]), float(coverage[i])), central
+            if _wrap_defect(w, n, float(spacing[i])) <= _WRAP_TOL:
+                return SnapChoice(int(p[i]), int(q[i]), float(spacing[i]), float(rho[i]), float(coverage[i]))
     raise ParameterNotRepresentable(
         f"no divisor pair of n = {n} represents a = {a!r}, b = {b!r} "
         f"within {math.exp(_LENIENT_LOG_RHO):.3g}x while covering the window"
@@ -384,13 +353,9 @@ def _snap(w: Window, a: float, b: float, n: int) -> tuple[SnapChoice, np.ndarray
 
 
 def model_for(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> FiniteGaborModel:
-    """Snap the lattice and build the periodized model for (w, a*Z x b*Z).
-
-    The central samples that the snap's wrap test evaluated at the chosen
-    spacing are the model's copy j = 0, so they are evaluated once.
-    """
-    choice, central = _snap(w, a, b, n)
-    return _build(w, n, choice.p, choice.q, choice.spacing, a, b, central)
+    """Snap the lattice and build the periodized model for (w, a*Z x b*Z)."""
+    choice = snap_lattice(w, a, b, n)
+    return build_model(w, n, choice.p, choice.q, choice.spacing, target_a=a, target_b=b)
 
 
 @dataclass(frozen=True)
@@ -399,9 +364,12 @@ class EquivalenceReport:
 
     bounds_rect: FrameBounds
     bounds_square: FrameBounds
-    rel_gap: float
     model_rect: FiniteGaborModel
     model_square: FiniteGaborModel
+
+    @property
+    def rel_gap(self) -> float:
+        return abs(self.bounds_rect.ratio - self.bounds_square.ratio)
 
 
 def equivalence_check(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> EquivalenceReport:
@@ -418,13 +386,9 @@ def equivalence_check(w: Window, a: float, b: float, n: int = DEFAULT_DIM) -> Eq
                 f"lattice ({model.target_a!r}, {model.target_b!r}) snaps {100 * abs(model.rho - 1):.2f}% "
                 f"off on n = {n} points; need 1% for an equivalence comparison"
             )
-    bounds_rect = finite_frame_bounds(model_rect)
-    bounds_square = finite_frame_bounds(model_square)
-    rel_gap = abs(bounds_rect.ratio - bounds_square.ratio)
     return EquivalenceReport(
-        bounds_rect=bounds_rect,
-        bounds_square=bounds_square,
-        rel_gap=rel_gap,
+        bounds_rect=finite_frame_bounds(model_rect),
+        bounds_square=finite_frame_bounds(model_square),
         model_rect=model_rect,
         model_square=model_square,
     )

@@ -416,7 +416,7 @@ def _exhaustive_snap(w, a, b, n):
             coverage = n * spacing
             score = (abs(math.log(rho)), abs(math.log(coverage / 16.0)), p, spacing)
             scores.append(score)
-            if oracle._wrap_defect(w, n, spacing)[0] > oracle._WRAP_TOL:
+            if oracle._wrap_defect(w, n, spacing) > oracle._WRAP_TOL:
                 continue
             if best_score is None or score < best_score:
                 best_score = score
@@ -550,11 +550,10 @@ def test_snap_evaluates_one_defect_when_the_best_score_covers(monkeypatch, gauss
     assert calls == [choice.spacing]
 
 
-def test_model_evaluates_the_window_once(gauss):
+def test_model_for_is_snap_then_build(gauss):
     # snapping evaluates the wrap defect of the winning candidate only, and
     # the gaussian's time envelope decides it from the n central samples;
-    # the model reuses them as its copy j = 0 and evaluates the other four
-    # periodized copies
+    # the model then evaluates all five periodized copies in one call
     points = []
 
     def time_eval(t):
@@ -564,7 +563,7 @@ def test_model_evaluates_the_window_once(gauss):
     spy = dataclasses.replace(gauss, time_eval=time_eval)
     n = 240
     model = model_for(spy, 0.5, 1.0, n)
-    assert points == [n, 4 * n]
+    assert points == [n, 5 * n]
     np.testing.assert_array_equal(model.window, model_for(gauss, 0.5, 1.0, n).window)
     np.testing.assert_array_equal(model.window, build_model(gauss, n, model.p, model.q, model.spacing).window)
 
@@ -577,12 +576,12 @@ def _counted_defect(w, n, spacing):
         points.append(np.size(t))
         return w.time_eval(t)
 
-    return oracle._wrap_defect(dataclasses.replace(w, time_eval=time_eval), n, spacing)[0], points
+    return oracle._wrap_defect(dataclasses.replace(w, time_eval=time_eval), n, spacing), points
 
 
 def _probe(w, n, spacing):
     """The sampled probe alone: _wrap_defect of the window without its closed form."""
-    return oracle._wrap_defect(dataclasses.replace(w, form=None), n, spacing)[0]
+    return oracle._wrap_defect(dataclasses.replace(w, form=None), n, spacing)
 
 
 def test_envelope_bound_passes_only_where_the_probe_passes():
@@ -630,3 +629,52 @@ def test_periodized_copies_sum_as_a_loop_does(gauss, h1):
             total += w.time_eval(m + j * n * choice.spacing)
         model = model_for(w, 0.5, 1.0, n)
         np.testing.assert_array_equal(model.window, total / float(np.linalg.norm(total)))
+
+
+def test_model_for_and_equivalence_reach_snap_and_build(monkeypatch, gauss, h1):
+    # both go through the module's snap_lattice and build_model, once per
+    # model, with the snapped steps and the targets: the path a tracer wraps
+    snaps, builds = [], []
+    real_snap, real_build = oracle.snap_lattice, oracle.build_model
+
+    def snap_spy(w, a, b, n=oracle.DEFAULT_DIM):
+        choice = real_snap(w, a, b, n)
+        snaps.append((w.label, a, b, n, choice))
+        return choice
+
+    def build_spy(w, n, p, q, spacing, target_a=None, target_b=None):
+        builds.append((w.label, n, p, q, spacing, target_a, target_b))
+        return real_build(w, n, p, q, spacing, target_a, target_b)
+
+    monkeypatch.setattr(oracle, "snap_lattice", snap_spy)
+    monkeypatch.setattr(oracle, "build_model", build_spy)
+    model = model_for(h1, 0.75, 1.0, 240)
+    ((label, *args, choice),) = snaps
+    assert (label, *args) == (h1.label, 0.75, 1.0, 240)
+    assert builds == [(h1.label, 240, choice.p, choice.q, choice.spacing, 0.75, 1.0)]
+    assert (model.p, model.q, model.spacing) == (choice.p, choice.q, choice.spacing)
+
+    snaps.clear()
+    builds.clear()
+    report = equivalence_check(gauss, 0.5, 0.8, 240)
+    assert [s[1:4] for s in snaps] == [(0.5, 0.8, 240), (0.5 * 0.8, 1.0, 240)]
+    assert builds == [(s[0], 240, s[4].p, s[4].q, s[4].spacing, s[1], s[2]) for s in snaps]
+    for model, (_, _, p, q, spacing, a, b) in zip((report.model_rect, report.model_square), builds):
+        assert (model.p, model.q, model.spacing, model.target_a, model.target_b) == (p, q, spacing, a, b)
+
+
+def test_records_derive_snapped_sides_and_gap(gauss, h1):
+    # the snapped sides and the gap follow from the stored fields, to the
+    # bits of the expressions they replace
+    model_fields = {f.name for f in dataclasses.fields(FiniteGaborModel)}
+    report_fields = {f.name for f in dataclasses.fields(oracle.EquivalenceReport)}
+    assert not {"snapped_a", "snapped_b"} & model_fields
+    assert "rel_gap" not in report_fields
+    for w in (gauss, h1, _asymmetric_sampled()):
+        model = model_for(w, 0.5, 1.0, 240)
+        assert model.snapped_a == model.p * model.spacing
+        assert model.snapped_b == model.q / (model.n * model.spacing)
+        default = build_model(w, model.n, model.p, model.q, model.spacing)
+        assert (default.target_a, default.target_b) == (model.snapped_a, model.snapped_b)
+        report = equivalence_check(w, 0.5, 1.0, 240)
+        assert report.rel_gap == abs(report.bounds_rect.ratio - report.bounds_square.ratio)
